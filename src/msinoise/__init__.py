@@ -50,13 +50,11 @@ from .radiation_pressure import (
     optical_damping,
     rigidity,
     rigidity_matrices,
-    sideband_response,
 )
 from .scattering import (
     InterferometerParams,
     IntracavityField,
     PortVector,
-    SidebandResponse,
     classical_fields,
     displacement_transfer,
     mode_dynamics,
@@ -68,13 +66,12 @@ from .scattering import (
 __all__ = [
     "__version__",
     # scattering
-    "InterferometerParams", "PortVector", "IntracavityField", "SidebandResponse",
+    "InterferometerParams", "PortVector", "IntracavityField",
     "mode_mixer", "mode_dynamics", "scattering_matrix", "displacement_transfer",
     "classical_fields", "oracle_solve",
     # radiation pressure
     "ForceNoiseSpectrum", "RigidityBreakdown", "force_transfer",
     "rigidity_matrices", "rigidity", "noise_spectra", "optical_damping",
-    "sideband_response",
     # reduced model
     "LumpedParams", "CouplingConstants", "asymmetry_polar", "from_exact",
     "params_for_targets", "coupling_constants", "lorentzians",

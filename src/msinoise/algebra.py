@@ -41,12 +41,12 @@ def pauli_basis() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a (2, 2, N) stack."""
+    return m.conj().swapaxes(0, 1)
 
 
 def det2(m: np.ndarray) -> complex:
-    """Determinant of a 2x2 matrix, closed form."""
+    """Determinant of a 2x2 matrix (or a (2, 2, N) stack), closed form."""
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 

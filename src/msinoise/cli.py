@@ -40,9 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="JSON run configuration (SI units)")
         p.add_argument("--out", type=Path, default=Path("."),
                        help="output directory (default: current)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="grid evaluation workers (results are identical "
-                            "for any count)")
 
     p_spec = sub.add_parser("spectrum", help="force-noise sweep to CSV/JSON")
     common(p_spec)
@@ -66,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_spectrum(args) -> int:
     cfg = load_config(args.config)
     try:
-        summary = run_spectrum(cfg, args.out, threads=args.threads)
+        summary = run_spectrum(cfg, args.out)
     except OpticalSingularity as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
@@ -84,7 +81,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_compare(args) -> int:
     cfg = load_config(args.config)
     try:
-        summary = run_compare(cfg, args.out, threads=args.threads)
+        summary = run_compare(cfg, args.out)
     except OpticalSingularity as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR

@@ -43,12 +43,22 @@ def _get(section: dict, key: str, path: str, required=True, default=None):
     return section[key]
 
 
+def _is_finite_number(value) -> bool:
+    """JSON numbers only (not bools), and not NaN or +/-Infinity."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer literal beyond the float range
+        return False
+
+
 def _number(section: dict, key: str, path: str, required=True, default=None):
     value = _get(section, key, path, required, default)
     if value is default and not required:
         return default
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}", f"expected a number, got {value!r}")
+    if not _is_finite_number(value):
+        raise ConfigError(f"{path}.{key}", f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -101,9 +111,9 @@ def _port_amplitude(section: dict, path: str, omega_p: float) -> complex:
     if (
         not isinstance(amp, (list, tuple))
         or len(amp) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in amp)
+        or not all(_is_finite_number(v) for v in amp)
     ):
-        raise ConfigError(f"{path}.amplitude", "expected [re, im]")
+        raise ConfigError(f"{path}.amplitude", "expected [re, im] of finite numbers")
     return complex(amp[0], amp[1])
 
 
@@ -201,6 +211,8 @@ def parse_config(raw: dict) -> RunConfig:
     if not isinstance(tol_sec, dict):
         raise ConfigError("tolerances", "must be an object")
     det_tol = _number(tol_sec, "det_tol", "tolerances", required=False)
+    if det_tol is not None and det_tol < 0.0:
+        raise ConfigError("tolerances.det_tol", f"{det_tol!r} is negative")
 
     opt_sec = raw.get("optimize", {})
     if not isinstance(opt_sec, dict):

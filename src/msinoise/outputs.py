@@ -1,13 +1,11 @@
 """CSV/JSON emission for sweeps, comparisons and cooling reports.
 
-Numbers are written in shortest round-trip decimal form, outputs carry no
-timestamps, and grid evaluation order never affects file contents, so
-identical configurations produce bit-identical files at any worker count.
+Numbers are written in shortest round-trip decimal form and outputs carry
+no timestamps, so identical configurations produce bit-identical files.
 """
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +24,8 @@ from .lumped_mode import (
     from_exact,
     strip_propagation_phases,
 )
-from .radiation_pressure import force_transfer, noise_spectra, rigidity
-from .scattering import classical_fields
+from .radiation_pressure import _force_entries, noise_spectra
+from .scattering import classical_fields, sideband_blocks
 
 SPECTRUM_HEADER = "Omega,S_tilde_pos,S_tilde_neg,S_sym,Re_K,Im_K,H_opt"
 COMPARE_HEADER = "Omega,err_F,err_K,err_S_tilde,err_S_canonical,err_S_fano"
@@ -75,59 +73,37 @@ def _sidecar(cfg: RunConfig, kind: str, **extra) -> dict:
     return payload
 
 
-def _map_ordered(fun, items, threads: int):
-    if threads <= 1:
-        return [fun(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fun, items))
+def _skipped(spec) -> list[dict]:
+    return [{"omega": omega, "reason": reason} for omega, reason in spec.skipped]
 
 
-def run_spectrum(cfg: RunConfig, out_dir: Path, threads: int = 1) -> dict:
+def _summary(cfg: RunConfig, spec) -> dict:
+    return {"rows": len(spec.grid), "skipped": len(spec.skipped), "total": len(cfg.grid)}
+
+
+def run_spectrum(cfg: RunConfig, out_dir: Path) -> dict:
     """Force-noise sweep -> spectrum.csv + spectrum.json; returns summary."""
     out_dir.mkdir(parents=True, exist_ok=True)
     field = classical_fields(cfg.params, cfg.pump, cfg.det_tol)
     e = field.as_array()
-
-    def one(big_omega: float):
-        if big_omega == 0.0:
-            return (big_omega, "zero sideband frequency (damping undefined)")
-        try:
-            spec = noise_spectra(cfg.params, field, [big_omega], cfg.det_tol)
-        except OpticalSingularity as exc:  # classical-field singularities
-            return (big_omega, str(exc))
-        if spec.skipped:
-            return (big_omega, spec.skipped[0][1])
-        k = spec.k[0]
-        return (
-            big_omega,
-            spec.s_tilde_pos[0],
-            spec.s_tilde_neg[0],
-            spec.s_sym[0],
-            k.real,
-            k.imag,
-            spec.h_opt[0],
-        )
-
-    results = _map_ordered(one, [float(w) for w in cfg.grid], threads)
-    rows = [r for r in results if len(r) > 2]
-    skipped = [
-        {"omega": r[0], "reason": r[1]} for r in results if len(r) == 2
-    ]
+    spec = noise_spectra(cfg.params, field, cfg.grid, cfg.det_tol)
+    rows = zip(spec.grid, spec.s_tilde_pos, spec.s_tilde_neg, spec.s_sym,
+               spec.k.real, spec.k.imag, spec.h_opt)
     _write_rows(out_dir / "spectrum.csv", SPECTRUM_HEADER, rows)
     _write_json(
         out_dir / "spectrum.json",
         _sidecar(
             cfg,
             "spectrum",
-            skipped=skipped,
+            skipped=_skipped(spec),
             field={"e_plus": [e[0].real, e[0].imag],
                    "e_minus": [e[1].real, e[1].imag]},
         ),
     )
-    return {"rows": len(rows), "skipped": len(skipped), "total": len(results)}
+    return _summary(cfg, spec)
 
 
-def run_compare(cfg: RunConfig, out_dir: Path, threads: int = 1) -> dict:
+def run_compare(cfg: RunConfig, out_dir: Path) -> dict:
     """Exact vs reduced-model sweep -> compare.csv + compare.json.
 
     Relative-error columns: force transfer matrix (entrywise, in the
@@ -142,27 +118,23 @@ def run_compare(cfg: RunConfig, out_dir: Path, threads: int = 1) -> dict:
     lp = from_exact(params)
     dark_south = cfg.pump.south == 0
     k_p = params.k_p
+    spec = noise_spectra(params, field, cfg.grid, cfg.det_tol)
+    f_all = _force_entries(params, sideband_blocks(params, spec.grid, cfg.det_tol))
 
-    def one(big_omega: float):
-        if big_omega == 0.0:
-            return (big_omega, "zero sideband frequency")
-        try:
-            f_exact = force_transfer(params, big_omega, cfg.det_tol)
-            k_exact = rigidity(params, field, big_omega, cfg.det_tol).k
-        except OpticalSingularity as exc:
-            return (big_omega, str(exc))
-        f_strip = strip_propagation_phases(params, f_exact, big_omega)
+    rows = []
+    for i, big_omega in enumerate(spec.grid):
+        f_strip = strip_propagation_phases(params, f_all[:, :, i], big_omega)
         f_ap = approx_force_transfer(lp, k_p, big_omega)
         # floor keeps identically-zero entries (symmetric case) at error 0
         err_f = float(np.max(
             np.abs(f_strip - f_ap) / np.maximum(np.abs(f_strip), 1e-300)
         ))
 
+        k_exact = spec.k[i]
         k_ap = approx_rigidity(lp, k_p, big_omega, field)
         err_k = abs(k_exact - k_ap) / abs(k_exact)
 
-        row_ex = e.conj() @ f_exact
-        s_exact = hbar**2 * k_p**2 * float(np.real(row_ex @ row_ex.conj()))
+        s_exact = spec.s_tilde_pos[i]
         row_ap = e.conj() @ f_ap
         s_ap = hbar**2 * k_p**2 * float(np.real(row_ap @ row_ap.conj()))
         err_s = abs(s_exact - s_ap) / s_exact
@@ -177,11 +149,8 @@ def run_compare(cfg: RunConfig, out_dir: Path, threads: int = 1) -> dict:
             err_fano = abs(s_exact - s_fano) / s_exact
         else:
             err_fano = float("nan")
-        return (big_omega, err_f, err_k, err_s, err_can, err_fano)
+        rows.append((big_omega, err_f, err_k, err_s, err_can, err_fano))
 
-    results = _map_ordered(one, [float(w) for w in cfg.grid], threads)
-    rows = [r for r in results if len(r) > 2]
-    skipped = [{"omega": r[0], "reason": r[1]} for r in results if len(r) == 2]
     _write_rows(out_dir / "compare.csv", COMPARE_HEADER, rows)
     couplings = coupling_constants(lp, k_p)
     _write_json(
@@ -189,7 +158,7 @@ def run_compare(cfg: RunConfig, out_dir: Path, threads: int = 1) -> dict:
         _sidecar(
             cfg,
             "compare",
-            skipped=skipped,
+            skipped=_skipped(spec),
             fano_applicable=dark_south,
             lumped={
                 "gamma_s": lp.gamma_s,
@@ -205,7 +174,7 @@ def run_compare(cfg: RunConfig, out_dir: Path, threads: int = 1) -> dict:
             },
         ),
     )
-    return {"rows": len(rows), "skipped": len(skipped), "total": len(results)}
+    return _summary(cfg, spec)
 
 
 def run_cooling(cfg: RunConfig, out_dir: Path, optimize: bool = False) -> dict:

@@ -13,17 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.constants import hbar
 
-from .algebra import cc_close, dagger
+from .algebra import cc_close
 from .errors import DegenerateFrequency, OpticalSingularity
 from .scattering import (
-    InterferometerParams,
-    IntracavityField,
-    SidebandResponse,
-    displacement_transfer,
-    fixed_matrices,
-    mode_dynamics,
-    mode_mixer,
-    scattering_matrix,
+    InterferometerParams, IntracavityField, SidebandBlocks, sideband_blocks,
 )
 
 __all__ = [
@@ -34,10 +27,8 @@ __all__ = [
     "rigidity",
     "noise_spectra",
     "optical_damping",
-    "sideband_response",
 ]
 
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
@@ -79,6 +70,54 @@ class ForceNoiseSpectrum:
     skipped: tuple = field(default_factory=tuple)
 
 
+def _force_entries(params: InterferometerParams, b: SidebandBlocks) -> np.ndarray:
+    """F = 2 R_m X (M Q - Q* R_breve) T_tilde / d, shape (2, 2, N)."""
+    (c, s), m = b.mixer, b.membrane
+    (rho_w, rho_s), (t_w, t_s) = b.r_tilde, b.t_tilde
+    k = 2 * params.r_m / b.d
+    return np.array([
+        [k * (m.conjugate() * s - s.conjugate() * rho_s) * t_w,
+         k * (m.conjugate() * c.conjugate() - c * rho_w) * t_s],
+        [k * (m * c - c.conjugate() * rho_s) * t_w,
+         k * (s * rho_w - m * s.conjugate()) * t_s],
+    ])
+
+
+def _spring_entries(params: InterferometerParams, b: SidebandBlocks) -> np.ndarray:
+    """K1 = K_g(+Omega) + K_g(-Omega)^dagger from blocks over (+grid, -grid).
+
+    K_g = -4i R_m^2 X (M Q R_tilde Q^T - r~_w r~_s 1) X / d is the
+    one-sided generator; the result has shape (2, 2, N) for a grid of N.
+    """
+    (c, s), m = b.mixer, b.membrane
+    rho_w, rho_s = b.r_tilde
+    both = rho_w * rho_s
+    cross = c * s * rho_w - (c * s).conjugate() * rho_s
+    k = -4j * params.r_m**2 / b.d
+    gen = np.array([
+        [k * (m.conjugate() * (s * s * rho_w + c.conjugate() ** 2 * rho_s) - both),
+         k * m.conjugate() * cross],
+        [k * m * cross,
+         k * (m * (c * c * rho_w + s.conjugate() ** 2 * rho_s) - both)],
+    ])
+    n = gen.shape[2] // 2
+    return cc_close(gen[:, :, :n], gen[:, :, n:])
+
+
+def _quadratic_forms(
+    params: InterferometerParams, e: np.ndarray, k1: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """hbar k_p^2 e^dagger K e for K1 (shape (2, 2, N)) and for K2 = -4 R_m T_m Z."""
+    e_p, e_m = e
+    scale = hbar * params.k_p**2
+    q1 = e_p.conjugate() * (k1[0, 0] * e_p + k1[0, 1] * e_m) + e_m.conjugate() * (
+        k1[1, 0] * e_p + k1[1, 1] * e_m
+    )
+    power = e.real**2 + e.imag**2
+    q2 = -4.0 * params.r_m * params.t_m * (power[0] - power[1])
+    return scale * q1, scale * q2
+
+
 def force_transfer(
     params: InterferometerParams,
     big_omega: float,
@@ -89,25 +128,8 @@ def force_transfer(
     Satisfies F(Omega)^dagger = G(Omega) (the displacement transfer), the
     two-port form of the usual measurement/back-action reciprocity.
     """
-    omega = params.omega_p + big_omega
-    q = mode_mixer(params)
-    p = fixed_matrices(params, omega)
-    _, _, d = mode_dynamics(params, omega, det_tol)
-    return (2 * params.r_m / d) * _X @ (p.m @ q - q.conj() @ p.r_breve) @ p.t_tilde
-
-
-def _spring_generator(
-    params: InterferometerParams,
-    big_omega: float,
-    det_tol: float | None = None,
-) -> np.ndarray:
-    """One-sided generator of the dynamic rigidity before conjugate closure."""
-    omega = params.omega_p + big_omega
-    q = mode_mixer(params)
-    p = fixed_matrices(params, omega)
-    _, _, d = mode_dynamics(params, omega, det_tol)
-    bracket = p.m @ q @ p.r_tilde @ q.T - p.r_tilde[0, 0] * p.r_tilde[1, 1] * np.eye(2)
-    return (-4j * params.r_m**2 / d) * _X @ bracket @ _X
+    b = sideband_blocks(params, np.array([big_omega], dtype=float), det_tol).checked()
+    return _force_entries(params, b)[:, :, 0]
 
 
 def rigidity_matrices(
@@ -120,10 +142,8 @@ def rigidity_matrices(
     K1 needs the optics at both omega_p + Omega and omega_p - Omega (the
     conjugate closure); K2 = -4 R_m T_m Z is frequency independent.
     """
-    k1 = cc_close(
-        _spring_generator(params, big_omega, det_tol),
-        _spring_generator(params, -big_omega, det_tol),
-    )
+    b = sideband_blocks(params, np.array([big_omega, -big_omega], dtype=float), det_tol)
+    k1 = _spring_entries(params, b.checked())[:, :, 0]
     k2 = -4.0 * params.r_m * params.t_m * _Z
     return k1, k2, k1 + k2
 
@@ -135,26 +155,9 @@ def rigidity(
     det_tol: float | None = None,
 ) -> RigidityBreakdown:
     """Scalar optical rigidity for the given intracavity field, N/m."""
-    k1_mat, k2_mat, _ = rigidity_matrices(params, big_omega, det_tol)
-    e = field_.as_array()
-    k1 = hbar * params.k_p**2 * complex(e.conj() @ k1_mat @ e)
-    k2 = hbar * params.k_p**2 * complex(e.conj() @ k2_mat @ e)
-    # K2 is a real quadratic form (diagonal real matrix)
-    return RigidityBreakdown(k1=k1, k2=k2.real)
-
-
-def _s_tilde_one_sided(
-    params: InterferometerParams,
-    e: np.ndarray,
-    big_omega: float,
-    det_tol: float | None,
-) -> float:
-    row = e.conj() @ force_transfer(params, big_omega, det_tol)
-    value = hbar**2 * params.k_p**2 * float(np.real(row @ row.conj()))
-    # quadratic form: negative values can only be rounding noise
-    if value < -1e-18:
-        raise ArithmeticError(f"negative force spectral density {value!r}")
-    return max(value, 0.0)
+    k1_mat, _, _ = rigidity_matrices(params, big_omega, det_tol)
+    k1, k2 = _quadratic_forms(params, field_.as_array(), k1_mat[:, :, np.newaxis])
+    return RigidityBreakdown(k1=complex(k1[0]), k2=float(k2))
 
 
 def optical_damping(spectrum: ForceNoiseSpectrum) -> np.ndarray:
@@ -179,56 +182,35 @@ def noise_spectra(
 
     For each Omega in ``grid`` evaluates the non-symmetrised densities at
     +/-Omega, the symmetrised density, the complex rigidity and the
-    optical damping.  Points where either sideband hits an exact optical
-    singularity are skipped and reported, not interpolated.
+    optical damping, all from one `sideband_blocks` call over +/-grid.
+    Points where either sideband hits an exact optical singularity are
+    skipped and reported, not interpolated.
     """
+    grid = np.asarray(grid, dtype=float)
+    n = grid.size
+    b = sideband_blocks(params, np.concatenate([grid, -grid]), det_tol)
     e = field_.as_array()
-    kept, s_pos, s_neg, k_vals = [], [], [], []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k1, k2 = _quadratic_forms(params, e, _spring_entries(params, b))
+        # e^dagger F, shape (2, 2N); F itself is not kept, which bounds peak memory
+        row = (e.conj()[:, None, None] * _force_entries(params, b)).sum(axis=0)
+        s_tilde = hbar**2 * params.k_p**2 * (row.real**2 + row.imag**2).sum(axis=0)
+    keep = (grid != 0.0) & ~b.singular[:n] & ~b.singular[n:]
     skipped = []
-    for big_omega in np.asarray(grid, dtype=float):
-        if big_omega == 0.0:
-            skipped.append((0.0, "zero sideband frequency (damping undefined)"))
-            continue
-        try:
-            sp = _s_tilde_one_sided(params, e, big_omega, det_tol)
-            sn = _s_tilde_one_sided(params, e, -big_omega, det_tol)
-            k = rigidity(params, field_, big_omega, det_tol).k
-        except OpticalSingularity as exc:
-            skipped.append((float(big_omega), str(exc)))
-            continue
-        kept.append(big_omega)
-        s_pos.append(sp)
-        s_neg.append(sn)
-        k_vals.append(k)
-    grid_arr = np.array(kept, dtype=float)
-    s_pos_arr = np.array(s_pos, dtype=float)
-    s_neg_arr = np.array(s_neg, dtype=float)
+    for i in np.flatnonzero(~keep):
+        if grid[i] == 0.0:
+            reason = "zero sideband frequency (damping undefined)"
+        else:
+            j = i if b.singular[i] else n + i
+            reason = str(OpticalSingularity(float(b.omega[j]), complex(b.d[j])))
+        skipped.append((float(grid[i]), reason))
+    s_pos, s_neg = s_tilde[:n][keep], s_tilde[n:][keep]
     return ForceNoiseSpectrum(
-        grid=grid_arr,
-        s_tilde_pos=s_pos_arr,
-        s_tilde_neg=s_neg_arr,
-        s_sym=(s_pos_arr + s_neg_arr) / 2.0,
-        k=np.array(k_vals, dtype=complex),
-        h_opt=_damping(s_pos_arr, s_neg_arr, grid_arr) if kept else np.array([]),
+        grid=grid[keep],
+        s_tilde_pos=s_pos,
+        s_tilde_neg=s_neg,
+        s_sym=(s_pos + s_neg) / 2.0,
+        k=k1[keep] + k2,
+        h_opt=_damping(s_pos, s_neg, grid[keep]),
         skipped=tuple(skipped),
-    )
-
-
-def sideband_response(
-    params: InterferometerParams,
-    big_omega: float,
-    det_tol: float | None = None,
-) -> SidebandResponse:
-    """Bundle all transfer matrices of one sideband into a SidebandResponse."""
-    omega = params.omega_p + big_omega
-    _, _, d = mode_dynamics(params, omega, det_tol)
-    _, _, k_mat = rigidity_matrices(params, big_omega, det_tol)
-    return SidebandResponse(
-        omega=omega,
-        big_omega=big_omega,
-        r_ifo=scattering_matrix(params, omega, det_tol),
-        g=displacement_transfer(params, big_omega, det_tol),
-        f=force_transfer(params, big_omega, det_tol),
-        k_mat=k_mat,
-        d=d,
     )

@@ -14,7 +14,6 @@ force spectral densities come out in N^2 s with no extra factors.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +27,12 @@ __all__ = [
     "PortVector",
     "IntracavityField",
     "PropagationMatrices",
-    "SidebandResponse",
+    "SidebandBlocks",
     "OracleFields",
     "mode_mixer",
     "fixed_matrices",
     "mode_dynamics",
+    "sideband_blocks",
     "scattering_matrix",
     "displacement_transfer",
     "classical_fields",
@@ -41,20 +41,11 @@ __all__ = [
 
 SPEED_OF_LIGHT = 299792458.0
 
-#: relative determinant floor (scaled by ||D_e||_F^2); overridable per call
-#: or globally through the MSI_DET_TOL environment variable
+#: relative determinant floor, singular when |det D_e| <= det_tol (sum_ij |D_e,ij|)^2;
+#: applies to det_tol=None, i.e. unless the config sets tolerances.det_tol
 DEFAULT_DET_TOL = 1e-14
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-
-def _resolve_det_tol(det_tol: float | None) -> float:
-    if det_tol is not None:
-        return det_tol
-    env = os.environ.get("MSI_DET_TOL")
-    if env is not None:
-        return float(env)
-    return DEFAULT_DET_TOL
 
 
 @dataclass(frozen=True)
@@ -156,23 +147,29 @@ class PropagationMatrices:
 
 
 @dataclass(frozen=True)
-class SidebandResponse:
-    """All four transfer matrices of the interferometer at one sideband.
+class SidebandBlocks:
+    """Optical blocks shared by every sideband quantity, batched over Omega.
 
-    ``omega`` is the absolute optical frequency, ``big_omega`` the sideband
-    frequency omega - omega_p.  ``g`` maps membrane displacement into the
-    outgoing field, ``f`` maps incoming fields into radiation-pressure
-    force; they satisfy g = f^dagger.  ``d`` is the optical mode
-    determinant.
+    The last axis runs over the N sideband frequencies; pairs are ordered
+    (west, south).
     """
 
-    omega: float
-    big_omega: float
-    r_ifo: np.ndarray
-    g: np.ndarray
-    f: np.ndarray
-    k_mat: np.ndarray
-    d: complex
+    omega: np.ndarray       # (N,) absolute frequencies omega_p + Omega, rad/s
+    phases: np.ndarray      # (2, N) one-way phases e^{i omega tau}
+    r_tilde: np.ndarray     # (2, N) r e^{2 i omega tau}
+    t_tilde: np.ndarray     # (2, N) t e^{i omega tau}
+    d_e: np.ndarray         # (2, 2, N) mode matrix D_e
+    d: np.ndarray           # (N,) det D_e
+    singular: np.ndarray    # (N,) at or below the relative determinant floor
+    mixer: tuple[complex, complex]  # (C, S) of mode_mixer
+    membrane: complex               # e^{i theta_m}
+
+    def checked(self) -> SidebandBlocks:
+        """These blocks; raises OpticalSingularity at the first singular point."""
+        if self.singular.any():
+            i = int(np.argmax(self.singular))
+            raise OpticalSingularity(float(self.omega[i]), complex(self.d[i]))
+        return self
 
 
 @dataclass(frozen=True)
@@ -195,11 +192,14 @@ def mode_mixer(params: InterferometerParams) -> np.ndarray:
     S = sin(eps) cos(kap) + i cos(eps) sin(kap); reduces to the identity
     for a symmetric interferometer.
     """
+    c, s = _mixer(params)
+    return np.array([[c, -s.conjugate()], [s, c.conjugate()]])
+
+
+def _mixer(params: InterferometerParams) -> tuple[complex, complex]:
     ce, se = math.cos(params.epsilon), math.sin(params.epsilon)
     ck, sk = math.cos(params.kappa), math.sin(params.kappa)
-    c = ce * ck + 1j * se * sk
-    s = se * ck + 1j * ce * sk
-    return np.array([[c, -np.conj(s)], [s, np.conj(c)]])
+    return ce * ck + 1j * se * sk, se * ck + 1j * ce * sk
 
 
 def fixed_matrices(params: InterferometerParams, omega: float) -> PropagationMatrices:
@@ -236,7 +236,7 @@ def mode_dynamics(
     p = fixed_matrices(params, omega)
     d_e = dagger(q) - p.r_tilde @ q.T @ p.m
     d = det2(d_e)
-    tol = _resolve_det_tol(det_tol)
+    tol = DEFAULT_DET_TOL if det_tol is None else det_tol
     scale = float(np.abs(d_e).sum())  # O(1) for these unitary-built blocks
     if abs(d) <= tol * scale * scale:
         raise OpticalSingularity(omega, d)
@@ -249,6 +249,38 @@ def mode_dynamics(
     return d_e, d_e_inv, d
 
 
+def sideband_blocks(
+    params: InterferometerParams,
+    big_omega,
+    det_tol: float | None = None,
+) -> SidebandBlocks:
+    """The shared optical blocks at omega_p + Omega for every Omega at once.
+
+    D_e = Q^dagger - R_tilde Q^T M is written out entry by entry, so no
+    result depends on a BLAS kernel.  Singular points are flagged in
+    ``singular``, not raised; `SidebandBlocks.checked` raises for them.
+    Pass a 1-D array even for one point: elementwise array loops round
+    the same for any length, numpy's 0-d scalar arithmetic does not.
+    """
+    omega = params.omega_p + np.asarray(big_omega, dtype=float)
+    phases = np.exp(1j * (np.array([[params.tau_w], [params.tau_s]]) * omega))
+    r_tilde = np.array([[params.r_w], [params.r_s]]) * phases * phases
+    t_tilde = np.array([[params.t_w], [params.t_s]]) * phases
+    c, s = _mixer(params)
+    m = complex(math.cos(params.theta_m), math.sin(params.theta_m))
+    rho_w, rho_s = r_tilde
+    d_e = np.array([
+        [c.conjugate() - rho_w * (c * m), s.conjugate() - rho_w * (s * m.conjugate())],
+        [rho_s * (s.conjugate() * m) - s, c - rho_s * (c.conjugate() * m.conjugate())],
+    ])
+    d = det2(d_e)
+    tol = DEFAULT_DET_TOL if det_tol is None else det_tol
+    mag = np.abs(d_e)
+    scale = mag[0, 0] + mag[0, 1] + mag[1, 0] + mag[1, 1]
+    singular = np.abs(d) <= tol * scale * scale
+    return SidebandBlocks(omega, phases, r_tilde, t_tilde, d_e, d, singular, (c, s), m)
+
+
 def scattering_matrix(
     params: InterferometerParams,
     omega: float,
@@ -257,11 +289,19 @@ def scattering_matrix(
     """Two-port output scattering matrix R_ifo(omega).
 
     Lossless by construction: R_ifo^dagger R_ifo = 1 for any parameters.
+    Written entry by entry as -R + T_tilde (Q^T M Q - R_breve) T_tilde / d.
+    omega - omega_p + omega_p is exactly omega within a factor 2 of omega_p.
     """
-    q = mode_mixer(params)
-    p = fixed_matrices(params, omega)
-    _, _, d = mode_dynamics(params, omega, det_tol)
-    return -p.r + p.t_tilde @ (q.T @ p.m @ q - p.r_breve) @ p.t_tilde / d
+    b = sideband_blocks(params, np.array([omega - params.omega_p]), det_tol).checked()
+    (c, s), m = b.mixer, b.membrane
+    (rho_w, rho_s), (t_w, t_s) = b.r_tilde, b.t_tilde
+    n_00 = (c * c * m + s * s * m.conjugate()) - rho_s
+    n_11 = (s.conjugate() ** 2 * m + c.conjugate() ** 2 * m.conjugate()) - rho_w
+    n_01 = s * c.conjugate() * m.conjugate() - c * s.conjugate() * m
+    return np.array([
+        [-params.r_w + t_w * n_00 * t_w / b.d, t_w * n_01 * t_s / b.d],
+        [t_s * n_01 * t_w / b.d, -params.r_s + t_s * n_11 * t_s / b.d],
+    ])[:, :, 0]
 
 
 def displacement_transfer(
@@ -272,15 +312,20 @@ def displacement_transfer(
     """Displacement-to-field transfer matrix G at sideband frequency Omega.
 
     All frequency-dependent blocks are evaluated at the absolute frequency
-    omega_p + Omega.  Vanishes for a fully transparent membrane.
+    omega_p + Omega.  Vanishes for a fully transparent membrane.  Written
+    entry by entry as 2 R_m T_tilde^dagger (Q^dagger M^dagger -
+    R_breve^dagger Q^T) X / d*.
     """
-    omega = params.omega_p + big_omega
-    q = mode_mixer(params)
-    p = fixed_matrices(params, omega)
-    _, _, d = mode_dynamics(params, omega, det_tol)
-    return (2 * params.r_m / np.conj(d)) * dagger(p.t_tilde) @ (
-        dagger(q) @ dagger(p.m) - dagger(p.r_breve) @ q.T
-    ) @ _X
+    b = sideband_blocks(params, np.array([big_omega], dtype=float), det_tol).checked()
+    (c, s), m = b.mixer, b.membrane
+    (rho_w, rho_s), (t_w, t_s) = b.r_tilde.conj(), b.t_tilde.conj()
+    k = 2 * params.r_m / b.d.conj()
+    return np.array([
+        [k * t_w * (s.conjugate() * m - rho_s * s),
+         k * t_w * (c.conjugate() * m.conjugate() - rho_s * c)],
+        [k * t_s * (c * m - rho_w * c.conjugate()),
+         k * t_s * (rho_w * s.conjugate() - s * m.conjugate())],
+    ])[:, :, 0]
 
 
 def classical_fields(
@@ -290,12 +335,20 @@ def classical_fields(
 ) -> IntracavityField:
     """Steady-state intracavity amplitudes driven by the classical pump.
 
-    E = D_e^{-1}(omega_p) T_tilde(omega_p) A; the dressed transmissivity
-    T_tilde carries the single-pass propagation phase of each port.
+    E = adj(D_e) T_tilde A / det D_e at omega_p; the dressed transmissivity
+    T_tilde carries the single-pass propagation phase of each port.  The
+    2x2 products are broadcast sums, so no result depends on a BLAS kernel.
     """
-    _, d_e_inv, _ = mode_dynamics(params, params.omega_p, det_tol)
-    p = fixed_matrices(params, params.omega_p)
-    e = d_e_inv @ p.t_tilde @ pump.as_array()
+    b = sideband_blocks(params, np.zeros(1), det_tol).checked()
+    d_e, d = b.d_e[:, :, 0], b.d[0]
+    adj = np.array([[d_e[1, 1], -d_e[0, 1]], [-d_e[1, 0], d_e[0, 0]]])
+    residual = np.abs((adj[:, :, None] * d_e).sum(axis=1) / d - np.eye(2)).max()
+    if residual > 1e-12:
+        raise ArithmeticError(
+            "closed-form mode inverse failed its self-check; "
+            f"|D| = {abs(d):.3e} at omega = {params.omega_p!r}"
+        )
+    e = (adj * (b.t_tilde[:, 0] * pump.as_array())).sum(axis=1) / d
     return IntracavityField(complex(e[0]), complex(e[1]))
 
 

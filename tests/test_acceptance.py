@@ -88,7 +88,7 @@ def test_criterion_09_coupling_constant_zeros():
 
 def test_criterion_10_golden_determinism():
     """The reference sweep reproduces the frozen CSV bit-identically across
-    reruns and worker counts."""
+    reruns."""
     _assert(check_golden(DEFAULT_SEED))
 
 

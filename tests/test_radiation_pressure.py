@@ -4,24 +4,26 @@ import numpy as np
 import pytest
 from scipy.constants import hbar
 
-from conftest import clear_of_resonance, random_params
+from conftest import clear_of_resonance
 from msinoise.errors import DegenerateFrequency
 from msinoise.lumped_mode import from_exact, params_for_targets
 from msinoise.radiation_pressure import (
     ForceNoiseSpectrum,
+    _force_entries,
     force_transfer,
     noise_spectra,
     optical_damping,
     rigidity,
     rigidity_matrices,
-    sideband_response,
 )
 from msinoise.scattering import (
     InterferometerParams,
     IntracavityField,
     PortVector,
     classical_fields,
+    sideband_blocks,
 )
+from msinoise.verify import _random_params
 
 Z = np.diag([1.0, -1.0])
 
@@ -113,7 +115,7 @@ class TestNoiseSpectra:
         rng = np.random.default_rng(21)
         checked = 0
         while checked < 30:
-            prm = random_params(rng)
+            prm = _random_params(rng)
             big_omega = rng.uniform(1e5, 1e9)
             if not clear_of_resonance(prm, big_omega):
                 continue
@@ -183,11 +185,35 @@ class TestOpticalDamping:
             assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
 
 
-def test_sideband_response_bundle(p1):
-    resp = sideband_response(p1, 2 * math.pi * 3e5)
-    assert resp.omega == p1.omega_p + resp.big_omega
-    np.testing.assert_allclose(resp.g, resp.f.conj().T, rtol=1e-12)
-    np.testing.assert_allclose(
-        resp.r_ifo.conj().T @ resp.r_ifo, np.eye(2), atol=1e-10
-    )
-    assert abs(resp.d) > 0
+class TestBatchEqualsScalar:
+    """A grid evaluated at once equals the same points one at a time, bit for bit."""
+
+    @staticmethod
+    def cases(p1, p1_drive):
+        # 37 points leave a remainder after any SIMD width; both signs of Omega
+        grid = np.linspace(-2e9, 2e9, 37)
+        yield p1, classical_fields(p1, p1_drive), grid[grid != 0.0]
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            prm = _random_params(rng)
+            field = IntracavityField(*(rng.normal(size=2) + 1j * rng.normal(size=2)) * 1e8)
+            yield prm, field, rng.uniform(-1e9, 1e9, size=37)
+
+    def test_noise_spectra_grid_equals_single_points(self, p1, p1_drive):
+        for prm, field, grid in self.cases(p1, p1_drive):
+            batch = noise_spectra(prm, field, grid)
+            assert len(batch.grid) == len(grid)
+            for i, big_omega in enumerate(grid):
+                one = noise_spectra(prm, field, np.array([big_omega]))
+                for name in ("grid", "s_tilde_pos", "s_tilde_neg", "s_sym", "k", "h_opt"):
+                    assert getattr(one, name)[0] == getattr(batch, name)[i], name
+
+    def test_force_transfer_and_rigidity_equal_batch(self, p1, p1_drive):
+        for prm, field, grid in self.cases(p1, p1_drive):
+            batch = noise_spectra(prm, field, grid)
+            f_batch = _force_entries(prm, sideband_blocks(prm, grid))
+            for i, big_omega in enumerate(grid):
+                np.testing.assert_array_equal(
+                    force_transfer(prm, big_omega), f_batch[:, :, i]
+                )
+                assert rigidity(prm, field, big_omega).k == batch.k[i]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import clear_of_resonance, random_params
+from conftest import clear_of_resonance
 from msinoise.algebra import dagger, solve_dense
 from msinoise.errors import OpticalSingularity
 from msinoise.lumped_mode import params_for_targets
@@ -20,6 +20,7 @@ from msinoise.scattering import (
     oracle_solve,
     scattering_matrix,
 )
+from msinoise.verify import _random_params
 
 # intracavity amplitudes of the reference configuration, frozen from the
 # dense-solver oracle (oracle_solve at the pump frequency, dark south port)
@@ -135,7 +136,7 @@ class TestScatteringMatrix:
         rng = np.random.default_rng(11)
         checked = 0
         while checked < 100:
-            prm = random_params(rng)
+            prm = _random_params(rng)
             big_omega = rng.uniform(-1e9, 1e9)
             if not clear_of_resonance(prm, big_omega):
                 continue
@@ -167,7 +168,7 @@ class TestDisplacementTransfer:
         rng = np.random.default_rng(12)
         checked = 0
         while checked < 50:
-            prm = random_params(rng)
+            prm = _random_params(rng)
             big_omega = rng.uniform(-1e9, 1e9)
             if not clear_of_resonance(prm, big_omega):
                 continue
@@ -245,7 +246,7 @@ class TestOracle:
         rng = np.random.default_rng(13)
         checked = 0
         while checked < 60:
-            prm = random_params(rng)
+            prm = _random_params(rng)
             big_omega = rng.uniform(-1e9, 1e9)
             if not clear_of_resonance(prm, big_omega):
                 continue

@@ -22,6 +22,23 @@ __all__ = ["RunConfig", "parse_config", "load_config", "config_digest"]
 
 SCHEMA_VERSION = 1
 
+#: largest sweep, checked before the grid is allocated
+MAX_POINTS = 1_000_000
+
+#: every key a section may hold (verify_tolerances is read by `msinoise verify`)
+_KEYS = {
+    "<root>": ("schema", "interferometer", "pump", "sweep", "mechanical",
+               "tolerances", "optimize", "verify_tolerances"),
+    "interferometer": ("wavelength_m", "theta_m_rad", "epsilon_rad", "kappa", "r_s",
+                       "t_s", "r_w", "t_w", "tau_s_s", "l_s_m", "tau_w_s", "l_w_m"),
+    "pump": ("west", "south"),
+    "sweep": ("start_rad_s", "stop_rad_s", "points", "spacing"),
+    "mechanical": ("omega_m_rad_s", "h_friction_kg_s", "temperature_k",
+                   "n_thermal", "mass_kg"),
+    "tolerances": ("det_tol",),
+    "optimize": ("energy_budget", "constraint"),
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -41,6 +58,14 @@ def _get(section: dict, key: str, path: str, required=True, default=None):
             raise ConfigError(f"{path}.{key}", "missing")
         return default
     return section[key]
+
+
+def _known_keys(section: dict, path: str, keys=None) -> None:
+    """Reject the first key (sorted) not in ``keys``, by default ``_KEYS[path]``."""
+    unknown = sorted(set(section) - set(keys or _KEYS[path]))
+    if unknown:
+        field = unknown[0] if path == "<root>" else f"{path}.{unknown[0]}"
+        raise ConfigError(field, "unknown key")
 
 
 def _is_finite_number(value) -> bool:
@@ -101,6 +126,8 @@ def _port_amplitude(section: dict, path: str, omega_p: float) -> complex:
     has_amp = "amplitude" in section
     if has_power == has_amp:
         raise ConfigError(path, "give exactly one of power_w(+phase_rad), amplitude")
+    # phase_rad goes only with power_w; next to an amplitude it would be ignored
+    _known_keys(section, path, ("power_w", "phase_rad") if has_power else ("amplitude",))
     if has_power:
         power = _number(section, "power_w", path)
         if power < 0.0:
@@ -121,8 +148,9 @@ def _sweep_grid(section: dict, path: str) -> np.ndarray:
     start = _number(section, "start_rad_s", path)
     stop = _number(section, "stop_rad_s", path)
     points = _get(section, "points", path)
-    if not isinstance(points, int) or isinstance(points, bool) or points < 2:
-        raise ConfigError(f"{path}.points", f"need an integer >= 2, got {points!r}")
+    if type(points) is not int or not 2 <= points <= MAX_POINTS:  # bool excluded
+        raise ConfigError(f"{path}.points",
+                          f"need an integer in [2, {MAX_POINTS}], got {points!r}")
     spacing = _get(section, "spacing", path, required=False, default="linear")
     if spacing == "linear":
         return np.linspace(start, stop, points)
@@ -137,6 +165,7 @@ def parse_config(raw: dict) -> RunConfig:
     """Validate a configuration dict and build the domain objects."""
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "top level must be an object")
+    _known_keys(raw, "<root>")
     schema = raw.get("schema", SCHEMA_VERSION)
     if schema != SCHEMA_VERSION:
         raise ConfigError("schema", f"unsupported schema {schema!r}")
@@ -144,6 +173,7 @@ def parse_config(raw: dict) -> RunConfig:
     ifo = _get(raw, "interferometer", "<root>")
     if not isinstance(ifo, dict):
         raise ConfigError("interferometer", "must be an object")
+    _known_keys(ifo, "interferometer")
     wavelength = _number(ifo, "wavelength_m", "interferometer")
     if wavelength <= 0.0:
         raise ConfigError("interferometer.wavelength_m", f"{wavelength!r} <= 0")
@@ -168,6 +198,7 @@ def parse_config(raw: dict) -> RunConfig:
     pump_sec = _get(raw, "pump", "<root>")
     if not isinstance(pump_sec, dict):
         raise ConfigError("pump", "must be an object")
+    _known_keys(pump_sec, "pump")
     ports = {}
     for port in ("west", "south"):
         sec = _get(pump_sec, port, "pump", required=False, default={"power_w": 0.0})
@@ -179,6 +210,7 @@ def parse_config(raw: dict) -> RunConfig:
     sweep = _get(raw, "sweep", "<root>")
     if not isinstance(sweep, dict):
         raise ConfigError("sweep", "must be an object")
+    _known_keys(sweep, "sweep")
     grid = _sweep_grid(sweep, "sweep")
 
     mech = None
@@ -186,6 +218,7 @@ def parse_config(raw: dict) -> RunConfig:
         sec = raw["mechanical"]
         if not isinstance(sec, dict):
             raise ConfigError("mechanical", "must be an object")
+        _known_keys(sec, "mechanical")
         has_t = "temperature_k" in sec
         has_n = "n_thermal" in sec
         if has_t == has_n:
@@ -210,6 +243,7 @@ def parse_config(raw: dict) -> RunConfig:
     tol_sec = raw.get("tolerances", {})
     if not isinstance(tol_sec, dict):
         raise ConfigError("tolerances", "must be an object")
+    _known_keys(tol_sec, "tolerances")
     det_tol = _number(tol_sec, "det_tol", "tolerances", required=False)
     if det_tol is not None and det_tol < 0.0:
         raise ConfigError("tolerances.det_tol", f"{det_tol!r} is negative")
@@ -217,6 +251,7 @@ def parse_config(raw: dict) -> RunConfig:
     opt_sec = raw.get("optimize", {})
     if not isinstance(opt_sec, dict):
         raise ConfigError("optimize", "must be an object")
+    _known_keys(opt_sec, "optimize")
     energy_budget = _number(opt_sec, "energy_budget", "optimize", required=False)
     constraint = opt_sec.get("constraint", "intracavity")
     if constraint not in ("intracavity", "injected"):

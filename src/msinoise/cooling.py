@@ -8,6 +8,7 @@ optical modes is the tuning knob the optimiser sweeps.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -20,13 +21,13 @@ from .errors import (
     UnreachableField,
     UnstableSystem,
 )
-from .radiation_pressure import force_transfer
+from .radiation_pressure import _force_entries
 from .scattering import (
     InterferometerParams,
     IntracavityField,
     PortVector,
-    fixed_matrices,
-    mode_dynamics,
+    classical_fields,
+    sideband_blocks,
 )
 
 __all__ = [
@@ -223,24 +224,42 @@ class PumpOptimum:
     s_f_neg_grid: np.ndarray
 
 
-def _golden_min(fun, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section minimum of a scalar function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while (b - a) > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    x = c if fc <= fd else d
-    return x, min(fc, fd)
+def _min_ratio(a, b) -> tuple[float, complex, complex]:
+    """min of v^dag A v / v^dag B v over v^dag B v > 0, and its v.
+
+    A (positive semidefinite) and B are Hermitian 2x2 as (x00, x11, x01).
+    The minimum is 1/lambda_max of det(B - lambda A) = 0, taken as
+    2 det A / (c + sqrt(c^2 - 4 det A det B)) with c the linear
+    coefficient; v spans the null space of A - min B.  A singular A gives
+    0 on its null space, which `optimize_pump` reaches only without
+    thermal anti-Stokes noise, where B = P+ + ((s_t+ - s_t-) / E) 1 > 0.
+    Raises UnstableSystem if lambda_max <= 0, or if B is not positive on
+    the null space of a singular A.
+    """
+    # a common scale leaves ratio and v unchanged; it keeps the fourth
+    # powers below from underflowing
+    scale = a[0] + a[1] + abs(b[0]) + abs(b[1])
+    a00, a11, a01 = (x / scale for x in a)
+    b00, b11, b01 = (x / scale for x in b)
+    det_a = a00 * a11 - (a01.real**2 + a01.imag**2)
+    det_b = b00 * b11 - (b01.real**2 + b01.imag**2)
+    c = a00 * b11 + a11 * b00 - 2.0 * (a01 * b01.conjugate()).real
+    ratio = 0.0
+    if det_a > 0.0:
+        root_sum = c + math.sqrt(max(c * c - 4.0 * det_a * det_b, 0.0))
+        if root_sum <= 0.0:
+            raise UnstableSystem("every pump split is anti-damped")
+        ratio = 2.0 * det_a / root_sum
+    m00, m11, m01 = a00 - ratio * b00, a11 - ratio * b11, a01 - ratio * b01
+    # null vector of the rank <= 1 matrix M from its larger diagonal entry
+    v0, v1 = (m01, -m00) if abs(m00) >= abs(m11) else (-m11, m01.conjugate())
+    if v0 == v1 == 0.0:  # M = 0: every v is optimal
+        v0 = 1.0
+    b_form = (b00 * abs(v0) ** 2 + b11 * abs(v1) ** 2
+              + 2.0 * (v0.conjugate() * b01 * v1).real)
+    if det_a <= 0.0 and b_form <= 0.0:
+        raise UnstableSystem("every pump split is anti-damped")
+    return ratio, v0, v1
 
 
 def optimize_pump(
@@ -248,110 +267,97 @@ def optimize_pump(
     mode: MechanicalMode,
     energy_budget: float,
     grid_size: int = 64,
-    tol: float = 1e-6,
     constraint: str = "intracavity",
     det_tol: float | None = None,
 ) -> PumpOptimum:
     """Minimise the phonon number over the pump split at fixed energy.
 
-    The field is parametrised as E+ = sqrt(E) cos(chi),
-    E- = sqrt(E) sin(chi) e^{i phi} with |E+|^2 + |E-|^2 = energy_budget
-    held fixed; a coarse (chi, phi) grid is followed by golden-section
-    refinement on each axis.  With ``constraint="injected"`` the same
-    parametrisation is applied to the port amplitudes instead (fixed
-    injected flux |A_w|^2 + |A_s|^2; note the fixed-intracavity-energy
-    optimum does not generally carry over to this constraint).
+    With the pump e = sqrt(E) v, v = (cos chi, sin chi e^{i phi}) and
+    E = energy_budget, the force spectra at +/-omega_m are E v^dag P+- v,
+    P = hbar^2 k_p^2 F F^dag, and the occupancy is n = v^dag A v / v^dag B v
+    with A = P- + (s_t- / E) 1 and B = P+ - P- + ((s_t+ - s_t-) / E) 1.
+    1/n is a generalised Rayleigh quotient of B against A: the minimum n
+    is 1/lambda_max of det(B - lambda A) = 0, the optimal split its
+    eigenvector, both in closed form from the 2x2 entries.  With
+    ``constraint="injected"`` v holds the port amplitudes (fixed injected
+    flux |A_w|^2 + |A_s|^2) and F becomes W^dag F, where W = D_e^{-1}
+    T_tilde maps port amplitudes to the intracavity field as in
+    `classical_fields`; the intracavity optimum does not carry over.
+
+    ``grid_size`` only sets the resolution of the returned landscape (n,
+    inf where anti-damped, and the force spectra on a grid_size^2 mesh of
+    (chi, phi)) for plotting; the optimum does not use it.
 
     Raises
     ------
     UnstableSystem
-        If every sampled pump split is anti-damped.
+        If every pump split is anti-damped.
     """
     if energy_budget <= 0.0:
         raise ValueError(f"energy_budget = {energy_budget!r} must be positive")
     if constraint not in ("intracavity", "injected"):
         raise ValueError(f"unknown constraint {constraint!r}")
 
-    f_pos = force_transfer(params, mode.omega_m, det_tol)
-    f_neg = force_transfer(params, -mode.omega_m, det_tol)
-    p_pos = hbar**2 * params.k_p**2 * (f_pos @ f_pos.conj().T)
-    p_neg = hbar**2 * params.k_p**2 * (f_neg @ f_neg.conj().T)
+    blocks = sideband_blocks(
+        params, np.array([mode.omega_m, -mode.omega_m]), det_tol
+    ).checked()
+    f_all = _force_entries(params, blocks)
     if constraint == "injected":
-        _, d_e_inv, _ = mode_dynamics(params, params.omega_p, det_tol)
-        w = d_e_inv @ fixed_matrices(params, params.omega_p).t_tilde
-        p_pos = w.conj().T @ p_pos @ w
-        p_neg = w.conj().T @ p_neg @ w
+        # columns of W: the intracavity field driven by each unit port amplitude
+        w = [classical_fields(params, port, det_tol)
+             for port in (PortVector(1.0, 0.0), PortVector(0.0, 1.0))]
+    forms = []  # P+ and P- as (p00, p11, p01)
+    for i in (0, 1):
+        (f00, f01), (f10, f11) = [[complex(f_all[r, col, i]) for col in (0, 1)]
+                                  for r in (0, 1)]
+        if constraint == "injected":  # W^dagger F
+            (f00, f01), (f10, f11) = [
+                [w[r].e_plus.conjugate() * f0 + w[r].e_minus.conjugate() * f1
+                 for f0, f1 in ((f00, f10), (f01, f11))] for r in (0, 1)]
+        forms.append(tuple(hbar**2 * params.k_p**2 * x for x in (
+            f00.real**2 + f00.imag**2 + (f01.real**2 + f01.imag**2),
+            f10.real**2 + f10.imag**2 + (f11.real**2 + f11.imag**2),
+            f00 * f10.conjugate() + f01 * f11.conjugate(),
+        )))
+    p_pos, p_neg = forms
 
     s_t_pos, s_t_neg = thermal_spectra(mode)
-    two_hbar_om = 2.0 * hbar * mode.omega_m
 
     def spectra_at(chi, phi):
         """Force spectra at +/-omega_m for pump split (chi, phi); vectorised."""
         c, s = np.cos(chi), np.sin(chi)
         cross = c * s * np.exp(1j * phi)
-        out = []
-        for p_mat in (p_pos, p_neg):
-            val = (
-                c * c * p_mat[0, 0].real
-                + s * s * p_mat[1, 1].real
-                + 2.0 * np.real(p_mat[0, 1] * cross)
-            )
-            out.append(energy_budget * val)
-        return out
-
-    def n_bar_at(chi, phi):
-        s_f_pos, s_f_neg = spectra_at(chi, phi)
-        num = s_t_neg + s_f_neg
-        den = (s_t_pos + s_f_pos) - num
-        return np.where(den > 0.0, num / np.maximum(den, 1e-300), np.inf)
+        return [
+            energy_budget * (c * c * p00 + s * s * p11 + 2.0 * np.real(p01 * cross))
+            for p00, p11, p01 in (p_pos, p_neg)
+        ]
 
     chi_grid = np.linspace(0.0, math.pi / 2.0, grid_size)
     phi_grid = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
     chi_mesh, phi_mesh = np.meshgrid(chi_grid, phi_grid, indexing="ij")
     s_f_pos_grid, s_f_neg_grid = spectra_at(chi_mesh, phi_mesh)
-    n_grid = n_bar_at(chi_mesh, phi_mesh)
-    if not np.isfinite(n_grid).any():
-        raise UnstableSystem("every sampled pump split is anti-damped")
+    num = s_t_neg + s_f_neg_grid
+    den = (s_t_pos + s_f_pos_grid) - num
+    n_grid = np.where(den > 0.0, num / np.maximum(den, 1e-300), np.inf)
 
-    i, j = np.unravel_index(np.argmin(n_grid), n_grid.shape)
-    best_chi, best_phi = float(chi_grid[i]), float(phi_grid[j])
-    best_n = float(n_grid[i, j])
-
-    d_chi = chi_grid[1] - chi_grid[0]
-    d_phi = phi_grid[1] - phi_grid[0]
-    for _ in range(40):
-        chi, n_chi = _golden_min(
-            lambda c: float(n_bar_at(np.asarray(c), np.asarray(best_phi))),
-            max(0.0, best_chi - d_chi),
-            min(math.pi / 2.0, best_chi + d_chi),
-            tol,
-        )
-        if n_chi < best_n:
-            best_chi, best_n = chi, n_chi
-        phi, n_phi = _golden_min(
-            lambda f: float(n_bar_at(np.asarray(best_chi), np.asarray(f))),
-            best_phi - d_phi,
-            best_phi + d_phi,
-            tol,
-        )
-        if n_phi < best_n:
-            best_phi, best_n = phi % (2.0 * math.pi), n_phi
-        moved = max(abs(chi - best_chi), abs(phi % (2.0 * math.pi) - best_phi))
-        d_chi, d_phi = max(d_chi / 4.0, 4 * tol), max(d_phi / 4.0, 4 * tol)
-        if moved < tol and d_chi <= 4 * tol and d_phi <= 4 * tol:
-            break
+    t_neg, t_diff = s_t_neg / energy_budget, (s_t_pos - s_t_neg) / energy_budget
+    _, v0, v1 = _min_ratio(
+        (p_neg[0] + t_neg, p_neg[1] + t_neg, p_neg[2]),
+        (p_pos[0] - p_neg[0] + t_diff, p_pos[1] - p_neg[1] + t_diff,
+         p_pos[2] - p_neg[2]),
+    )
+    best_chi = math.atan2(abs(v1), abs(v0))
+    best_phi = cmath.phase(v1 * v0.conjugate()) % (2.0 * math.pi)
 
     root = math.sqrt(energy_budget)
-    vec = np.array([
-        root * math.cos(best_chi),
-        root * math.sin(best_chi) * np.exp(1j * best_phi),
-    ])
+    vec = (root * math.cos(best_chi),
+           root * math.sin(best_chi) * cmath.exp(1j * best_phi))
     if constraint == "injected":
-        field = IntracavityField(*(w @ vec))
+        field = classical_fields(params, PortVector(*vec), det_tol)
     else:
-        field = IntracavityField(complex(vec[0]), complex(vec[1]))
-    s_f_pos, s_f_neg = spectra_at(np.asarray(best_chi), np.asarray(best_phi))
-    result = occupancy(mode, float(s_f_pos), float(s_f_neg))
+        field = IntracavityField(complex(vec[0]), vec[1])
+    s_f_pos, s_f_neg = spectra_at(np.array([best_chi]), np.array([best_phi]))
+    result = occupancy(mode, float(s_f_pos[0]), float(s_f_neg[0]))
     return PumpOptimum(
         field=field,
         chi=best_chi,
@@ -373,20 +379,20 @@ def pump_for_intracavity(
     """Port amplitudes that sustain a requested intracavity field.
 
     Inverts the classical steady state: A = T_tilde^{-1} D_e E at the pump
-    frequency.  Round-trips with `classical_fields` whenever both ports
-    are open.
+    frequency, written entry by entry on the carrier `sideband_blocks`.
+    Round-trips with `classical_fields` whenever both ports are open.
 
     Raises
     ------
     UnreachableField
         If a port with zero transmissivity would have to carry drive.
     """
-    d_e, _, _ = mode_dynamics(params, params.omega_p, det_tol)
-    needed = d_e @ field.as_array()
-    p = fixed_matrices(params, params.omega_p)
+    b = sideband_blocks(params, np.zeros(1), det_tol).checked()
+    d_e = b.d_e[:, :, 0]
+    needed = d_e[:, 0] * field.e_plus + d_e[:, 1] * field.e_minus
     amplitudes = []
     for idx, port in ((0, "west"), (1, "south")):
-        t = p.t_tilde[idx, idx]
+        t = b.t_tilde[idx, 0]
         if abs(t) == 0.0:
             if abs(needed[idx]) > 0.0:
                 raise UnreachableField(

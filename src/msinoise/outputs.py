@@ -32,15 +32,16 @@ COMPARE_HEADER = "Omega,err_F,err_K,err_S_tilde,err_S_canonical,err_S_fano"
 LANDSCAPE_HEADER = "chi,phi,n_bar,s_f_pos,s_f_neg"
 
 
-def fmt(x: float) -> str:
-    """Shortest decimal that round-trips to the same double."""
-    return repr(float(x))
+def _fmt(values: np.ndarray):
+    """Lazy shortest decimals that round-trip to the same doubles, in C order."""
+    return map(repr, values.ravel().tolist())
 
 
-def _write_rows(path: Path, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join(fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: str, columns) -> None:
+    """Write one row per position of the lazily formatted string columns."""
+    with path.open("w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def _json_default(obj):
@@ -87,9 +88,9 @@ def run_spectrum(cfg: RunConfig, out_dir: Path) -> dict:
     field = classical_fields(cfg.params, cfg.pump, cfg.det_tol)
     e = field.as_array()
     spec = noise_spectra(cfg.params, field, cfg.grid, cfg.det_tol)
-    rows = zip(spec.grid, spec.s_tilde_pos, spec.s_tilde_neg, spec.s_sym,
+    columns = (spec.grid, spec.s_tilde_pos, spec.s_tilde_neg, spec.s_sym,
                spec.k.real, spec.k.imag, spec.h_opt)
-    _write_rows(out_dir / "spectrum.csv", SPECTRUM_HEADER, rows)
+    _write_csv(out_dir / "spectrum.csv", SPECTRUM_HEADER, map(_fmt, columns))
     _write_json(
         out_dir / "spectrum.json",
         _sidecar(
@@ -121,7 +122,7 @@ def run_compare(cfg: RunConfig, out_dir: Path) -> dict:
     spec = noise_spectra(params, field, cfg.grid, cfg.det_tol)
     f_all = _force_entries(params, sideband_blocks(params, spec.grid, cfg.det_tol))
 
-    rows = []
+    table = np.empty((len(spec.grid), 6))
     for i, big_omega in enumerate(spec.grid):
         f_strip = strip_propagation_phases(params, f_all[:, :, i], big_omega)
         f_ap = approx_force_transfer(lp, k_p, big_omega)
@@ -149,9 +150,9 @@ def run_compare(cfg: RunConfig, out_dir: Path) -> dict:
             err_fano = abs(s_exact - s_fano) / s_exact
         else:
             err_fano = float("nan")
-        rows.append((big_omega, err_f, err_k, err_s, err_can, err_fano))
+        table[i] = (big_omega, err_f, err_k, err_s, err_can, err_fano)
 
-    _write_rows(out_dir / "compare.csv", COMPARE_HEADER, rows)
+    _write_csv(out_dir / "compare.csv", COMPARE_HEADER, map(_fmt, table.T))
     couplings = coupling_constants(lp, k_p)
     _write_json(
         out_dir / "compare.json",
@@ -222,17 +223,13 @@ def run_cooling(cfg: RunConfig, out_dir: Path, optimize: bool = False) -> dict:
             constraint=cfg.optimize_constraint,
             det_tol=cfg.det_tol,
         )
-        rows = []
-        for i, chi in enumerate(opt.chi_grid):
-            for j, phi in enumerate(opt.phi_grid):
-                rows.append((
-                    chi,
-                    phi,
-                    opt.n_bar_grid[i, j],
-                    opt.s_f_pos_grid[i, j],
-                    opt.s_f_neg_grid[i, j],
-                ))
-        _write_rows(out_dir / "landscape.csv", LANDSCAPE_HEADER, rows)
+        phi_text = list(_fmt(opt.phi_grid))
+        chi_phi = (f"{chi},{phi}" for chi in _fmt(opt.chi_grid) for phi in phi_text)
+        _write_csv(
+            out_dir / "landscape.csv",
+            LANDSCAPE_HEADER,
+            [chi_phi, *map(_fmt, (opt.n_bar_grid, opt.s_f_pos_grid, opt.s_f_neg_grid))],
+        )
         e_opt = opt.field.as_array()
         report["optimum"] = {
             "chi": opt.chi,

@@ -108,6 +108,48 @@ class TestConfigParsing:
             parse_config(raw)
         assert "points" in str(err.value)
 
+    @pytest.mark.parametrize("section, key", [
+        ("interferometer", "t_S"),
+        (None, "sweepp"),
+        ("sweep", "step"),
+        ("pump", "east"),
+        ("tolerances", "det_toll"),
+        ("optimize", "constrant"),
+    ])
+    def test_unknown_key_exits_2(self, tmp_path, capsys, section, key):
+        raw = json.loads(json.dumps(P1_CONFIG))
+        (raw if section is None else raw.setdefault(section, {}))[key] = 1
+        cfg = write_config(tmp_path, raw)
+        rc = main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        field = key if section is None else f"{section}.{key}"
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "spectrum.csv").exists()
+
+    def test_unknown_key_in_port_or_mechanical_block_exits_2(self, tmp_path, capsys):
+        raw = json.loads(json.dumps(P1_CONFIG))
+        raw["pump"]["west"]["phase_rad"] = 0.5  # ignored next to an amplitude
+        cfg = write_config(tmp_path, raw)
+        assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "'pump.west.phase_rad'" in capsys.readouterr().err
+        raw = json.loads(json.dumps(P1_CONFIG))
+        raw["mechanical"] = {"omega_m_rad_s": 2.5e7, "h_friction_kg_s": 1e-12,
+                             "n_thermal": 1e4, "temprature_k": 4.0}
+        cfg = write_config(tmp_path, raw)
+        assert main(["cooling", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "'mechanical.temprature_k'" in capsys.readouterr().err
+        assert not (tmp_path / "cooling.json").exists()
+
+    def test_oversized_sweep_exits_2_before_the_grid_is_built(self, tmp_path, capsys):
+        raw = json.loads(json.dumps(P1_CONFIG))
+        raw["sweep"]["points"] = 10**9  # 8 GB of grid if it were allocated
+        cfg = write_config(tmp_path, raw)
+        rc = main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "sweep.points" in capsys.readouterr().err
+        raw["sweep"]["points"] = 1_000_000
+        assert len(parse_config(raw).grid) == 1_000_000
+
     def test_negative_power_rejected(self):
         raw = json.loads(json.dumps(P1_CONFIG))
         raw["pump"]["south"] = {"power_w": -1.0}
@@ -192,6 +234,17 @@ class TestSpectrumCommand:
         """No output bit may depend on the BLAS kernel the CPU selects."""
         data = Path(msinoise.__file__).parent / "data" / "p1.json"
         src = str(Path(msinoise.__file__).parent.parent)
+        cooling = json.loads(TestCoolingCommand.cooling_config(
+            tmp_path, delta_s=-2.5e7, h_friction=1e-14).read_text())
+        configs = {"spectrum": data}
+        for constraint in ("intracavity", "injected"):
+            cooling["optimize"] = {"constraint": constraint}
+            configs[constraint] = write_config(tmp_path, cooling, f"{constraint}.json")
+        files = ("spectrum/spectrum.csv", "intracavity/landscape.csv",
+                 "intracavity/cooling.json", "injected/landscape.csv",
+                 "injected/cooling.json")
+        code = ("import json, sys\nfrom msinoise.cli import main\n"
+                "sys.exit(max(main(args) for args in json.loads(sys.argv[1])))")
         outputs = []
         for coretype in (None, "Haswell", "Prescott"):
             env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
@@ -199,12 +252,17 @@ class TestSpectrumCommand:
             if coretype is not None:
                 env["OPENBLAS_CORETYPE"] = coretype
             out = tmp_path / (coretype or "default")
+            runs = [
+                ["spectrum" if name == "spectrum" else "cooling",
+                 "--config", str(path), "--out", str(out / name)]
+                + ([] if name == "spectrum" else ["--optimize"])
+                for name, path in configs.items()
+            ]
             subprocess.run(
-                [sys.executable, "-m", "msinoise.cli", "spectrum",
-                 "--config", str(data), "--out", str(out)],
+                [sys.executable, "-c", code, json.dumps(runs)],
                 env=env, check=True, capture_output=True, timeout=120,
             )
-            outputs.append((out / "spectrum.csv").read_bytes())
+            outputs.append([(out / name).read_bytes() for name in files])
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_mostly_singular_grid_exits_3(self, tmp_path, capsys):
@@ -315,11 +373,41 @@ class TestCoolingCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 64 * 64
 
+    def test_landscape_is_chi_major_and_exact(self, tmp_path):
+        from msinoise.cooling import optimize_pump
+        from msinoise.outputs import LANDSCAPE_HEADER, run_cooling
+
+        cfg = load_config(self.cooling_config(tmp_path, delta_s=-2.5e7,
+                                              h_friction=1e-14))
+        report = run_cooling(cfg, tmp_path, optimize=True)
+        opt = optimize_pump(cfg.params, cfg.mechanical,
+                            report["optimum"]["energy_budget"])
+        # the row-by-row reference the column writer replaced
+        expected = [LANDSCAPE_HEADER] + [
+            ",".join(repr(float(v)) for v in (
+                chi, phi, opt.n_bar_grid[i, j], opt.s_f_pos_grid[i, j],
+                opt.s_f_neg_grid[i, j],
+            ))
+            for i, chi in enumerate(opt.chi_grid)
+            for j, phi in enumerate(opt.phi_grid)
+        ]
+        assert (tmp_path / "landscape.csv").read_text() == "\n".join(expected) + "\n"
+
     def test_missing_mechanical_block_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, P1_CONFIG)
         rc = main(["cooling", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 2
         assert "mechanical" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    """Importing scipy.linalg costs ~7 MB of resident memory; no path needs it."""
+    src = str(Path(msinoise.__file__).parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, msinoise, msinoise.cli\n"
+            "sys.exit('scipy.linalg' in sys.modules)")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 class TestVerifyCommand:

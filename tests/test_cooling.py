@@ -6,6 +6,7 @@ from scipy.constants import hbar, k as k_boltzmann
 
 from msinoise.cooling import (
     MechanicalMode,
+    _min_ratio,
     occupancy,
     occupancy_simplified,
     optimize_pump,
@@ -25,6 +26,7 @@ from msinoise.radiation_pressure import force_transfer
 from msinoise.scattering import (
     InterferometerParams,
     IntracavityField,
+    PortVector,
     classical_fields,
 )
 
@@ -38,6 +40,38 @@ def mode(n_t=1e4, omega_m=2.5e7, h=1e-12, **kw):
 def cooling_params(delta_s=-2.5e7, p=1e-4):
     return params_for_targets(gamma_s=2.5e6, delta_s=delta_s, theta_m=THETA,
                               p=p, alpha=-0.5)
+
+
+def random_cooling_cases(seed, count=4):
+    """Red-detuned, resolved-sideband configs under both constraints, with
+    budgets from thermal- to back-action-dominated.
+
+    Yields (params, mode, budget, constraint, A, B): the occupancy pencil
+    n = v^dag A v / v^dag B v built here with numpy products, independently
+    of the entry formulas of `optimize_pump`.
+    """
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        omega_m = rng.uniform(1e7, 4e7)
+        prm = params_for_targets(
+            gamma_s=0.1 * omega_m, delta_s=-omega_m * rng.uniform(0.5, 1.5),
+            theta_m=rng.uniform(0.1, 0.4) * math.pi, p=10 ** rng.uniform(-5, -1),
+            alpha=rng.uniform(-1.0, 1.0),
+        )
+        m = mode(n_t=10 ** rng.uniform(-2, 5), omega_m=omega_m)
+        forces = [force_transfer(prm, sign * omega_m) for sign in (1, -1)]
+        for constraint in ("intracavity", "injected"):
+            fs = forces
+            if constraint == "injected":
+                w = np.column_stack([classical_fields(prm, port).as_array()
+                                     for port in (PortVector(1, 0), PortVector(0, 1))])
+                fs = [w.conj().T @ f for f in forces]
+            p_pos, p_neg = (hbar**2 * prm.k_p**2 * (f @ f.conj().T) for f in fs)
+            s_t_pos, s_t_neg = thermal_spectra(m)
+            budget = s_t_neg / p_neg[0, 0].real * 10 ** rng.uniform(-2, 3)
+            a = p_neg + s_t_neg / budget * np.eye(2)
+            b = p_pos - p_neg + (s_t_pos - s_t_neg) / budget * np.eye(2)
+            yield prm, m, budget, constraint, a, b
 
 
 class TestThermalOccupation:
@@ -194,6 +228,50 @@ class TestOptimizePump:
         opt = optimize_pump(prm, m, 1e16, grid_size=32,
                             constraint="injected")
         assert np.isfinite(opt.result.n_bar)
+
+    def test_closed_form_not_above_dense_mesh(self):
+        for prm, m, budget, constraint, _, _ in random_cooling_cases(5):
+            opt = optimize_pump(prm, m, budget, grid_size=256, constraint=constraint)
+            finite = opt.n_bar_grid[np.isfinite(opt.n_bar_grid)]
+            assert opt.n_bar_grid.shape == (256, 256)
+            assert opt.result.n_bar <= finite.min() * (1 + 1e-12)
+
+    def test_optimum_is_the_top_generalised_eigenpair(self):
+        for prm, m, budget, constraint, a, b in random_cooling_cases(6):
+            opt = optimize_pump(prm, m, budget, grid_size=8, constraint=constraint)
+            v = np.array([math.cos(opt.chi), math.sin(opt.chi) * np.exp(1j * opt.phi)])
+            lam = 1.0 / opt.result.n_bar
+            residual = np.linalg.norm((b - lam * a) @ v)
+            assert residual <= 1e-12 * np.linalg.norm(b, 2) * np.linalg.norm(v)
+            top = np.linalg.eigvals(np.linalg.solve(a, b)).real.max()
+            assert lam == pytest.approx(top, rel=1e-10)
+
+    def test_no_thermal_noise_and_rank_deficient_optics(self):
+        # closed west port: F(-omega_m) has one nonzero column, so P- and,
+        # with n_T = 0, A are singular; the anti-Stokes noise can be nulled
+        base = cooling_params()
+        prm = InterferometerParams(
+            theta_m=base.theta_m, epsilon=base.epsilon, kappa=base.kappa,
+            tau_s=base.tau_s, tau_w=base.tau_w, r_s=base.r_s, t_s=base.t_s,
+            r_w=1.0, t_w=0.0, k_p=base.k_p,
+        )
+        for constraint in ("intracavity", "injected"):
+            opt = optimize_pump(prm, mode(n_t=0.0), 1e16, grid_size=32,
+                                constraint=constraint)
+            finite = opt.n_bar_grid[np.isfinite(opt.n_bar_grid)]
+            assert 0.0 <= opt.result.n_bar <= 1e-12
+            assert opt.result.n_bar <= finite.min()
+
+    def test_singular_pencil_ratio(self):
+        # A = diag(1, 0): ratio 0 on its null space when B is positive there
+        ratio, v0, v1 = _min_ratio((1.0, 0.0, 0j), (-1.0, 1.0, 0j))
+        assert ratio == 0.0 and v0 == 0 and v1 != 0
+        ratio, v0, v1 = _min_ratio((0.0, 0.0, 0j), (1.0, 1.0, 0j))
+        assert ratio == 0.0 and abs(v0) + abs(v1) > 0
+        with pytest.raises(UnstableSystem):
+            _min_ratio((1.0, 0.0, 0j), (1.0, -1.0, 0j))
+        with pytest.raises(UnstableSystem):
+            _min_ratio((1.0, 1.0, 0j), (-1.0, -2.0, 0.5j))
 
     def test_rejects_bad_budget(self):
         with pytest.raises(ValueError):

@@ -57,7 +57,6 @@ from .scattering import (
     PortVector,
     classical_fields,
     displacement_transfer,
-    mode_dynamics,
     mode_mixer,
     oracle_solve,
     scattering_matrix,
@@ -67,7 +66,7 @@ __all__ = [
     "__version__",
     # scattering
     "InterferometerParams", "PortVector", "IntracavityField",
-    "mode_mixer", "mode_dynamics", "scattering_matrix", "displacement_transfer",
+    "mode_mixer", "scattering_matrix", "displacement_transfer",
     "classical_fields", "oracle_solve",
     # radiation pressure
     "ForceNoiseSpectrum", "RigidityBreakdown", "force_transfer",

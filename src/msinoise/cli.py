@@ -3,8 +3,9 @@
 Subcommands: `spectrum` (force-noise sweep), `compare` (exact vs reduced
 model), `cooling` (occupancy report, optionally with pump optimisation),
 `verify` (the invariant suite).  Exit codes: 0 success, 1 invariant
-failure, 2 configuration error, 3 optical singularity over more than 10%
-of the grid, 4 anti-damped (unstable) system.
+failure, 2 configuration error (including inputs whose results overflow
+double precision), 3 optical singularity over more than 10% of the grid,
+4 anti-damped (unstable) system.
 """
 from __future__ import annotations
 
@@ -60,10 +61,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_sweep(args) -> int:
+    """`spectrum` or `compare`: one CSV row per non-singular grid point."""
+    run = run_spectrum if args.command == "spectrum" else run_compare
     cfg = load_config(args.config)
     try:
-        summary = run_spectrum(cfg, args.out)
+        summary = run(cfg, args.out)
     except OpticalSingularity as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
@@ -74,25 +77,7 @@ def _cmd_spectrum(args) -> int:
             file=sys.stderr,
         )
         return EXIT_SINGULAR
-    print(f"wrote {args.out / 'spectrum.csv'} ({summary['rows']} rows)")
-    return EXIT_OK
-
-
-def _cmd_compare(args) -> int:
-    cfg = load_config(args.config)
-    try:
-        summary = run_compare(cfg, args.out)
-    except OpticalSingularity as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    if summary["skipped"] > 0.10 * summary["total"]:
-        print(
-            f"error: {summary['skipped']} of {summary['total']} grid points "
-            "were singular",
-            file=sys.stderr,
-        )
-        return EXIT_SINGULAR
-    print(f"wrote {args.out / 'compare.csv'} ({summary['rows']} rows)")
+    print(f"wrote {args.out / (args.command + '.csv')} ({summary['rows']} rows)")
     return EXIT_OK
 
 
@@ -137,8 +122,8 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {
-        "spectrum": _cmd_spectrum,
-        "compare": _cmd_compare,
+        "spectrum": _cmd_sweep,
+        "compare": _cmd_sweep,
         "cooling": _cmd_cooling,
         "verify": _cmd_verify,
     }
@@ -146,6 +131,10 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (OverflowError, ZeroDivisionError) as exc:  # Python floats raise here
+        print(f"error: configuration exceeds the double-precision range: {exc}",
+              file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -21,8 +21,13 @@ from scipy.constants import hbar
 
 from .algebra import cc_close
 from .errors import DegenerateFrequency
-from .radiation_pressure import ForceNoiseSpectrum, _damping
-from .scattering import SPEED_OF_LIGHT, InterferometerParams, IntracavityField
+from .radiation_pressure import (
+    ForceNoiseSpectrum, _damping, _force_entries, _noise_form, _spring_entries,
+    _spring_form, _static_spring,
+)
+from .scattering import (
+    SPEED_OF_LIGHT, InterferometerParams, IntracavityField, sideband_blocks,
+)
 
 __all__ = [
     "ValidityReport",
@@ -37,6 +42,7 @@ __all__ = [
     "approx_force_transfer",
     "approx_rigidity_matrix",
     "approx_rigidity",
+    "reduction_errors",
     "canonical_spectra",
     "fano_spectrum",
     "strip_propagation_phases",
@@ -237,40 +243,49 @@ def lorentzians(lp: LumpedParams, big_omega) -> tuple[complex, complex]:
     return ell, ell_s
 
 
-def approx_force_transfer(lp: LumpedParams, k_p: float, big_omega: float) -> np.ndarray:
+def _approx_force_entries(lp: LumpedParams, big_omega: np.ndarray) -> np.ndarray:
+    """Leading-order F of the reduced model at each Omega, shape (2, 2, N)."""
+    ell, ell_s = lorentzians(lp, big_omega)
+    th, al, p = lp.theta_m, lp.alpha, lp.p
+    root = math.sqrt(lp.gamma_s * lp.tau_s)
+    k = 2.0 * lp.r_m / (lp.tau_s * ell)
+    return np.array([
+        [k * (1j * p * math.sin(al - th)), k * (root * np.exp(-1j * th))],
+        [k * ((lp.tau_s * ell_s + 0.5j * p**2 * math.sin(2 * al)) * np.exp(1j * th)),
+         k * (-root * p * np.exp(1j * (th - al)))],
+    ])
+
+
+def _approx_spring_entries(lp: LumpedParams, big_omega: np.ndarray) -> np.ndarray:
+    """Leading-order K, conjugate-closed, from Omega over (+grid, -grid);
+    shape (2, 2, N) for a grid of N, as `radiation_pressure._spring_entries`."""
+    ell, ell_s = lorentzians(lp, big_omega)
+    th, al, p = lp.theta_m, lp.alpha, lp.p
+    eps = p * math.cos(al)
+    k = -2j * lp.r_m / (lp.tau_s * ell)
+    gen = np.array([
+        [k * lp.r_m, k * (-lp.r_m * p * np.exp(-1j * al))],
+        [k * (-lp.r_m * p * np.exp(2j * (th - al))),
+         k * ((lp.tau_s * ell_s + eps**2) * np.exp(1j * th))],
+    ])
+    n = gen.shape[2] // 2
+    return cc_close(gen[:, :, :n], gen[:, :, n:])
+
+
+def approx_force_transfer(lp: LumpedParams, big_omega: float) -> np.ndarray:
     """Leading-order force transfer matrix of the reduced interferometer.
 
     Written in the phase-stripped port gauge: the single-pass propagation
     phases of the two ports are absorbed into the field references (see
     `strip_propagation_phases`).  Top row is O(1/p), bottom row O(1).
     """
-    ell, ell_s = lorentzians(lp, big_omega)
-    th, al, p = lp.theta_m, lp.alpha, lp.p
-    root = math.sqrt(lp.gamma_s * lp.tau_s)
-    m = np.array([
-        [1j * p * math.sin(al - th), root * np.exp(-1j * th)],
-        [(lp.tau_s * ell_s + 0.5j * p**2 * math.sin(2 * al)) * np.exp(1j * th),
-         -root * p * np.exp(1j * (th - al))],
-    ])
-    return (2.0 * lp.r_m / (lp.tau_s * ell)) * m
-
-
-def _rigidity_generator(lp: LumpedParams, big_omega: float) -> np.ndarray:
-    ell, ell_s = lorentzians(lp, big_omega)
-    th, al, p = lp.theta_m, lp.alpha, lp.p
-    eps = p * math.cos(al)
-    m = np.array([
-        [lp.r_m, -lp.r_m * p * np.exp(-1j * al)],
-        [-lp.r_m * p * np.exp(2j * (th - al)),
-         (lp.tau_s * ell_s + eps**2) * np.exp(1j * th)],
-    ])
-    return (-2j * lp.r_m / (lp.tau_s * ell)) * m
+    return _approx_force_entries(lp, np.array([big_omega], dtype=float))[:, :, 0]
 
 
 def approx_rigidity_matrix(lp: LumpedParams, big_omega: float) -> np.ndarray:
     """Leading-order rigidity matrix, conjugate-closed over +/-Omega."""
-    return cc_close(_rigidity_generator(lp, big_omega),
-                    _rigidity_generator(lp, -big_omega))
+    both = np.array([big_omega, -big_omega], dtype=float)
+    return _approx_spring_entries(lp, both)[:, :, 0]
 
 
 def approx_rigidity(
@@ -286,9 +301,39 @@ def approx_rigidity(
     4 hbar k_p^2 R_m^2 |E+|^2 delta / (tau_s ell(Omega) ell*(-Omega))
     (single power of hbar: the density |E|^2 is a photon flux).
     """
+    k_mat = approx_rigidity_matrix(lp, big_omega)[:, :, np.newaxis]
+    return complex(_spring_form(k_p, field.as_array(), k_mat)[0])
+
+
+def reduction_errors(
+    params: InterferometerParams,
+    lp: LumpedParams,
+    field: IntracavityField,
+    grid,
+    det_tol: float | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Relative errors (err_F, err_K, err_S) of the reduced model at each Omega.
+
+    err_F is the worst entry of F in the phase-stripped gauge (a matched
+    exact zero counts as 0); err_K and err_S are those of the rigidity and
+    the force noise at +Omega for ``field``.  Omega = 0 is allowed.  Raises
+    OpticalSingularity if the exact optics is singular at any +/-Omega.
+    """
+    grid = np.asarray(grid, dtype=float)
+    both = np.concatenate([grid, -grid])
+    b = sideband_blocks(params, both, det_tol).checked()
     e = field.as_array()
-    k_mat = approx_rigidity_matrix(lp, big_omega)
-    return hbar * k_p**2 * complex(e.conj() @ k_mat @ e)
+    f_exact = _force_entries(params, b)[:, :, :grid.size]
+    f_strip = strip_propagation_phases(params, f_exact, grid)
+    f_ap = _approx_force_entries(lp, grid)
+    err_f = np.abs(f_strip - f_ap) / np.maximum(np.abs(f_strip), 1e-300)
+    k1 = _spring_form(params.k_p, e, _spring_entries(params, b))
+    k_exact = k1 + _static_spring(params, e)
+    k_ap = _spring_form(params.k_p, e, _approx_spring_entries(lp, both))
+    s_exact = _noise_form(params.k_p, e, f_exact)
+    s_ap = _noise_form(params.k_p, e, f_ap)
+    return (err_f.max(axis=(0, 1)), np.abs(k_exact - k_ap) / np.abs(k_exact),
+            np.abs(s_exact - s_ap) / s_exact)
 
 
 def canonical_spectra(lp: LumpedParams, k_p: float, e_plus: complex, grid) -> ForceNoiseSpectrum:
@@ -302,8 +347,8 @@ def canonical_spectra(lp: LumpedParams, k_p: float, e_plus: complex, grid) -> Fo
     if np.any(grid == 0.0):
         raise DegenerateFrequency("grid must not contain Omega = 0")
     amp = 4.0 * hbar**2 * k_p**2 * lp.r_m**2 * abs(e_plus) ** 2 * lp.gamma / lp.tau_s
-    ell_pos = lp.gamma - 1j * (lp.delta + grid)
-    ell_neg = lp.gamma - 1j * (lp.delta - grid)
+    ell_pos, _ = lorentzians(lp, grid)
+    ell_neg, _ = lorentzians(lp, -grid)
     s_pos = amp / np.abs(ell_pos) ** 2
     s_neg = amp / np.abs(ell_neg) ** 2
     k_amp = 4.0 * hbar * k_p**2 * lp.r_m**2 * abs(e_plus) ** 2 * lp.delta / lp.tau_s
@@ -337,7 +382,7 @@ def fano_spectrum(
     """
     grid = np.asarray(grid, dtype=float)
     ell0, _ = lorentzians(lp, 0.0)
-    ell = lp.gamma - 1j * (lp.delta + grid)
+    ell, _ = lorentzians(lp, grid)
     pref = 4.0 * hbar**2 * k_p**2 * lp.r_m**2 * abs(a_plus) ** 2 / (
         lp.tau_s * abs(ell0) ** 2 * np.abs(ell) ** 2
     )
@@ -350,17 +395,18 @@ def fano_spectrum(
 def strip_propagation_phases(
     params: InterferometerParams,
     matrix: np.ndarray,
-    big_omega: float,
+    big_omega,
 ) -> np.ndarray:
     """Remove the single-pass port phases from an exact transfer matrix.
 
     The reduced-model matrices reference the input fields at the
     recycling mirrors without their one-way propagation phase; exact
-    matrices carry that phase on each column.  Right-multiplying by the
-    conjugated propagation matrix puts both in the same gauge, which is
-    what entrywise exact-vs-reduced comparisons require.  Quadratic
-    observables (spectra, rigidity) are blind to this gauge.
+    matrices carry that phase on each column.  Scaling each column by the
+    conjugated phase puts both in the same gauge, which is what entrywise
+    exact-vs-reduced comparisons require.  Quadratic observables (spectra,
+    rigidity) are blind to this gauge.  Takes a 2x2 matrix at one Omega or
+    a (2, 2, N) stack at N values of Omega.
     """
-    omega = params.omega_p + big_omega
-    phases = np.exp(-1j * omega * np.array([params.tau_w, params.tau_s]))
-    return matrix * phases[np.newaxis, :]
+    omega = params.omega_p + np.asarray(big_omega, dtype=float)
+    phases = np.exp(-1j * np.multiply.outer((params.tau_w, params.tau_s), omega))
+    return matrix * phases[np.newaxis]

@@ -9,23 +9,20 @@ import json
 from pathlib import Path
 
 import numpy as np
-from scipy.constants import hbar
 
 from . import __version__
 from .config import RunConfig, config_digest
 from .cooling import occupancy, optimize_pump
-from .errors import OpticalSingularity
+from .errors import ConfigError, OpticalSingularity
 from .lumped_mode import (
-    approx_force_transfer,
-    approx_rigidity,
     canonical_spectra,
     coupling_constants,
     fano_spectrum,
     from_exact,
-    strip_propagation_phases,
+    reduction_errors,
 )
-from .radiation_pressure import _force_entries, noise_spectra
-from .scattering import classical_fields, sideband_blocks
+from .radiation_pressure import noise_spectra
+from .scattering import classical_fields
 
 SPECTRUM_HEADER = "Omega,S_tilde_pos,S_tilde_neg,S_sym,Re_K,Im_K,H_opt"
 COMPARE_HEADER = "Omega,err_F,err_K,err_S_tilde,err_S_canonical,err_S_fano"
@@ -83,24 +80,29 @@ def _summary(cfg: RunConfig, spec) -> dict:
 
 
 def run_spectrum(cfg: RunConfig, out_dir: Path) -> dict:
-    """Force-noise sweep -> spectrum.csv + spectrum.json; returns summary."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Force-noise sweep -> spectrum.csv + spectrum.json; returns summary.
+
+    Raises ConfigError, and writes nothing, if any row would not be finite:
+    the configuration then lies beyond what double precision can carry.
+    """
     field = classical_fields(cfg.params, cfg.pump, cfg.det_tol)
     e = field.as_array()
     spec = noise_spectra(cfg.params, field, cfg.grid, cfg.det_tol)
     columns = (spec.grid, spec.s_tilde_pos, spec.s_tilde_neg, spec.s_sym,
                spec.k.real, spec.k.imag, spec.h_opt)
-    _write_csv(out_dir / "spectrum.csv", SPECTRUM_HEADER, map(_fmt, columns))
-    _write_json(
-        out_dir / "spectrum.json",
-        _sidecar(
-            cfg,
-            "spectrum",
-            skipped=_skipped(spec),
-            field={"e_plus": [e[0].real, e[0].imag],
-                   "e_minus": [e[1].real, e[1].imag]},
-        ),
+    finite = np.logical_and.reduce([np.isfinite(column) for column in columns])
+    if not finite.all():
+        omega = spec.grid[~finite][0]
+        raise ConfigError("<root>", f"the spectrum is not finite at Omega = {omega!r} rad/s")
+    sidecar = _sidecar(
+        cfg,
+        "spectrum",
+        skipped=_skipped(spec),
+        field={"e_plus": [e[0].real, e[0].imag], "e_minus": [e[1].real, e[1].imag]},
     )
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_csv(out_dir / "spectrum.csv", SPECTRUM_HEADER, map(_fmt, columns))
+    _write_json(out_dir / "spectrum.json", sidecar)
     return _summary(cfg, spec)
 
 
@@ -115,44 +117,22 @@ def run_compare(cfg: RunConfig, out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     params = cfg.params
     field = classical_fields(params, cfg.pump, cfg.det_tol)
-    e = field.as_array()
     lp = from_exact(params)
     dark_south = cfg.pump.south == 0
     k_p = params.k_p
     spec = noise_spectra(params, field, cfg.grid, cfg.det_tol)
-    f_all = _force_entries(params, sideband_blocks(params, spec.grid, cfg.det_tol))
 
-    table = np.empty((len(spec.grid), 6))
-    for i, big_omega in enumerate(spec.grid):
-        f_strip = strip_propagation_phases(params, f_all[:, :, i], big_omega)
-        f_ap = approx_force_transfer(lp, k_p, big_omega)
-        # floor keeps identically-zero entries (symmetric case) at error 0
-        err_f = float(np.max(
-            np.abs(f_strip - f_ap) / np.maximum(np.abs(f_strip), 1e-300)
-        ))
-
-        k_exact = spec.k[i]
-        k_ap = approx_rigidity(lp, k_p, big_omega, field)
-        err_k = abs(k_exact - k_ap) / abs(k_exact)
-
-        s_exact = spec.s_tilde_pos[i]
-        row_ap = e.conj() @ f_ap
-        s_ap = hbar**2 * k_p**2 * float(np.real(row_ap @ row_ap.conj()))
-        err_s = abs(s_exact - s_ap) / s_exact
-
-        s_can = canonical_spectra(lp, k_p, e[0], [big_omega]).s_tilde_pos[0]
-        err_can = abs(s_exact - s_can) / s_exact
-
-        if dark_south:
-            s_fano = float(fano_spectrum(
-                lp, params.epsilon, params.kappa, k_p, cfg.pump.west, [big_omega]
-            )[0])
-            err_fano = abs(s_exact - s_fano) / s_exact
-        else:
-            err_fano = float("nan")
-        table[i] = (big_omega, err_f, err_k, err_s, err_can, err_fano)
-
-    _write_csv(out_dir / "compare.csv", COMPARE_HEADER, map(_fmt, table.T))
+    err_f, err_k, err_s = reduction_errors(params, lp, field, spec.grid, cfg.det_tol)
+    s_exact = spec.s_tilde_pos
+    s_can = canonical_spectra(lp, k_p, field.e_plus, spec.grid).s_tilde_pos
+    if dark_south:
+        s_fano = fano_spectrum(lp, params.epsilon, params.kappa, k_p, cfg.pump.west,
+                               spec.grid)
+        err_fano = np.abs(s_exact - s_fano) / s_exact
+    else:
+        err_fano = np.full(len(spec.grid), np.nan)
+    columns = (spec.grid, err_f, err_k, err_s, np.abs(s_exact - s_can) / s_exact, err_fano)
+    _write_csv(out_dir / "compare.csv", COMPARE_HEADER, map(_fmt, columns))
     couplings = coupling_constants(lp, k_p)
     _write_json(
         out_dir / "compare.json",

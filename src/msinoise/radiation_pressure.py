@@ -104,18 +104,25 @@ def _spring_entries(params: InterferometerParams, b: SidebandBlocks) -> np.ndarr
     return cc_close(gen[:, :, :n], gen[:, :, n:])
 
 
-def _quadratic_forms(
-    params: InterferometerParams, e: np.ndarray, k1: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """hbar k_p^2 e^dagger K e for K1 (shape (2, 2, N)) and for K2 = -4 R_m T_m Z."""
+def _spring_form(k_p: float, e: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """hbar k_p^2 e^dagger K e for a (2, 2, N) stack K, N/m."""
     e_p, e_m = e
-    scale = hbar * params.k_p**2
-    q1 = e_p.conjugate() * (k1[0, 0] * e_p + k1[0, 1] * e_m) + e_m.conjugate() * (
-        k1[1, 0] * e_p + k1[1, 1] * e_m
+    q = e_p.conjugate() * (k[0, 0] * e_p + k[0, 1] * e_m) + e_m.conjugate() * (
+        k[1, 0] * e_p + k[1, 1] * e_m
     )
+    return hbar * k_p**2 * q
+
+
+def _static_spring(params: InterferometerParams, e: np.ndarray) -> float:
+    """hbar k_p^2 e^dagger K2 e for the static part K2 = -4 R_m T_m Z, N/m."""
     power = e.real**2 + e.imag**2
-    q2 = -4.0 * params.r_m * params.t_m * (power[0] - power[1])
-    return scale * q1, scale * q2
+    return hbar * params.k_p**2 * (-4.0 * params.r_m * params.t_m * (power[0] - power[1]))
+
+
+def _noise_form(k_p: float, e: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """hbar^2 k_p^2 |e^dagger F|^2 for a (2, 2, N) stack F, N^2 s."""
+    row = (e.conj()[:, None, None] * f).sum(axis=0)
+    return hbar**2 * k_p**2 * (row.real**2 + row.imag**2).sum(axis=0)
 
 
 def force_transfer(
@@ -156,8 +163,9 @@ def rigidity(
 ) -> RigidityBreakdown:
     """Scalar optical rigidity for the given intracavity field, N/m."""
     k1_mat, _, _ = rigidity_matrices(params, big_omega, det_tol)
-    k1, k2 = _quadratic_forms(params, field_.as_array(), k1_mat[:, :, np.newaxis])
-    return RigidityBreakdown(k1=complex(k1[0]), k2=float(k2))
+    e = field_.as_array()
+    k1 = _spring_form(params.k_p, e, k1_mat[:, :, np.newaxis])
+    return RigidityBreakdown(k1=complex(k1[0]), k2=float(_static_spring(params, e)))
 
 
 def optical_damping(spectrum: ForceNoiseSpectrum) -> np.ndarray:
@@ -191,10 +199,8 @@ def noise_spectra(
     b = sideband_blocks(params, np.concatenate([grid, -grid]), det_tol)
     e = field_.as_array()
     with np.errstate(divide="ignore", invalid="ignore"):
-        k1, k2 = _quadratic_forms(params, e, _spring_entries(params, b))
-        # e^dagger F, shape (2, 2N); F itself is not kept, which bounds peak memory
-        row = (e.conj()[:, None, None] * _force_entries(params, b)).sum(axis=0)
-        s_tilde = hbar**2 * params.k_p**2 * (row.real**2 + row.imag**2).sum(axis=0)
+        k1 = _spring_form(params.k_p, e, _spring_entries(params, b))
+        s_tilde = _noise_form(params.k_p, e, _force_entries(params, b))
     keep = (grid != 0.0) & ~b.singular[:n] & ~b.singular[n:]
     skipped = []
     for i in np.flatnonzero(~keep):
@@ -210,7 +216,7 @@ def noise_spectra(
         s_tilde_pos=s_pos,
         s_tilde_neg=s_neg,
         s_sym=(s_pos + s_neg) / 2.0,
-        k=k1[keep] + k2,
+        k=k1[keep] + _static_spring(params, e),
         h_opt=_damping(s_pos, s_neg, grid[keep]),
         skipped=tuple(skipped),
     )

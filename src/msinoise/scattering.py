@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import dagger, det2, solve_dense
+from .algebra import det2, solve_dense
 from .errors import OpticalSingularity
 
 __all__ = [
@@ -26,12 +26,9 @@ __all__ = [
     "InterferometerParams",
     "PortVector",
     "IntracavityField",
-    "PropagationMatrices",
     "SidebandBlocks",
     "OracleFields",
     "mode_mixer",
-    "fixed_matrices",
-    "mode_dynamics",
     "sideband_blocks",
     "scattering_matrix",
     "displacement_transfer",
@@ -44,8 +41,6 @@ SPEED_OF_LIGHT = 299792458.0
 #: relative determinant floor, singular when |det D_e| <= det_tol (sum_ij |D_e,ij|)^2;
 #: applies to det_tol=None, i.e. unless the config sets tolerances.det_tol
 DEFAULT_DET_TOL = 1e-14
-
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -134,19 +129,6 @@ class IntracavityField:
 
 
 @dataclass(frozen=True)
-class PropagationMatrices:
-    """The frequency-dependent diagonal building blocks at one omega."""
-
-    a: np.ndarray          # one-way propagation phases diag(e^{iw tau_w}, e^{iw tau_s})
-    m: np.ndarray          # membrane mode phases diag(e^{i theta}, e^{-i theta})
-    r: np.ndarray          # recycling-mirror reflectivities diag(r_w, r_s)
-    t: np.ndarray          # recycling-mirror transmissivities diag(t_w, t_s)
-    r_tilde: np.ndarray    # round-trip-dressed reflectivities
-    t_tilde: np.ndarray    # single-pass-dressed transmissivities
-    r_breve: np.ndarray    # r_tilde with swapped diagonal
-
-
-@dataclass(frozen=True)
 class SidebandBlocks:
     """Optical blocks shared by every sideband quantity, batched over Omega.
 
@@ -202,53 +184,6 @@ def _mixer(params: InterferometerParams) -> tuple[complex, complex]:
     return ce * ck + 1j * se * sk, se * ck + 1j * ce * sk
 
 
-def fixed_matrices(params: InterferometerParams, omega: float) -> PropagationMatrices:
-    """Assemble the diagonal propagation/mirror matrices at frequency omega."""
-    phase_w = np.exp(1j * omega * params.tau_w)
-    phase_s = np.exp(1j * omega * params.tau_s)
-    a = np.diag([phase_w, phase_s])
-    m = np.diag([np.exp(1j * params.theta_m), np.exp(-1j * params.theta_m)])
-    r = np.diag([params.r_w, params.r_s]).astype(complex)
-    t = np.diag([params.t_w, params.t_s]).astype(complex)
-    r_tilde = np.diag([params.r_w * phase_w**2, params.r_s * phase_s**2])
-    t_tilde = np.diag([params.t_w * phase_w, params.t_s * phase_s])
-    r_breve = np.diag([r_tilde[1, 1], r_tilde[0, 0]])
-    return PropagationMatrices(a, m, r, t, r_tilde, t_tilde, r_breve)
-
-
-def mode_dynamics(
-    params: InterferometerParams,
-    omega: float,
-    det_tol: float | None = None,
-) -> tuple[np.ndarray, np.ndarray, complex]:
-    """Optical mode dynamics matrix D_e, its closed-form inverse, and det.
-
-    D_e = Q^dagger - R_tilde Q^T M encodes one round trip of the coupled
-    common/differential modes; its inverse is the resonant enhancement.
-
-    Raises
-    ------
-    OpticalSingularity
-        When ``|det D_e|`` falls below the (relative) determinant floor,
-        i.e. the configuration sits on an exactly degenerate resonance.
-    """
-    q = mode_mixer(params)
-    p = fixed_matrices(params, omega)
-    d_e = dagger(q) - p.r_tilde @ q.T @ p.m
-    d = det2(d_e)
-    tol = DEFAULT_DET_TOL if det_tol is None else det_tol
-    scale = float(np.abs(d_e).sum())  # O(1) for these unitary-built blocks
-    if abs(d) <= tol * scale * scale:
-        raise OpticalSingularity(omega, d)
-    d_e_inv = (q - dagger(p.m) @ q.conj() @ p.r_breve) / d
-    if np.abs(d_e_inv @ d_e - np.eye(2)).max() > 1e-12:
-        raise ArithmeticError(
-            "closed-form mode inverse failed its self-check; "
-            f"|D| = {abs(d):.3e} at omega = {omega!r}"
-        )
-    return d_e, d_e_inv, d
-
-
 def sideband_blocks(
     params: InterferometerParams,
     big_omega,
@@ -281,18 +216,8 @@ def sideband_blocks(
     return SidebandBlocks(omega, phases, r_tilde, t_tilde, d_e, d, singular, (c, s), m)
 
 
-def scattering_matrix(
-    params: InterferometerParams,
-    omega: float,
-    det_tol: float | None = None,
-) -> np.ndarray:
-    """Two-port output scattering matrix R_ifo(omega).
-
-    Lossless by construction: R_ifo^dagger R_ifo = 1 for any parameters.
-    Written entry by entry as -R + T_tilde (Q^T M Q - R_breve) T_tilde / d.
-    omega - omega_p + omega_p is exactly omega within a factor 2 of omega_p.
-    """
-    b = sideband_blocks(params, np.array([omega - params.omega_p]), det_tol).checked()
+def _scattering_entries(params: InterferometerParams, b: SidebandBlocks) -> np.ndarray:
+    """R_ifo = -R + T_tilde (Q^T M Q - R_breve) T_tilde / d, shape (2, 2, N)."""
     (c, s), m = b.mixer, b.membrane
     (rho_w, rho_s), (t_w, t_s) = b.r_tilde, b.t_tilde
     n_00 = (c * c * m + s * s * m.conjugate()) - rho_s
@@ -301,7 +226,34 @@ def scattering_matrix(
     return np.array([
         [-params.r_w + t_w * n_00 * t_w / b.d, t_w * n_01 * t_s / b.d],
         [t_s * n_01 * t_w / b.d, -params.r_s + t_s * n_11 * t_s / b.d],
-    ])[:, :, 0]
+    ])
+
+
+def _displacement_entries(params: InterferometerParams, b: SidebandBlocks) -> np.ndarray:
+    """G = 2 R_m T_tilde^dagger (Q^dagger M^dagger - R_breve^dagger Q^T) X / d*,
+    shape (2, 2, N)."""
+    (c, s), m = b.mixer, b.membrane
+    (rho_w, rho_s), (t_w, t_s) = b.r_tilde.conj(), b.t_tilde.conj()
+    k = 2 * params.r_m / b.d.conj()
+    return np.array([
+        [k * t_w * (s.conjugate() * m - rho_s * s),
+         k * t_w * (c.conjugate() * m.conjugate() - rho_s * c)],
+        [k * t_s * (c * m - rho_w * c.conjugate()),
+         k * t_s * (rho_w * s.conjugate() - s * m.conjugate())],
+    ])
+
+
+def scattering_matrix(
+    params: InterferometerParams,
+    big_omega: float,
+    det_tol: float | None = None,
+) -> np.ndarray:
+    """Two-port output scattering matrix R_ifo at sideband frequency Omega.
+
+    Lossless by construction: R_ifo^dagger R_ifo = 1 for any parameters.
+    """
+    b = sideband_blocks(params, np.array([big_omega], dtype=float), det_tol).checked()
+    return _scattering_entries(params, b)[:, :, 0]
 
 
 def displacement_transfer(
@@ -312,20 +264,10 @@ def displacement_transfer(
     """Displacement-to-field transfer matrix G at sideband frequency Omega.
 
     All frequency-dependent blocks are evaluated at the absolute frequency
-    omega_p + Omega.  Vanishes for a fully transparent membrane.  Written
-    entry by entry as 2 R_m T_tilde^dagger (Q^dagger M^dagger -
-    R_breve^dagger Q^T) X / d*.
+    omega_p + Omega.  Vanishes for a fully transparent membrane.
     """
     b = sideband_blocks(params, np.array([big_omega], dtype=float), det_tol).checked()
-    (c, s), m = b.mixer, b.membrane
-    (rho_w, rho_s), (t_w, t_s) = b.r_tilde.conj(), b.t_tilde.conj()
-    k = 2 * params.r_m / b.d.conj()
-    return np.array([
-        [k * t_w * (s.conjugate() * m - rho_s * s),
-         k * t_w * (c.conjugate() * m.conjugate() - rho_s * c)],
-        [k * t_s * (c * m - rho_w * c.conjugate()),
-         k * t_s * (rho_w * s.conjugate() - s * m.conjugate())],
-    ])[:, :, 0]
+    return _displacement_entries(params, b)[:, :, 0]
 
 
 def classical_fields(
@@ -377,7 +319,10 @@ def oracle_solve(
         Classical intracavity amplitudes the displacement beats against.
     """
     q = mode_mixer(params)
-    p = fixed_matrices(params, omega)
+    a = np.diag([np.exp(1j * omega * params.tau_w), np.exp(1j * omega * params.tau_s)])
+    m = np.diag([np.exp(1j * params.theta_m), np.exp(-1j * params.theta_m)])
+    r = np.diag([params.r_w, params.r_s]).astype(complex)
+    t = np.diag([params.t_w, params.t_s]).astype(complex)
     ident = np.eye(2, dtype=complex)
     a_in = inputs.as_array()
     e_cl = field.as_array()
@@ -388,22 +333,22 @@ def oracle_solve(
 
     # b = -R a + T c
     sys[sl["b"], sl["b"]] = ident
-    sys[sl["b"], sl["c"]] = -p.t
-    rhs[sl["b"]] = -p.r @ a_in
+    sys[sl["b"], sl["c"]] = -t
+    rhs[sl["b"]] = -r @ a_in
     # c = A Q^T f
     sys[sl["c"], sl["c"]] = ident
-    sys[sl["c"], sl["f"]] = -p.a @ q.T
+    sys[sl["c"], sl["f"]] = -a @ q.T
     # d = T a + R c
     sys[sl["d"], sl["d"]] = ident
-    sys[sl["d"], sl["c"]] = -p.r
-    rhs[sl["d"]] = p.t @ a_in
+    sys[sl["d"], sl["c"]] = -r
+    rhs[sl["d"]] = t @ a_in
     # e = Q A d
     sys[sl["e"], sl["e"]] = ident
-    sys[sl["e"], sl["d"]] = -q @ p.a
+    sys[sl["e"], sl["d"]] = -q @ a
     # f = M e + 2 i k_p R_m X E x   (membrane bounce + displacement source)
     sys[sl["f"], sl["f"]] = ident
-    sys[sl["f"], sl["e"]] = -p.m
-    rhs[sl["f"]] = 2j * params.k_p * params.r_m * (_X @ e_cl) * x
+    sys[sl["f"], sl["e"]] = -m
+    rhs[sl["f"]] = 2j * params.k_p * params.r_m * e_cl[::-1] * x
 
     sol = solve_dense(sys, rhs)
     return OracleFields(*(sol[sl[name]] for name in "bcdef"))

@@ -20,21 +20,21 @@ from .algebra import dagger
 from .config import load_config
 from .cooling import MechanicalMode, occupancy, occupancy_simplified, optimize_pump
 from .lumped_mode import (
-    approx_force_transfer,
-    approx_rigidity,
     canonical_spectra,
     coupling_constants,
     fano_spectrum,
     from_exact,
     params_for_targets,
-    strip_propagation_phases,
+    reduction_errors,
 )
 from .outputs import run_spectrum
-from .radiation_pressure import force_transfer, noise_spectra, rigidity
+from .radiation_pressure import _force_entries, force_transfer, noise_spectra
 from .scattering import (
     InterferometerParams,
     IntracavityField,
     PortVector,
+    _displacement_entries,
+    _scattering_entries,
     classical_fields,
     displacement_transfer,
     oracle_solve,
@@ -108,10 +108,11 @@ def check_symmetry(seed: int, tol: float = 1e-12, n_sets: int = 1000) -> Invaria
     worst = 0.0
     for _ in range(n_sets):
         params, omegas = _well_conditioned_case(rng, 5)
-        for big_omega in omegas:
-            f = force_transfer(params, big_omega)
-            g = displacement_transfer(params, big_omega)
-            worst = max(worst, float(np.abs(g - dagger(f)).max() / np.abs(f).max()))
+        b = sideband_blocks(params, omegas).checked()
+        f = _force_entries(params, b)
+        g = _displacement_entries(params, b)
+        dev = np.abs(g - dagger(f)).max(axis=(0, 1)) / np.abs(f).max(axis=(0, 1))
+        worst = max(worst, float(dev.max()))
     return InvariantResult(
         "symmetry_g_f", worst <= tol, worst, tol,
         f"{n_sets} random sets x 5 sidebands",
@@ -119,19 +120,31 @@ def check_symmetry(seed: int, tol: float = 1e-12, n_sets: int = 1000) -> Invaria
 
 
 def check_unitarity(seed: int, tol: float = 1e-10, n_sets: int = 1000) -> InvariantResult:
-    """The two-port scattering matrix is unitary (lossless network)."""
+    """The two-port scattering matrix is unitary (lossless network).
+
+    R^dagger R - 1 is formed entry by entry, independent of the BLAS kernel.
+    """
     rng = np.random.default_rng(seed)
-    ident = np.eye(2)
     worst = 0.0
     for _ in range(n_sets):
         params, omegas = _well_conditioned_case(rng, 5)
-        for big_omega in omegas:
-            r = scattering_matrix(params, params.omega_p + big_omega)
-            worst = max(worst, float(np.abs(dagger(r) @ r - ident).max()))
+        (r00, r01), (r10, r11) = _scattering_entries(
+            params, sideband_blocks(params, omegas).checked()
+        )
+        col0 = r00.real**2 + r00.imag**2 + (r10.real**2 + r10.imag**2)
+        col1 = r01.real**2 + r01.imag**2 + (r11.real**2 + r11.imag**2)
+        cross = r00.conjugate() * r01 + r10.conjugate() * r11
+        worst = max(worst, float(np.abs(col0 - 1.0).max()),
+                    float(np.abs(col1 - 1.0).max()), float(np.abs(cross).max()))
     return InvariantResult(
         "unitarity", worst <= tol, worst, tol,
         f"{n_sets} random sets x 5 sidebands",
     )
+
+
+def _rel_dev(value: np.ndarray, ref: np.ndarray) -> float:
+    """Largest deviation of ``value`` from ``ref``, relative to the largest |ref|."""
+    return float(np.abs(value - ref).max() / np.abs(ref).max())
 
 
 def check_oracle(seed: int, tol: float = 1e-10, n_cases: int = 200) -> InvariantResult:
@@ -146,61 +159,39 @@ def check_oracle(seed: int, tol: float = 1e-10, n_cases: int = 200) -> Invariant
         x = 1e-15
 
         sol = oracle_solve(params, omega, a, 0.0, e_cl)
-        b_closed = scattering_matrix(params, omega) @ a.as_array()
-        worst = max(worst, float(
-            np.abs(sol.b - b_closed).max() / np.abs(b_closed).max()
-        ))
+        r = scattering_matrix(params, omegas[0])
+        worst = max(worst, _rel_dev(sol.b, r @ a.as_array()))
 
         sol = oracle_solve(params, omega, PortVector(0, 0), x, e_cl)
-        b_closed = scattering_matrix(params, omega) @ (
-            1j * params.k_p * displacement_transfer(params, omegas[0])
-            @ e_cl.as_array() * x
-        )
-        worst = max(worst, float(
-            np.abs(sol.b - b_closed).max() / np.abs(b_closed).max()
-        ))
+        g = 1j * params.k_p * displacement_transfer(params, omegas[0])
+        worst = max(worst, _rel_dev(sol.b, r @ (g @ e_cl.as_array() * x)))
 
         sol = oracle_solve(params, params.omega_p, a, 0.0, IntracavityField(0, 0))
-        e_closed = classical_fields(params, a).as_array()
-        worst = max(worst, float(
-            np.abs(sol.e - e_closed).max() / np.abs(e_closed).max()
-        ))
+        worst = max(worst, _rel_dev(sol.e, classical_fields(params, a).as_array()))
     return InvariantResult(
         "oracle_equivalence", worst <= tol, worst, tol,
         f"{n_cases} random cases incl. power recycling",
     )
 
 
-def _convergence_errors(p: float, n_grid: int = 41):
+def _conv_params(p: float) -> InterferometerParams:
+    """The convergence configuration at asymmetry p, regime scaling held fixed."""
     scale = (p / 0.02) ** 2
-    params = params_for_targets(
+    return params_for_targets(
         gamma_s=_CONV_GAMMA_S * scale,
         delta_s=_CONV_DELTA_S * scale,
         theta_m=_CONV_THETA,
         p=p,
         alpha=_CONV_ALPHA,
     )
+
+
+def _convergence_errors(p: float, n_grid: int = 41) -> tuple[float, float, float]:
+    params = _conv_params(p)
     lp = from_exact(params)
-    k_p = params.k_p
-    e = _CONV_FIELD.as_array()
-    err_f = err_k = err_s = 0.0
-    for big_omega in np.linspace(-5 * lp.gamma, 5 * lp.gamma, n_grid):
-        f_strip = strip_propagation_phases(
-            params, force_transfer(params, big_omega), big_omega
-        )
-        f_ap = approx_force_transfer(lp, k_p, big_omega)
-        err_f = max(err_f, float(np.max(np.abs(f_strip - f_ap) / np.abs(f_strip))))
-
-        k_exact = rigidity(params, _CONV_FIELD, big_omega).k
-        k_ap = approx_rigidity(lp, k_p, big_omega, _CONV_FIELD)
-        err_k = max(err_k, abs(k_exact - k_ap) / abs(k_exact))
-
-        row = e.conj() @ force_transfer(params, big_omega)
-        s_exact = hbar**2 * k_p**2 * float(np.real(row @ row.conj()))
-        row_ap = e.conj() @ f_ap
-        s_ap = hbar**2 * k_p**2 * float(np.real(row_ap @ row_ap.conj()))
-        err_s = max(err_s, abs(s_exact - s_ap) / s_exact)
-    return err_f, err_k, err_s
+    grid = np.linspace(-5 * lp.gamma, 5 * lp.gamma, n_grid)
+    errors = reduction_errors(params, lp, _CONV_FIELD, grid)
+    return tuple(float(err.max()) for err in errors)
 
 
 def check_convergence(seed: int, tol: float = 10.0) -> InvariantResult:
@@ -229,14 +220,7 @@ def check_convergence(seed: int, tol: float = 10.0) -> InvariantResult:
 def check_canonical(seed: int, tol: float = 10.0) -> InvariantResult:
     """Symmetric pumping reproduces the canonical Lorentzian spectrum/spring."""
     p = 0.01
-    scale = (p / 0.02) ** 2
-    params = params_for_targets(
-        gamma_s=_CONV_GAMMA_S * scale,
-        delta_s=_CONV_DELTA_S * scale,
-        theta_m=_CONV_THETA,
-        p=p,
-        alpha=_CONV_ALPHA,
-    )
+    params = _conv_params(p)
     lp = from_exact(params)
     field = IntracavityField(3e8, 0.0)
     k_p = params.k_p
@@ -357,8 +341,10 @@ def check_cooling_optimum(seed: int, tol: float = 1e-3) -> InvariantResult:
     mode = MechanicalMode(omega_m=2.5e7, h_friction=1e-12, n_thermal=1e4)
 
     # scale the budget so the resonant force noise matches the thermal one
-    f_pos = force_transfer(params, mode.omega_m)
-    p11 = hbar**2 * params.k_p**2 * float((f_pos @ f_pos.conj().T)[0, 0].real)
+    (f00, f01), _ = force_transfer(params, mode.omega_m)
+    p11 = hbar**2 * params.k_p**2 * float(
+        f00.real**2 + f00.imag**2 + (f01.real**2 + f01.imag**2)
+    )
     s_t_neg = 2.0 * hbar * mode.omega_m * mode.h_friction * mode.n_t
     budget = s_t_neg / p11
 

@@ -231,20 +231,28 @@ class TestSpectrumCommand:
         assert not (tmp_path / "spectrum.csv").exists()
 
     def test_identical_under_every_openblas_kernel(self, tmp_path):
-        """No output bit may depend on the BLAS kernel the CPU selects."""
+        """No output bit, and no BLAS-free verify measurement, may depend on
+        the BLAS kernel the CPU selects."""
         data = Path(msinoise.__file__).parent / "data" / "p1.json"
         src = str(Path(msinoise.__file__).parent.parent)
         cooling = json.loads(TestCoolingCommand.cooling_config(
             tmp_path, delta_s=-2.5e7, h_friction=1e-14).read_text())
-        configs = {"spectrum": data}
+        configs = {"spectrum": ["spectrum", data], "compare": ["compare", data]}
         for constraint in ("intracavity", "injected"):
             cooling["optimize"] = {"constraint": constraint}
-            configs[constraint] = write_config(tmp_path, cooling, f"{constraint}.json")
-        files = ("spectrum/spectrum.csv", "intracavity/landscape.csv",
-                 "intracavity/cooling.json", "injected/landscape.csv",
-                 "injected/cooling.json")
-        code = ("import json, sys\nfrom msinoise.cli import main\n"
-                "sys.exit(max(main(args) for args in json.loads(sys.argv[1])))")
+            path = write_config(tmp_path, cooling, f"{constraint}.json")
+            configs[constraint] = ["cooling", path, "--optimize"]
+        files = ("spectrum/spectrum.csv", "compare/compare.csv",
+                 "intracavity/landscape.csv", "intracavity/cooling.json",
+                 "injected/landscape.csv", "injected/cooling.json")
+        # oracle_equivalence is left out: its oracle is a LAPACK solve
+        code = ("import json, sys\nfrom msinoise import verify\n"
+                "from msinoise.cli import main\n"
+                "if max(main(args) for args in json.loads(sys.argv[1])):\n"
+                "    sys.exit(1)\n"
+                "checks = (verify.check_unitarity, verify.check_convergence,\n"
+                "          verify.check_cooling_optimum)\n"
+                "print([repr(float(c(verify.DEFAULT_SEED).measured)) for c in checks])")
         outputs = []
         for coretype in (None, "Haswell", "Prescott"):
             env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
@@ -252,17 +260,14 @@ class TestSpectrumCommand:
             if coretype is not None:
                 env["OPENBLAS_CORETYPE"] = coretype
             out = tmp_path / (coretype or "default")
-            runs = [
-                ["spectrum" if name == "spectrum" else "cooling",
-                 "--config", str(path), "--out", str(out / name)]
-                + ([] if name == "spectrum" else ["--optimize"])
-                for name, path in configs.items()
-            ]
-            subprocess.run(
+            runs = [[command, "--config", str(path), "--out", str(out / name), *flags]
+                    for name, (command, path, *flags) in configs.items()]
+            done = subprocess.run(
                 [sys.executable, "-c", code, json.dumps(runs)],
-                env=env, check=True, capture_output=True, timeout=120,
+                env=env, check=True, capture_output=True, text=True, timeout=120,
             )
-            outputs.append([(out / name).read_bytes() for name in files])
+            measured = done.stdout.strip().splitlines()[-1]
+            outputs.append(([(out / name).read_bytes() for name in files], measured))
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_mostly_singular_grid_exits_3(self, tmp_path, capsys):

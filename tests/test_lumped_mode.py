@@ -18,8 +18,10 @@ from msinoise.lumped_mode import (
     from_exact,
     lorentzians,
     params_for_targets,
+    reduction_errors,
+    strip_propagation_phases,
 )
-from msinoise.radiation_pressure import noise_spectra
+from msinoise.radiation_pressure import force_transfer, noise_spectra, rigidity
 from msinoise.scattering import IntracavityField
 
 THETA = 0.15 * math.pi
@@ -155,7 +157,7 @@ class TestLorentzians:
 class TestApproxForceTransfer:
     def test_symmetric_corner_entries_vanish(self):
         lp = lumped(p=0.0, alpha=0.0)
-        f = approx_force_transfer(lp, K_P, 1e6)
+        f = approx_force_transfer(lp, 1e6)
         assert f[0, 0] == 0.0 and f[1, 1] == 0.0
 
     def test_row_magnitude_hierarchy(self):
@@ -164,7 +166,7 @@ class TestApproxForceTransfer:
         for p in (0.02, 0.01):
             scale = (p / 0.02) ** 2
             lp = lumped(gamma_s=2.5e6 * scale, delta_s=-2.0e6 * scale, p=p)
-            f = approx_force_transfer(lp, K_P, 0.5 * lp.gamma)
+            f = approx_force_transfer(lp, 0.5 * lp.gamma)
             ratios[p] = np.abs(f[0]).max() / np.abs(f[1]).max()
         assert ratios[0.01] / ratios[0.02] == pytest.approx(2.0, rel=0.2)
 
@@ -191,6 +193,53 @@ class TestApproxRigidity:
         m_pos = approx_rigidity_matrix(lp, 2e6)
         gen_sum = approx_rigidity_matrix(lp, -2e6)
         np.testing.assert_allclose(m_pos, gen_sum.conj().T, atol=1e-30)
+
+
+class TestReductionErrors:
+    """The batched exact-vs-reduced errors against a per-Omega reference."""
+
+    @staticmethod
+    def case():
+        p = 0.01
+        scale = (p / 0.02) ** 2
+        prm = params_for_targets(gamma_s=2.5e6 * scale, delta_s=-2.0e6 * scale,
+                                 theta_m=THETA, p=p, alpha=-0.5)
+        field = IntracavityField(3e8 * np.exp(0.3j), 2.2e8 * np.exp(-1.1j))
+        lp = from_exact(prm)
+        return prm, lp, field, np.linspace(-5 * lp.gamma, 5 * lp.gamma, 41)
+
+    def test_matches_per_point_matrix_products(self):
+        prm, lp, field, grid = self.case()
+        assert 0.0 in grid
+        err_f, err_k, err_s = reduction_errors(prm, lp, field, grid)
+        e = field.as_array()
+        for i, big_omega in enumerate(grid):
+            omega = prm.omega_p + big_omega
+            f = force_transfer(prm, big_omega)
+            f_strip = f @ np.diag(np.exp(-1j * omega * np.array([prm.tau_w, prm.tau_s])))
+            f_ap = approx_force_transfer(lp, big_omega)
+            ref_f = np.max(np.abs(f_strip - f_ap) / np.abs(f_strip))
+            assert err_f[i] == pytest.approx(ref_f, rel=1e-10)
+            k = rigidity(prm, field, big_omega).k
+            k_mat = approx_rigidity_matrix(lp, big_omega)
+            k_ap = hbar * prm.k_p**2 * (e.conj() @ k_mat @ e)
+            assert err_k[i] == pytest.approx(abs(k - k_ap) / abs(k), rel=1e-10)
+            s_exact = np.sum(np.abs(e.conj() @ f) ** 2)
+            s_ap = np.sum(np.abs(e.conj() @ f_ap) ** 2)
+            assert err_s[i] == pytest.approx(abs(s_exact - s_ap) / s_exact, rel=1e-10)
+
+    def test_batch_equals_single_points(self):
+        prm, lp, field, grid = self.case()
+        f_strip = strip_propagation_phases(
+            prm, np.stack([force_transfer(prm, w) for w in grid], axis=2), grid)
+        batch = reduction_errors(prm, lp, field, grid)
+        for i, big_omega in enumerate(grid):
+            one = reduction_errors(prm, lp, field, [big_omega])
+            assert [err[0] for err in one] == [err[i] for err in batch]
+            np.testing.assert_array_equal(
+                strip_propagation_phases(prm, force_transfer(prm, big_omega), big_omega),
+                f_strip[:, :, i],
+            )
 
 
 class TestCanonicalSpectra:

@@ -12,11 +12,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.constants import hbar
 
 from .cooling import MechanicalMode
 from .errors import ConfigError
-from .scattering import SPEED_OF_LIGHT, InterferometerParams, PortVector
+from .scattering import HBAR, SPEED_OF_LIGHT, InterferometerParams, PortVector
 
 __all__ = ["RunConfig", "parse_config", "load_config", "config_digest"]
 
@@ -133,7 +132,7 @@ def _port_amplitude(section: dict, path: str, omega_p: float) -> complex:
         if power < 0.0:
             raise ConfigError(f"{path}.power_w", f"{power!r} is negative")
         phase = _number(section, "phase_rad", path, required=False, default=0.0)
-        return math.sqrt(power / (hbar * omega_p)) * np.exp(1j * phase)
+        return math.sqrt(power / (HBAR * omega_p)) * np.exp(1j * phase)
     amp = _get(section, "amplitude", path)
     if (
         not isinstance(amp, (list, tuple))
@@ -247,6 +246,10 @@ def parse_config(raw: dict) -> RunConfig:
     det_tol = _number(tol_sec, "det_tol", "tolerances", required=False)
     if det_tol is not None and det_tol < 0.0:
         raise ConfigError("tolerances.det_tol", f"{det_tol!r} is negative")
+    if det_tol is not None and det_tol >= 0.25:
+        # |det D| <= (sum_ij |D_ij|)^2 / 4 for every 2x2: such a floor flags every point
+        raise ConfigError("tolerances.det_tol",
+                          f"{det_tol!r} marks every point singular; it must be below 0.25")
 
     opt_sec = raw.get("optimize", {})
     if not isinstance(opt_sec, dict):

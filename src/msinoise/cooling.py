@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar, k as k_boltzmann
 
 from .errors import (
     DegenerateFrequency,
@@ -23,6 +22,8 @@ from .errors import (
 )
 from .radiation_pressure import _force_entries
 from .scattering import (
+    HBAR,
+    K_BOLTZMANN,
     InterferometerParams,
     IntracavityField,
     PortVector,
@@ -55,7 +56,7 @@ def thermal_occupation(temperature: float, omega: float) -> float:
         raise NonpositiveTemperature(f"temperature {temperature!r} K")
     if omega == 0.0:
         raise DegenerateFrequency("thermal occupation diverges at Omega = 0")
-    x = hbar * abs(omega) / (k_boltzmann * temperature)
+    x = HBAR * abs(omega) / (K_BOLTZMANN * temperature)
     if x > 700.0:  # expm1 overflows; the Boltzmann tail is exact to doubles
         return math.exp(-x)
     return 1.0 / math.expm1(x)
@@ -101,7 +102,7 @@ def thermal_spectra(mode: MechanicalMode) -> tuple[float, float]:
     unique pair whose symmetrised sum satisfies fluctuation-dissipation
     and whose difference satisfies the Kubo relation for friction H.
     """
-    base = 2.0 * hbar * mode.omega_m * mode.h_friction
+    base = 2.0 * HBAR * mode.omega_m * mode.h_friction
     n_t = mode.n_t
     return base * (n_t + 1.0), base * n_t
 
@@ -171,7 +172,7 @@ def occupancy(mode: MechanicalMode, s_f_pos: float, s_f_neg: float) -> CoolingRe
         anti-damping exceeds the mechanical friction).
     """
     s_t_pos, s_t_neg = thermal_spectra(mode)
-    h_opt = (s_f_pos - s_f_neg) / (2.0 * hbar * mode.omega_m)
+    h_opt = (s_f_pos - s_f_neg) / (2.0 * HBAR * mode.omega_m)
     if mode.h_friction + h_opt <= 0.0:
         raise UnstableSystem(
             f"H + H_opt = {mode.h_friction + h_opt!r} kg/s <= 0 "
@@ -183,7 +184,7 @@ def occupancy(mode: MechanicalMode, s_f_pos: float, s_f_neg: float) -> CoolingRe
     s_t_sym = (s_t_pos + s_t_neg) / 2.0
     s_f_sym = (s_f_pos + s_f_neg) / 2.0
     two_n_plus_1 = (s_t_sym + s_f_sym) / (
-        hbar * mode.omega_m * (mode.h_friction + h_opt)
+        HBAR * mode.omega_m * (mode.h_friction + h_opt)
     )
     return CoolingResult(
         n_bar=n_bar,
@@ -314,7 +315,7 @@ def optimize_pump(
             (f00, f01), (f10, f11) = [
                 [w[r].e_plus.conjugate() * f0 + w[r].e_minus.conjugate() * f1
                  for f0, f1 in ((f00, f10), (f01, f11))] for r in (0, 1)]
-        forms.append(tuple(hbar**2 * params.k_p**2 * x for x in (
+        forms.append(tuple(HBAR**2 * params.k_p**2 * x for x in (
             f00.real**2 + f00.imag**2 + (f01.real**2 + f01.imag**2),
             f10.real**2 + f10.imag**2 + (f11.real**2 + f11.imag**2),
             f00 * f10.conjugate() + f01 * f11.conjugate(),

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar
 
 from .algebra import cc_close
 from .errors import DegenerateFrequency
@@ -26,7 +25,7 @@ from .radiation_pressure import (
     _spring_form, _static_spring,
 )
 from .scattering import (
-    SPEED_OF_LIGHT, InterferometerParams, IntracavityField, sideband_blocks,
+    HBAR, SPEED_OF_LIGHT, InterferometerParams, IntracavityField, sideband_blocks,
 )
 
 __all__ = [
@@ -346,12 +345,12 @@ def canonical_spectra(lp: LumpedParams, k_p: float, e_plus: complex, grid) -> Fo
     grid = np.asarray(grid, dtype=float)
     if np.any(grid == 0.0):
         raise DegenerateFrequency("grid must not contain Omega = 0")
-    amp = 4.0 * hbar**2 * k_p**2 * lp.r_m**2 * abs(e_plus) ** 2 * lp.gamma / lp.tau_s
+    amp = 4.0 * HBAR**2 * k_p**2 * lp.r_m**2 * abs(e_plus) ** 2 * lp.gamma / lp.tau_s
     ell_pos, _ = lorentzians(lp, grid)
     ell_neg, _ = lorentzians(lp, -grid)
     s_pos = amp / np.abs(ell_pos) ** 2
     s_neg = amp / np.abs(ell_neg) ** 2
-    k_amp = 4.0 * hbar * k_p**2 * lp.r_m**2 * abs(e_plus) ** 2 * lp.delta / lp.tau_s
+    k_amp = 4.0 * HBAR * k_p**2 * lp.r_m**2 * abs(e_plus) ** 2 * lp.delta / lp.tau_s
     k = k_amp / (ell_pos * np.conj(ell_neg))
     return ForceNoiseSpectrum(
         grid=grid,
@@ -383,7 +382,7 @@ def fano_spectrum(
     grid = np.asarray(grid, dtype=float)
     ell0, _ = lorentzians(lp, 0.0)
     ell, _ = lorentzians(lp, grid)
-    pref = 4.0 * hbar**2 * k_p**2 * lp.r_m**2 * abs(a_plus) ** 2 / (
+    pref = 4.0 * HBAR**2 * k_p**2 * lp.r_m**2 * abs(a_plus) ** 2 / (
         lp.tau_s * abs(ell0) ** 2 * np.abs(ell) ** 2
     )
     cross = 2.0 * epsilon * kappa / lp.tau_s

@@ -75,6 +75,14 @@ def _skipped(spec) -> list[dict]:
     return [{"omega": omega, "reason": reason} for omega, reason in spec.skipped]
 
 
+def _refuse_non_finite(what: str, grid: np.ndarray, columns) -> None:
+    """Raise ConfigError at the first Omega where any column is not finite."""
+    finite = np.logical_and.reduce([np.isfinite(column) for column in columns])
+    if not finite.all():
+        omega = float(grid[~finite][0])
+        raise ConfigError("<root>", f"the {what} is not finite at Omega = {omega!r} rad/s")
+
+
 def _summary(cfg: RunConfig, spec) -> dict:
     return {"rows": len(spec.grid), "skipped": len(spec.skipped), "total": len(cfg.grid)}
 
@@ -90,10 +98,7 @@ def run_spectrum(cfg: RunConfig, out_dir: Path) -> dict:
     spec = noise_spectra(cfg.params, field, cfg.grid, cfg.det_tol)
     columns = (spec.grid, spec.s_tilde_pos, spec.s_tilde_neg, spec.s_sym,
                spec.k.real, spec.k.imag, spec.h_opt)
-    finite = np.logical_and.reduce([np.isfinite(column) for column in columns])
-    if not finite.all():
-        omega = spec.grid[~finite][0]
-        raise ConfigError("<root>", f"the spectrum is not finite at Omega = {omega!r} rad/s")
+    _refuse_non_finite("spectrum", spec.grid, columns)
     sidecar = _sidecar(
         cfg,
         "spectrum",
@@ -112,9 +117,11 @@ def run_compare(cfg: RunConfig, out_dir: Path) -> dict:
     Relative-error columns: force transfer matrix (entrywise, in the
     phase-stripped gauge), scalar rigidity, force noise via the reduced
     matrix, the canonical Lorentzian (using the symmetric field only) and,
-    when the south port is unpumped, the Fano line shape.
+    when the south port is unpumped, the Fano line shape (NaN otherwise).
+
+    Raises ConfigError, and writes nothing, if any error that applies is
+    not finite, e.g. relative errors of an unpumped (all-zero) spectrum.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
     params = cfg.params
     field = classical_fields(params, cfg.pump, cfg.det_tol)
     lp = from_exact(params)
@@ -132,29 +139,29 @@ def run_compare(cfg: RunConfig, out_dir: Path) -> dict:
     else:
         err_fano = np.full(len(spec.grid), np.nan)
     columns = (spec.grid, err_f, err_k, err_s, np.abs(s_exact - s_can) / s_exact, err_fano)
-    _write_csv(out_dir / "compare.csv", COMPARE_HEADER, map(_fmt, columns))
+    _refuse_non_finite("comparison", spec.grid, columns if dark_south else columns[:-1])
     couplings = coupling_constants(lp, k_p)
-    _write_json(
-        out_dir / "compare.json",
-        _sidecar(
-            cfg,
-            "compare",
-            skipped=_skipped(spec),
-            fano_applicable=dark_south,
-            lumped={
-                "gamma_s": lp.gamma_s,
-                "delta_s": lp.delta_s,
-                "gamma_m": lp.gamma_m,
-                "delta_m": lp.delta_m,
-                "gamma": lp.gamma,
-                "delta": lp.delta,
-                "p": lp.p,
-                "alpha": lp.alpha,
-                "g_disp": couplings.g_disp,
-                "g_diss_combo": couplings.g_diss_combo,
-            },
-        ),
+    sidecar = _sidecar(
+        cfg,
+        "compare",
+        skipped=_skipped(spec),
+        fano_applicable=dark_south,
+        lumped={
+            "gamma_s": lp.gamma_s,
+            "delta_s": lp.delta_s,
+            "gamma_m": lp.gamma_m,
+            "delta_m": lp.delta_m,
+            "gamma": lp.gamma,
+            "delta": lp.delta,
+            "p": lp.p,
+            "alpha": lp.alpha,
+            "g_disp": couplings.g_disp,
+            "g_diss_combo": couplings.g_diss_combo,
+        },
     )
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_csv(out_dir / "compare.csv", COMPARE_HEADER, map(_fmt, columns))
+    _write_json(out_dir / "compare.json", sidecar)
     return _summary(cfg, spec)
 
 
@@ -162,9 +169,9 @@ def run_cooling(cfg: RunConfig, out_dir: Path, optimize: bool = False) -> dict:
     """Occupancy report -> cooling.json (+ landscape.csv with optimisation).
 
     Raises UnstableSystem for anti-damped configurations; the CLI maps
-    that to its own exit code.
+    that to its own exit code.  Every result and the sidecar are computed
+    before the first file is written, so an error leaves no partial output.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
     mode = cfg.mechanical
     field = classical_fields(cfg.params, cfg.pump, cfg.det_tol)
     spec = noise_spectra(cfg.params, field, [mode.omega_m], cfg.det_tol)
@@ -203,13 +210,6 @@ def run_cooling(cfg: RunConfig, out_dir: Path, optimize: bool = False) -> dict:
             constraint=cfg.optimize_constraint,
             det_tol=cfg.det_tol,
         )
-        phi_text = list(_fmt(opt.phi_grid))
-        chi_phi = (f"{chi},{phi}" for chi in _fmt(opt.chi_grid) for phi in phi_text)
-        _write_csv(
-            out_dir / "landscape.csv",
-            LANDSCAPE_HEADER,
-            [chi_phi, *map(_fmt, (opt.n_bar_grid, opt.s_f_pos_grid, opt.s_f_neg_grid))],
-        )
         e_opt = opt.field.as_array()
         report["optimum"] = {
             "chi": opt.chi,
@@ -221,5 +221,15 @@ def run_cooling(cfg: RunConfig, out_dir: Path, optimize: bool = False) -> dict:
             "e_minus": [e_opt[1].real, e_opt[1].imag],
         }
 
-    _write_json(out_dir / "cooling.json", _sidecar(cfg, "cooling", report=report))
+    sidecar = _sidecar(cfg, "cooling", report=report)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if optimize:
+        phi_text = list(_fmt(opt.phi_grid))
+        chi_phi = (f"{chi},{phi}" for chi in _fmt(opt.chi_grid) for phi in phi_text)
+        _write_csv(
+            out_dir / "landscape.csv",
+            LANDSCAPE_HEADER,
+            [chi_phi, *map(_fmt, (opt.n_bar_grid, opt.s_f_pos_grid, opt.s_f_neg_grid))],
+        )
+    _write_json(out_dir / "cooling.json", sidecar)
     return report

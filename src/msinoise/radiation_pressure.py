@@ -11,12 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import hbar
 
 from .algebra import cc_close
 from .errors import DegenerateFrequency, OpticalSingularity
 from .scattering import (
-    InterferometerParams, IntracavityField, SidebandBlocks, sideband_blocks,
+    HBAR, InterferometerParams, IntracavityField, SidebandBlocks, sideband_blocks,
 )
 
 __all__ = [
@@ -110,19 +109,19 @@ def _spring_form(k_p: float, e: np.ndarray, k: np.ndarray) -> np.ndarray:
     q = e_p.conjugate() * (k[0, 0] * e_p + k[0, 1] * e_m) + e_m.conjugate() * (
         k[1, 0] * e_p + k[1, 1] * e_m
     )
-    return hbar * k_p**2 * q
+    return HBAR * k_p**2 * q
 
 
 def _static_spring(params: InterferometerParams, e: np.ndarray) -> float:
     """hbar k_p^2 e^dagger K2 e for the static part K2 = -4 R_m T_m Z, N/m."""
     power = e.real**2 + e.imag**2
-    return hbar * params.k_p**2 * (-4.0 * params.r_m * params.t_m * (power[0] - power[1]))
+    return HBAR * params.k_p**2 * (-4.0 * params.r_m * params.t_m * (power[0] - power[1]))
 
 
 def _noise_form(k_p: float, e: np.ndarray, f: np.ndarray) -> np.ndarray:
     """hbar^2 k_p^2 |e^dagger F|^2 for a (2, 2, N) stack F, N^2 s."""
     row = (e.conj()[:, None, None] * f).sum(axis=0)
-    return hbar**2 * k_p**2 * (row.real**2 + row.imag**2).sum(axis=0)
+    return HBAR**2 * k_p**2 * (row.real**2 + row.imag**2).sum(axis=0)
 
 
 def force_transfer(
@@ -177,7 +176,7 @@ def _damping(s_pos: np.ndarray, s_neg: np.ndarray, grid: np.ndarray) -> np.ndarr
     grid = np.asarray(grid, dtype=float)
     if np.any(grid == 0.0):
         raise DegenerateFrequency("optical damping is undefined at Omega = 0")
-    return (np.asarray(s_pos) - np.asarray(s_neg)) / (2.0 * hbar * grid)
+    return (np.asarray(s_pos) - np.asarray(s_neg)) / (2.0 * HBAR * grid)
 
 
 def noise_spectra(

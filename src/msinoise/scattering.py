@@ -36,7 +36,10 @@ __all__ = [
     "oracle_solve",
 ]
 
+# exact in the SI (CODATA 2018): c, h / 2 pi and k_B
 SPEED_OF_LIGHT = 299792458.0
+HBAR = 6.62607015e-34 / (2.0 * math.pi)
+K_BOLTZMANN = 1.380649e-23
 
 #: relative determinant floor, singular when |det D_e| <= det_tol (sum_ij |D_e,ij|)^2;
 #: applies to det_tol=None, i.e. unless the config sets tolerances.det_tol

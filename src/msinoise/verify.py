@@ -14,7 +14,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.constants import hbar
 
 from .algebra import dagger
 from .config import load_config
@@ -30,6 +29,7 @@ from .lumped_mode import (
 from .outputs import run_spectrum
 from .radiation_pressure import _force_entries, force_transfer, noise_spectra
 from .scattering import (
+    HBAR,
     InterferometerParams,
     IntracavityField,
     PortVector,
@@ -309,12 +309,12 @@ def check_fdt_kubo(seed: int, tol: float = 1e-8) -> InvariantResult:
         mode = MechanicalMode(omega_m=2 * math.pi * 1.3e6, h_friction=2.4e-12,
                               n_thermal=n_t)
         s_pos, s_neg = thermal_spectra(mode)
-        base = hbar * mode.omega_m * mode.h_friction
+        base = HBAR * mode.omega_m * mode.h_friction
         fdt = max(fdt, abs((s_pos + s_neg) / 2.0 - base * (2 * n_t + 1)) / (
             base * (2 * n_t + 1)
         ))
         kubo = max(kubo, abs(
-            (s_pos - s_neg) / (2 * hbar) - mode.omega_m * mode.h_friction
+            (s_pos - s_neg) / (2 * HBAR) - mode.omega_m * mode.h_friction
         ) / (mode.omega_m * mode.h_friction))
     pair_ok = fdt <= 1e-14 and kubo <= 1e-14
 
@@ -342,10 +342,10 @@ def check_cooling_optimum(seed: int, tol: float = 1e-3) -> InvariantResult:
 
     # scale the budget so the resonant force noise matches the thermal one
     (f00, f01), _ = force_transfer(params, mode.omega_m)
-    p11 = hbar**2 * params.k_p**2 * float(
+    p11 = HBAR**2 * params.k_p**2 * float(
         f00.real**2 + f00.imag**2 + (f01.real**2 + f01.imag**2)
     )
-    s_t_neg = 2.0 * hbar * mode.omega_m * mode.h_friction * mode.n_t
+    s_t_neg = 2.0 * HBAR * mode.omega_m * mode.h_friction * mode.n_t
     budget = s_t_neg / p11
 
     opt = optimize_pump(params, mode, budget)

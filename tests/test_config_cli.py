@@ -218,6 +218,8 @@ class TestSpectrumCommand:
         ("pump", "west", {"amplitude": [math.nan, 0.0]}),
         ("pump", "west", {"power_w": math.inf}),
         ("tolerances", "det_tol", -1.0),
+        ("tolerances", "det_tol", 0.25),  # |det| <= (sum |D_ij|)^2 / 4: all singular
+        ("tolerances", "det_tol", 1.0),
     ])
     def test_non_finite_number_or_negative_det_tol_exits_2(
         self, tmp_path, capsys, section, key, value
@@ -319,6 +321,29 @@ class TestCompareCommand:
         sidecar = json.loads((tmp_path / "compare.json").read_text())
         assert any("delta_s" in w for w in sidecar["validity_warnings"])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the 0/0 being refused
+    def test_unpumped_config_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        raw = json.loads(json.dumps(P1_CONFIG))
+        raw["pump"]["west"] = {"power_w": 0.0}  # every relative error is 0/0
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        rc = main(["compare", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert "not finite at Omega = 100000000.0 rad/s" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pumped_south_port_leaves_fano_column_nan(self, tmp_path):
+        raw = json.loads(json.dumps(P1_CONFIG))
+        raw["pump"]["south"] = {"amplitude": [1e6, 0.0]}
+        cfg = write_config(tmp_path, raw)
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "compare.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert all(math.isnan(float(row["err_S_fano"])) for row in rows)
+        assert all(math.isfinite(float(row["err_K"])) for row in rows)
+        sidecar = json.loads((tmp_path / "compare.json").read_text())
+        assert sidecar["fano_applicable"] is False
+
 
 class TestCoolingCommand:
     @staticmethod
@@ -398,6 +423,19 @@ class TestCoolingCommand:
         ]
         assert (tmp_path / "landscape.csv").read_text() == "\n".join(expected) + "\n"
 
+    def test_overflowing_sidecar_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        raw = json.loads(json.dumps(P1_CONFIG))
+        raw["interferometer"]["kappa"] = 1e158  # from_exact overflows in the sidecar
+        raw["mechanical"] = {"omega_m_rad_s": 2.5e7, "h_friction_kg_s": 1e-14,
+                             "n_thermal": 1e4}
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(["cooling", "--config", str(cfg), "--out", str(out), "--optimize"])
+        assert rc == 2
+        assert "double-precision range" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_missing_mechanical_block_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, P1_CONFIG)
         rc = main(["cooling", "--config", str(cfg), "--out", str(tmp_path)])
@@ -413,6 +451,19 @@ def test_import_leaves_scipy_linalg_unloaded():
     code = ("import sys, msinoise, msinoise.cli\n"
             "sys.exit('scipy.linalg' in sys.modules)")
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_import_loads_no_scipy():
+    """The physical constants are exact SI values: importing scipy for them
+    roughly doubles the interpreter's start-up time and memory."""
+    src = str(Path(msinoise.__file__).parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, msinoise, msinoise.cli, msinoise.outputs, msinoise.verify\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.strip() == "[]"
 
 
 class TestVerifyCommand:

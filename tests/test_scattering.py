@@ -9,6 +9,8 @@ from msinoise.errors import OpticalSingularity
 from msinoise.lumped_mode import params_for_targets
 from msinoise.radiation_pressure import force_transfer
 from msinoise.scattering import (
+    HBAR,
+    K_BOLTZMANN,
     SPEED_OF_LIGHT,
     InterferometerParams,
     IntracavityField,
@@ -35,6 +37,14 @@ def params_simple(**overrides):
     )
     base.update(overrides)
     return InterferometerParams(**base)
+
+
+def test_exact_si_constants_match_scipy():
+    from scipy import constants
+
+    assert HBAR == constants.hbar
+    assert K_BOLTZMANN == constants.k
+    assert SPEED_OF_LIGHT == constants.c
 
 
 class TestParamsValidation:

@@ -47,22 +47,25 @@ def solve_dense(a: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     The brute-force oracle path: the raw port-by-port field equations get
     stacked into one dense system and solved here, independently of any
-    closed-form inverse.
+    closed-form inverse.  ``a`` is one (n, n) matrix with ``y`` of shape
+    (n,), or an (N, n, n) stack with ``y`` of shape (N, n), each system
+    solved on its own in one call.
 
     Raises
     ------
     SingularMatrix
-        On pivot breakdown.
+        On pivot breakdown in any system of the stack.
     ValueError
         If ``a`` is not square or exceeds the supported size.
     """
     a = np.asarray(a, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] > MAX_DENSE_N:
-        raise ValueError(f"system size {a.shape[0]} exceeds {MAX_DENSE_N}")
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if a.shape[-1] > MAX_DENSE_N:
+        raise ValueError(f"system size {a.shape[-1]} exceeds {MAX_DENSE_N}")
     try:
-        return np.linalg.solve(a, y)
+        # a column right-hand side: numpy reads a 2-D y as a matrix, not a stack
+        return np.linalg.solve(a, y[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(str(exc)) from exc

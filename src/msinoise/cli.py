@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .config import load_config
@@ -58,6 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="optional JSON with a verify_tolerances object")
     p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="seed for the randomized ensembles")
+    p_ver.add_argument("--json", action="store_true",
+                       help="print one JSON list of the checks instead of the table")
     return parser
 
 
@@ -108,14 +111,17 @@ def _cmd_verify(args) -> int:
         if not isinstance(overrides, dict):
             raise ConfigError("verify_tolerances", "must be an object")
     results = run_all(seed=args.seed, tol_overrides=overrides)
-    for result in results:
-        print(result.line())
+    if args.json:
+        print(json.dumps([asdict(result) for result in results]))
+    else:
+        print("\n".join(result.line() for result in results))
     failed = [r for r in results if not r.passed]
     if failed:
         print(f"{len(failed)} invariant(s) failed: "
               + ", ".join(r.name for r in failed), file=sys.stderr)
         return EXIT_INVARIANT
-    print(f"all {len(results)} invariants passed")
+    if not args.json:
+        print(f"all {len(results)} invariants passed")
     return EXIT_OK
 
 

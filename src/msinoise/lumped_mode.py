@@ -331,8 +331,9 @@ def reduction_errors(
     k_ap = _spring_form(params.k_p, e, _approx_spring_entries(lp, both))
     s_exact = _noise_form(params.k_p, e, f_exact)
     s_ap = _noise_form(params.k_p, e, f_ap)
-    return (err_f.max(axis=(0, 1)), np.abs(k_exact - k_ap) / np.abs(k_exact),
-            np.abs(s_exact - s_ap) / s_exact)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 of an unpumped field
+        return (err_f.max(axis=(0, 1)), np.abs(k_exact - k_ap) / np.abs(k_exact),
+                np.abs(s_exact - s_ap) / s_exact)
 
 
 def canonical_spectra(lp: LumpedParams, k_p: float, e_plus: complex, grid) -> ForceNoiseSpectrum:

@@ -132,13 +132,15 @@ def run_compare(cfg: RunConfig, out_dir: Path) -> dict:
     err_f, err_k, err_s = reduction_errors(params, lp, field, spec.grid, cfg.det_tol)
     s_exact = spec.s_tilde_pos
     s_can = canonical_spectra(lp, k_p, field.e_plus, spec.grid).s_tilde_pos
-    if dark_south:
-        s_fano = fano_spectrum(lp, params.epsilon, params.kappa, k_p, cfg.pump.west,
-                               spec.grid)
-        err_fano = np.abs(s_exact - s_fano) / s_exact
-    else:
-        err_fano = np.full(len(spec.grid), np.nan)
-    columns = (spec.grid, err_f, err_k, err_s, np.abs(s_exact - s_can) / s_exact, err_fano)
+    # an unpumped spectrum makes these 0/0, which _refuse_non_finite refuses
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if dark_south:
+            s_fano = fano_spectrum(lp, params.epsilon, params.kappa, k_p, cfg.pump.west,
+                                   spec.grid)
+            err_fano = np.abs(s_exact - s_fano) / s_exact
+        else:
+            err_fano = np.full(len(spec.grid), np.nan)
+        columns = (spec.grid, err_f, err_k, err_s, np.abs(s_exact - s_can) / s_exact, err_fano)
     _refuse_non_finite("comparison", spec.grid, columns if dark_south else columns[:-1])
     couplings = coupling_constants(lp, k_p)
     sidecar = _sidecar(

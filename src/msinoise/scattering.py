@@ -50,22 +50,25 @@ DEFAULT_DET_TOL = 1e-14
 class InterferometerParams:
     """Full geometric/optical description of the interferometer.
 
+    A field may be an (N,) array of N sets, entry i going with Omega[i] of
+    the sideband grid it is evaluated on; see `sideband_blocks`.
+
     Parameters
     ----------
-    theta_m : float
+    theta_m : float or (N,) array
         Membrane angle, rad; amplitude reflectivity R_m = cos(theta_m),
         transmissivity T_m = sin(theta_m).
-    epsilon : float
+    epsilon : float or (N,) array
         Beamsplitter imbalance angle, rad (balanced splitter at 0).
-    kappa : float
+    kappa : float or (N,) array
         Dimensionless D.C. membrane offset, kappa = k_p * X.
-    tau_s, tau_w : float
+    tau_s, tau_w : float or (N,) array
         One-way light travel times to the signal (south) and power (west)
         recycling mirrors, s.
-    r_s, t_s, r_w, t_w : float
+    r_s, t_s, r_w, t_w : float or (N,) array
         Amplitude reflectivity/transmissivity of the recycling mirrors;
         each pair must satisfy r^2 + t^2 = 1.
-    k_p : float
+    k_p : float or (N,) array
         Pump wavenumber, 1/m.
     """
 
@@ -81,32 +84,38 @@ class InterferometerParams:
     k_p: float
 
     def __post_init__(self):
+        # the float tests, entrywise: any failing entry raises, and NaN as before
         for name, r, t in (("s", self.r_s, self.t_s), ("w", self.r_w, self.t_w)):
-            if abs(r * r + t * t - 1.0) > 1e-12:
-                raise ValueError(
-                    f"r_{name}^2 + t_{name}^2 = {r * r + t * t!r} != 1"
-                )
-            if r < 0 or t < 0:
+            if np.any(abs(r * r + t * t - 1.0) > 1e-12):
+                raise ValueError(f"r_{name}^2 + t_{name}^2 = {r * r + t * t!r} != 1")
+            if np.any((r < 0) | (t < 0)):
                 raise ValueError(f"r_{name}, t_{name} must be non-negative")
-        if not 0.0 <= self.theta_m <= math.pi / 2:
+        if not np.all((0.0 <= self.theta_m) & (self.theta_m <= math.pi / 2)):
             raise ValueError(f"theta_m = {self.theta_m!r} outside [0, pi/2]")
-        if not abs(self.epsilon) < math.pi / 4:
+        if not np.all(abs(self.epsilon) < math.pi / 4):
             raise ValueError(f"|epsilon| = {abs(self.epsilon)!r} >= pi/4")
-        if self.tau_s <= 0 or self.tau_w <= 0 or self.k_p <= 0:
+        if np.any((self.tau_s <= 0) | (self.tau_w <= 0) | (self.k_p <= 0)):
             raise ValueError("tau_s, tau_w and k_p must be positive")
 
     @property
     def r_m(self) -> float:
-        return math.cos(self.theta_m)
+        return _cos_sin(self.theta_m)[0]
 
     @property
     def t_m(self) -> float:
-        return math.sin(self.theta_m)
+        return _cos_sin(self.theta_m)[1]
 
     @property
     def omega_p(self) -> float:
         """Pump angular frequency, rad/s."""
         return SPEED_OF_LIGHT * self.k_p
+
+
+def _cos_sin(x):
+    """(cos x, sin x) by numpy for an array, by `math` for a float as the golden was made."""
+    if isinstance(x, np.ndarray):
+        return np.cos(x), np.sin(x)
+    return math.cos(x), math.sin(x)
 
 
 @dataclass(frozen=True)
@@ -117,7 +126,8 @@ class PortVector:
     south: complex
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.west, self.south], dtype=complex)
+        """(2,), or (2, N) when either amplitude is an (N,) array."""
+        return np.array(np.broadcast_arrays(self.west, self.south), dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -128,7 +138,8 @@ class IntracavityField:
     e_minus: complex
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.e_plus, self.e_minus], dtype=complex)
+        """(2,), or (2, N) when either amplitude is an (N,) array."""
+        return np.array(np.broadcast_arrays(self.e_plus, self.e_minus), dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -146,8 +157,8 @@ class SidebandBlocks:
     d_e: np.ndarray         # (2, 2, N) mode matrix D_e
     d: np.ndarray           # (N,) det D_e
     singular: np.ndarray    # (N,) at or below the relative determinant floor
-    mixer: tuple[complex, complex]  # (C, S) of mode_mixer
-    membrane: complex               # e^{i theta_m}
+    mixer: tuple[complex, complex]  # (C, S) of mode_mixer, (N,) for array params
+    membrane: complex               # e^{i theta_m}, (N,) for array params
 
     def checked(self) -> SidebandBlocks:
         """These blocks; raises OpticalSingularity at the first singular point."""
@@ -175,15 +186,15 @@ def mode_mixer(params: InterferometerParams) -> np.ndarray:
     kappa into the 2x2 unitary [[C, -S*], [S, C*]] with
     C = cos(eps) cos(kap) + i sin(eps) sin(kap) and
     S = sin(eps) cos(kap) + i cos(eps) sin(kap); reduces to the identity
-    for a symmetric interferometer.
+    for a symmetric interferometer.  A (2, 2, N) stack for array fields.
     """
     c, s = _mixer(params)
     return np.array([[c, -s.conjugate()], [s, c.conjugate()]])
 
 
 def _mixer(params: InterferometerParams) -> tuple[complex, complex]:
-    ce, se = math.cos(params.epsilon), math.sin(params.epsilon)
-    ck, sk = math.cos(params.kappa), math.sin(params.kappa)
+    ce, se = _cos_sin(params.epsilon)
+    ck, sk = _cos_sin(params.kappa)
     return ce * ck + 1j * se * sk, se * ck + 1j * ce * sk
 
 
@@ -194,6 +205,8 @@ def sideband_blocks(
 ) -> SidebandBlocks:
     """The shared optical blocks at omega_p + Omega for every Omega at once.
 
+    ``params`` fields may be (N,) arrays aligned with the (N,) ``big_omega``:
+    point i is then set i at Omega[i], so N parameter sets cost one call.
     D_e = Q^dagger - R_tilde Q^T M is written out entry by entry, so no
     result depends on a BLAS kernel.  Singular points are flagged in
     ``singular``, not raised; `SidebandBlocks.checked` raises for them.
@@ -201,11 +214,11 @@ def sideband_blocks(
     the same for any length, numpy's 0-d scalar arithmetic does not.
     """
     omega = params.omega_p + np.asarray(big_omega, dtype=float)
-    phases = np.exp(1j * (np.array([[params.tau_w], [params.tau_s]]) * omega))
-    r_tilde = np.array([[params.r_w], [params.r_s]]) * phases * phases
-    t_tilde = np.array([[params.t_w], [params.t_s]]) * phases
+    phases = np.exp(1j * (_pair(params.tau_w, params.tau_s) * omega))
+    r_tilde = _pair(params.r_w, params.r_s) * phases * phases
+    t_tilde = _pair(params.t_w, params.t_s) * phases
     c, s = _mixer(params)
-    m = complex(math.cos(params.theta_m), math.sin(params.theta_m))
+    m = params.r_m + 1j * params.t_m  # e^{i theta_m}, parts exactly cos and sin
     rho_w, rho_s = r_tilde
     d_e = np.array([
         [c.conjugate() - rho_w * (c * m), s.conjugate() - rho_w * (s * m.conjugate())],
@@ -217,6 +230,11 @@ def sideband_blocks(
     scale = mag[0, 0] + mag[0, 1] + mag[1, 0] + mag[1, 1]
     singular = np.abs(d) <= tol * scale * scale
     return SidebandBlocks(omega, phases, r_tilde, t_tilde, d_e, d, singular, (c, s), m)
+
+
+def _pair(west, south) -> np.ndarray:
+    """A (west, south) field pair as a (2, 1) column, or (2, N) for array fields."""
+    return np.array(np.broadcast_arrays(west, south)).reshape(2, -1)
 
 
 def _scattering_entries(params: InterferometerParams, b: SidebandBlocks) -> np.ndarray:
@@ -283,18 +301,28 @@ def classical_fields(
     E = adj(D_e) T_tilde A / det D_e at omega_p; the dressed transmissivity
     T_tilde carries the single-pass propagation phase of each port.  The
     2x2 products are broadcast sums, so no result depends on a BLAS kernel.
+    With (N,) params or pump amplitudes the amplitudes are (N,) arrays, and
+    the inverse is self-checked for every set.
     """
-    b = sideband_blocks(params, np.zeros(1), det_tol).checked()
-    d_e, d = b.d_e[:, :, 0], b.d[0]
+    shape = _batch_shape(params, pump.west, pump.south)
+    b = sideband_blocks(params, np.zeros(shape or 1), det_tol).checked()
+    d_e, d = b.d_e, b.d
     adj = np.array([[d_e[1, 1], -d_e[0, 1]], [-d_e[1, 0], d_e[0, 0]]])
-    residual = np.abs((adj[:, :, None] * d_e).sum(axis=1) / d - np.eye(2)).max()
-    if residual > 1e-12:
+    off = (adj[:, :, None] * d_e).sum(axis=1) / d - np.eye(2)[:, :, None]
+    residual = np.abs(off).max(axis=(0, 1))
+    if residual.max() > 1e-12:
+        i = int(np.argmax(residual))
         raise ArithmeticError(
             "closed-form mode inverse failed its self-check; "
-            f"|D| = {abs(d):.3e} at omega = {params.omega_p!r}"
+            f"|D| = {abs(d[i]):.3e} at omega = {float(b.omega[i])!r}"
         )
-    e = (adj * (b.t_tilde[:, 0] * pump.as_array())).sum(axis=1) / d
-    return IntracavityField(complex(e[0]), complex(e[1]))
+    e = (adj * (b.t_tilde * pump.as_array().reshape(2, -1))).sum(axis=1) / d
+    return IntracavityField(*(e if shape else e[:, 0].tolist()))  # complex for floats
+
+
+def _batch_shape(params: InterferometerParams, *values) -> tuple:
+    """Broadcast shape of every params field and ``values``: () for scalars."""
+    return np.broadcast(*vars(params).values(), *values).shape
 
 
 def oracle_solve(
@@ -312,46 +340,46 @@ def oracle_solve(
     anywhere on this path, which makes it the independent oracle for
     `scattering_matrix`, `displacement_transfer` and `classical_fields`.
 
+    Params fields, ``omega``, ``x`` and the amplitudes may be (N,) arrays of
+    N cases: one (N, 10, 10) stack is solved, and each result is (2, N).
+
     Parameters
     ----------
     inputs : PortVector
         Incident sideband amplitudes at the two ports.
-    x : float
+    x : float or (N,) array
         Membrane displacement amplitude at this sideband, m.
     field : IntracavityField
         Classical intracavity amplitudes the displacement beats against.
     """
-    q = mode_mixer(params)
-    a = np.diag([np.exp(1j * omega * params.tau_w), np.exp(1j * omega * params.tau_s)])
-    m = np.diag([np.exp(1j * params.theta_m), np.exp(-1j * params.theta_m)])
-    r = np.diag([params.r_w, params.r_s]).astype(complex)
-    t = np.diag([params.t_w, params.t_s]).astype(complex)
-    ident = np.eye(2, dtype=complex)
-    a_in = inputs.as_array()
-    e_cl = field.as_array()
+    shape = _batch_shape(params, omega, x, inputs.west, inputs.south,
+                         field.e_plus, field.e_minus)
+    n = math.prod(shape)
 
-    sl = {name: slice(2 * i, 2 * i + 2) for i, name in enumerate("bcdef")}
-    sys = np.zeros((10, 10), dtype=complex)
-    rhs = np.zeros(10, dtype=complex)
+    def diag(west, south):
+        out = np.zeros((n, 2, 2), dtype=complex)
+        out[:, 0, 0], out[:, 1, 1] = west, south
+        return out
 
-    # b = -R a + T c
-    sys[sl["b"], sl["b"]] = ident
-    sys[sl["b"], sl["c"]] = -t
-    rhs[sl["b"]] = -r @ a_in
-    # c = A Q^T f
-    sys[sl["c"], sl["c"]] = ident
-    sys[sl["c"], sl["f"]] = -a @ q.T
-    # d = T a + R c
-    sys[sl["d"], sl["d"]] = ident
-    sys[sl["d"], sl["c"]] = -r
-    rhs[sl["d"]] = t @ a_in
-    # e = Q A d
-    sys[sl["e"], sl["e"]] = ident
-    sys[sl["e"], sl["d"]] = -q @ a
-    # f = M e + 2 i k_p R_m X E x   (membrane bounce + displacement source)
-    sys[sl["f"], sl["f"]] = ident
-    sys[sl["f"], sl["e"]] = -m
-    rhs[sl["f"]] = 2j * params.k_p * params.r_m * e_cl[::-1] * x
+    def column(pair):  # (2,) or (2, N) amplitudes -> (n, 2, 1)
+        return np.broadcast_to(pair.as_array().reshape(2, -1), (2, n)).T[:, :, None]
 
-    sol = solve_dense(sys, rhs)
-    return OracleFields(*(sol[sl[name]] for name in "bcdef"))
+    q = np.broadcast_to(mode_mixer(params).reshape(2, 2, -1), (2, 2, n)).transpose(2, 0, 1)
+    a = diag(np.exp(1j * omega * params.tau_w), np.exp(1j * omega * params.tau_s))
+    m = diag(np.exp(1j * params.theta_m), np.exp(-1j * params.theta_m))
+    r = diag(params.r_w, params.r_s)
+    t = diag(params.t_w, params.t_s)
+    a_in = column(inputs)
+    x_source = np.reshape(2j * params.k_p * params.r_m * x, (-1, 1, 1)) * column(field)[:, ::-1]
+    z, z1 = np.zeros((n, 2, 2)), np.zeros((n, 2, 1))
+    # each unknown (b, c, d, e, f) = its couplings to the others + its source
+    couplings = np.block([
+        [z, t, z, z, z],                      # b = -R a + T c
+        [z, z, z, z, a @ q.swapaxes(1, 2)],   # c = A Q^T f
+        [z, r, z, z, z],                      # d = T a + R c
+        [z, z, q @ a, z, z],                  # e = Q A d
+        [z, z, z, m, z],                      # f = M e + 2 i k_p R_m X E x
+    ])
+    sources = np.concatenate([-r @ a_in, z1, t @ a_in, z1, x_source], axis=1)[:, :, 0]
+    sol = solve_dense(np.eye(10) - couplings, sources)
+    return OracleFields(*(sol[:, i:i + 2].T.reshape((2, *shape)) for i in range(0, 10, 2)))

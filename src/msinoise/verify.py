@@ -9,14 +9,15 @@ from __future__ import annotations
 import filecmp
 import math
 import tempfile
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from .algebra import dagger
-from .config import load_config
+from .config import RunConfig, load_config
 from .cooling import MechanicalMode, occupancy, occupancy_simplified, optimize_pump
 from .lumped_mode import (
     canonical_spectra,
@@ -36,9 +37,7 @@ from .scattering import (
     _displacement_entries,
     _scattering_entries,
     classical_fields,
-    displacement_transfer,
     oracle_solve,
-    scattering_matrix,
     sideband_blocks,
 )
 
@@ -55,13 +54,20 @@ _CONV_DELTA_S = -2.0e6  # rad/s at p = 0.02; scales with p^2
 _CONV_FIELD = IntracavityField(3e8 * np.exp(0.3j), 2.2e8 * np.exp(-1.1j))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InvariantResult:
     name: str
     passed: bool
     measured: float
     tolerance: float
     detail: str
+    runtime_s: float = 0.0  # wall time of the check, set by `run_all`
+
+    def __post_init__(self):
+        # plain Python scalars, which print and serialise alike, whatever
+        # numpy scalar type a check computed them as
+        object.__setattr__(self, "passed", bool(self.passed))
+        object.__setattr__(self, "measured", float(self.measured))
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -71,48 +77,57 @@ class InvariantResult:
         )
 
 
-def _random_params(rng: np.random.Generator) -> InterferometerParams:
-    r_s = rng.uniform(0.0, 0.995)
-    r_w = rng.uniform(0.0, 0.995)
+def _random_params(rng: np.random.Generator, size: int | None = None) -> InterferometerParams:
+    """One random parameter set, or ``size`` sets as (size,) array fields."""
+    r_s = rng.uniform(0.0, 0.995, size)
+    r_w = rng.uniform(0.0, 0.995, size)
     return InterferometerParams(
-        theta_m=rng.uniform(0.0, math.pi / 2),
-        epsilon=rng.uniform(-0.7, 0.7),
-        kappa=rng.uniform(-2.0, 2.0),
-        tau_s=rng.uniform(0.5e-9, 2.0e-9),
-        tau_w=rng.uniform(0.5e-9, 2.0e-9),
+        theta_m=rng.uniform(0.0, math.pi / 2, size),
+        epsilon=rng.uniform(-0.7, 0.7, size),
+        kappa=rng.uniform(-2.0, 2.0, size),
+        tau_s=rng.uniform(0.5e-9, 2.0e-9, size),
+        tau_w=rng.uniform(0.5e-9, 2.0e-9, size),
         r_s=r_s,
-        t_s=math.sqrt(1.0 - r_s**2),
+        t_s=np.sqrt(1.0 - r_s**2),
         r_w=r_w,
-        t_w=math.sqrt(1.0 - r_w**2),
-        k_p=rng.uniform(4.0e6, 8.0e6),
+        t_w=np.sqrt(1.0 - r_w**2),
+        k_p=rng.uniform(4.0e6, 8.0e6, size),
     )
 
 
-def _well_conditioned_case(rng, n_omegas: int):
-    """Random parameters plus sideband frequencies clear of resonances.
+def _per_point(params: InterferometerParams, k: int) -> InterferometerParams:
+    """Each of the (N,) sets in ``params`` repeated for its k sideband points."""
+    return InterferometerParams(**{name: np.repeat(v, k) for name, v in vars(params).items()})
 
-    Keeps |det D_e| >= 1e-3 at every sideband and at the carrier so
-    oracle-vs-closed-form comparisons are not dominated by conditioning;
-    resamples otherwise.
+
+def _well_conditioned_cases(rng, n_sets: int, n_omegas: int, floor: float = 1e-3):
+    """``n_sets`` random sets with ``n_omegas`` sidebands each, redrawing only
+    the sets with |det D_e| < ``floor`` at a sideband or the carrier, so
+    oracle-vs-closed-form comparisons are not dominated by conditioning.
+    Returns the sets per sideband point and the flat sidebands.
     """
+    params = _random_params(rng, n_sets)
+    omegas = rng.uniform(-1.0e9, 1.0e9, size=(n_sets, n_omegas))
     while True:
-        params = _random_params(rng)
-        omegas = rng.uniform(-1.0e9, 1.0e9, size=n_omegas)
-        if np.abs(sideband_blocks(params, np.append(omegas, 0.0)).d).min() >= 1e-3:
-            return params, omegas
+        grid = np.append(omegas, np.zeros((n_sets, 1)), axis=1)  # sidebands, carrier
+        d = sideband_blocks(_per_point(params, n_omegas + 1), grid.ravel()).d
+        redo = np.flatnonzero(np.abs(d).reshape(n_sets, -1).min(axis=1) < floor)
+        if redo.size == 0:
+            return _per_point(params, n_omegas), omegas.ravel()
+        fresh = _random_params(rng, redo.size)  # validated as it is drawn
+        for name, column in vars(params).items():
+            column[redo] = vars(fresh)[name]
+        omegas[redo] = rng.uniform(-1.0e9, 1.0e9, size=(redo.size, n_omegas))
 
 
 def check_symmetry(seed: int, tol: float = 1e-12, n_sets: int = 1000) -> InvariantResult:
     """Displacement transfer equals the dagger of the force transfer."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_sets):
-        params, omegas = _well_conditioned_case(rng, 5)
-        b = sideband_blocks(params, omegas).checked()
-        f = _force_entries(params, b)
-        g = _displacement_entries(params, b)
-        dev = np.abs(g - dagger(f)).max(axis=(0, 1)) / np.abs(f).max(axis=(0, 1))
-        worst = max(worst, float(dev.max()))
+    params, omegas = _well_conditioned_cases(np.random.default_rng(seed), n_sets, 5)
+    b = sideband_blocks(params, omegas).checked()
+    f = _force_entries(params, b)
+    g = _displacement_entries(params, b)
+    dev = np.abs(g - dagger(f)).max(axis=(0, 1)) / np.abs(f).max(axis=(0, 1))
+    worst = float(dev.max())
     return InvariantResult(
         "symmetry_g_f", worst <= tol, worst, tol,
         f"{n_sets} random sets x 5 sidebands",
@@ -124,18 +139,15 @@ def check_unitarity(seed: int, tol: float = 1e-10, n_sets: int = 1000) -> Invari
 
     R^dagger R - 1 is formed entry by entry, independent of the BLAS kernel.
     """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_sets):
-        params, omegas = _well_conditioned_case(rng, 5)
-        (r00, r01), (r10, r11) = _scattering_entries(
-            params, sideband_blocks(params, omegas).checked()
-        )
-        col0 = r00.real**2 + r00.imag**2 + (r10.real**2 + r10.imag**2)
-        col1 = r01.real**2 + r01.imag**2 + (r11.real**2 + r11.imag**2)
-        cross = r00.conjugate() * r01 + r10.conjugate() * r11
-        worst = max(worst, float(np.abs(col0 - 1.0).max()),
-                    float(np.abs(col1 - 1.0).max()), float(np.abs(cross).max()))
+    params, omegas = _well_conditioned_cases(np.random.default_rng(seed), n_sets, 5)
+    (r00, r01), (r10, r11) = _scattering_entries(
+        params, sideband_blocks(params, omegas).checked()
+    )
+    col0 = r00.real**2 + r00.imag**2 + (r10.real**2 + r10.imag**2)
+    col1 = r01.real**2 + r01.imag**2 + (r11.real**2 + r11.imag**2)
+    cross = r00.conjugate() * r01 + r10.conjugate() * r11
+    worst = max(float(np.abs(col0 - 1.0).max()), float(np.abs(col1 - 1.0).max()),
+                float(np.abs(cross).max()))
     return InvariantResult(
         "unitarity", worst <= tol, worst, tol,
         f"{n_sets} random sets x 5 sidebands",
@@ -143,35 +155,44 @@ def check_unitarity(seed: int, tol: float = 1e-10, n_sets: int = 1000) -> Invari
 
 
 def _rel_dev(value: np.ndarray, ref: np.ndarray) -> float:
-    """Largest deviation of ``value`` from ``ref``, relative to the largest |ref|."""
-    return float(np.abs(value - ref).max() / np.abs(ref).max())
+    """Worst per-case deviation of (2, N) ``value`` from ``ref``, relative to max |ref|."""
+    return float((np.abs(value - ref).max(axis=0) / np.abs(ref).max(axis=0)).max())
 
 
 def check_oracle(seed: int, tol: float = 1e-10, n_cases: int = 200) -> InvariantResult:
     """Closed forms agree with the dense solve of the raw field equations."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_cases):
-        params, omegas = _well_conditioned_case(rng, 1)
-        omega = params.omega_p + omegas[0]
-        a = PortVector(*(rng.normal(size=2) + 1j * rng.normal(size=2)))
-        e_cl = IntracavityField(*((rng.normal(size=2) + 1j * rng.normal(size=2)) * 1e8))
-        x = 1e-15
+    params, big_omega = _well_conditioned_cases(rng, n_cases, 1)
+    omega = params.omega_p + big_omega
+    pair = (2, n_cases)
+    a = PortVector(*(rng.normal(size=pair) + 1j * rng.normal(size=pair)))
+    e_cl = IntracavityField(*((rng.normal(size=pair) + 1j * rng.normal(size=pair)) * 1e8))
+    x = 1e-15
+    b = sideband_blocks(params, big_omega).checked()
+    r = _scattering_entries(params, b)
 
-        sol = oracle_solve(params, omega, a, 0.0, e_cl)
-        r = scattering_matrix(params, omegas[0])
-        worst = max(worst, _rel_dev(sol.b, r @ a.as_array()))
+    apply = "ijn,jn->in"  # each (2, 2) matrix of a stack times its column
 
-        sol = oracle_solve(params, omega, PortVector(0, 0), x, e_cl)
-        g = 1j * params.k_p * displacement_transfer(params, omegas[0])
-        worst = max(worst, _rel_dev(sol.b, r @ (g @ e_cl.as_array() * x)))
+    sol = oracle_solve(params, omega, a, 0.0, e_cl)
+    worst = _rel_dev(sol.b, np.einsum(apply, r, a.as_array()))
 
-        sol = oracle_solve(params, params.omega_p, a, 0.0, IntracavityField(0, 0))
-        worst = max(worst, _rel_dev(sol.e, classical_fields(params, a).as_array()))
+    sol = oracle_solve(params, omega, PortVector(0, 0), x, e_cl)
+    g = 1j * params.k_p * _displacement_entries(params, b)
+    g_e = np.einsum(apply, g, e_cl.as_array())
+    worst = max(worst, _rel_dev(sol.b, np.einsum(apply, r, g_e * x)))
+
+    sol = oracle_solve(params, params.omega_p, a, 0.0, IntracavityField(0, 0))
+    worst = max(worst, _rel_dev(sol.e, classical_fields(params, a).as_array()))
     return InvariantResult(
         "oracle_equivalence", worst <= tol, worst, tol,
         f"{n_cases} random cases incl. power recycling",
     )
+
+
+def _p1_config() -> RunConfig:
+    """The reference configuration P1, as packaged in ``data/p1.json``."""
+    with resources.as_file(resources.files("msinoise.data") / "p1.json") as path:
+        return load_config(path)
 
 
 def _conv_params(p: float) -> InterferometerParams:
@@ -302,7 +323,6 @@ def check_fdt_kubo(seed: int, tol: float = 1e-8) -> InvariantResult:
     is where a 1e-14 statement is meaningful.
     """
     from .cooling import thermal_spectra
-    from .reference import p1_params, p1_pump
 
     fdt = kubo = 0.0
     for n_t in (0.0, 3.5, 11.0):
@@ -318,8 +338,8 @@ def check_fdt_kubo(seed: int, tol: float = 1e-8) -> InvariantResult:
         ) / (mode.omega_m * mode.h_friction))
     pair_ok = fdt <= 1e-14 and kubo <= 1e-14
 
-    params = p1_params()
-    field = classical_fields(params, p1_pump())
+    cfg = _p1_config()
+    params, field = cfg.params, classical_fields(cfg.params, cfg.pump)
     grid = np.linspace(2 * math.pi * 1e5, 2 * math.pi * 2e6, 20)
     spec = noise_spectra(params, field, grid)
     im_k = spec.k.imag
@@ -416,10 +436,7 @@ def check_coupling_zeros(seed: int, tol: float = 1e-15) -> InvariantResult:
 
 def check_golden(seed: int, tol: float = 0.0) -> InvariantResult:
     """The reference sweep is bit-stable across runs and matches the frozen CSV."""
-    with resources.as_file(
-        resources.files("msinoise.data") / "p1.json"
-    ) as cfg_path:
-        cfg = load_config(cfg_path)
+    cfg = _p1_config()
     golden = resources.files("msinoise.data") / "p1_spectrum_golden.csv"
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -463,8 +480,8 @@ def run_all(
     tol_overrides = tol_overrides or {}
     results = []
     for name, fun in CHECK_NAMES.items():
-        if name in tol_overrides:
-            results.append(fun(seed, tol=float(tol_overrides[name])))
-        else:
-            results.append(fun(seed))
+        kwargs = {"tol": float(tol_overrides[name])} if name in tol_overrides else {}
+        start = time.perf_counter()
+        result = fun(seed, **kwargs)
+        results.append(replace(result, runtime_s=time.perf_counter() - start))
     return results

@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
-from msinoise.reference import p1_params, p1_pump
 from msinoise.scattering import sideband_blocks
+from msinoise.verify import _p1_config
 
 
 @pytest.fixture
 def p1():
-    return p1_params()
+    return _p1_config().params
 
 
 @pytest.fixture
 def p1_drive():
-    return p1_pump()
+    return _p1_config().pump
 
 
 def clear_of_resonance(params, big_omega: float, floor: float = 1e-3) -> bool:

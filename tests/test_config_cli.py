@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from msinoise.cli import main
 from msinoise.config import load_config, parse_config
 from msinoise.errors import ConfigError
 from msinoise.lumped_mode import from_exact, params_for_targets
-from msinoise.reference import p1_params
+from msinoise.scattering import InterferometerParams
 
 P1_CONFIG = {
     "schema": 1,
@@ -66,7 +67,11 @@ def config_for_params(params, sweep, pump=None, **extra):
 class TestConfigParsing:
     def test_p1_round_trip(self):
         cfg = parse_config(P1_CONFIG)
-        assert cfg.params == p1_params()
+        assert cfg.params == InterferometerParams(
+            theta_m=0.15 * math.pi, epsilon=0.02, kappa=0.01,
+            tau_s=1e-9, tau_w=1.1e-9, t_s=0.1, r_s=math.sqrt(0.99),
+            r_w=0.0, t_w=1.0, k_p=2 * math.pi / 1.064e-6,
+        )
         assert cfg.pump.west == 1e8 and cfg.pump.south == 0.0
         assert len(cfg.grid) == 41
 
@@ -321,15 +326,20 @@ class TestCompareCommand:
         sidecar = json.loads((tmp_path / "compare.json").read_text())
         assert any("delta_s" in w for w in sidecar["validity_warnings"])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the 0/0 being refused
     def test_unpumped_config_exits_2_and_writes_nothing(self, tmp_path, capsys):
         raw = json.loads(json.dumps(P1_CONFIG))
         raw["pump"]["west"] = {"power_w": 0.0}  # every relative error is 0/0
         cfg = write_config(tmp_path, raw)
         out = tmp_path / "out"
-        rc = main(["compare", "--config", str(cfg), "--out", str(out)])
+        with warnings.catch_warnings():
+            # outside pytest a warning is printed to stderr ahead of the error
+            warnings.simplefilter("error")
+            rc = main(["compare", "--config", str(cfg), "--out", str(out)])
         assert rc == 2
-        assert "not finite at Omega = 100000000.0 rad/s" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            "error: config field '<root>': the comparison is not finite "
+            "at Omega = 100000000.0 rad/s"
+        ]
         assert not out.exists()
 
     def test_pumped_south_port_leaves_fano_column_nan(self, tmp_path):
@@ -487,3 +497,14 @@ class TestVerifyCommand:
         assert rc == 1
         out = capsys.readouterr()
         assert "FAIL" in out.out and "unitarity" in out.err
+
+    def test_json_lists_every_check(self, capsys):
+        from msinoise.verify import CHECK_NAMES
+
+        assert main(["verify", "--json"]) == 0
+        results = json.loads(capsys.readouterr().out)
+        assert [r["name"] for r in results] == list(CHECK_NAMES)
+        for r in results:
+            assert {"name", "passed", "measured", "tolerance", "runtime_s"} <= r.keys()
+            assert r["passed"] is True and r["measured"] <= r["tolerance"]
+            assert r["runtime_s"] > 0.0

@@ -8,6 +8,7 @@ from msinoise.algebra import dagger, solve_dense
 from msinoise.errors import OpticalSingularity
 from msinoise.lumped_mode import params_for_targets
 from msinoise.radiation_pressure import force_transfer
+from msinoise.radiation_pressure import _force_entries
 from msinoise.scattering import (
     HBAR,
     K_BOLTZMANN,
@@ -15,6 +16,8 @@ from msinoise.scattering import (
     InterferometerParams,
     IntracavityField,
     PortVector,
+    _displacement_entries,
+    _scattering_entries,
     classical_fields,
     displacement_transfer,
     mode_mixer,
@@ -22,7 +25,7 @@ from msinoise.scattering import (
     scattering_matrix,
     sideband_blocks,
 )
-from msinoise.verify import _random_params
+from msinoise.verify import _per_point, _random_params
 
 # intracavity amplitudes of the reference configuration, frozen from the
 # dense-solver oracle (oracle_solve at the pump frequency, dark south port)
@@ -288,3 +291,96 @@ class TestOracle:
             expected = scattering_matrix(prm, big_omega) @ a.as_array()
             assert np.abs(sol.b - expected).max() <= 1e-10 * np.abs(expected).max()
             checked += 1
+
+
+def one_set(params, i):
+    """Set i of (N,) array params, as the float params of a point-wise caller."""
+    return InterferometerParams(**{name: float(v[i]) for name, v in vars(params).items()})
+
+
+def worst_rel(batch, scalar):
+    """Largest |batch - scalar| of a (..., N) pair, relative to the largest
+    |scalar| at the same point."""
+    axes = tuple(range(np.ndim(scalar) - 1))
+    return float((np.abs(batch - scalar).max(axis=axes) / np.abs(scalar).max(axis=axes)).max())
+
+
+class TestBatchedParams:
+    """(N,) array params against per-set calls with float params."""
+
+    N_SETS, N_OMEGAS = 300, 5
+
+    def test_kernel_entries_and_fields_match_per_set_calls(self):
+        rng = np.random.default_rng(15)
+        sets = _random_params(rng, self.N_SETS)
+        omegas = rng.uniform(-1e9, 1e9, size=(self.N_SETS, self.N_OMEGAS))
+        params = _per_point(sets, self.N_OMEGAS)
+        b = sideband_blocks(params, omegas.ravel())
+        entries = (_force_entries, _displacement_entries, _scattering_entries)
+        batched = [f(params, b) for f in entries]
+        pump = PortVector(*(rng.normal(size=(2, self.N_SETS))
+                            + 1j * rng.normal(size=(2, self.N_SETS))) * 1e8)
+        fields = classical_fields(sets, pump)
+        assert fields.e_plus.shape == (self.N_SETS,)
+        worst = dict.fromkeys(["d", "cf", *(f.__name__ for f in entries)], 0.0)
+        for i in range(self.N_SETS):
+            single = one_set(sets, i)
+            bs = sideband_blocks(single, omegas[i])
+            at = slice(i * self.N_OMEGAS, (i + 1) * self.N_OMEGAS)
+            worst["d"] = max(worst["d"], worst_rel(b.d[at][None], bs.d[None]))
+            for f, stack in zip(entries, batched):
+                worst[f.__name__] = max(worst[f.__name__],
+                                        worst_rel(stack[:, :, at], f(single, bs)))
+            field = classical_fields(single, PortVector(pump.west[i], pump.south[i]))
+            assert isinstance(field.e_plus, complex)
+            worst["cf"] = max(worst["cf"], worst_rel(fields.as_array()[:, i:i + 1],
+                                                     field.as_array()[:, None]))
+        assert max(worst.values()) <= 1e-14, worst
+
+    def test_stacked_oracle_matches_per_case_calls(self):
+        rng = np.random.default_rng(16)
+        n = 60
+        sets = _random_params(rng, n)
+        omega = sets.omega_p + rng.uniform(-1e9, 1e9, n)
+        inputs = PortVector(*(rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))))
+        field = IntracavityField(*(rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))) * 1e8)
+        x = rng.uniform(0.0, 1e-15, n)
+        stacked = oracle_solve(sets, omega, inputs, x, field)
+        for i in range(n):
+            single = oracle_solve(
+                one_set(sets, i), float(omega[i]),
+                PortVector(inputs.west[i], inputs.south[i]), float(x[i]),
+                IntracavityField(field.e_plus[i], field.e_minus[i]),
+            )
+            for name in "bcdef":
+                ref = getattr(single, name)
+                assert ref.shape == (2,)
+                assert worst_rel(getattr(stacked, name)[:, i:i + 1], ref[:, None]) <= 1e-13
+
+    def test_float_and_array_fields_mix(self):
+        rng = np.random.default_rng(18)
+        theta = rng.uniform(0.0, math.pi / 2, 7)
+        mixed = params_simple(theta_m=theta, epsilon=0.1, kappa=0.3, r_s=0.8, t_s=0.6)
+        b = sideband_blocks(mixed, np.full(7, 2e6))
+        for i in range(7):
+            single = params_simple(theta_m=float(theta[i]), epsilon=0.1, kappa=0.3,
+                                   r_s=0.8, t_s=0.6)
+            bs = sideband_blocks(single, np.array([2e6]))
+            assert worst_rel(b.d_e[:, :, i:i + 1], bs.d_e) <= 1e-14
+        west = rng.normal(size=7) * 1e8
+        np.testing.assert_array_equal(
+            classical_fields(mixed, PortVector(west, 0.0)).as_array(),
+            classical_fields(mixed, PortVector(west, np.zeros(7))).as_array(),
+        )
+
+    @pytest.mark.parametrize("field, value", [
+        ("theta_m", -0.1), ("theta_m", math.pi / 2 + 1e-9), ("epsilon", math.pi / 4),
+        ("r_s", 0.5), ("tau_s", 0.0), ("tau_w", -1e-9),
+    ])
+    def test_one_out_of_range_entry_raises(self, field, value):
+        good = vars(_random_params(np.random.default_rng(17), 8))
+        bad = dict(good, **{field: good[field].copy()})
+        bad[field][5] = value
+        InterferometerParams(**good)
+        with pytest.raises(ValueError):
+            InterferometerParams(**bad)

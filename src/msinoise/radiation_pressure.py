@@ -73,7 +73,7 @@ def _force_entries(params: InterferometerParams, b: SidebandBlocks) -> np.ndarra
     """F = 2 R_m X (M Q - Q* R_breve) T_tilde / d, shape (2, 2, N)."""
     (c, s), m = b.mixer, b.membrane
     (rho_w, rho_s), (t_w, t_s) = b.r_tilde, b.t_tilde
-    k = 2 * params.r_m / b.d
+    k = 2 * m.real / b.d
     return np.array([
         [k * (m.conjugate() * s - s.conjugate() * rho_s) * t_w,
          k * (m.conjugate() * c.conjugate() - c * rho_w) * t_s],
@@ -92,7 +92,7 @@ def _spring_entries(params: InterferometerParams, b: SidebandBlocks) -> np.ndarr
     rho_w, rho_s = b.r_tilde
     both = rho_w * rho_s
     cross = c * s * rho_w - (c * s).conjugate() * rho_s
-    k = -4j * params.r_m**2 / b.d
+    k = -4j * m.real**2 / b.d
     gen = np.array([
         [k * (m.conjugate() * (s * s * rho_w + c.conjugate() ** 2 * rho_s) - both),
          k * m.conjugate() * cross],

@@ -86,15 +86,15 @@ class InterferometerParams:
     def __post_init__(self):
         # the float tests, entrywise: any failing entry raises, and NaN as before
         for name, r, t in (("s", self.r_s, self.t_s), ("w", self.r_w, self.t_w)):
-            if np.any(abs(r * r + t * t - 1.0) > 1e-12):
+            if np.asarray(abs(r * r + t * t - 1.0) > 1e-12).any():
                 raise ValueError(f"r_{name}^2 + t_{name}^2 = {r * r + t * t!r} != 1")
-            if np.any((r < 0) | (t < 0)):
+            if np.asarray((r < 0) | (t < 0)).any():
                 raise ValueError(f"r_{name}, t_{name} must be non-negative")
-        if not np.all((0.0 <= self.theta_m) & (self.theta_m <= math.pi / 2)):
+        if not np.asarray((0.0 <= self.theta_m) & (self.theta_m <= math.pi / 2)).all():
             raise ValueError(f"theta_m = {self.theta_m!r} outside [0, pi/2]")
-        if not np.all(abs(self.epsilon) < math.pi / 4):
+        if not np.asarray(abs(self.epsilon) < math.pi / 4).all():
             raise ValueError(f"|epsilon| = {abs(self.epsilon)!r} >= pi/4")
-        if np.any((self.tau_s <= 0) | (self.tau_w <= 0) | (self.k_p <= 0)):
+        if np.asarray((self.tau_s <= 0) | (self.tau_w <= 0) | (self.k_p <= 0)).any():
             raise ValueError("tau_s, tau_w and k_p must be positive")
 
     @property
@@ -218,7 +218,8 @@ def sideband_blocks(
     r_tilde = _pair(params.r_w, params.r_s) * phases * phases
     t_tilde = _pair(params.t_w, params.t_s) * phases
     c, s = _mixer(params)
-    m = params.r_m + 1j * params.t_m  # e^{i theta_m}, parts exactly cos and sin
+    r_m, t_m = _cos_sin(params.theta_m)
+    m = r_m + 1j * t_m  # e^{i theta_m}; m.real is exactly R_m
     rho_w, rho_s = r_tilde
     d_e = np.array([
         [c.conjugate() - rho_w * (c * m), s.conjugate() - rho_w * (s * m.conjugate())],
@@ -255,7 +256,7 @@ def _displacement_entries(params: InterferometerParams, b: SidebandBlocks) -> np
     shape (2, 2, N)."""
     (c, s), m = b.mixer, b.membrane
     (rho_w, rho_s), (t_w, t_s) = b.r_tilde.conj(), b.t_tilde.conj()
-    k = 2 * params.r_m / b.d.conj()
+    k = 2 * m.real / b.d.conj()
     return np.array([
         [k * t_w * (s.conjugate() * m - rho_s * s),
          k * t_w * (c.conjugate() * m.conjugate() - rho_s * c)],

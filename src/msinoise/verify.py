@@ -3,10 +3,13 @@
 Each check returns an InvariantResult; `run_all` drives the fixed list.
 The same functions back the CLI `verify` subcommand and the acceptance
 test module, so there is exactly one definition of every tolerance.
+Each random ensemble is evaluated once, by its conditioning screen; `run_all`
+shares one between ``symmetry_g_f`` and ``unitarity``, then drops it.
 """
 from __future__ import annotations
 
 import filecmp
+import functools
 import math
 import tempfile
 import time
@@ -104,26 +107,35 @@ def _well_conditioned_cases(rng, n_sets: int, n_omegas: int, floor: float = 1e-3
     """``n_sets`` random sets with ``n_omegas`` sidebands each, redrawing only
     the sets with |det D_e| < ``floor`` at a sideband or the carrier, so
     oracle-vs-closed-form comparisons are not dominated by conditioning.
-    Returns the sets per sideband point and the flat sidebands.
+    Returns the sets per sideband point, the flat sidebands and the checked
+    blocks there; nothing is kept between calls (`run_all` shares a result).
     """
     params = _random_params(rng, n_sets)
     omegas = rng.uniform(-1.0e9, 1.0e9, size=(n_sets, n_omegas))
     while True:
-        grid = np.append(omegas, np.zeros((n_sets, 1)), axis=1)  # sidebands, carrier
-        d = sideband_blocks(_per_point(params, n_omegas + 1), grid.ravel()).d
-        redo = np.flatnonzero(np.abs(d).reshape(n_sets, -1).min(axis=1) < floor)
+        points = _per_point(params, n_omegas)
+        blocks = sideband_blocks(points, omegas.ravel())
+        carrier = sideband_blocks(params, np.zeros(n_sets)).d
+        worst = np.minimum(np.abs(blocks.d).reshape(n_sets, n_omegas).min(axis=1),
+                           np.abs(carrier))
+        redo = np.flatnonzero(worst < floor)
         if redo.size == 0:
-            return _per_point(params, n_omegas), omegas.ravel()
+            return points, omegas.ravel(), blocks.checked()
         fresh = _random_params(rng, redo.size)  # validated as it is drawn
         for name, column in vars(params).items():
             column[redo] = vars(fresh)[name]
         omegas[redo] = rng.uniform(-1.0e9, 1.0e9, size=(redo.size, n_omegas))
 
 
-def check_symmetry(seed: int, tol: float = 1e-12, n_sets: int = 1000) -> InvariantResult:
+def _structural_cases(seed: int, n_sets: int):
+    """The ensemble of `check_symmetry` and `check_unitarity`, their default ``draw``."""
+    return _well_conditioned_cases(np.random.default_rng(seed), n_sets, 5)
+
+
+def check_symmetry(seed: int, tol: float = 1e-12, n_sets: int = 1000, *,
+                   draw=_structural_cases) -> InvariantResult:
     """Displacement transfer equals the dagger of the force transfer."""
-    params, omegas = _well_conditioned_cases(np.random.default_rng(seed), n_sets, 5)
-    b = sideband_blocks(params, omegas).checked()
+    params, _, b = draw(seed, n_sets)
     f = _force_entries(params, b)
     g = _displacement_entries(params, b)
     dev = np.abs(g - dagger(f)).max(axis=(0, 1)) / np.abs(f).max(axis=(0, 1))
@@ -134,15 +146,14 @@ def check_symmetry(seed: int, tol: float = 1e-12, n_sets: int = 1000) -> Invaria
     )
 
 
-def check_unitarity(seed: int, tol: float = 1e-10, n_sets: int = 1000) -> InvariantResult:
+def check_unitarity(seed: int, tol: float = 1e-10, n_sets: int = 1000, *,
+                    draw=_structural_cases) -> InvariantResult:
     """The two-port scattering matrix is unitary (lossless network).
 
     R^dagger R - 1 is formed entry by entry, independent of the BLAS kernel.
     """
-    params, omegas = _well_conditioned_cases(np.random.default_rng(seed), n_sets, 5)
-    (r00, r01), (r10, r11) = _scattering_entries(
-        params, sideband_blocks(params, omegas).checked()
-    )
+    params, _, b = draw(seed, n_sets)
+    (r00, r01), (r10, r11) = _scattering_entries(params, b)
     col0 = r00.real**2 + r00.imag**2 + (r10.real**2 + r10.imag**2)
     col1 = r01.real**2 + r01.imag**2 + (r11.real**2 + r11.imag**2)
     cross = r00.conjugate() * r01 + r10.conjugate() * r11
@@ -162,21 +173,19 @@ def _rel_dev(value: np.ndarray, ref: np.ndarray) -> float:
 def check_oracle(seed: int, tol: float = 1e-10, n_cases: int = 200) -> InvariantResult:
     """Closed forms agree with the dense solve of the raw field equations."""
     rng = np.random.default_rng(seed)
-    params, big_omega = _well_conditioned_cases(rng, n_cases, 1)
-    omega = params.omega_p + big_omega
+    params, _, b = _well_conditioned_cases(rng, n_cases, 1)
     pair = (2, n_cases)
     a = PortVector(*(rng.normal(size=pair) + 1j * rng.normal(size=pair)))
     e_cl = IntracavityField(*((rng.normal(size=pair) + 1j * rng.normal(size=pair)) * 1e8))
     x = 1e-15
-    b = sideband_blocks(params, big_omega).checked()
     r = _scattering_entries(params, b)
 
     apply = "ijn,jn->in"  # each (2, 2) matrix of a stack times its column
 
-    sol = oracle_solve(params, omega, a, 0.0, e_cl)
+    sol = oracle_solve(params, b.omega, a, 0.0, e_cl)
     worst = _rel_dev(sol.b, np.einsum(apply, r, a.as_array()))
 
-    sol = oracle_solve(params, omega, PortVector(0, 0), x, e_cl)
+    sol = oracle_solve(params, b.omega, PortVector(0, 0), x, e_cl)
     g = 1j * params.k_p * _displacement_entries(params, b)
     g_e = np.einsum(apply, g, e_cl.as_array())
     worst = max(worst, _rel_dev(sol.b, np.einsum(apply, r, g_e * x)))
@@ -478,10 +487,15 @@ def run_all(
 ) -> list[InvariantResult]:
     """Run every invariant check; tolerance overrides are keyed by name."""
     tol_overrides = tol_overrides or {}
+    draw = functools.lru_cache(maxsize=1)(_structural_cases)  # this call only
     results = []
     for name, fun in CHECK_NAMES.items():
         kwargs = {"tol": float(tol_overrides[name])} if name in tol_overrides else {}
+        if name in ("symmetry_g_f", "unitarity"):  # drawn by the first
+            kwargs["draw"] = draw
         start = time.perf_counter()
         result = fun(seed, **kwargs)
         results.append(replace(result, runtime_s=time.perf_counter() - start))
+        if name == "unitarity":
+            draw.cache_clear()
     return results

@@ -5,7 +5,8 @@ model), `cooling` (occupancy report, optionally with pump optimisation),
 `verify` (the invariant suite).  Exit codes: 0 success, 1 invariant
 failure, 2 configuration error (including inputs whose results overflow
 double precision), 3 optical singularity over more than 10% of the grid,
-4 anti-damped (unstable) system.
+4 anti-damped (unstable) system.  `verify --config` maps check names to
+non-negative numbers in `verify_tolerances`; any other input exits 2.
 """
 from __future__ import annotations
 
@@ -15,10 +16,10 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .config import load_config
+from .config import load_config, load_tolerances
 from .errors import ConfigError, OpticalSingularity, UnstableSystem
 from .outputs import run_compare, run_cooling, run_spectrum
-from .verify import DEFAULT_SEED, run_all
+from .verify import CHECK_NAMES, DEFAULT_SEED, run_all
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -37,8 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        p.add_argument("--config", type=Path, required=needs_config,
+    def common(p):
+        p.add_argument("--config", type=Path, required=True,
                        help="JSON run configuration (SI units)")
         p.add_argument("--out", type=Path, default=Path("."),
                        help="output directory (default: current)")
@@ -56,7 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the invariant suite")
     p_ver.add_argument("--config", type=Path, default=None,
-                       help="optional JSON with a verify_tolerances object")
+                       help="optional JSON whose verify_tolerances object maps "
+                       "check names to non-negative numbers; anything else exits 2")
     p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="seed for the randomized ensembles")
     p_ver.add_argument("--json", action="store_true",
@@ -101,15 +103,7 @@ def _cmd_cooling(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    overrides = {}
-    if args.config is not None:
-        try:
-            raw = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError("<file>", str(exc)) from exc
-        overrides = raw.get("verify_tolerances", {})
-        if not isinstance(overrides, dict):
-            raise ConfigError("verify_tolerances", "must be an object")
+    overrides = {} if args.config is None else load_tolerances(args.config, CHECK_NAMES)
     results = run_all(seed=args.seed, tol_overrides=overrides)
     if args.json:
         print(json.dumps([asdict(result) for result in results]))

@@ -2,7 +2,8 @@
 
 Lengths are in meters (converted to one-way times with the exact speed of
 light), powers in watts, frequencies in rad/s.  Each pump port takes
-either power + phase or a raw complex amplitude, never both.
+either power + phase or a raw complex amplitude, never both.  This module
+is the one reader of user JSON, for every subcommand.
 """
 from __future__ import annotations
 
@@ -17,14 +18,14 @@ from .cooling import MechanicalMode
 from .errors import ConfigError
 from .scattering import HBAR, SPEED_OF_LIGHT, InterferometerParams, PortVector
 
-__all__ = ["RunConfig", "parse_config", "load_config", "config_digest"]
+__all__ = ["RunConfig", "parse_config", "load_config", "load_tolerances", "config_digest"]
 
 SCHEMA_VERSION = 1
 
 #: largest sweep, checked before the grid is allocated
 MAX_POINTS = 1_000_000
 
-#: every key a section may hold (verify_tolerances is read by `msinoise verify`)
+#: every key a section may hold (verify_tolerances is read by `load_tolerances`)
 _KEYS = {
     "<root>": ("schema", "interferometer", "pump", "sweep", "mechanical",
                "tolerances", "optimize", "verify_tolerances"),
@@ -77,10 +78,19 @@ def _is_finite_number(value) -> bool:
         return False
 
 
+def _section(parent: dict, name: str, required=True, keys=None) -> dict:
+    """The object ``parent[name]`` with its keys checked; {} if optional and absent."""
+    section = _get(parent, name, "<root>", required, default={})
+    if not isinstance(section, dict):
+        raise ConfigError(name, "must be an object")
+    _known_keys(section, name, keys)
+    return section
+
+
 def _number(section: dict, key: str, path: str, required=True, default=None):
-    value = _get(section, key, path, required, default)
-    if value is default and not required:
+    if key not in section and not required:
         return default
+    value = _get(section, key, path)
     if not _is_finite_number(value):
         raise ConfigError(f"{path}.{key}", f"expected a finite number, got {value!r}")
     return float(value)
@@ -169,10 +179,7 @@ def parse_config(raw: dict) -> RunConfig:
     if schema != SCHEMA_VERSION:
         raise ConfigError("schema", f"unsupported schema {schema!r}")
 
-    ifo = _get(raw, "interferometer", "<root>")
-    if not isinstance(ifo, dict):
-        raise ConfigError("interferometer", "must be an object")
-    _known_keys(ifo, "interferometer")
+    ifo = _section(raw, "interferometer")
     wavelength = _number(ifo, "wavelength_m", "interferometer")
     if wavelength <= 0.0:
         raise ConfigError("interferometer.wavelength_m", f"{wavelength!r} <= 0")
@@ -194,10 +201,7 @@ def parse_config(raw: dict) -> RunConfig:
     except ValueError as exc:
         raise ConfigError("interferometer", str(exc)) from exc
 
-    pump_sec = _get(raw, "pump", "<root>")
-    if not isinstance(pump_sec, dict):
-        raise ConfigError("pump", "must be an object")
-    _known_keys(pump_sec, "pump")
+    pump_sec = _section(raw, "pump")
     ports = {}
     for port in ("west", "south"):
         sec = _get(pump_sec, port, "pump", required=False, default={"power_w": 0.0})
@@ -206,43 +210,23 @@ def parse_config(raw: dict) -> RunConfig:
         ports[port] = _port_amplitude(sec, f"pump.{port}", params.omega_p)
     pump = PortVector(west=ports["west"], south=ports["south"])
 
-    sweep = _get(raw, "sweep", "<root>")
-    if not isinstance(sweep, dict):
-        raise ConfigError("sweep", "must be an object")
-    _known_keys(sweep, "sweep")
-    grid = _sweep_grid(sweep, "sweep")
+    grid = _sweep_grid(_section(raw, "sweep"), "sweep")
 
     mech = None
     if "mechanical" in raw:
-        sec = raw["mechanical"]
-        if not isinstance(sec, dict):
-            raise ConfigError("mechanical", "must be an object")
-        _known_keys(sec, "mechanical")
-        has_t = "temperature_k" in sec
-        has_n = "n_thermal" in sec
-        if has_t == has_n:
-            raise ConfigError(
-                "mechanical", "give exactly one of temperature_k, n_thermal"
-            )
+        sec = _section(raw, "mechanical")
         try:
             mech = MechanicalMode(
                 omega_m=_number(sec, "omega_m_rad_s", "mechanical"),
                 h_friction=_number(sec, "h_friction_kg_s", "mechanical"),
-                temperature=_number(sec, "temperature_k", "mechanical", required=has_t)
-                if has_t
-                else None,
-                n_thermal=_number(sec, "n_thermal", "mechanical", required=has_n)
-                if has_n
-                else None,
+                temperature=_number(sec, "temperature_k", "mechanical", required=False),
+                n_thermal=_number(sec, "n_thermal", "mechanical", required=False),
                 mass=_number(sec, "mass_kg", "mechanical", required=False),
             )
         except ValueError as exc:
             raise ConfigError("mechanical", str(exc)) from exc
 
-    tol_sec = raw.get("tolerances", {})
-    if not isinstance(tol_sec, dict):
-        raise ConfigError("tolerances", "must be an object")
-    _known_keys(tol_sec, "tolerances")
+    tol_sec = _section(raw, "tolerances", required=False)
     det_tol = _number(tol_sec, "det_tol", "tolerances", required=False)
     if det_tol is not None and det_tol < 0.0:
         raise ConfigError("tolerances.det_tol", f"{det_tol!r} is negative")
@@ -251,11 +235,10 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("tolerances.det_tol",
                           f"{det_tol!r} marks every point singular; it must be below 0.25")
 
-    opt_sec = raw.get("optimize", {})
-    if not isinstance(opt_sec, dict):
-        raise ConfigError("optimize", "must be an object")
-    _known_keys(opt_sec, "optimize")
+    opt_sec = _section(raw, "optimize", required=False)
     energy_budget = _number(opt_sec, "energy_budget", "optimize", required=False)
+    if energy_budget is not None and energy_budget <= 0.0:
+        raise ConfigError("optimize.energy_budget", f"{energy_budget!r} is not positive")
     constraint = opt_sec.get("constraint", "intracavity")
     if constraint not in ("intracavity", "injected"):
         raise ConfigError("optimize.constraint", f"unknown constraint {constraint!r}")
@@ -272,15 +255,33 @@ def parse_config(raw: dict) -> RunConfig:
     )
 
 
-def load_config(path: str | Path) -> RunConfig:
-    """Parse a JSON configuration file."""
+def _read_json(path: str | Path):
+    """The JSON value in file ``path``."""
     try:
-        raw = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError("<file>", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError("<file>", f"invalid JSON in {path}: {exc}") from exc
-    return parse_config(raw)
+
+
+def load_config(path: str | Path) -> RunConfig:
+    """Parse a JSON configuration file."""
+    return parse_config(_read_json(path))
+
+
+def load_tolerances(path: str | Path, names) -> dict[str, float]:
+    """The ``verify_tolerances`` of a JSON file: names from ``names``, values >= 0."""
+    raw = _read_json(path)
+    if not isinstance(raw, dict):
+        raise ConfigError("<root>", "top level must be an object")
+    _known_keys(raw, "<root>")
+    section = _section(raw, "verify_tolerances", required=False, keys=names)
+    tolerances = {name: _number(section, name, "verify_tolerances") for name in section}
+    for name, tol in tolerances.items():
+        if tol < 0.0:
+            raise ConfigError(f"verify_tolerances.{name}", f"{tol!r} is negative")
+    return tolerances
 
 
 def config_digest(echo: dict) -> str:

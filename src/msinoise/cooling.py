@@ -45,6 +45,9 @@ __all__ = [
     "spring_shifted_frequency",
 ]
 
+#: margin each simplifying inequality needs for the one-line occupancy
+REGIME_MARGIN = 10.0
+
 
 def thermal_occupation(temperature: float, omega: float) -> float:
     """Bose occupation n_T = 1 / (exp(hbar|Omega|/kT) - 1).
@@ -85,6 +88,8 @@ class MechanicalMode:
             raise ValueError(f"h_friction = {self.h_friction!r} must be positive")
         if (self.temperature is None) == (self.n_thermal is None):
             raise ValueError("give exactly one of temperature, n_thermal")
+        if self.temperature is not None and not self.temperature > 0.0:
+            raise ValueError(f"temperature = {self.temperature!r} K must be positive")
         if self.n_thermal is not None and self.n_thermal < 0.0:
             raise ValueError(f"n_thermal = {self.n_thermal!r} must be >= 0")
 
@@ -112,21 +117,20 @@ class RegimeFlags:
     """Margins of the simplifying inequalities behind the one-line occupancy.
 
     Each margin is "how many times over" the inequality holds; a margin of
-    at least `required` on all three justifies
+    at least `REGIME_MARGIN` on all three justifies
     n ~= s_thermal(-) / s_force(+).
     """
 
     thermal_asymmetry: float    # s_t(+-) / (s_t(+) - s_t(-))
     force_asymmetry: float      # s_f(+) / s_f(-)
     weak_backaction: float      # s_t(-) / s_f(-)
-    required: float = 10.0
 
     @property
     def ok(self) -> bool:
         return (
-            self.thermal_asymmetry >= self.required
-            and self.force_asymmetry >= self.required
-            and self.weak_backaction >= self.required
+            self.thermal_asymmetry >= REGIME_MARGIN
+            and self.force_asymmetry >= REGIME_MARGIN
+            and self.weak_backaction >= REGIME_MARGIN
         )
 
 

@@ -47,8 +47,11 @@ __all__ = [
     "strip_propagation_phases",
 ]
 
-#: default smallness threshold for the validity flags
+#: smallness threshold for the validity flags
 VALIDITY_THRESHOLD = 0.05
+
+#: south path time of every `params_for_targets` configuration, s
+TARGET_TAU_S = 1.0e-9
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,6 @@ class ValidityReport:
     t_s_squared: float
     detuning_phase: float       # |delta_s| * tau_s
     p_squared: float
-    threshold: float
     warnings: tuple[str, ...]
 
     @property
@@ -133,10 +135,7 @@ def asymmetry_rates(
     return gamma_m, delta_m
 
 
-def from_exact(
-    params: InterferometerParams,
-    threshold: float = VALIDITY_THRESHOLD,
-) -> LumpedParams:
+def from_exact(params: InterferometerParams) -> LumpedParams:
     """Extract the effective mode parameters from an exact configuration.
 
     The south detuning is read off the round trip of the differential
@@ -154,19 +153,18 @@ def from_exact(
     warnings = []
     t_s_sq = params.t_s**2
     det_phase = abs(delta_s) * params.tau_s
-    if t_s_sq > threshold:
-        warnings.append(f"t_s^2 = {t_s_sq:.3g} exceeds {threshold}")
-    if det_phase > threshold:
-        warnings.append(f"|delta_s| tau_s = {det_phase:.3g} exceeds {threshold}")
-    if p**2 > threshold:
-        warnings.append(f"p^2 = {p**2:.3g} exceeds {threshold}")
+    if t_s_sq > VALIDITY_THRESHOLD:
+        warnings.append(f"t_s^2 = {t_s_sq:.3g} exceeds {VALIDITY_THRESHOLD}")
+    if det_phase > VALIDITY_THRESHOLD:
+        warnings.append(f"|delta_s| tau_s = {det_phase:.3g} exceeds {VALIDITY_THRESHOLD}")
+    if p**2 > VALIDITY_THRESHOLD:
+        warnings.append(f"p^2 = {p**2:.3g} exceeds {VALIDITY_THRESHOLD}")
     if params.r_w != 0.0:
         warnings.append("power recycling present (r_w > 0); reduction assumes r_w = 0")
     report = ValidityReport(
         t_s_squared=t_s_sq,
         detuning_phase=det_phase,
         p_squared=p**2,
-        threshold=threshold,
         warnings=tuple(warnings),
     )
     return LumpedParams(
@@ -183,27 +181,21 @@ def from_exact(
 
 
 def params_for_targets(
-    gamma_s: float,
-    delta_s: float,
-    theta_m: float,
-    p: float,
-    alpha: float,
-    tau_s: float = 1.0e-9,
-    tau_w: float = 1.1e-9,
-    wavelength_hint: float = 1.064e-6,
+    gamma_s: float, delta_s: float, theta_m: float, p: float, alpha: float
 ) -> InterferometerParams:
     """Build an exact configuration hitting given effective-mode targets.
 
-    Chooses t_s = sqrt(4 gamma_s tau_s) and tunes the pump frequency so
-    the differential-mode round trip satisfies
-    2 omega_p tau_s - theta_m = 2 delta_s tau_s exactly, on the free
-    spectral range closest to ``wavelength_hint``.  Round-trips with
-    `from_exact` by construction.
+    Chooses t_s = sqrt(4 gamma_s tau_s) at tau_s = `TARGET_TAU_S` (tau_w =
+    1.1 ns) and tunes the pump frequency so the differential-mode round trip
+    satisfies 2 omega_p tau_s - theta_m = 2 delta_s tau_s exactly, on the
+    free spectral range closest to 1064 nm.  Round-trips with `from_exact`
+    by construction.
     """
+    tau_s = TARGET_TAU_S
     t_s = math.sqrt(4.0 * gamma_s * tau_s)
     if not t_s < 1.0:
         raise ValueError(f"gamma_s = {gamma_s!r} needs t_s >= 1")
-    omega_hint = 2.0 * math.pi * SPEED_OF_LIGHT / wavelength_hint
+    omega_hint = 2.0 * math.pi * SPEED_OF_LIGHT / 1.064e-6
     n = round((omega_hint * tau_s - theta_m / 2.0 - delta_s * tau_s) / (2.0 * math.pi))
     omega_p = (2.0 * math.pi * n + theta_m / 2.0 + delta_s * tau_s) / tau_s
     return InterferometerParams(
@@ -211,7 +203,7 @@ def params_for_targets(
         epsilon=p * math.cos(alpha),
         kappa=p * math.sin(alpha),
         tau_s=tau_s,
-        tau_w=tau_w,
+        tau_w=1.1e-9,
         r_s=math.sqrt(1.0 - t_s**2),
         t_s=t_s,
         r_w=0.0,

@@ -171,7 +171,8 @@ def run_cooling(cfg: RunConfig, out_dir: Path, optimize: bool = False) -> dict:
     """Occupancy report -> cooling.json (+ landscape.csv with optimisation).
 
     Raises UnstableSystem for anti-damped configurations; the CLI maps
-    that to its own exit code.  Every result and the sidecar are computed
+    that to its own exit code.  Raises ConfigError if a number of the
+    report is not finite.  Every result and the sidecar are computed
     before the first file is written, so an error leaves no partial output.
     """
     mode = cfg.mechanical
@@ -205,6 +206,8 @@ def run_cooling(cfg: RunConfig, out_dir: Path, optimize: bool = False) -> dict:
         budget = cfg.energy_budget
         if budget is None:
             budget = float(np.abs(e[0]) ** 2 + np.abs(e[1]) ** 2)
+            if not budget > 0.0:
+                raise ConfigError("optimize.energy_budget", "the pump carries no energy")
         opt = optimize_pump(
             cfg.params,
             mode,
@@ -223,6 +226,10 @@ def run_cooling(cfg: RunConfig, out_dir: Path, optimize: bool = False) -> dict:
             "e_minus": [e_opt[1].real, e_opt[1].imag],
         }
 
+    try:  # strict JSON has no NaN or Infinity; only the regime margins may be infinite
+        json.dumps({**report, "regime_flags": None}, allow_nan=False, default=_json_default)
+    except ValueError as exc:
+        raise ConfigError("<root>", "the cooling report is not finite") from exc
     sidecar = _sidecar(cfg, "cooling", report=report)
     out_dir.mkdir(parents=True, exist_ok=True)
     if optimize:

@@ -23,6 +23,7 @@ from .algebra import dagger
 from .config import RunConfig, load_config
 from .cooling import MechanicalMode, occupancy, occupancy_simplified, optimize_pump
 from .lumped_mode import (
+    TARGET_TAU_S,
     canonical_spectra,
     coupling_constants,
     fano_spectrum,
@@ -47,6 +48,8 @@ from .scattering import (
 __all__ = ["InvariantResult", "run_all", "CHECK_NAMES"]
 
 DEFAULT_SEED = 20240915
+_STRUCTURAL_SETS = 1000  # random sets of the symmetry/unitarity ensemble
+_ORACLE_CASES = 200  # random cases of the oracle check
 
 #: angles/rates of the reduced-model convergence configuration; chosen with
 #: all trigonometric factors O(1) so no matrix entry is accidentally small
@@ -127,32 +130,30 @@ def _well_conditioned_cases(rng, n_sets: int, n_omegas: int, floor: float = 1e-3
         omegas[redo] = rng.uniform(-1.0e9, 1.0e9, size=(redo.size, n_omegas))
 
 
-def _structural_cases(seed: int, n_sets: int):
+def _structural_cases(seed: int):
     """The ensemble of `check_symmetry` and `check_unitarity`, their default ``draw``."""
-    return _well_conditioned_cases(np.random.default_rng(seed), n_sets, 5)
+    return _well_conditioned_cases(np.random.default_rng(seed), _STRUCTURAL_SETS, 5)
 
 
-def check_symmetry(seed: int, tol: float = 1e-12, n_sets: int = 1000, *,
-                   draw=_structural_cases) -> InvariantResult:
+def check_symmetry(seed: int, tol: float = 1e-12, *, draw=_structural_cases) -> InvariantResult:
     """Displacement transfer equals the dagger of the force transfer."""
-    params, _, b = draw(seed, n_sets)
+    params, _, b = draw(seed)
     f = _force_entries(params, b)
     g = _displacement_entries(params, b)
     dev = np.abs(g - dagger(f)).max(axis=(0, 1)) / np.abs(f).max(axis=(0, 1))
     worst = float(dev.max())
     return InvariantResult(
         "symmetry_g_f", worst <= tol, worst, tol,
-        f"{n_sets} random sets x 5 sidebands",
+        f"{_STRUCTURAL_SETS} random sets x 5 sidebands",
     )
 
 
-def check_unitarity(seed: int, tol: float = 1e-10, n_sets: int = 1000, *,
-                    draw=_structural_cases) -> InvariantResult:
+def check_unitarity(seed: int, tol: float = 1e-10, *, draw=_structural_cases) -> InvariantResult:
     """The two-port scattering matrix is unitary (lossless network).
 
     R^dagger R - 1 is formed entry by entry, independent of the BLAS kernel.
     """
-    params, _, b = draw(seed, n_sets)
+    params, _, b = draw(seed)
     (r00, r01), (r10, r11) = _scattering_entries(params, b)
     col0 = r00.real**2 + r00.imag**2 + (r10.real**2 + r10.imag**2)
     col1 = r01.real**2 + r01.imag**2 + (r11.real**2 + r11.imag**2)
@@ -161,7 +162,7 @@ def check_unitarity(seed: int, tol: float = 1e-10, n_sets: int = 1000, *,
                 float(np.abs(cross).max()))
     return InvariantResult(
         "unitarity", worst <= tol, worst, tol,
-        f"{n_sets} random sets x 5 sidebands",
+        f"{_STRUCTURAL_SETS} random sets x 5 sidebands",
     )
 
 
@@ -170,11 +171,11 @@ def _rel_dev(value: np.ndarray, ref: np.ndarray) -> float:
     return float((np.abs(value - ref).max(axis=0) / np.abs(ref).max(axis=0)).max())
 
 
-def check_oracle(seed: int, tol: float = 1e-10, n_cases: int = 200) -> InvariantResult:
+def check_oracle(seed: int, tol: float = 1e-10) -> InvariantResult:
     """Closed forms agree with the dense solve of the raw field equations."""
     rng = np.random.default_rng(seed)
-    params, _, b = _well_conditioned_cases(rng, n_cases, 1)
-    pair = (2, n_cases)
+    params, _, b = _well_conditioned_cases(rng, _ORACLE_CASES, 1)
+    pair = (2, _ORACLE_CASES)
     a = PortVector(*(rng.normal(size=pair) + 1j * rng.normal(size=pair)))
     e_cl = IntracavityField(*((rng.normal(size=pair) + 1j * rng.normal(size=pair)) * 1e8))
     x = 1e-15
@@ -194,7 +195,7 @@ def check_oracle(seed: int, tol: float = 1e-10, n_cases: int = 200) -> Invariant
     worst = max(worst, _rel_dev(sol.e, classical_fields(params, a).as_array()))
     return InvariantResult(
         "oracle_equivalence", worst <= tol, worst, tol,
-        f"{n_cases} random cases incl. power recycling",
+        f"{_ORACLE_CASES} random cases incl. power recycling",
     )
 
 
@@ -216,10 +217,10 @@ def _conv_params(p: float) -> InterferometerParams:
     )
 
 
-def _convergence_errors(p: float, n_grid: int = 41) -> tuple[float, float, float]:
+def _convergence_errors(p: float) -> tuple[float, float, float]:
     params = _conv_params(p)
     lp = from_exact(params)
-    grid = np.linspace(-5 * lp.gamma, 5 * lp.gamma, n_grid)
+    grid = np.linspace(-5 * lp.gamma, 5 * lp.gamma, 41)
     errors = reduction_errors(params, lp, _CONV_FIELD, grid)
     return tuple(float(err.max()) for err in errors)
 
@@ -291,24 +292,22 @@ def check_canonical(seed: int, tol: float = 10.0) -> InvariantResult:
 def check_fano(seed: int, tol: float = 0.05) -> InvariantResult:
     """Bright-port-only pumping dips at Omega = -2 delta_s + 2 eps kap / tau_s."""
     p = 0.02
-    tau_s = 1.0e-9
-    gamma_s = p**2 / 50.0 / tau_s       # deep dip: gamma_m / gamma_s = 50
+    gamma_s = p**2 / 50.0 / TARGET_TAU_S  # deep dip: gamma_m / gamma_s = 50
     theta = _CONV_THETA
     alpha = theta - math.pi / 2.0       # purely dissipative asymmetry
-    gamma_total = gamma_s + p**2 / tau_s
+    gamma_total = gamma_s + p**2 / TARGET_TAU_S
     params = params_for_targets(
         gamma_s=gamma_s,
         delta_s=0.15 * gamma_total,
         theta_m=theta,
         p=p,
         alpha=alpha,
-        tau_s=tau_s,
     )
     lp = from_exact(params)
     pump = PortVector(west=math.sqrt(1e16), south=0.0)
     field = classical_fields(params, pump)
 
-    predicted = -2.0 * lp.delta_s + 2.0 * params.epsilon * params.kappa / tau_s
+    predicted = -2.0 * lp.delta_s + 2.0 * params.epsilon * params.kappa / params.tau_s
     grid = np.linspace(predicted - 1.5 * lp.gamma, predicted + 1.5 * lp.gamma, 3001)
     spec = noise_spectra(params, field, grid)
     found = float(spec.grid[np.argmin(spec.s_tilde_pos)])

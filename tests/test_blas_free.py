@@ -5,6 +5,8 @@ A matrix product (``@``, ``np.dot``, ``np.matmul``, ``np.einsum``, ...) or a
 ``np.linalg`` call hands its last bits to whichever BLAS/LAPACK kernel the
 CPU selects, so outputs would stop being byte-identical across machines.
 Only the dense oracle `scattering.oracle_solve` may use them.
+
+A second lint keeps one reader of user JSON: only `config.py` parses it.
 """
 import ast
 from pathlib import Path
@@ -67,3 +69,25 @@ def test_linter_flags_each_banned_form():
     )
     assert [n for n, _ in blas_uses(source, {"oracle_solve"})] == [2, 3, 4, 5, 6, 7, 8, 9]
     assert len(blas_uses(source)) == 9
+
+
+def json_reads(source: str) -> list[int]:
+    """Lines of every ``json.load``/``json.loads`` use or import in ``source``."""
+    reads = {"load", "loads"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in reads
+                and isinstance(node.value, ast.Name) and node.value.id == "json"):
+            found.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and node.module == "json"
+              and reads & {alias.name for alias in node.names}):
+            found.append(node.lineno)
+    return found
+
+
+def test_only_config_parses_json():
+    package = Path(msinoise.__file__).parent
+    assert json_reads((package / "config.py").read_text())  # the one reader
+    uses = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+            if path.name != "config.py" for line in json_reads(path.read_text())]
+    assert not uses, "JSON parsed outside config.py: " + ", ".join(uses)

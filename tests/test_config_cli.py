@@ -12,7 +12,7 @@ import pytest
 
 import msinoise
 from msinoise.cli import main
-from msinoise.config import load_config, parse_config
+from msinoise.config import load_config, load_tolerances, parse_config
 from msinoise.errors import ConfigError
 from msinoise.lumped_mode import from_exact, params_for_targets
 from msinoise.scattering import InterferometerParams
@@ -225,6 +225,7 @@ class TestSpectrumCommand:
         ("tolerances", "det_tol", -1.0),
         ("tolerances", "det_tol", 0.25),  # |det| <= (sum |D_ij|)^2 / 4: all singular
         ("tolerances", "det_tol", 1.0),
+        ("tolerances", "det_tol", None),  # null is not an absent key
     ])
     def test_non_finite_number_or_negative_det_tol_exits_2(
         self, tmp_path, capsys, section, key, value
@@ -446,6 +447,31 @@ class TestCoolingCommand:
         assert "double-precision range" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow on the way
+    @pytest.mark.parametrize("section, value, flags, expected", [
+        ("mechanical", {"omega_m_rad_s": 2.5e7, "h_friction_kg_s": 1e-14,
+                        "temperature_k": 0.0}, [], "'mechanical': temperature"),
+        ("mechanical", {"omega_m_rad_s": 2.5e7, "h_friction_kg_s": 1e-14,
+                        "temperature_k": -5.0}, [], "'mechanical': temperature"),
+        ("optimize", {"energy_budget": 0.0}, ["--optimize"], "'optimize.energy_budget'"),
+        ("optimize", {"energy_budget": -1.0}, ["--optimize"], "'optimize.energy_budget'"),
+        # unpumped and no budget given: the derived budget is zero
+        ("pump", {"west": {"power_w": 0.0}}, ["--optimize"], "'optimize.energy_budget'"),
+        # an overflowing force noise would make n_bar NaN
+        ("pump", {"west": {"amplitude": [1e168, 0.0]}}, [], "not finite"),
+    ])
+    def test_bad_bath_or_budget_exits_2_and_writes_nothing(
+        self, tmp_path, capsys, section, value, flags, expected
+    ):
+        cfg_path = self.cooling_config(tmp_path, delta_s=-2.5e7, h_friction=1e-14)
+        raw = json.loads(cfg_path.read_text())
+        raw[section] = value
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["cooling", "--config", str(cfg_path), "--out", str(out), *flags]) == 2
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_mechanical_block_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, P1_CONFIG)
         rc = main(["cooling", "--config", str(cfg), "--out", str(tmp_path)])
@@ -498,6 +524,32 @@ class TestVerifyCommand:
         out = capsys.readouterr()
         assert "FAIL" in out.out and "unitarity" in out.err
 
+    @pytest.mark.parametrize("raw, field", [
+        ({"verify_tolerances": {"unitarity": "x"}}, "verify_tolerances.unitarity"),
+        ([1, 2], "<root>"),
+        ({"verify_tolerances": {"unitarit": 1e-3}}, "verify_tolerances.unitarit"),
+        ({"verify_tolerances": {"unitarity": True}}, "verify_tolerances.unitarity"),
+        ({"verify_tolerances": {"unitarity": -1}}, "verify_tolerances.unitarity"),
+        ({"verify_tolerances": {"unitarity": math.nan}}, "verify_tolerances.unitarity"),
+        ({"verify_tolerances": [1e-3]}, "verify_tolerances"),
+        ({"verify_tolerance": {"unitarity": 1e-3}}, "verify_tolerance"),
+    ])
+    def test_malformed_tolerances_exit_2_before_any_check(self, tmp_path, capsys,
+                                                          raw, field):
+        cfg = write_config(tmp_path, raw, "tols.json")
+        assert main(["verify", "--config", str(cfg)]) == 2
+        out = capsys.readouterr()
+        assert f"'{field}'" in out.err and out.out == ""
+
+    def test_run_config_carries_tolerances_for_verify(self, tmp_path):
+        from msinoise.verify import CHECK_NAMES
+
+        raw = dict(P1_CONFIG, verify_tolerances={"unitarity": 1, "fano_minimum": 0.05})
+        parse_config(raw)  # a run configuration may hold verify's tolerances
+        tolerances = load_tolerances(write_config(tmp_path, raw), CHECK_NAMES)
+        assert tolerances == {"unitarity": 1.0, "fano_minimum": 0.05}
+        assert type(tolerances["unitarity"]) is float
+
     def test_json_lists_every_check(self, capsys):
         from msinoise.verify import CHECK_NAMES
 
@@ -508,3 +560,16 @@ class TestVerifyCommand:
             assert {"name", "passed", "measured", "tolerance", "runtime_s"} <= r.keys()
             assert r["passed"] is True and r["measured"] <= r["tolerance"]
             assert r["runtime_s"] > 0.0
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+@pytest.mark.parametrize("content", [b"\xff\xfe{", b"[" * 100_000, None],
+                         ids=["not-utf8", "nested-too-deep", "missing"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, command, content):
+    path = tmp_path / "cfg.json"
+    if content is not None:
+        path.write_bytes(content)
+    extra = [] if command == "verify" else ["--out", str(tmp_path / "out")]
+    assert main([command, "--config", str(path), *extra]) == 2
+    assert "'<file>'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

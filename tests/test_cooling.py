@@ -126,6 +126,9 @@ class TestThermalSpectra:
         with pytest.raises(ValueError):
             MechanicalMode(omega_m=1e6, h_friction=1e-12, temperature=1.0,
                            n_thermal=1.0)
+        for temperature in (0.0, -5.0):  # caught here, not lazily by n_t
+            with pytest.raises(ValueError):
+                MechanicalMode(omega_m=1e6, h_friction=1e-12, temperature=temperature)
 
 
 class TestOccupancy:

@@ -1,8 +1,10 @@
-"""Fuzz `msinoise spectrum` over mutated configuration dicts.
+"""Fuzz `msinoise spectrum`, `compare` and `cooling --optimize` over mutated
+configuration dicts.
 
-Whatever the configuration, the command either refuses it (exit 2), reports
-singular optics (exit 3), or exits 0 having written only finite numbers.
-The search is derandomized, so every run tries the same examples.
+Whatever the configuration, a command either refuses it (exit 2), reports
+singular optics (exit 3) or, for `cooling`, an anti-damped mode (exit 4),
+or exits 0 having written only finite numbers.  The search is derandomized,
+so every run tries the same examples.
 """
 import csv
 import json
@@ -49,6 +51,20 @@ LEAVES = [
     (("tolerances",), "det_tol"),
 ]
 
+#: BASE with the blocks `cooling --optimize` reads, and the leaves they add
+FULL_BASE = {
+    **BASE,
+    "mechanical": {"omega_m_rad_s": 2.5e7, "h_friction_kg_s": 1e-14, "temperature_k": 4.0},
+    "optimize": {"constraint": "intracavity"},
+}
+FULL_LEAVES = [
+    *LEAVES,
+    *((("mechanical",), key) for key in ("omega_m_rad_s", "h_friction_kg_s",
+                                         "temperature_k", "n_thermal", "mass_kg")),
+    (("optimize",), "energy_budget"),
+    (("optimize",), "constraint"),
+]
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 numbers = st.one_of(
     st.floats(),  # NaN and +/-Infinity included; json writes them as literals
@@ -92,10 +108,10 @@ def _scaled(value, factor: float):
 
 
 @st.composite
-def configs(draw):
-    raw = json.loads(json.dumps(BASE))
+def configs(draw, base=BASE, leaves=LEAVES):
+    raw = json.loads(json.dumps(base))
     for _ in range(draw(st.integers(1, 4))):
-        path, key = draw(st.sampled_from(LEAVES))
+        path, key = draw(st.sampled_from(leaves))
         section = raw
         for name in path:
             section = section.setdefault(name, {})
@@ -118,9 +134,9 @@ def configs(draw):
     return raw
 
 
-def _with(path: tuple, key: str, value) -> dict:
-    """BASE with one leaf replaced."""
-    raw = json.loads(json.dumps(BASE))
+def _with(path: tuple, key: str, value, base=BASE) -> dict:
+    """``base`` with one leaf replaced."""
+    raw = json.loads(json.dumps(base))
     section = raw
     for name in path:
         section = section[name]
@@ -152,3 +168,47 @@ def test_spectrum_refuses_or_writes_finite_rows(raw):
         assert rc in (0, 2, 3)
         if rc == 0:
             assert _all_finite(Path(tmp) / "out" / "spectrum.csv")
+
+
+def _run(command: str, raw: dict, tmp: str, *flags: str) -> int:
+    cfg = Path(tmp) / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    return main([command, "--config", str(cfg), "--out", str(Path(tmp) / "out"), *flags])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow on the way
+@settings(derandomize=True, database=None, max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(raw=configs(FULL_BASE, FULL_LEAVES))
+def test_compare_refuses_or_writes_finite_errors(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        rc = _run("compare", raw, tmp)
+        assert rc in (0, 2, 3)
+        if rc == 0:
+            with (Path(tmp) / "out" / "compare.csv").open() as fh:
+                rows = list(csv.DictReader(fh))
+            # err_S_fano is NaN by design when the south port is pumped
+            assert all(math.isfinite(float(value)) for row in rows
+                       for column, value in row.items() if column != "err_S_fano")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow on the way
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(raw=configs(FULL_BASE, FULL_LEAVES))
+# a budget of zero, given or derived from an unpumped configuration, and
+# (found by the search) a force noise that overflows to a NaN occupancy
+@example(raw=_with(("optimize",), "energy_budget", 0, FULL_BASE))
+@example(raw=_with(("pump",), "west", {"power_w": 0.0}, FULL_BASE))
+@example(raw=_with(("pump", "west"), "amplitude", [1e168, 0.0], FULL_BASE))
+def test_cooling_optimize_refuses_or_writes_finite_occupancy(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        rc = _run("cooling", raw, tmp, "--optimize")
+        assert rc in (0, 2, 3, 4)
+        if rc == 0:
+            constants = []  # the regime flags may be Infinity, nothing may be NaN
+            text = (Path(tmp) / "out" / "cooling.json").read_text()
+            report = json.loads(text, parse_constant=lambda c: constants.append(c) or float(c))
+            assert "NaN" not in constants
+            n_bars = (report["report"]["n_bar"], report["report"]["optimum"]["n_bar"])
+            assert all(math.isfinite(n) for n in n_bars)

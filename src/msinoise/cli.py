@@ -69,12 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_sweep(args) -> int:
     """`spectrum` or `compare`: one CSV row per non-singular grid point."""
     run = run_spectrum if args.command == "spectrum" else run_compare
-    cfg = load_config(args.config)
-    try:
-        summary = run(cfg, args.out)
-    except OpticalSingularity as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
+    summary = run(load_config(args.config), args.out)
     if summary["skipped"] > 0.10 * summary["total"]:
         print(
             f"error: {summary['skipped']} of {summary['total']} grid points "
@@ -90,14 +85,7 @@ def _cmd_cooling(args) -> int:
     cfg = load_config(args.config)
     if cfg.mechanical is None:
         raise ConfigError("mechanical", "cooling needs a mechanical block")
-    try:
-        report = run_cooling(cfg, args.out, optimize=args.optimize)
-    except UnstableSystem as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSTABLE
-    except OpticalSingularity as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
+    report = run_cooling(cfg, args.out, optimize=args.optimize)
     print(f"wrote {args.out / 'cooling.json'} (n_bar = {report['n_bar']:.6g})")
     return EXIT_OK
 
@@ -132,6 +120,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OpticalSingularity as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SINGULAR
+    except UnstableSystem as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNSTABLE
     except (OverflowError, ZeroDivisionError) as exc:  # Python floats raise here
         print(f"error: configuration exceeds the double-precision range: {exc}",
               file=sys.stderr)

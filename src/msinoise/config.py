@@ -28,14 +28,13 @@ MAX_POINTS = 1_000_000
 #: every key a section may hold (verify_tolerances is read by `load_tolerances`)
 _KEYS = {
     "<root>": ("schema", "interferometer", "pump", "sweep", "mechanical",
-               "tolerances", "optimize", "verify_tolerances"),
+               "optimize", "verify_tolerances"),
     "interferometer": ("wavelength_m", "theta_m_rad", "epsilon_rad", "kappa", "r_s",
                        "t_s", "r_w", "t_w", "tau_s_s", "l_s_m", "tau_w_s", "l_w_m"),
     "pump": ("west", "south"),
     "sweep": ("start_rad_s", "stop_rad_s", "points", "spacing"),
     "mechanical": ("omega_m_rad_s", "h_friction_kg_s", "temperature_k",
                    "n_thermal", "mass_kg"),
-    "tolerances": ("det_tol",),
     "optimize": ("energy_budget", "constraint"),
 }
 
@@ -46,7 +45,6 @@ class RunConfig:
     pump: PortVector
     grid: np.ndarray
     mechanical: MechanicalMode | None
-    det_tol: float | None
     energy_budget: float | None
     optimize_constraint: str
     echo: dict
@@ -226,15 +224,6 @@ def parse_config(raw: dict) -> RunConfig:
         except ValueError as exc:
             raise ConfigError("mechanical", str(exc)) from exc
 
-    tol_sec = _section(raw, "tolerances", required=False)
-    det_tol = _number(tol_sec, "det_tol", "tolerances", required=False)
-    if det_tol is not None and det_tol < 0.0:
-        raise ConfigError("tolerances.det_tol", f"{det_tol!r} is negative")
-    if det_tol is not None and det_tol >= 0.25:
-        # |det D| <= (sum_ij |D_ij|)^2 / 4 for every 2x2: such a floor flags every point
-        raise ConfigError("tolerances.det_tol",
-                          f"{det_tol!r} marks every point singular; it must be below 0.25")
-
     opt_sec = _section(raw, "optimize", required=False)
     energy_budget = _number(opt_sec, "energy_budget", "optimize", required=False)
     if energy_budget is not None and energy_budget <= 0.0:
@@ -248,7 +237,6 @@ def parse_config(raw: dict) -> RunConfig:
         pump=pump,
         grid=grid,
         mechanical=mech,
-        det_tol=det_tol,
         energy_budget=energy_budget,
         optimize_constraint=constraint,
         echo=raw,

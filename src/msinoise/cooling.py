@@ -273,7 +273,6 @@ def optimize_pump(
     energy_budget: float,
     grid_size: int = 64,
     constraint: str = "intracavity",
-    det_tol: float | None = None,
 ) -> PumpOptimum:
     """Minimise the phonon number over the pump split at fixed energy.
 
@@ -303,13 +302,11 @@ def optimize_pump(
     if constraint not in ("intracavity", "injected"):
         raise ValueError(f"unknown constraint {constraint!r}")
 
-    blocks = sideband_blocks(
-        params, np.array([mode.omega_m, -mode.omega_m]), det_tol
-    ).checked()
-    f_all = _force_entries(params, blocks)
+    blocks = sideband_blocks(params, np.array([mode.omega_m, -mode.omega_m])).checked()
+    f_all = _force_entries(blocks)
     if constraint == "injected":
         # columns of W: the intracavity field driven by each unit port amplitude
-        w = [classical_fields(params, port, det_tol)
+        w = [classical_fields(params, port)
              for port in (PortVector(1.0, 0.0), PortVector(0.0, 1.0))]
     forms = []  # P+ and P- as (p00, p11, p01)
     for i in (0, 1):
@@ -358,7 +355,7 @@ def optimize_pump(
     vec = (root * math.cos(best_chi),
            root * math.sin(best_chi) * cmath.exp(1j * best_phi))
     if constraint == "injected":
-        field = classical_fields(params, PortVector(*vec), det_tol)
+        field = classical_fields(params, PortVector(*vec))
     else:
         field = IntracavityField(complex(vec[0]), vec[1])
     s_f_pos, s_f_neg = spectra_at(np.array([best_chi]), np.array([best_phi]))
@@ -376,11 +373,7 @@ def optimize_pump(
     )
 
 
-def pump_for_intracavity(
-    params: InterferometerParams,
-    field: IntracavityField,
-    det_tol: float | None = None,
-) -> PortVector:
+def pump_for_intracavity(params: InterferometerParams, field: IntracavityField) -> PortVector:
     """Port amplitudes that sustain a requested intracavity field.
 
     Inverts the classical steady state: A = T_tilde^{-1} D_e E at the pump
@@ -392,7 +385,7 @@ def pump_for_intracavity(
     UnreachableField
         If a port with zero transmissivity would have to carry drive.
     """
-    b = sideband_blocks(params, np.zeros(1), det_tol).checked()
+    b = sideband_blocks(params, np.zeros(1)).checked()
     d_e = b.d_e[:, :, 0]
     needed = d_e[:, 0] * field.e_plus + d_e[:, 1] * field.e_minus
     amplitudes = []

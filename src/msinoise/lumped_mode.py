@@ -301,7 +301,6 @@ def reduction_errors(
     lp: LumpedParams,
     field: IntracavityField,
     grid,
-    det_tol: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Relative errors (err_F, err_K, err_S) of the reduced model at each Omega.
 
@@ -312,13 +311,13 @@ def reduction_errors(
     """
     grid = np.asarray(grid, dtype=float)
     both = np.concatenate([grid, -grid])
-    b = sideband_blocks(params, both, det_tol).checked()
+    b = sideband_blocks(params, both).checked()
     e = field.as_array()
-    f_exact = _force_entries(params, b)[:, :, :grid.size]
+    f_exact = _force_entries(b)[:, :, :grid.size]
     f_strip = strip_propagation_phases(params, f_exact, grid)
     f_ap = _approx_force_entries(lp, grid)
     err_f = np.abs(f_strip - f_ap) / np.maximum(np.abs(f_strip), 1e-300)
-    k1 = _spring_form(params.k_p, e, _spring_entries(params, b))
+    k1 = _spring_form(params.k_p, e, _spring_entries(b))
     k_exact = k1 + _static_spring(params, e)
     k_ap = _spring_form(params.k_p, e, _approx_spring_entries(lp, both))
     s_exact = _noise_form(params.k_p, e, f_exact)

@@ -93,9 +93,9 @@ def run_spectrum(cfg: RunConfig, out_dir: Path) -> dict:
     Raises ConfigError, and writes nothing, if any row would not be finite:
     the configuration then lies beyond what double precision can carry.
     """
-    field = classical_fields(cfg.params, cfg.pump, cfg.det_tol)
+    field = classical_fields(cfg.params, cfg.pump)
     e = field.as_array()
-    spec = noise_spectra(cfg.params, field, cfg.grid, cfg.det_tol)
+    spec = noise_spectra(cfg.params, field, cfg.grid)
     columns = (spec.grid, spec.s_tilde_pos, spec.s_tilde_neg, spec.s_sym,
                spec.k.real, spec.k.imag, spec.h_opt)
     _refuse_non_finite("spectrum", spec.grid, columns)
@@ -123,13 +123,13 @@ def run_compare(cfg: RunConfig, out_dir: Path) -> dict:
     not finite, e.g. relative errors of an unpumped (all-zero) spectrum.
     """
     params = cfg.params
-    field = classical_fields(params, cfg.pump, cfg.det_tol)
+    field = classical_fields(params, cfg.pump)
     lp = from_exact(params)
     dark_south = cfg.pump.south == 0
     k_p = params.k_p
-    spec = noise_spectra(params, field, cfg.grid, cfg.det_tol)
+    spec = noise_spectra(params, field, cfg.grid)
 
-    err_f, err_k, err_s = reduction_errors(params, lp, field, spec.grid, cfg.det_tol)
+    err_f, err_k, err_s = reduction_errors(params, lp, field, spec.grid)
     s_exact = spec.s_tilde_pos
     s_can = canonical_spectra(lp, k_p, field.e_plus, spec.grid).s_tilde_pos
     # an unpumped spectrum makes these 0/0, which _refuse_non_finite refuses
@@ -171,15 +171,17 @@ def run_cooling(cfg: RunConfig, out_dir: Path, optimize: bool = False) -> dict:
     """Occupancy report -> cooling.json (+ landscape.csv with optimisation).
 
     Raises UnstableSystem for anti-damped configurations; the CLI maps
-    that to its own exit code.  Raises ConfigError if a number of the
-    report is not finite.  Every result and the sidecar are computed
-    before the first file is written, so an error leaves no partial output.
+    that to its own exit code.  Raises ConfigError if the spectrum at
+    omega_m or a number of the report is not finite.  Every result and the
+    sidecar are computed before the first file is written, so an error
+    leaves no partial output.
     """
     mode = cfg.mechanical
-    field = classical_fields(cfg.params, cfg.pump, cfg.det_tol)
-    spec = noise_spectra(cfg.params, field, [mode.omega_m], cfg.det_tol)
+    field = classical_fields(cfg.params, cfg.pump)
+    spec = noise_spectra(cfg.params, field, [mode.omega_m])
     if spec.skipped:
         raise OpticalSingularity(cfg.params.omega_p + mode.omega_m, 0.0)
+    _refuse_non_finite("spectrum", spec.grid, (spec.s_tilde_pos, spec.s_tilde_neg, spec.k))
     result = occupancy(mode, float(spec.s_tilde_pos[0]), float(spec.s_tilde_neg[0]))
 
     report = {
@@ -213,7 +215,6 @@ def run_cooling(cfg: RunConfig, out_dir: Path, optimize: bool = False) -> dict:
             mode,
             budget,
             constraint=cfg.optimize_constraint,
-            det_tol=cfg.det_tol,
         )
         e_opt = opt.field.as_array()
         report["optimum"] = {

@@ -69,7 +69,7 @@ class ForceNoiseSpectrum:
     skipped: tuple = field(default_factory=tuple)
 
 
-def _force_entries(params: InterferometerParams, b: SidebandBlocks) -> np.ndarray:
+def _force_entries(b: SidebandBlocks) -> np.ndarray:
     """F = 2 R_m X (M Q - Q* R_breve) T_tilde / d, shape (2, 2, N)."""
     (c, s), m = b.mixer, b.membrane
     (rho_w, rho_s), (t_w, t_s) = b.r_tilde, b.t_tilde
@@ -82,7 +82,7 @@ def _force_entries(params: InterferometerParams, b: SidebandBlocks) -> np.ndarra
     ])
 
 
-def _spring_entries(params: InterferometerParams, b: SidebandBlocks) -> np.ndarray:
+def _spring_entries(b: SidebandBlocks) -> np.ndarray:
     """K1 = K_g(+Omega) + K_g(-Omega)^dagger from blocks over (+grid, -grid).
 
     K_g = -4i R_m^2 X (M Q R_tilde Q^T - r~_w r~_s 1) X / d is the
@@ -124,32 +124,26 @@ def _noise_form(k_p: float, e: np.ndarray, f: np.ndarray) -> np.ndarray:
     return HBAR**2 * k_p**2 * (row.real**2 + row.imag**2).sum(axis=0)
 
 
-def force_transfer(
-    params: InterferometerParams,
-    big_omega: float,
-    det_tol: float | None = None,
-) -> np.ndarray:
+def force_transfer(params: InterferometerParams, big_omega: float) -> np.ndarray:
     """Input-field-to-force transfer matrix F at sideband frequency Omega.
 
     Satisfies F(Omega)^dagger = G(Omega) (the displacement transfer), the
     two-port form of the usual measurement/back-action reciprocity.
     """
-    b = sideband_blocks(params, np.array([big_omega], dtype=float), det_tol).checked()
-    return _force_entries(params, b)[:, :, 0]
+    b = sideband_blocks(params, np.array([big_omega], dtype=float)).checked()
+    return _force_entries(b)[:, :, 0]
 
 
 def rigidity_matrices(
-    params: InterferometerParams,
-    big_omega: float,
-    det_tol: float | None = None,
+    params: InterferometerParams, big_omega: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rigidity matrices (K1, K2, K1 + K2) at sideband frequency Omega.
 
     K1 needs the optics at both omega_p + Omega and omega_p - Omega (the
     conjugate closure); K2 = -4 R_m T_m Z is frequency independent.
     """
-    b = sideband_blocks(params, np.array([big_omega, -big_omega], dtype=float), det_tol)
-    k1 = _spring_entries(params, b.checked())[:, :, 0]
+    b = sideband_blocks(params, np.array([big_omega, -big_omega], dtype=float))
+    k1 = _spring_entries(b.checked())[:, :, 0]
     k2 = -4.0 * params.r_m * params.t_m * _Z
     return k1, k2, k1 + k2
 
@@ -158,10 +152,9 @@ def rigidity(
     params: InterferometerParams,
     field_: IntracavityField,
     big_omega: float,
-    det_tol: float | None = None,
 ) -> RigidityBreakdown:
     """Scalar optical rigidity for the given intracavity field, N/m."""
-    k1_mat, _, _ = rigidity_matrices(params, big_omega, det_tol)
+    k1_mat, _, _ = rigidity_matrices(params, big_omega)
     e = field_.as_array()
     k1 = _spring_form(params.k_p, e, k1_mat[:, :, np.newaxis])
     return RigidityBreakdown(k1=complex(k1[0]), k2=float(_static_spring(params, e)))
@@ -183,7 +176,6 @@ def noise_spectra(
     params: InterferometerParams,
     field_: IntracavityField,
     grid,
-    det_tol: float | None = None,
 ) -> ForceNoiseSpectrum:
     """Radiation-pressure force noise over a sideband grid (vacuum inputs).
 
@@ -191,31 +183,32 @@ def noise_spectra(
     +/-Omega, the symmetrised density, the complex rigidity and the
     optical damping, all from one `sideband_blocks` call over +/-grid.
     Points where either sideband hits an exact optical singularity are
-    skipped and reported, not interpolated.
+    skipped and reported, not interpolated.  Numbers beyond double
+    precision come out as inf or NaN without a warning; callers refuse them.
     """
     grid = np.asarray(grid, dtype=float)
     n = grid.size
-    b = sideband_blocks(params, np.concatenate([grid, -grid]), det_tol)
-    e = field_.as_array()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k1 = _spring_form(params.k_p, e, _spring_entries(params, b))
-        s_tilde = _noise_form(params.k_p, e, _force_entries(params, b))
-    keep = (grid != 0.0) & ~b.singular[:n] & ~b.singular[n:]
-    skipped = []
-    for i in np.flatnonzero(~keep):
-        if grid[i] == 0.0:
-            reason = "zero sideband frequency (damping undefined)"
-        else:
-            j = i if b.singular[i] else n + i
-            reason = str(OpticalSingularity(float(b.omega[j]), complex(b.d[j])))
-        skipped.append((float(grid[i]), reason))
-    s_pos, s_neg = s_tilde[:n][keep], s_tilde[n:][keep]
-    return ForceNoiseSpectrum(
-        grid=grid[keep],
-        s_tilde_pos=s_pos,
-        s_tilde_neg=s_neg,
-        s_sym=(s_pos + s_neg) / 2.0,
-        k=k1[keep] + _static_spring(params, e),
-        h_opt=_damping(s_pos, s_neg, grid[keep]),
-        skipped=tuple(skipped),
-    )
+    with np.errstate(all="ignore"):
+        b = sideband_blocks(params, np.concatenate([grid, -grid]))
+        e = field_.as_array()
+        k1 = _spring_form(params.k_p, e, _spring_entries(b))
+        s_tilde = _noise_form(params.k_p, e, _force_entries(b))
+        keep = (grid != 0.0) & ~b.singular[:n] & ~b.singular[n:]
+        skipped = []
+        for i in np.flatnonzero(~keep):
+            if grid[i] == 0.0:
+                reason = "zero sideband frequency (damping undefined)"
+            else:
+                j = i if b.singular[i] else n + i
+                reason = str(OpticalSingularity(float(b.omega[j]), complex(b.d[j])))
+            skipped.append((float(grid[i]), reason))
+        s_pos, s_neg = s_tilde[:n][keep], s_tilde[n:][keep]
+        return ForceNoiseSpectrum(
+            grid=grid[keep],
+            s_tilde_pos=s_pos,
+            s_tilde_neg=s_neg,
+            s_sym=(s_pos + s_neg) / 2.0,
+            k=k1[keep] + _static_spring(params, e),
+            h_opt=_damping(s_pos, s_neg, grid[keep]),
+            skipped=tuple(skipped),
+        )

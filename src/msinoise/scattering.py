@@ -22,7 +22,7 @@ from .algebra import det2, solve_dense
 from .errors import OpticalSingularity
 
 __all__ = [
-    "DEFAULT_DET_TOL",
+    "DET_TOL",
     "InterferometerParams",
     "PortVector",
     "IntracavityField",
@@ -41,9 +41,10 @@ SPEED_OF_LIGHT = 299792458.0
 HBAR = 6.62607015e-34 / (2.0 * math.pi)
 K_BOLTZMANN = 1.380649e-23
 
-#: relative determinant floor, singular when |det D_e| <= det_tol (sum_ij |D_e,ij|)^2;
-#: applies to det_tol=None, i.e. unless the config sets tolerances.det_tol
-DEFAULT_DET_TOL = 1e-14
+#: relative determinant floor: D_e is singular when |det D_e| <= DET_TOL (sum_ij |D_e,ij|)^2;
+#: 1e-14 is ~45 roundings (eps = 2.2e-16) at that scale, so below it det D_e is
+#: within a few dozen roundings of the 2x2 determinant and cannot be told from 0
+DET_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -198,11 +199,7 @@ def _mixer(params: InterferometerParams) -> tuple[complex, complex]:
     return ce * ck + 1j * se * sk, se * ck + 1j * ce * sk
 
 
-def sideband_blocks(
-    params: InterferometerParams,
-    big_omega,
-    det_tol: float | None = None,
-) -> SidebandBlocks:
+def sideband_blocks(params: InterferometerParams, big_omega) -> SidebandBlocks:
     """The shared optical blocks at omega_p + Omega for every Omega at once.
 
     ``params`` fields may be (N,) arrays aligned with the (N,) ``big_omega``:
@@ -226,10 +223,9 @@ def sideband_blocks(
         [rho_s * (s.conjugate() * m) - s, c - rho_s * (c.conjugate() * m.conjugate())],
     ])
     d = det2(d_e)
-    tol = DEFAULT_DET_TOL if det_tol is None else det_tol
     mag = np.abs(d_e)
     scale = mag[0, 0] + mag[0, 1] + mag[1, 0] + mag[1, 1]
-    singular = np.abs(d) <= tol * scale * scale
+    singular = np.abs(d) <= DET_TOL * scale * scale
     return SidebandBlocks(omega, phases, r_tilde, t_tilde, d_e, d, singular, (c, s), m)
 
 
@@ -251,7 +247,7 @@ def _scattering_entries(params: InterferometerParams, b: SidebandBlocks) -> np.n
     ])
 
 
-def _displacement_entries(params: InterferometerParams, b: SidebandBlocks) -> np.ndarray:
+def _displacement_entries(b: SidebandBlocks) -> np.ndarray:
     """G = 2 R_m T_tilde^dagger (Q^dagger M^dagger - R_breve^dagger Q^T) X / d*,
     shape (2, 2, N)."""
     (c, s), m = b.mixer, b.membrane
@@ -265,38 +261,26 @@ def _displacement_entries(params: InterferometerParams, b: SidebandBlocks) -> np
     ])
 
 
-def scattering_matrix(
-    params: InterferometerParams,
-    big_omega: float,
-    det_tol: float | None = None,
-) -> np.ndarray:
+def scattering_matrix(params: InterferometerParams, big_omega: float) -> np.ndarray:
     """Two-port output scattering matrix R_ifo at sideband frequency Omega.
 
     Lossless by construction: R_ifo^dagger R_ifo = 1 for any parameters.
     """
-    b = sideband_blocks(params, np.array([big_omega], dtype=float), det_tol).checked()
+    b = sideband_blocks(params, np.array([big_omega], dtype=float)).checked()
     return _scattering_entries(params, b)[:, :, 0]
 
 
-def displacement_transfer(
-    params: InterferometerParams,
-    big_omega: float,
-    det_tol: float | None = None,
-) -> np.ndarray:
+def displacement_transfer(params: InterferometerParams, big_omega: float) -> np.ndarray:
     """Displacement-to-field transfer matrix G at sideband frequency Omega.
 
     All frequency-dependent blocks are evaluated at the absolute frequency
     omega_p + Omega.  Vanishes for a fully transparent membrane.
     """
-    b = sideband_blocks(params, np.array([big_omega], dtype=float), det_tol).checked()
-    return _displacement_entries(params, b)[:, :, 0]
+    b = sideband_blocks(params, np.array([big_omega], dtype=float)).checked()
+    return _displacement_entries(b)[:, :, 0]
 
 
-def classical_fields(
-    params: InterferometerParams,
-    pump: PortVector,
-    det_tol: float | None = None,
-) -> IntracavityField:
+def classical_fields(params: InterferometerParams, pump: PortVector) -> IntracavityField:
     """Steady-state intracavity amplitudes driven by the classical pump.
 
     E = adj(D_e) T_tilde A / det D_e at omega_p; the dressed transmissivity
@@ -306,7 +290,7 @@ def classical_fields(
     the inverse is self-checked for every set.
     """
     shape = _batch_shape(params, pump.west, pump.south)
-    b = sideband_blocks(params, np.zeros(shape or 1), det_tol).checked()
+    b = sideband_blocks(params, np.zeros(shape or 1)).checked()
     d_e, d = b.d_e, b.d
     adj = np.array([[d_e[1, 1], -d_e[0, 1]], [-d_e[1, 0], d_e[0, 0]]])
     off = (adj[:, :, None] * d_e).sum(axis=1) / d - np.eye(2)[:, :, None]

@@ -21,9 +21,17 @@ import numpy as np
 
 from .algebra import dagger
 from .config import RunConfig, load_config
-from .cooling import MechanicalMode, occupancy, occupancy_simplified, optimize_pump
+from .cooling import (
+    MechanicalMode,
+    occupancy,
+    occupancy_simplified,
+    optimize_pump,
+    thermal_spectra,
+)
 from .lumped_mode import (
     TARGET_TAU_S,
+    LumpedParams,
+    asymmetry_rates,
     canonical_spectra,
     coupling_constants,
     fano_spectrum,
@@ -138,8 +146,8 @@ def _structural_cases(seed: int):
 def check_symmetry(seed: int, tol: float = 1e-12, *, draw=_structural_cases) -> InvariantResult:
     """Displacement transfer equals the dagger of the force transfer."""
     params, _, b = draw(seed)
-    f = _force_entries(params, b)
-    g = _displacement_entries(params, b)
+    f = _force_entries(b)
+    g = _displacement_entries(b)
     dev = np.abs(g - dagger(f)).max(axis=(0, 1)) / np.abs(f).max(axis=(0, 1))
     worst = float(dev.max())
     return InvariantResult(
@@ -187,7 +195,7 @@ def check_oracle(seed: int, tol: float = 1e-10) -> InvariantResult:
     worst = _rel_dev(sol.b, np.einsum(apply, r, a.as_array()))
 
     sol = oracle_solve(params, b.omega, PortVector(0, 0), x, e_cl)
-    g = 1j * params.k_p * _displacement_entries(params, b)
+    g = 1j * params.k_p * _displacement_entries(b)
     g_e = np.einsum(apply, g, e_cl.as_array())
     worst = max(worst, _rel_dev(sol.b, np.einsum(apply, r, g_e * x)))
 
@@ -330,8 +338,6 @@ def check_fdt_kubo(seed: int, tol: float = 1e-8) -> InvariantResult:
     form loses one digit per decade of n_T to cancellation, so n_T = O(1)
     is where a 1e-14 statement is meaningful.
     """
-    from .cooling import thermal_spectra
-
     fdt = kubo = 0.0
     for n_t in (0.0, 3.5, 11.0):
         mode = MechanicalMode(omega_m=2 * math.pi * 1.3e6, h_friction=2.4e-12,
@@ -373,7 +379,7 @@ def check_cooling_optimum(seed: int, tol: float = 1e-3) -> InvariantResult:
     p11 = HBAR**2 * params.k_p**2 * float(
         f00.real**2 + f00.imag**2 + (f01.real**2 + f01.imag**2)
     )
-    s_t_neg = 2.0 * HBAR * mode.omega_m * mode.h_friction * mode.n_t
+    s_t_neg = thermal_spectra(mode)[1]
     budget = s_t_neg / p11
 
     opt = optimize_pump(params, mode, budget)
@@ -402,8 +408,6 @@ def check_coupling_zeros(seed: int, tol: float = 1e-15) -> InvariantResult:
     Magnitudes are compared in natural units (the dimensionful prefactors
     2 k_p R_m p / tau_s and 2 k_p R_m / sqrt(tau_s) divided out).
     """
-    from .lumped_mode import LumpedParams, asymmetry_rates
-
     theta = _CONV_THETA
     k_p = 2 * math.pi / 1.064e-6
     tau_s = 1e-9

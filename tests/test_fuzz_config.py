@@ -35,7 +35,6 @@ BASE = {
         "south": {"power_w": 0.0, "phase_rad": 0.0},
     },
     "sweep": {"start_rad_s": 1e8, "stop_rad_s": 2e9, "points": 5, "spacing": "linear"},
-    "tolerances": {"det_tol": 1e-14},
 }
 
 #: (section path, key) of every leaf the mutations may touch
@@ -48,7 +47,6 @@ LEAVES = [
     (("pump", "south"), "power_w"),
     (("pump", "south"), "phase_rad"),
     *((("sweep",), key) for key in BASE["sweep"]),
-    (("tolerances",), "det_tol"),
 ]
 
 #: BASE with the blocks `cooling --optimize` reads, and the leaves they add
@@ -174,6 +172,16 @@ def _run(command: str, raw: dict, tmp: str, *flags: str) -> int:
     cfg = Path(tmp) / "cfg.json"
     cfg.write_text(json.dumps(raw))
     return main([command, "--config", str(cfg), "--out", str(Path(tmp) / "out"), *flags])
+
+
+@pytest.mark.parametrize("command, raw, flags", [
+    ("spectrum", BASE, []),
+    ("compare", FULL_BASE, []),
+    ("cooling", FULL_BASE, ["--optimize"]),
+])
+def test_unmutated_base_exits_0(tmp_path, command, raw, flags):
+    """Each base the mutations start from runs clean, so the fuzz reaches exit 0."""
+    assert _run(command, raw, str(tmp_path), *flags) == 0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow on the way

@@ -211,7 +211,7 @@ class TestBatchEqualsScalar:
     def test_force_transfer_and_rigidity_equal_batch(self, p1, p1_drive):
         for prm, field, grid in self.cases(p1, p1_drive):
             batch = noise_spectra(prm, field, grid)
-            f_batch = _force_entries(prm, sideband_blocks(prm, grid))
+            f_batch = _force_entries(sideband_blocks(prm, grid))
             for i, big_omega in enumerate(grid):
                 np.testing.assert_array_equal(
                     force_transfer(prm, big_omega), f_batch[:, :, i]

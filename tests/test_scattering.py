@@ -316,21 +316,24 @@ class TestBatchedParams:
         omegas = rng.uniform(-1e9, 1e9, size=(self.N_SETS, self.N_OMEGAS))
         params = _per_point(sets, self.N_OMEGAS)
         b = sideband_blocks(params, omegas.ravel())
-        entries = (_force_entries, _displacement_entries, _scattering_entries)
-        batched = [f(params, b) for f in entries]
+
+        def entries(prm, blocks):  # F, G and R_ifo stacks; only R_ifo reads the params
+            return {"F": _force_entries(blocks), "G": _displacement_entries(blocks),
+                    "R_ifo": _scattering_entries(prm, blocks)}
+
+        batched = entries(params, b)
         pump = PortVector(*(rng.normal(size=(2, self.N_SETS))
                             + 1j * rng.normal(size=(2, self.N_SETS))) * 1e8)
         fields = classical_fields(sets, pump)
         assert fields.e_plus.shape == (self.N_SETS,)
-        worst = dict.fromkeys(["d", "cf", *(f.__name__ for f in entries)], 0.0)
+        worst = dict.fromkeys(["d", "cf", *batched], 0.0)
         for i in range(self.N_SETS):
             single = one_set(sets, i)
             bs = sideband_blocks(single, omegas[i])
             at = slice(i * self.N_OMEGAS, (i + 1) * self.N_OMEGAS)
             worst["d"] = max(worst["d"], worst_rel(b.d[at][None], bs.d[None]))
-            for f, stack in zip(entries, batched):
-                worst[f.__name__] = max(worst[f.__name__],
-                                        worst_rel(stack[:, :, at], f(single, bs)))
+            for name, stack in entries(single, bs).items():
+                worst[name] = max(worst[name], worst_rel(batched[name][:, :, at], stack))
             field = classical_fields(single, PortVector(pump.west[i], pump.south[i]))
             assert isinstance(field.e_plus, complex)
             worst["cf"] = max(worst["cf"], worst_rel(fields.as_array()[:, i:i + 1],

@@ -18,17 +18,16 @@ from .cooling import MechanicalMode
 from .errors import ConfigError
 from .scattering import HBAR, SPEED_OF_LIGHT, InterferometerParams, PortVector
 
-__all__ = ["RunConfig", "parse_config", "load_config", "load_tolerances", "config_digest"]
+__all__ = ["RunConfig", "parse_config", "load_config", "config_digest"]
 
 SCHEMA_VERSION = 1
 
 #: largest sweep, checked before the grid is allocated
 MAX_POINTS = 1_000_000
 
-#: every key a section may hold (verify_tolerances is read by `load_tolerances`)
+#: every key a section may hold
 _KEYS = {
-    "<root>": ("schema", "interferometer", "pump", "sweep", "mechanical",
-               "optimize", "verify_tolerances"),
+    "<root>": ("schema", "interferometer", "pump", "sweep", "mechanical", "optimize"),
     "interferometer": ("wavelength_m", "theta_m_rad", "epsilon_rad", "kappa", "r_s",
                        "t_s", "r_w", "t_w", "tau_s_s", "l_s_m", "tau_w_s", "l_w_m"),
     "pump": ("west", "south"),
@@ -76,12 +75,12 @@ def _is_finite_number(value) -> bool:
         return False
 
 
-def _section(parent: dict, name: str, required=True, keys=None) -> dict:
+def _section(parent: dict, name: str, required=True) -> dict:
     """The object ``parent[name]`` with its keys checked; {} if optional and absent."""
     section = _get(parent, name, "<root>", required, default={})
     if not isinstance(section, dict):
         raise ConfigError(name, "must be an object")
-    _known_keys(section, name, keys)
+    _known_keys(section, name)
     return section
 
 
@@ -256,20 +255,6 @@ def _read_json(path: str | Path):
 def load_config(path: str | Path) -> RunConfig:
     """Parse a JSON configuration file."""
     return parse_config(_read_json(path))
-
-
-def load_tolerances(path: str | Path, names) -> dict[str, float]:
-    """The ``verify_tolerances`` of a JSON file: names from ``names``, values >= 0."""
-    raw = _read_json(path)
-    if not isinstance(raw, dict):
-        raise ConfigError("<root>", "top level must be an object")
-    _known_keys(raw, "<root>")
-    section = _section(raw, "verify_tolerances", required=False, keys=names)
-    tolerances = {name: _number(section, name, "verify_tolerances") for name in section}
-    for name, tol in tolerances.items():
-        if tol < 0.0:
-            raise ConfigError(f"verify_tolerances.{name}", f"{tol!r} is negative")
-    return tolerances
 
 
 def config_digest(echo: dict) -> str:

@@ -119,8 +119,9 @@ def run_compare(cfg: RunConfig, out_dir: Path) -> dict:
     matrix, the canonical Lorentzian (using the symmetric field only) and,
     when the south port is unpumped, the Fano line shape (NaN otherwise).
 
-    Raises ConfigError, and writes nothing, if any error that applies is
-    not finite, e.g. relative errors of an unpumped (all-zero) spectrum.
+    Raises ConfigError, and writes nothing, if the spectrum or any error
+    that applies is not finite, e.g. relative errors of an unpumped
+    (all-zero) spectrum.
     """
     params = cfg.params
     field = classical_fields(params, cfg.pump)
@@ -128,6 +129,7 @@ def run_compare(cfg: RunConfig, out_dir: Path) -> dict:
     dark_south = cfg.pump.south == 0
     k_p = params.k_p
     spec = noise_spectra(params, field, cfg.grid)
+    _refuse_non_finite("spectrum", spec.grid, (spec.s_tilde_pos, spec.s_tilde_neg, spec.k))
 
     err_f, err_k, err_s = reduction_errors(params, lp, field, spec.grid)
     s_exact = spec.s_tilde_pos

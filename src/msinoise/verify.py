@@ -2,7 +2,8 @@
 
 Each check returns an InvariantResult; `run_all` drives the fixed list.
 The same functions back the CLI `verify` subcommand and the acceptance
-test module, so there is exactly one definition of every tolerance.
+test module, so there is exactly one definition of every tolerance: a
+constant stated in its own check, which no argument or input overrides.
 Each random ensemble is evaluated once, by its conditioning screen; `run_all`
 shares one between ``symmetry_g_f`` and ``unitarity``, then drops it.
 """
@@ -143,8 +144,9 @@ def _structural_cases(seed: int):
     return _well_conditioned_cases(np.random.default_rng(seed), _STRUCTURAL_SETS, 5)
 
 
-def check_symmetry(seed: int, tol: float = 1e-12, *, draw=_structural_cases) -> InvariantResult:
+def check_symmetry(seed: int, *, draw=_structural_cases) -> InvariantResult:
     """Displacement transfer equals the dagger of the force transfer."""
+    tol = 1e-12
     params, _, b = draw(seed)
     f = _force_entries(b)
     g = _displacement_entries(b)
@@ -156,11 +158,12 @@ def check_symmetry(seed: int, tol: float = 1e-12, *, draw=_structural_cases) -> 
     )
 
 
-def check_unitarity(seed: int, tol: float = 1e-10, *, draw=_structural_cases) -> InvariantResult:
+def check_unitarity(seed: int, *, draw=_structural_cases) -> InvariantResult:
     """The two-port scattering matrix is unitary (lossless network).
 
     R^dagger R - 1 is formed entry by entry, independent of the BLAS kernel.
     """
+    tol = 1e-10
     params, _, b = draw(seed)
     (r00, r01), (r10, r11) = _scattering_entries(params, b)
     col0 = r00.real**2 + r00.imag**2 + (r10.real**2 + r10.imag**2)
@@ -179,8 +182,9 @@ def _rel_dev(value: np.ndarray, ref: np.ndarray) -> float:
     return float((np.abs(value - ref).max(axis=0) / np.abs(ref).max(axis=0)).max())
 
 
-def check_oracle(seed: int, tol: float = 1e-10) -> InvariantResult:
+def check_oracle(seed: int) -> InvariantResult:
     """Closed forms agree with the dense solve of the raw field equations."""
+    tol = 1e-10
     rng = np.random.default_rng(seed)
     params, _, b = _well_conditioned_cases(rng, _ORACLE_CASES, 1)
     pair = (2, _ORACLE_CASES)
@@ -233,37 +237,37 @@ def _convergence_errors(p: float) -> tuple[float, float, float]:
     return tuple(float(err.max()) for err in errors)
 
 
-def check_convergence(seed: int, tol: float = 10.0) -> InvariantResult:
+def check_convergence(seed: int) -> InvariantResult:
     """Reduced model converges to the exact one as the asymmetry shrinks.
 
     With the regime scaling held fixed (gamma_s tau_s and delta_s tau_s
     proportional to p^2), the worst relative error over |Omega| <= 5 gamma
-    must be <= tol * p at p = 0.02 for each of F, K and the force noise,
+    must be <= 10 p at p = 0.02 for each of F, K and the force noise,
     and the combined worst error must fall by 0.5 +/- 50% per p-halving.
     """
+    tol = 10.0 * 0.02
     p_values = (0.02, 0.01, 0.005)
     errors = {p: _convergence_errors(p) for p in p_values}
-    cap = tol * 0.02
     worst_at_02 = max(errors[0.02])
     combined = [max(errors[p]) for p in p_values]
     ratios = [combined[i + 1] / combined[i] for i in range(2)]
     ratio_ok = all(0.25 <= r <= 0.75 for r in ratios)
-    passed = worst_at_02 <= cap and ratio_ok
+    passed = worst_at_02 <= tol and ratio_ok
     detail = (
         f"err(F,K,S)@p=0.02 = ({errors[0.02][0]:.3e}, {errors[0.02][1]:.3e}, "
         f"{errors[0.02][2]:.3e}), halving ratios {ratios[0]:.2f}, {ratios[1]:.2f}"
     )
-    return InvariantResult("lumped_convergence", passed, worst_at_02, cap, detail)
+    return InvariantResult("lumped_convergence", passed, worst_at_02, tol, detail)
 
 
-def check_canonical(seed: int, tol: float = 10.0) -> InvariantResult:
+def check_canonical(seed: int) -> InvariantResult:
     """Symmetric pumping reproduces the canonical Lorentzian spectrum/spring."""
     p = 0.01
+    tol = 10.0 * p
     params = _conv_params(p)
     lp = from_exact(params)
     field = IntracavityField(3e8, 0.0)
     k_p = params.k_p
-    cap = tol * p
 
     grid = np.linspace(-5 * lp.gamma, 5 * lp.gamma, 41)
     grid = grid[grid != 0.0]
@@ -290,15 +294,16 @@ def check_canonical(seed: int, tol: float = 10.0) -> InvariantResult:
     fwhm = _cross(hi_i, hi_i + 1) - _cross(lo_i, lo_i - 1)
     err_w = abs(fwhm - 2 * lp.gamma) / (2 * lp.gamma)
 
-    passed = err_s <= cap and err_k <= cap and err_w <= 0.01
+    passed = err_s <= tol and err_k <= tol and err_w <= 0.01
     detail = f"err_S={err_s:.3e}, err_K={err_k:.3e}, FWHM dev {err_w:.3e} (tol 1e-2)"
     return InvariantResult(
-        "canonical_limit", passed, max(err_s, err_k), cap, detail
+        "canonical_limit", passed, max(err_s, err_k), tol, detail
     )
 
 
-def check_fano(seed: int, tol: float = 0.05) -> InvariantResult:
+def check_fano(seed: int) -> InvariantResult:
     """Bright-port-only pumping dips at Omega = -2 delta_s + 2 eps kap / tau_s."""
+    tol = 0.05
     p = 0.02
     gamma_s = p**2 / 50.0 / TARGET_TAU_S  # deep dip: gamma_m / gamma_s = 50
     theta = _CONV_THETA
@@ -331,13 +336,14 @@ def check_fano(seed: int, tol: float = 0.05) -> InvariantResult:
     return InvariantResult("fano_minimum", passed, dev, tol, detail)
 
 
-def check_fdt_kubo(seed: int, tol: float = 1e-8) -> InvariantResult:
+def check_fdt_kubo(seed: int) -> InvariantResult:
     """Thermal spectra satisfy FDT+Kubo; optical damping matches -Im K / Omega.
 
     The pair identities are checked at a small occupation: their difference
     form loses one digit per decade of n_T to cancellation, so n_T = O(1)
     is where a 1e-14 statement is meaningful.
     """
+    tol = 1e-8
     fdt = kubo = 0.0
     for n_t in (0.0, 3.5, 11.0):
         mode = MechanicalMode(omega_m=2 * math.pi * 1.3e6, h_friction=2.4e-12,
@@ -363,8 +369,9 @@ def check_fdt_kubo(seed: int, tol: float = 1e-8) -> InvariantResult:
     return InvariantResult("fdt_kubo", passed, worst, tol, detail)
 
 
-def check_cooling_optimum(seed: int, tol: float = 1e-3) -> InvariantResult:
+def check_cooling_optimum(seed: int) -> InvariantResult:
     """Fixed intracavity energy: symmetric pumping cools best."""
+    tol = 1e-3
     params = params_for_targets(
         gamma_s=2.5e6,
         delta_s=-2.5e7,     # red-detuned by the mechanical frequency
@@ -402,12 +409,13 @@ def check_cooling_optimum(seed: int, tol: float = 1e-3) -> InvariantResult:
     return InvariantResult("cooling_optimum", passed, ratio, tol, detail)
 
 
-def check_coupling_zeros(seed: int, tol: float = 1e-15) -> InvariantResult:
+def check_coupling_zeros(seed: int) -> InvariantResult:
     """Coupling constants vanish at their structural zeros.
 
     Magnitudes are compared in natural units (the dimensionful prefactors
     2 k_p R_m p / tau_s and 2 k_p R_m / sqrt(tau_s) divided out).
     """
+    tol = 1e-15
     theta = _CONV_THETA
     k_p = 2 * math.pi / 1.064e-6
     tau_s = 1e-9
@@ -446,7 +454,7 @@ def check_coupling_zeros(seed: int, tol: float = 1e-15) -> InvariantResult:
     return InvariantResult("coupling_zeros", passed, worst, tol, detail)
 
 
-def check_golden(seed: int, tol: float = 0.0) -> InvariantResult:
+def check_golden(seed: int) -> InvariantResult:
     """The reference sweep is bit-stable across runs and matches the frozen CSV."""
     cfg = _p1_config()
     golden = resources.files("msinoise.data") / "p1_spectrum_golden.csv"
@@ -484,18 +492,13 @@ CHECK_NAMES = {
 }
 
 
-def run_all(
-    seed: int = DEFAULT_SEED,
-    tol_overrides: dict | None = None,
-) -> list[InvariantResult]:
-    """Run every invariant check; tolerance overrides are keyed by name."""
-    tol_overrides = tol_overrides or {}
+def run_all(seed: int = DEFAULT_SEED) -> list[InvariantResult]:
+    """Run every invariant check, each at the tolerance it states."""
     draw = functools.lru_cache(maxsize=1)(_structural_cases)  # this call only
     results = []
     for name, fun in CHECK_NAMES.items():
-        kwargs = {"tol": float(tol_overrides[name])} if name in tol_overrides else {}
-        if name in ("symmetry_g_f", "unitarity"):  # drawn by the first
-            kwargs["draw"] = draw
+        # symmetry_g_f draws the ensemble that unitarity reuses
+        kwargs = {"draw": draw} if name in ("symmetry_g_f", "unitarity") else {}
         start = time.perf_counter()
         result = fun(seed, **kwargs)
         results.append(replace(result, runtime_s=time.perf_counter() - start))

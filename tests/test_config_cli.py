@@ -12,7 +12,7 @@ import pytest
 
 import msinoise
 from msinoise.cli import main
-from msinoise.config import load_config, load_tolerances, parse_config
+from msinoise.config import load_config, parse_config
 from msinoise.errors import ConfigError
 from msinoise.lumped_mode import from_exact, params_for_targets
 from msinoise.scattering import InterferometerParams
@@ -119,6 +119,7 @@ class TestConfigParsing:
         ("sweep", "step"),
         ("pump", "east"),
         (None, "tolerances"),
+        (None, "verify_tolerances"),
         ("optimize", "constrant"),
     ])
     def test_unknown_key_exits_2(self, tmp_path, capsys, section, key):
@@ -470,6 +471,7 @@ class TestCoolingCommand:
         ("spectrum", [], "100000000.0"),
         ("cooling", [], "25000000.0"),
         ("cooling", ["--optimize"], "25000000.0"),
+        ("compare", [], "100000000.0"),
     ])
     def test_overflowing_force_noise_prints_only_the_error(
         self, tmp_path, capsys, command, flags, omega
@@ -533,40 +535,22 @@ class TestVerifyCommand:
         assert main(["verify"]) == 0
         assert capsys.readouterr().out == first  # same seed, same table
 
-    def test_corrupted_tolerance_fails_and_names_invariant(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path, {"verify_tolerances": {"unitarity": 1e-20}}, "tols.json"
-        )
-        rc = main(["verify", "--config", str(cfg)])
-        assert rc == 1
+    def test_failing_check_exits_1_and_names_invariant(self, monkeypatch, capsys):
+        from msinoise import verify
+
+        def failing(seed, **kwargs):
+            return verify.InvariantResult("unitarity", False, 1.0, 1e-10, "forced")
+
+        monkeypatch.setitem(verify.CHECK_NAMES, "unitarity", failing)
+        assert main(["verify"]) == 1
         out = capsys.readouterr()
         assert "FAIL" in out.out and "unitarity" in out.err
 
-    @pytest.mark.parametrize("raw, field", [
-        ({"verify_tolerances": {"unitarity": "x"}}, "verify_tolerances.unitarity"),
-        ([1, 2], "<root>"),
-        ({"verify_tolerances": {"unitarit": 1e-3}}, "verify_tolerances.unitarit"),
-        ({"verify_tolerances": {"unitarity": True}}, "verify_tolerances.unitarity"),
-        ({"verify_tolerances": {"unitarity": -1}}, "verify_tolerances.unitarity"),
-        ({"verify_tolerances": {"unitarity": math.nan}}, "verify_tolerances.unitarity"),
-        ({"verify_tolerances": [1e-3]}, "verify_tolerances"),
-        ({"verify_tolerance": {"unitarity": 1e-3}}, "verify_tolerance"),
-    ])
-    def test_malformed_tolerances_exit_2_before_any_check(self, tmp_path, capsys,
-                                                          raw, field):
-        cfg = write_config(tmp_path, raw, "tols.json")
-        assert main(["verify", "--config", str(cfg)]) == 2
-        out = capsys.readouterr()
-        assert f"'{field}'" in out.err and out.out == ""
-
-    def test_run_config_carries_tolerances_for_verify(self, tmp_path):
-        from msinoise.verify import CHECK_NAMES
-
-        raw = dict(P1_CONFIG, verify_tolerances={"unitarity": 1, "fano_minimum": 0.05})
-        parse_config(raw)  # a run configuration may hold verify's tolerances
-        tolerances = load_tolerances(write_config(tmp_path, raw), CHECK_NAMES)
-        assert tolerances == {"unitarity": 1.0, "fano_minimum": 0.05}
-        assert type(tolerances["unitarity"]) is float
+    def test_verify_takes_no_config(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", "--config", "x.json"])
+        assert exit_.value.code == 2
+        assert "--config" in capsys.readouterr().err
 
     def test_json_lists_every_check(self, capsys):
         from msinoise.verify import CHECK_NAMES
@@ -580,14 +564,13 @@ class TestVerifyCommand:
             assert r["runtime_s"] > 0.0
 
 
-@pytest.mark.parametrize("command", ["spectrum", "verify"])
+@pytest.mark.parametrize("command", ["spectrum"])
 @pytest.mark.parametrize("content", [b"\xff\xfe{", b"[" * 100_000, None],
                          ids=["not-utf8", "nested-too-deep", "missing"])
 def test_unreadable_config_file_exits_2(tmp_path, capsys, command, content):
     path = tmp_path / "cfg.json"
     if content is not None:
         path.write_bytes(content)
-    extra = [] if command == "verify" else ["--out", str(tmp_path / "out")]
-    assert main([command, "--config", str(path), *extra]) == 2
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "'<file>'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

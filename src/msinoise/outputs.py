@@ -5,6 +5,7 @@ no timestamps, so identical configurations produce bit-identical files.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -29,16 +30,34 @@ COMPARE_HEADER = "Omega,err_F,err_K,err_S_tilde,err_S_canonical,err_S_fano"
 LANDSCAPE_HEADER = "chi,phi,n_bar,s_f_pos,s_f_neg"
 
 
+#: most values of a column that `_fmt` turns into Python floats at once
+_FMT_BLOCK = 2**16
+
+
 def _fmt(values: np.ndarray):
-    """Lazy shortest decimals that round-trip to the same doubles, in C order."""
-    return map(repr, values.ravel().tolist())
+    """Lazy shortest decimals that round-trip to the same doubles, in C order.
+
+    A longer column is converted one block of `_FMT_BLOCK` values at a
+    time, so a large sweep never holds all its floats as Python objects.
+    """
+    flat = values.ravel()
+    if flat.size <= _FMT_BLOCK:
+        return map(repr, flat.tolist())
+    return itertools.chain.from_iterable(
+        map(repr, flat[i:i + _FMT_BLOCK].tolist()) for i in range(0, flat.size, _FMT_BLOCK)
+    )
+
+
+def _rows(columns):
+    """Lazy CSV lines, one per position of the lazily formatted string columns."""
+    return (",".join(row) + "\n" for row in zip(*columns))
 
 
 def _write_csv(path: Path, header: str, columns) -> None:
-    """Write one row per position of the lazily formatted string columns."""
+    """Write the header and one row per position of the string columns."""
     with path.open("w") as fh:
         fh.write(header + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+        fh.writelines(_rows(columns))
 
 
 def _json_default(obj):
@@ -87,18 +106,28 @@ def _summary(cfg: RunConfig, spec) -> dict:
     return {"rows": len(spec.grid), "skipped": len(spec.skipped), "total": len(cfg.grid)}
 
 
-def run_spectrum(cfg: RunConfig, out_dir: Path) -> dict:
-    """Force-noise sweep -> spectrum.csv + spectrum.json; returns summary.
+def _spectrum_lines(cfg: RunConfig):
+    """The lines of spectrum.csv, lazily, with the spectrum and field they show.
 
-    Raises ConfigError, and writes nothing, if any row would not be finite:
-    the configuration then lies beyond what double precision can carry.
+    Raises ConfigError if any row would not be finite: the configuration
+    then lies beyond what double precision can carry.
     """
     field = classical_fields(cfg.params, cfg.pump)
-    e = field.as_array()
     spec = noise_spectra(cfg.params, field, cfg.grid)
     columns = (spec.grid, spec.s_tilde_pos, spec.s_tilde_neg, spec.s_sym,
                spec.k.real, spec.k.imag, spec.h_opt)
     _refuse_non_finite("spectrum", spec.grid, columns)
+    lines = itertools.chain((SPECTRUM_HEADER + "\n",), _rows(map(_fmt, columns)))
+    return lines, spec, field
+
+
+def run_spectrum(cfg: RunConfig, out_dir: Path) -> dict:
+    """Force-noise sweep -> spectrum.csv + spectrum.json; returns summary.
+
+    Raises ConfigError, and writes nothing, if any row would not be finite.
+    """
+    lines, spec, field = _spectrum_lines(cfg)
+    e = field.as_array()
     sidecar = _sidecar(
         cfg,
         "spectrum",
@@ -106,7 +135,8 @@ def run_spectrum(cfg: RunConfig, out_dir: Path) -> dict:
         field={"e_plus": [e[0].real, e[0].imag], "e_minus": [e[1].real, e[1].imag]},
     )
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "spectrum.csv", SPECTRUM_HEADER, map(_fmt, columns))
+    with (out_dir / "spectrum.csv").open("w") as fh:
+        fh.writelines(lines)
     _write_json(out_dir / "spectrum.json", sidecar)
     return _summary(cfg, spec)
 

@@ -30,6 +30,10 @@ __all__ = [
 
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
+#: most grid points per kernel call of `noise_spectra`, which bounds its
+#: temporaries over the sidebands of one call whatever the grid size
+_CHUNK = 2**16
+
 
 @dataclass(frozen=True)
 class RigidityBreakdown:
@@ -172,6 +176,23 @@ def _damping(s_pos: np.ndarray, s_neg: np.ndarray, grid: np.ndarray) -> np.ndarr
     return (np.asarray(s_pos) - np.asarray(s_neg)) / (2.0 * HBAR * grid)
 
 
+def _force_noise(
+    params: InterferometerParams, field_: IntracavityField, big_omega
+) -> np.ndarray:
+    """Force noise S_tilde at each sideband Omega alone, N^2 s.
+
+    The ``s_tilde_pos`` column of `noise_spectra` without its -Omega
+    blocks, rigidity or damping, for callers that read nothing else.
+    Bit for bit equal to that column on grids under 8 192 points or of
+    16 384 and more, where the temporaries of both fall on the same side
+    of numpy's 256 KiB elision size.  Raises OpticalSingularity at a
+    singular point instead of skipping it.
+    """
+    with np.errstate(all="ignore"):
+        b = sideband_blocks(params, np.asarray(big_omega, dtype=float)).checked()
+        return _noise_form(params.k_p, field_.as_array(), _force_entries(b))
+
+
 def noise_spectra(
     params: InterferometerParams,
     field_: IntracavityField,
@@ -181,28 +202,40 @@ def noise_spectra(
 
     For each Omega in ``grid`` evaluates the non-symmetrised densities at
     +/-Omega, the symmetrised density, the complex rigidity and the
-    optical damping, all from one `sideband_blocks` call over +/-grid.
+    optical damping, from one `sideband_blocks` call over +/-grid per
+    part of at most `_CHUNK` grid points, so large grids keep bounded
+    temporaries; every value is the same as from one call over all of it.
     Points where either sideband hits an exact optical singularity are
     skipped and reported, not interpolated.  Numbers beyond double
     precision come out as inf or NaN without a warning; callers refuse them.
     """
     grid = np.asarray(grid, dtype=float)
     n = grid.size
+    s_pos, s_neg, k1 = np.empty(n), np.empty(n), np.empty(n, dtype=complex)
+    keep = grid != 0.0
+    skipped = []
     with np.errstate(all="ignore"):
-        b = sideband_blocks(params, np.concatenate([grid, -grid]))
         e = field_.as_array()
-        k1 = _spring_form(params.k_p, e, _spring_entries(b))
-        s_tilde = _noise_form(params.k_p, e, _force_entries(b))
-        keep = (grid != 0.0) & ~b.singular[:n] & ~b.singular[n:]
-        skipped = []
-        for i in np.flatnonzero(~keep):
-            if grid[i] == 0.0:
-                reason = "zero sideband frequency (damping undefined)"
-            else:
-                j = i if b.singular[i] else n + i
-                reason = str(OpticalSingularity(float(b.omega[j]), complex(b.d[j])))
-            skipped.append((float(grid[i]), reason))
-        s_pos, s_neg = s_tilde[:n][keep], s_tilde[n:][keep]
+        # equal parts: each part of a split grid keeps over _CHUNK / 2 points,
+        # so its temporaries stay above numpy's 256 KiB elision size, as on
+        # the whole grid (complex products elided in place round otherwise)
+        parts = -(-n // _CHUNK)
+        for lo, hi in ((i * n // parts, (i + 1) * n // parts) for i in range(parts)):
+            part = grid[lo:hi]
+            m = part.size
+            b = sideband_blocks(params, np.concatenate([part, -part]))
+            k1[lo:hi] = _spring_form(params.k_p, e, _spring_entries(b))
+            s_tilde = _noise_form(params.k_p, e, _force_entries(b))
+            s_pos[lo:hi], s_neg[lo:hi] = s_tilde[:m], s_tilde[m:]
+            keep[lo:hi] &= ~b.singular[:m] & ~b.singular[m:]
+            for i in np.flatnonzero(~keep[lo:hi]):
+                if part[i] == 0.0:
+                    reason = "zero sideband frequency (damping undefined)"
+                else:
+                    j = i if b.singular[i] else m + i
+                    reason = str(OpticalSingularity(float(b.omega[j]), complex(b.d[j])))
+                skipped.append((float(part[i]), reason))
+        s_pos, s_neg = s_pos[keep], s_neg[keep]
         return ForceNoiseSpectrum(
             grid=grid[keep],
             s_tilde_pos=s_pos,

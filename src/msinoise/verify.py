@@ -6,17 +6,18 @@ test module, so there is exactly one definition of every tolerance: a
 constant stated in its own check, which no argument or input overrides.
 Each random ensemble is evaluated once, by its conditioning screen; `run_all`
 shares one between ``symmetry_g_f`` and ``unitarity``, then drops it.
+Each check evaluates only what it compares: the search grids of
+``canonical_limit`` and ``fano_minimum`` take the one-sided force noise,
+and ``golden_determinism`` reruns the reference sweep in memory and
+compares its CSV text, writing no file.
 """
 from __future__ import annotations
 
-import filecmp
 import functools
 import math
-import tempfile
 import time
 from dataclasses import dataclass, replace
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
@@ -40,8 +41,8 @@ from .lumped_mode import (
     params_for_targets,
     reduction_errors,
 )
-from .outputs import run_spectrum
-from .radiation_pressure import _force_entries, force_transfer, noise_spectra
+from .outputs import _spectrum_lines
+from .radiation_pressure import _force_entries, _force_noise, force_transfer, noise_spectra
 from .scattering import (
     HBAR,
     InterferometerParams,
@@ -279,15 +280,14 @@ def check_canonical(seed: int) -> InvariantResult:
 
     # FWHM of the exact spectrum against the canonical 2 gamma
     peak_grid = np.linspace(-lp.delta - 4 * lp.gamma, -lp.delta + 4 * lp.gamma, 4001)
-    spec = noise_spectra(params, field, peak_grid)
-    vals = spec.s_tilde_pos
+    vals = _force_noise(params, field, peak_grid)
     peak = vals.max()
     above = vals >= peak / 2.0
     lo_i = int(np.argmax(above))
     hi_i = len(above) - 1 - int(np.argmax(above[::-1]))
 
     def _cross(i0, i1):
-        x0, x1 = spec.grid[i0], spec.grid[i1]
+        x0, x1 = peak_grid[i0], peak_grid[i1]
         y0, y1 = vals[i0], vals[i1]
         return x0 + (peak / 2.0 - y0) * (x1 - x0) / (y1 - y0)
 
@@ -322,14 +322,14 @@ def check_fano(seed: int) -> InvariantResult:
 
     predicted = -2.0 * lp.delta_s + 2.0 * params.epsilon * params.kappa / params.tau_s
     grid = np.linspace(predicted - 1.5 * lp.gamma, predicted + 1.5 * lp.gamma, 3001)
-    spec = noise_spectra(params, field, grid)
-    found = float(spec.grid[np.argmin(spec.s_tilde_pos)])
+    s_exact = _force_noise(params, field, grid)
+    found = float(grid[np.argmin(s_exact)])
     dev = abs(found - predicted) / lp.gamma
 
     # the closed-form line shape should also track the exact spectrum
     shape = fano_spectrum(lp, params.epsilon, params.kappa, params.k_p,
-                          pump.west, spec.grid)
-    err_shape = float(np.max(np.abs(spec.s_tilde_pos - shape) / spec.s_tilde_pos))
+                          pump.west, grid)
+    err_shape = float(np.max(np.abs(s_exact - shape) / s_exact))
 
     passed = dev <= tol and err_shape <= 10.0 * p
     detail = f"argmin dev {dev:.3e} gamma, line-shape err {err_shape:.3e}"
@@ -455,23 +455,21 @@ def check_coupling_zeros(seed: int) -> InvariantResult:
 
 
 def check_golden(seed: int) -> InvariantResult:
-    """The reference sweep is bit-stable across runs and matches the frozen CSV."""
+    """The reference sweep is bit-stable across runs and matches the frozen CSV.
+
+    Both runs of P1 are kept in memory as CSV text, the bytes
+    `run_spectrum` writes to spectrum.csv; the sidecar is not compared.
+    """
     cfg = _p1_config()
     golden = resources.files("msinoise.data") / "p1_spectrum_golden.csv"
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        run_spectrum(cfg, tmp / "serial")
-        run_spectrum(cfg, tmp / "again")
-        stable = filecmp.cmp(tmp / "serial/spectrum.csv", tmp / "again/spectrum.csv",
-                             shallow=False)
-        if golden.is_file():
-            frozen_same = (
-                (tmp / "serial/spectrum.csv").read_bytes() == golden.read_bytes()
-            )
-            frozen_note = "matches frozen golden" if frozen_same else "DIFFERS from frozen golden"
-        else:
-            frozen_same = False
-            frozen_note = "frozen golden missing"
+    first, again = ("".join(_spectrum_lines(cfg)[0]) for _ in range(2))
+    stable = first == again
+    if golden.is_file():
+        frozen_same = first.encode() == golden.read_bytes()
+        frozen_note = "matches frozen golden" if frozen_same else "DIFFERS from frozen golden"
+    else:
+        frozen_same = False
+        frozen_note = "frozen golden missing"
     passed = stable and frozen_same
     mismatches = float(not stable) + float(not frozen_same)
     detail = f"rerun identical={stable}, {frozen_note}"

@@ -176,6 +176,13 @@ class TestSpectrumCommand:
         ref_json = (tmp_path / "a/spectrum.json").read_bytes()
         assert (tmp_path / "b/spectrum.json").read_bytes() == ref_json
 
+    def test_packaged_p1_writes_the_frozen_golden(self, tmp_path):
+        data = Path(msinoise.__file__).parent / "data"
+        assert main(["spectrum", "--config", str(data / "p1.json"),
+                     "--out", str(tmp_path)]) == 0
+        golden = (data / "p1_spectrum_golden.csv").read_bytes()
+        assert (tmp_path / "spectrum.csv").read_bytes() == golden
+
     def test_csv_round_trips_to_full_precision(self, tmp_path):
         cfg = write_config(tmp_path, P1_CONFIG)
         assert main(["spectrum", "--config", str(cfg),

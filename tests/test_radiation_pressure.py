@@ -1,15 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.constants import hbar
 
 from conftest import clear_of_resonance
-from msinoise.errors import DegenerateFrequency
+from msinoise import radiation_pressure
+from msinoise.errors import DegenerateFrequency, OpticalSingularity
 from msinoise.lumped_mode import from_exact, params_for_targets
 from msinoise.radiation_pressure import (
     ForceNoiseSpectrum,
     _force_entries,
+    _force_noise,
     force_transfer,
     noise_spectra,
     optical_damping,
@@ -23,9 +26,10 @@ from msinoise.scattering import (
     classical_fields,
     sideband_blocks,
 )
-from msinoise.verify import _random_params
+from msinoise.verify import _p1_config, _random_params
 
 Z = np.diag([1.0, -1.0])
+COLUMNS = ("grid", "s_tilde_pos", "s_tilde_neg", "s_sym", "k", "h_opt")
 
 
 def make_params(**overrides):
@@ -36,6 +40,14 @@ def make_params(**overrides):
     )
     base.update(overrides)
     return InterferometerParams(**base)
+
+
+def unit_srm_params():
+    """r_s = 1: omega_p + Omega = 0 hits an exactly-unit round trip."""
+    return InterferometerParams(
+        theta_m=0.0, epsilon=0.0, kappa=0.0, tau_s=1.0, tau_w=1.0,
+        r_s=1.0, t_s=0.0, r_w=0.0, t_w=1.0, k_p=2 * math.pi,
+    )
 
 
 class TestForceTransfer:
@@ -136,11 +148,7 @@ class TestNoiseSpectra:
         assert abs(s2 - 9.0 * s1) <= 1e-14 * s2
 
     def test_singular_points_skipped_and_reported(self):
-        # omega_p + Omega = 0 hits an exactly-unit round trip for r_s = 1
-        prm = InterferometerParams(
-            theta_m=0.0, epsilon=0.0, kappa=0.0, tau_s=1.0, tau_w=1.0,
-            r_s=1.0, t_s=0.0, r_w=0.0, t_w=1.0, k_p=2 * math.pi,
-        )
+        prm = unit_srm_params()
         field = IntracavityField(1e4, 0.0)
         grid = [1.0, -prm.omega_p, 0.0]
         spec = noise_spectra(prm, field, grid)
@@ -217,3 +225,52 @@ class TestBatchEqualsScalar:
                     force_transfer(prm, big_omega), f_batch[:, :, i]
                 )
                 assert rigidity(prm, field, big_omega).k == batch.k[i]
+
+
+class TestChunkedEvaluation:
+    """Large grids go through the kernel in parts, with the values of one call."""
+
+    def test_parts_equal_one_call(self, p1, p1_drive, monkeypatch):
+        cases = []
+        grid = np.linspace(-1e9, 2e9, radiation_pressure._CHUNK + 5)
+        cases.append((p1, classical_fields(p1, p1_drive), grid))
+        prm = unit_srm_params()
+        grid = np.linspace(1.0, 1e9, radiation_pressure._CHUNK + 5)
+        grid[10], grid[-3] = -prm.omega_p, 0.0  # skipped in the first and last part
+        cases.append((prm, IntracavityField(1e4, 0.0), grid))
+        parts = [noise_spectra(*case) for case in cases]
+        monkeypatch.setattr(radiation_pressure, "_CHUNK", 2 * len(grid))
+        for case, split in zip(cases, parts):
+            whole = noise_spectra(*case)
+            for name in COLUMNS:
+                np.testing.assert_array_equal(getattr(split, name), getattr(whole, name))
+            assert split.skipped == whole.skipped
+        assert [omega for omega, _ in parts[1].skipped] == [-prm.omega_p, 0.0]
+
+    def test_peak_memory_is_bounded_by_the_result(self, p1, p1_drive):
+        field = classical_fields(p1, p1_drive)
+        grid = np.linspace(1e8, 2e9, 2**18)
+        tracemalloc.start()
+        try:
+            spec = noise_spectra(p1, field, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = sum(getattr(spec, name).nbytes for name in COLUMNS)
+        # one kernel call over all 2^19 sidebands peaks at ~13x the result
+        assert peak <= 6 * result, peak / result
+
+
+class TestOneSidedForceNoise:
+    def test_equals_the_noise_spectra_column_on_p1(self):
+        cfg = _p1_config()
+        field = classical_fields(cfg.params, cfg.pump)
+        np.testing.assert_array_equal(
+            _force_noise(cfg.params, field, cfg.grid),
+            noise_spectra(cfg.params, field, cfg.grid).s_tilde_pos,
+        )
+
+    def test_singular_sideband_raises(self):
+        prm = unit_srm_params()
+        with pytest.raises(OpticalSingularity):
+            _force_noise(prm, IntracavityField(1e4, 0.0), [1.0, -prm.omega_p])

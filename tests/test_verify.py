@@ -1,8 +1,12 @@
 """The verify ensembles: masked resampling, batched evaluation, result types."""
+import itertools
+import sys
+
 import numpy as np
 import pytest
 
 from msinoise import verify
+from msinoise.radiation_pressure import _force_noise, noise_spectra
 from msinoise.scattering import sideband_blocks
 
 
@@ -17,6 +21,22 @@ def kernel_calls(monkeypatch):
 
     monkeypatch.setattr(verify, "sideband_blocks", counting)
     return calls
+
+
+@pytest.fixture
+def kernel_points(monkeypatch):
+    """The sideband count of every call through any msinoise binding of `sideband_blocks`."""
+    points = []
+
+    def counting(params, big_omega):
+        points.append(np.size(big_omega))
+        return sideband_blocks(params, big_omega)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "msinoise" and (
+                getattr(module, "sideband_blocks", None) is sideband_blocks):
+            monkeypatch.setattr(module, "sideband_blocks", counting)
+    return points
 
 
 def test_resampler_redraws_only_the_sets_below_the_floor(kernel_calls):
@@ -64,6 +84,52 @@ def test_run_all_evaluates_each_ensemble_once(kernel_calls):
     standalone = [check(seed).measured for check in verify.CHECK_NAMES.values()]
     for results in (first, again):
         assert [repr(r.measured) for r in results] == [repr(m) for m in standalone]
+
+
+@pytest.mark.parametrize("check, points", [
+    # 40 nonzero points at +/-Omega, then the one-sided 4 001-point peak grid
+    (verify.check_canonical, 80 + 4001),
+    # the carrier of the classical field, then the one-sided 3 001-point grid
+    (verify.check_fano, 1 + 3001),
+])
+def test_search_grids_evaluate_only_the_sidebands_they_read(kernel_points, check, points):
+    assert check(verify.DEFAULT_SEED).passed
+    assert sum(kernel_points) == points
+
+
+@pytest.mark.parametrize("check, size", [(verify.check_canonical, 4001),
+                                         (verify.check_fano, 3001)])
+def test_one_sided_search_grid_equals_noise_spectra(monkeypatch, check, size):
+    calls = []
+
+    def recording(params, field, big_omega):
+        calls.append((params, field, big_omega))
+        return _force_noise(params, field, big_omega)
+
+    monkeypatch.setattr(verify, "_force_noise", recording)
+    assert check(verify.DEFAULT_SEED).passed
+    [(params, field, grid)] = calls
+    assert len(grid) == size
+    np.testing.assert_array_equal(_force_noise(params, field, grid),
+                                  noise_spectra(params, field, grid).s_tilde_pos)
+
+
+@pytest.mark.parametrize("tampered, detail", [
+    ({2}, "rerun identical=False, matches frozen golden"),
+    ({1, 2}, "rerun identical=True, DIFFERS from frozen golden"),
+])
+def test_golden_check_fails_on_changed_text(monkeypatch, tampered, detail):
+    spectrum_lines, runs = verify._spectrum_lines, itertools.count(1)
+
+    def altered(cfg):
+        lines, spec, field = spectrum_lines(cfg)
+        if next(runs) in tampered:
+            lines = itertools.chain(lines, ["1.0,2.0,3.0,4.0,5.0,6.0,7.0\n"])
+        return lines, spec, field
+
+    monkeypatch.setattr(verify, "_spectrum_lines", altered)
+    result = verify.check_golden(verify.DEFAULT_SEED)
+    assert (result.passed, result.measured, result.detail) == (False, 1.0, detail)
 
 
 def test_results_are_python_scalars():

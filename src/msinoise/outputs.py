@@ -37,27 +37,24 @@ _FMT_BLOCK = 2**16
 def _fmt(values: np.ndarray):
     """Lazy shortest decimals that round-trip to the same doubles, in C order.
 
-    A longer column is converted one block of `_FMT_BLOCK` values at a
-    time, so a large sweep never holds all its floats as Python objects.
+    The column is converted one block of `_FMT_BLOCK` values at a time, so
+    a large sweep never holds all its floats as Python objects.
     """
     flat = values.ravel()
-    if flat.size <= _FMT_BLOCK:
-        return map(repr, flat.tolist())
     return itertools.chain.from_iterable(
         map(repr, flat[i:i + _FMT_BLOCK].tolist()) for i in range(0, flat.size, _FMT_BLOCK)
     )
 
 
-def _rows(columns):
-    """Lazy CSV lines, one per position of the lazily formatted string columns."""
-    return (",".join(row) + "\n" for row in zip(*columns))
+def _csv_lines(header: str, columns):
+    """Lazy CSV lines: the header, then one row per position of the string columns."""
+    rows = (",".join(row) + "\n" for row in zip(*columns))
+    return itertools.chain((header + "\n",), rows)
 
 
-def _write_csv(path: Path, header: str, columns) -> None:
-    """Write the header and one row per position of the string columns."""
+def _write_csv(path: Path, lines) -> None:
     with path.open("w") as fh:
-        fh.write(header + "\n")
-        fh.writelines(_rows(columns))
+        fh.writelines(lines)
 
 
 def _json_default(obj):
@@ -117,8 +114,7 @@ def _spectrum_lines(cfg: RunConfig):
     columns = (spec.grid, spec.s_tilde_pos, spec.s_tilde_neg, spec.s_sym,
                spec.k.real, spec.k.imag, spec.h_opt)
     _refuse_non_finite("spectrum", spec.grid, columns)
-    lines = itertools.chain((SPECTRUM_HEADER + "\n",), _rows(map(_fmt, columns)))
-    return lines, spec, field
+    return _csv_lines(SPECTRUM_HEADER, map(_fmt, columns)), spec, field
 
 
 def run_spectrum(cfg: RunConfig, out_dir: Path) -> dict:
@@ -135,8 +131,7 @@ def run_spectrum(cfg: RunConfig, out_dir: Path) -> dict:
         field={"e_plus": [e[0].real, e[0].imag], "e_minus": [e[1].real, e[1].imag]},
     )
     out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "spectrum.csv").open("w") as fh:
-        fh.writelines(lines)
+    _write_csv(out_dir / "spectrum.csv", lines)
     _write_json(out_dir / "spectrum.json", sidecar)
     return _summary(cfg, spec)
 
@@ -194,7 +189,7 @@ def run_compare(cfg: RunConfig, out_dir: Path) -> dict:
         },
     )
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "compare.csv", COMPARE_HEADER, map(_fmt, columns))
+    _write_csv(out_dir / "compare.csv", _csv_lines(COMPARE_HEADER, map(_fmt, columns)))
     _write_json(out_dir / "compare.json", sidecar)
     return _summary(cfg, spec)
 
@@ -268,10 +263,7 @@ def run_cooling(cfg: RunConfig, out_dir: Path, optimize: bool = False) -> dict:
     if optimize:
         phi_text = list(_fmt(opt.phi_grid))
         chi_phi = (f"{chi},{phi}" for chi in _fmt(opt.chi_grid) for phi in phi_text)
-        _write_csv(
-            out_dir / "landscape.csv",
-            LANDSCAPE_HEADER,
-            [chi_phi, *map(_fmt, (opt.n_bar_grid, opt.s_f_pos_grid, opt.s_f_neg_grid))],
-        )
+        columns = map(_fmt, (opt.n_bar_grid, opt.s_f_pos_grid, opt.s_f_neg_grid))
+        _write_csv(out_dir / "landscape.csv", _csv_lines(LANDSCAPE_HEADER, [chi_phi, *columns]))
     _write_json(out_dir / "cooling.json", sidecar)
     return report

@@ -204,6 +204,14 @@ class TestSpectrumCommand:
             assert float(row["Re_K"]) == spec.k[0].real
             assert float(row["H_opt"]) == spec.h_opt[0]
 
+    def test_long_column_formats_as_one(self):
+        """A column of several formatting blocks reads like repr of each value."""
+        from msinoise import outputs
+
+        values = np.random.default_rng(0).standard_normal(2 * outputs._FMT_BLOCK + 3)
+        assert list(outputs._fmt(values)) == [repr(v) for v in values.tolist()]
+        assert list(outputs._fmt(values[:0])) == []
+
     def test_zero_pump_zero_columns(self, tmp_path):
         raw = json.loads(json.dumps(P1_CONFIG))
         raw["pump"] = {"west": {"power_w": 0.0}, "south": {"power_w": 0.0}}

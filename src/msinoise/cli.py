@@ -4,9 +4,10 @@ Subcommands: `spectrum` (force-noise sweep), `compare` (exact vs reduced
 model), `cooling` (occupancy report, optionally with pump optimisation),
 `verify` (the invariant suite).  Exit codes: 0 success, 1 invariant
 failure, 2 configuration error (including inputs whose results overflow
-double precision), 3 optical singularity over more than 10% of the grid,
-4 anti-damped (unstable) system.  `verify` reads no configuration: each
-invariant's tolerance is a constant of its check in `verify.py`.
+double precision), 3 optical singularity over more than 10% of the grid
+or at a +/-omega_m sideband of `cooling`, 4 anti-damped (unstable)
+system.  `verify` reads no configuration: each invariant's tolerance is
+a constant of its check in `verify.py`.
 """
 from __future__ import annotations
 

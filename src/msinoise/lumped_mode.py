@@ -21,7 +21,7 @@ import numpy as np
 from .algebra import cc_close
 from .errors import DegenerateFrequency
 from .radiation_pressure import (
-    ForceNoiseSpectrum, _damping, _force_entries, _noise_form, _spring_entries,
+    _CHUNK, ForceNoiseSpectrum, _damping, _force_entries, _noise_form, _spring_entries,
     _spring_form, _static_spring,
 )
 from .scattering import (
@@ -240,10 +240,10 @@ def _approx_force_entries(lp: LumpedParams, big_omega: np.ndarray) -> np.ndarray
     th, al, p = lp.theta_m, lp.alpha, lp.p
     root = math.sqrt(lp.gamma_s * lp.tau_s)
     k = 2.0 * lp.r_m / (lp.tau_s * ell)
+    f_10 = (lp.tau_s * ell_s + 0.5j * p**2 * math.sin(2 * al)) * np.exp(1j * th)
     return np.array([
         [k * (1j * p * math.sin(al - th)), k * (root * np.exp(-1j * th))],
-        [k * ((lp.tau_s * ell_s + 0.5j * p**2 * math.sin(2 * al)) * np.exp(1j * th)),
-         k * (-root * p * np.exp(1j * (th - al)))],
+        [k * f_10, k * (-root * p * np.exp(1j * (th - al)))],
     ])
 
 
@@ -254,10 +254,10 @@ def _approx_spring_entries(lp: LumpedParams, big_omega: np.ndarray) -> np.ndarra
     th, al, p = lp.theta_m, lp.alpha, lp.p
     eps = p * math.cos(al)
     k = -2j * lp.r_m / (lp.tau_s * ell)
+    g_11 = (lp.tau_s * ell_s + eps**2) * np.exp(1j * th)
     gen = np.array([
         [k * lp.r_m, k * (-lp.r_m * p * np.exp(-1j * al))],
-        [k * (-lp.r_m * p * np.exp(2j * (th - al))),
-         k * ((lp.tau_s * ell_s + eps**2) * np.exp(1j * th))],
+        [k * (-lp.r_m * p * np.exp(2j * (th - al))), k * g_11],
     ])
     n = gen.shape[2] // 2
     return cc_close(gen[:, :, :n], gen[:, :, n:])
@@ -308,23 +308,28 @@ def reduction_errors(
     exact zero counts as 0); err_K and err_S are those of the rigidity and
     the force noise at +Omega for ``field``.  Omega = 0 is allowed.  Raises
     OpticalSingularity if the exact optics is singular at any +/-Omega.
+    Evaluated in parts of `_CHUNK` grid points, as `noise_spectra`.
     """
     grid = np.asarray(grid, dtype=float)
-    both = np.concatenate([grid, -grid])
-    b = sideband_blocks(params, both).checked()
     e = field.as_array()
-    f_exact = _force_entries(b)[:, :, :grid.size]
-    f_strip = strip_propagation_phases(params, f_exact, grid)
-    f_ap = _approx_force_entries(lp, grid)
-    err_f = np.abs(f_strip - f_ap) / np.maximum(np.abs(f_strip), 1e-300)
-    k1 = _spring_form(params.k_p, e, _spring_entries(b))
-    k_exact = k1 + _static_spring(params, e)
-    k_ap = _spring_form(params.k_p, e, _approx_spring_entries(lp, both))
-    s_exact = _noise_form(params.k_p, e, f_exact)
-    s_ap = _noise_form(params.k_p, e, f_ap)
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 of an unpumped field
-        return (err_f.max(axis=(0, 1)), np.abs(k_exact - k_ap) / np.abs(k_exact),
-                np.abs(s_exact - s_ap) / s_exact)
+    err_f, err_k, err_s = np.empty((3, grid.size))
+    for lo in range(0, grid.size, _CHUNK):
+        part = grid[lo:lo + _CHUNK]
+        both = np.concatenate([part, -part])
+        b = sideband_blocks(params, both).checked()
+        f_exact = _force_entries(b)[:, :, :part.size]
+        f_strip = strip_propagation_phases(params, f_exact, part)
+        f_ap = _approx_force_entries(lp, part)
+        err = np.abs(f_strip - f_ap) / np.maximum(np.abs(f_strip), 1e-300)
+        err_f[lo:lo + _CHUNK] = err.max(axis=(0, 1))
+        k_exact = _spring_form(params.k_p, e, _spring_entries(b)) + _static_spring(params, e)
+        k_ap = _spring_form(params.k_p, e, _approx_spring_entries(lp, both))
+        s_exact = _noise_form(params.k_p, e, f_exact)
+        s_ap = _noise_form(params.k_p, e, f_ap)
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 of an unpumped field
+            err_k[lo:lo + _CHUNK] = np.abs(k_exact - k_ap) / np.abs(k_exact)
+            err_s[lo:lo + _CHUNK] = np.abs(s_exact - s_ap) / s_exact
+    return err_f, err_k, err_s
 
 
 def canonical_spectra(lp: LumpedParams, k_p: float, e_plus: complex, grid) -> ForceNoiseSpectrum:

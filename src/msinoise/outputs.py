@@ -14,7 +14,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, config_digest
 from .cooling import occupancy, optimize_pump
-from .errors import ConfigError, OpticalSingularity
+from .errors import ConfigError
 from .lumped_mode import (
     canonical_spectra,
     coupling_constants,
@@ -23,7 +23,7 @@ from .lumped_mode import (
     reduction_errors,
 )
 from .radiation_pressure import noise_spectra
-from .scattering import classical_fields
+from .scattering import classical_fields, sideband_blocks
 
 SPECTRUM_HEADER = "Omega,S_tilde_pos,S_tilde_neg,S_sym,Re_K,Im_K,H_opt"
 COMPARE_HEADER = "Omega,err_F,err_K,err_S_tilde,err_S_canonical,err_S_fano"
@@ -197,17 +197,17 @@ def run_compare(cfg: RunConfig, out_dir: Path) -> dict:
 def run_cooling(cfg: RunConfig, out_dir: Path, optimize: bool = False) -> dict:
     """Occupancy report -> cooling.json (+ landscape.csv with optimisation).
 
-    Raises UnstableSystem for anti-damped configurations; the CLI maps
-    that to its own exit code.  Raises ConfigError if the spectrum at
-    omega_m or a number of the report is not finite.  Every result and the
-    sidecar are computed before the first file is written, so an error
-    leaves no partial output.
+    Raises UnstableSystem for anti-damped configurations, OpticalSingularity
+    at a singular +/-omega_m sideband (the CLI maps each to its exit code)
+    and ConfigError if the spectrum at omega_m or a number of the report
+    is not finite.  Every result and the sidecar are computed before the
+    first file is written, so an error leaves no partial output.
     """
     mode = cfg.mechanical
     field = classical_fields(cfg.params, cfg.pump)
     spec = noise_spectra(cfg.params, field, [mode.omega_m])
-    if spec.skipped:
-        raise OpticalSingularity(cfg.params.omega_p + mode.omega_m, 0.0)
+    if spec.skipped:  # raises the singular sideband's own OpticalSingularity
+        sideband_blocks(cfg.params, np.array([mode.omega_m, -mode.omega_m])).checked()
     _refuse_non_finite("spectrum", spec.grid, (spec.s_tilde_pos, spec.s_tilde_neg, spec.k))
     result = occupancy(mode, float(spec.s_tilde_pos[0]), float(spec.s_tilde_neg[0]))
 

@@ -78,12 +78,11 @@ def _force_entries(b: SidebandBlocks) -> np.ndarray:
     (c, s), m = b.mixer, b.membrane
     (rho_w, rho_s), (t_w, t_s) = b.r_tilde, b.t_tilde
     k = 2 * m.real / b.d
-    return np.array([
-        [k * (m.conjugate() * s - s.conjugate() * rho_s) * t_w,
-         k * (m.conjugate() * c.conjugate() - c * rho_w) * t_s],
-        [k * (m * c - c.conjugate() * rho_s) * t_w,
-         k * (s * rho_w - m * s.conjugate()) * t_s],
-    ])
+    f_00 = m.conjugate() * s - s.conjugate() * rho_s
+    f_01 = m.conjugate() * c.conjugate() - c * rho_w
+    f_10 = m * c - c.conjugate() * rho_s
+    f_11 = s * rho_w - m * s.conjugate()
+    return np.array([[k * f_00 * t_w, k * f_01 * t_s], [k * f_10 * t_w, k * f_11 * t_s]])
 
 
 def _spring_entries(b: SidebandBlocks) -> np.ndarray:
@@ -97,12 +96,11 @@ def _spring_entries(b: SidebandBlocks) -> np.ndarray:
     both = rho_w * rho_s
     cross = c * s * rho_w - (c * s).conjugate() * rho_s
     k = -4j * m.real**2 / b.d
-    gen = np.array([
-        [k * (m.conjugate() * (s * s * rho_w + c.conjugate() ** 2 * rho_s) - both),
-         k * m.conjugate() * cross],
-        [k * m * cross,
-         k * (m * (c * c * rho_w + s.conjugate() ** 2 * rho_s) - both)],
-    ])
+    q_00 = s * s * rho_w + c.conjugate() ** 2 * rho_s
+    q_11 = c * c * rho_w + s.conjugate() ** 2 * rho_s
+    g_00 = m.conjugate() * q_00 - both
+    g_11 = m * q_11 - both
+    gen = np.array([[k * g_00, k * m.conjugate() * cross], [k * m * cross, k * g_11]])
     n = gen.shape[2] // 2
     return cc_close(gen[:, :, :n], gen[:, :, n:])
 
@@ -110,9 +108,9 @@ def _spring_entries(b: SidebandBlocks) -> np.ndarray:
 def _spring_form(k_p: float, e: np.ndarray, k: np.ndarray) -> np.ndarray:
     """hbar k_p^2 e^dagger K e for a (2, 2, N) stack K, N/m."""
     e_p, e_m = e
-    q = e_p.conjugate() * (k[0, 0] * e_p + k[0, 1] * e_m) + e_m.conjugate() * (
-        k[1, 0] * e_p + k[1, 1] * e_m
-    )
+    k_e_p = k[0, 0] * e_p + k[0, 1] * e_m
+    k_e_m = k[1, 0] * e_p + k[1, 1] * e_m
+    q = e_p.conjugate() * k_e_p + e_m.conjugate() * k_e_m
     return HBAR * k_p**2 * q
 
 
@@ -181,12 +179,9 @@ def _force_noise(
 ) -> np.ndarray:
     """Force noise S_tilde at each sideband Omega alone, N^2 s.
 
-    The ``s_tilde_pos`` column of `noise_spectra` without its -Omega
-    blocks, rigidity or damping, for callers that read nothing else.
-    Bit for bit equal to that column on grids under 8 192 points or of
-    16 384 and more, where the temporaries of both fall on the same side
-    of numpy's 256 KiB elision size.  Raises OpticalSingularity at a
-    singular point instead of skipping it.
+    The ``s_tilde_pos`` column of `noise_spectra`, bit for bit, without
+    its -Omega blocks, rigidity or damping, for callers that read nothing
+    else.  Raises OpticalSingularity at a singular point, not skipping it.
     """
     with np.errstate(all="ignore"):
         b = sideband_blocks(params, np.asarray(big_omega, dtype=float)).checked()
@@ -216,11 +211,8 @@ def noise_spectra(
     skipped = []
     with np.errstate(all="ignore"):
         e = field_.as_array()
-        # equal parts: each part of a split grid keeps over _CHUNK / 2 points,
-        # so its temporaries stay above numpy's 256 KiB elision size, as on
-        # the whole grid (complex products elided in place round otherwise)
-        parts = -(-n // _CHUNK)
-        for lo, hi in ((i * n // parts, (i + 1) * n // parts) for i in range(parts)):
+        for lo in range(0, n, _CHUNK):
+            hi = lo + _CHUNK
             part = grid[lo:hi]
             m = part.size
             b = sideband_blocks(params, np.concatenate([part, -part]))

@@ -209,6 +209,8 @@ def sideband_blocks(params: InterferometerParams, big_omega) -> SidebandBlocks:
     ``singular``, not raised; `SidebandBlocks.checked` raises for them.
     Pass a 1-D array even for one point: elementwise array loops round
     the same for any length, numpy's 0-d scalar arithmetic does not.
+    Formulas built on these blocks name each array factor of a complex
+    product, so a row rounds the same in a grid of any length.
     """
     omega = params.omega_p + np.asarray(big_omega, dtype=float)
     phases = np.exp(1j * (_pair(params.tau_w, params.tau_s) * omega))

@@ -507,6 +507,21 @@ class TestCoolingCommand:
         ]
         assert not out.exists()
 
+    def test_singular_lower_sideband_exits_3_and_names_it(self, tmp_path, capsys):
+        # closed south mirror and no asymmetry: D_e is singular at omega = 0,
+        # the lower sideband when omega_m = omega_p
+        raw = json.loads(json.dumps(P1_CONFIG))
+        raw["interferometer"].update(t_s=0.0, theta_m_rad=0.0, epsilon_rad=0.0, kappa=0.0)
+        omega_p = parse_config(raw).params.omega_p
+        raw["mechanical"] = {"omega_m_rad_s": omega_p, "h_friction_kg_s": 1e-14,
+                             "n_thermal": 1e4}
+        out = tmp_path / "out"
+        rc = main(["cooling", "--config", str(write_config(tmp_path, raw)),
+                   "--out", str(out)])
+        assert rc == 3
+        assert "singular at omega = 0.0 rad/s" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_mechanical_block_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, P1_CONFIG)
         rc = main(["cooling", "--config", str(cfg), "--out", str(tmp_path)])

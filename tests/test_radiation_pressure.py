@@ -6,9 +6,9 @@ import pytest
 from scipy.constants import hbar
 
 from conftest import clear_of_resonance
-from msinoise import radiation_pressure
+from msinoise import lumped_mode, radiation_pressure
 from msinoise.errors import DegenerateFrequency, OpticalSingularity
-from msinoise.lumped_mode import from_exact, params_for_targets
+from msinoise.lumped_mode import from_exact, params_for_targets, reduction_errors
 from msinoise.radiation_pressure import (
     ForceNoiseSpectrum,
     _force_entries,
@@ -260,15 +260,53 @@ class TestChunkedEvaluation:
         # one kernel call over all 2^19 sidebands peaks at ~13x the result
         assert peak <= 6 * result, peak / result
 
+    def test_reduction_errors_peak_memory_is_bounded_by_the_result(self, p1, p1_drive):
+        field = classical_fields(p1, p1_drive)
+        grid = np.linspace(1e8, 2e9, 2**18)
+        lp = from_exact(p1)
+        tracemalloc.start()
+        try:
+            errors = reduction_errors(p1, lp, field, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = sum(err.nbytes for err in errors)
+        # one kernel call over all 2^19 sidebands peaks at ~44x the result
+        assert peak <= 20 * result, peak / result
+
+    def test_rows_do_not_depend_on_the_grid_around_them(self, monkeypatch):
+        """A row of a sub-grid equals the same Omega's row of a 40 001-point
+        grid evaluated as one part, whatever the sub-grid's length."""
+        cfg = _p1_config()
+        field = classical_fields(cfg.params, cfg.pump)
+        lp = from_exact(cfg.params)
+        grid = np.linspace(cfg.grid[0], cfg.grid[-1], 40_001)
+        for module in (radiation_pressure, lumped_mode):
+            monkeypatch.setattr(module, "_CHUNK", 2 * grid.size)
+        whole = noise_spectra(cfg.params, field, grid)
+        whole_errors = reduction_errors(cfg.params, lp, field, grid)
+        for size, lo in ((41, 7), (4_001, 1_000), (8_192, 3), (12_000, 20_000)):
+            rows = slice(lo, lo + size)
+            part = noise_spectra(cfg.params, field, grid[rows])
+            for name in COLUMNS:
+                np.testing.assert_array_equal(getattr(part, name), getattr(whole, name)[rows])
+            for err, whole_err in zip(reduction_errors(cfg.params, lp, field, grid[rows]),
+                                      whole_errors):
+                np.testing.assert_array_equal(err, whole_err[rows])
+
 
 class TestOneSidedForceNoise:
     def test_equals_the_noise_spectra_column_on_p1(self):
         cfg = _p1_config()
         field = classical_fields(cfg.params, cfg.pump)
-        np.testing.assert_array_equal(
-            _force_noise(cfg.params, field, cfg.grid),
-            noise_spectra(cfg.params, field, cfg.grid).s_tilde_pos,
-        )
+        # at 8 192 and 12 000 points only noise_spectra's +/-grid temporaries
+        # reach numpy's 256 KiB elision size
+        for grid in (cfg.grid, *(np.linspace(cfg.grid[0], cfg.grid[-1], n)
+                                 for n in (8_192, 12_000))):
+            np.testing.assert_array_equal(
+                _force_noise(cfg.params, field, grid),
+                noise_spectra(cfg.params, field, grid).s_tilde_pos,
+            )
 
     def test_singular_sideband_raises(self):
         prm = unit_srm_params()

@@ -49,7 +49,9 @@ def solve_dense(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     stacked into one dense system and solved here, independently of any
     closed-form inverse.  ``a`` is one (n, n) matrix with ``y`` of shape
     (n,), or an (N, n, n) stack with ``y`` of shape (N, n), each system
-    solved on its own in one call.
+    solved on its own in one call.  A ``y`` with one more axis, (n, k) or
+    (N, n, k), holds k right-hand sides per system, all solved with the
+    one factorization of their system.
 
     Raises
     ------
@@ -64,8 +66,10 @@ def solve_dense(a: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if a.shape[-1] > MAX_DENSE_N:
         raise ValueError(f"system size {a.shape[-1]} exceeds {MAX_DENSE_N}")
+    columns = y.ndim == a.ndim  # k right-hand sides per system
     try:
-        # a column right-hand side: numpy reads a 2-D y as a matrix, not a stack
-        return np.linalg.solve(a, y[..., None])[..., 0]
+        # numpy reads a 2-D y as a matrix, not a stack, so a vector gets a column axis
+        x = np.linalg.solve(a, y if columns else y[..., None])
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(str(exc)) from exc
+    return x if columns else x[..., 0]

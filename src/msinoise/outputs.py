@@ -103,6 +103,12 @@ def _summary(cfg: RunConfig, spec) -> dict:
     return {"rows": len(spec.grid), "skipped": len(spec.skipped), "total": len(cfg.grid)}
 
 
+def _spectrum_columns(spec) -> tuple:
+    """The seven columns of spectrum.csv, in SPECTRUM_HEADER order."""
+    return (spec.grid, spec.s_tilde_pos, spec.s_tilde_neg, spec.s_sym,
+            spec.k.real, spec.k.imag, spec.h_opt)
+
+
 def _spectrum_lines(cfg: RunConfig):
     """The lines of spectrum.csv, lazily, with the spectrum and field they show.
 
@@ -111,8 +117,7 @@ def _spectrum_lines(cfg: RunConfig):
     """
     field = classical_fields(cfg.params, cfg.pump)
     spec = noise_spectra(cfg.params, field, cfg.grid)
-    columns = (spec.grid, spec.s_tilde_pos, spec.s_tilde_neg, spec.s_sym,
-               spec.k.real, spec.k.imag, spec.h_opt)
+    columns = _spectrum_columns(spec)
     _refuse_non_finite("spectrum", spec.grid, columns)
     return _csv_lines(SPECTRUM_HEADER, map(_fmt, columns)), spec, field
 

@@ -327,29 +327,38 @@ def oracle_solve(
     anywhere on this path, which makes it the independent oracle for
     `scattering_matrix`, `displacement_transfer` and `classical_fields`.
 
-    Params fields, ``omega``, ``x`` and the amplitudes may be (N,) arrays of
-    N cases: one (N, 10, 10) stack is solved, and each result is (2, N).
+    Params fields and ``omega`` may be (N,) arrays of N cases: one
+    (N, 10, 10) stack is built and each system is factorized once.  The
+    drives ``inputs``, ``x`` and ``field`` share the case shape or carry a
+    leading axis of k drives beyond it, solved as k right-hand sides of
+    the same factorization.  Each result is (2, *drives, *cases): (2,) for
+    scalars, (2, N) for N cases, (2, k, N) for k drives of N cases.
 
     Parameters
     ----------
     inputs : PortVector
         Incident sideband amplitudes at the two ports.
-    x : float or (N,) array
-        Membrane displacement amplitude at this sideband, m.
+    x : float or array
+        Membrane displacement amplitude at this sideband, m, per case and
+        per drive like the amplitudes.
     field : IntracavityField
         Classical intracavity amplitudes the displacement beats against.
     """
-    shape = _batch_shape(params, omega, x, inputs.west, inputs.south,
-                         field.e_plus, field.e_minus)
-    n = math.prod(shape)
+    full = _batch_shape(params, omega, x, inputs.west, inputs.south,
+                       field.e_plus, field.e_minus)
+    drives = full[:len(full) - len(_batch_shape(params, omega))]
+    k, n = math.prod(drives), math.prod(full[len(drives):])
 
     def diag(west, south):
         out = np.zeros((n, 2, 2), dtype=complex)
         out[:, 0, 0], out[:, 1, 1] = west, south
         return out
 
-    def column(pair):  # (2,) or (2, N) amplitudes -> (n, 2, 1)
-        return np.broadcast_to(pair.as_array().reshape(2, -1), (2, n)).T[:, :, None]
+    def spread(values):  # -> (k, n): one row per drive, one column per case
+        return np.broadcast_to(values, full).reshape(k, n)
+
+    def column(pair):  # (2, ...) amplitudes -> (n, 2, k)
+        return np.stack([spread(v) for v in pair.as_array()]).transpose(2, 0, 1)
 
     q = np.broadcast_to(mode_mixer(params).reshape(2, 2, -1), (2, 2, n)).transpose(2, 0, 1)
     a = diag(np.exp(1j * omega * params.tau_w), np.exp(1j * omega * params.tau_s))
@@ -357,16 +366,21 @@ def oracle_solve(
     r = diag(params.r_w, params.r_s)
     t = diag(params.t_w, params.t_s)
     a_in = column(inputs)
-    x_source = np.reshape(2j * params.k_p * params.r_m * x, (-1, 1, 1)) * column(field)[:, ::-1]
-    z, z1 = np.zeros((n, 2, 2)), np.zeros((n, 2, 1))
-    # each unknown (b, c, d, e, f) = its couplings to the others + its source
-    couplings = np.block([
-        [z, t, z, z, z],                      # b = -R a + T c
-        [z, z, z, z, a @ q.swapaxes(1, 2)],   # c = A Q^T f
-        [z, r, z, z, z],                      # d = T a + R c
-        [z, z, q @ a, z, z],                  # e = Q A d
-        [z, z, z, m, z],                      # f = M e + 2 i k_p R_m X E x
-    ])
-    sources = np.concatenate([-r @ a_in, z1, t @ a_in, z1, x_source], axis=1)[:, :, 0]
-    sol = solve_dense(np.eye(10) - couplings, sources)
-    return OracleFields(*(sol[:, i:i + 2].T.reshape((2, *shape)) for i in range(0, 10, 2)))
+    x_source = spread(2j * params.k_p * params.r_m * x).T[:, None, :] * column(field)[:, ::-1]
+    z1 = np.zeros((n, 2, k))
+    # the stack of 1 - couplings, built in place: 1 on the diagonal, and each
+    # unknown (b, c, d, e, f) = its couplings to the others + its source
+    system = np.zeros((n, 10, 10), dtype=complex)
+    system[:, range(10), range(10)] = 1.0
+    for row, col, block in (
+        (0, 1, t),                      # b = -R a + T c
+        (1, 4, a @ q.swapaxes(1, 2)),   # c = A Q^T f
+        (2, 1, r),                      # d = T a + R c
+        (3, 2, q @ a),                  # e = Q A d
+        (4, 3, m),                      # f = M e + 2 i k_p R_m X E x
+    ):
+        system[:, 2 * row:2 * row + 2, 2 * col:2 * col + 2] -= block
+    sources = np.concatenate([-r @ a_in, z1, t @ a_in, z1, x_source], axis=1)
+    sol = solve_dense(system, sources)
+    return OracleFields(*(sol[:, i:i + 2].transpose(1, 2, 0).reshape((2, *full))
+                          for i in range(0, 10, 2)))

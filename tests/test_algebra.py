@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from msinoise.algebra import cc_close, dagger, det2, solve_dense
+from msinoise.algebra import MAX_DENSE_N, cc_close, dagger, det2, solve_dense
 from msinoise.errors import SingularMatrix
 
 
@@ -65,6 +65,16 @@ def test_solve_dense_matches_closed_form_inverse():
         np.testing.assert_allclose(x_solve, x_closed, rtol=1e-12, atol=1e-14)
 
 
+def test_solve_dense_columns_match_separate_solves():
+    rng = np.random.default_rng(9)
+    a = rng.normal(size=(6, 10, 10)) + 1j * rng.normal(size=(6, 10, 10))
+    y = rng.normal(size=(6, 10, 3)) + 1j * rng.normal(size=(6, 10, 3))
+    x = solve_dense(a, y)
+    assert x.shape == y.shape
+    for j in range(3):
+        assert x[..., j].tobytes() == solve_dense(a, y[..., j]).tobytes()
+
+
 def test_solve_dense_singular_raises():
     a = np.ones((3, 3), dtype=complex)
     with pytest.raises(SingularMatrix):
@@ -74,6 +84,14 @@ def test_solve_dense_singular_raises():
 def test_solve_dense_rejects_oversize():
     with pytest.raises(ValueError):
         solve_dense(np.eye(65), np.ones(65))
+
+
+def test_solve_dense_columns_keep_both_errors():
+    singular = np.stack([np.eye(3), np.ones((3, 3))]).astype(complex)
+    with pytest.raises(SingularMatrix):
+        solve_dense(singular, np.ones((2, 3, 4)))
+    with pytest.raises(ValueError, match=f"exceeds {MAX_DENSE_N}"):
+        solve_dense(np.eye(MAX_DENSE_N + 1)[None], np.ones((1, MAX_DENSE_N + 1, 2)))
 
 
 def test_cc_close_constant_hermitian():

@@ -360,6 +360,27 @@ class TestBatchedParams:
                 assert ref.shape == (2,)
                 assert worst_rel(getattr(stacked, name)[:, i:i + 1], ref[:, None]) <= 1e-13
 
+    @pytest.mark.parametrize("n", [None, 40])
+    def test_drives_equal_separate_calls_bit_for_bit(self, n):
+        """k drives of float params (n None) or of (n,) params: one solve."""
+        rng = np.random.default_rng(17)
+        k = 3
+        drives = (k,) if n is None else (k, n)
+        sets = _random_params(rng, n)
+        omega = sets.omega_p + rng.uniform(-1e9, 1e9, n)
+        inputs = PortVector(*(rng.normal(size=(2, *drives))
+                              + 1j * rng.normal(size=(2, *drives))))
+        x = rng.uniform(0.0, 1e-15, drives)
+        field = IntracavityField(*(rng.normal(size=(2, *drives[1:]))
+                                   + 1j * rng.normal(size=(2, *drives[1:]))) * 1e8)
+        stacked = oracle_solve(sets, omega, inputs, x, field)
+        for j in range(k):
+            single = oracle_solve(sets, omega, PortVector(inputs.west[j], inputs.south[j]),
+                                  x[j], field)
+            for name in "bcdef":
+                assert getattr(stacked, name).shape == (2, *drives)
+                assert getattr(stacked, name)[:, j].tobytes() == getattr(single, name).tobytes()
+
     def test_float_and_array_fields_mix(self):
         rng = np.random.default_rng(18)
         theta = rng.uniform(0.0, math.pi / 2, 7)

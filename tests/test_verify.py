@@ -1,11 +1,14 @@
 """The verify ensembles: masked resampling, batched evaluation, result types."""
+import dataclasses
 import itertools
 import sys
 
 import numpy as np
 import pytest
 
-from msinoise import verify
+from msinoise import scattering, verify
+from msinoise.algebra import solve_dense
+from msinoise.config import load_config
 from msinoise.radiation_pressure import _force_noise, noise_spectra
 from msinoise.scattering import sideband_blocks
 
@@ -114,22 +117,73 @@ def test_one_sided_search_grid_equals_noise_spectra(monkeypatch, check, size):
                                   noise_spectra(params, field, grid).s_tilde_pos)
 
 
-@pytest.mark.parametrize("tampered, detail", [
-    ({2}, "rerun identical=False, matches frozen golden"),
-    ({1, 2}, "rerun identical=True, DIFFERS from frozen golden"),
-])
-def test_golden_check_fails_on_changed_text(monkeypatch, tampered, detail):
+#: the spectrum.csv columns, as fields (and parts) of the spectrum
+SPECTRUM_COLUMNS = ("grid", "s_tilde_pos", "s_tilde_neg", "s_sym", "k.real", "k.imag", "h_opt")
+
+
+def one_ulp_up(spec, column):
+    """``spec`` with one value of a spectrum.csv column moved up by one ulp."""
+    name, _, part = column.partition(".")
+    values = getattr(spec, name).copy()
+    target = getattr(values, part) if part else values
+    target[100] = np.nextafter(target[100], np.inf)
+    return dataclasses.replace(spec, **{name: values})
+
+
+@pytest.mark.parametrize("run, column, detail", [
+    # the rerun is compared with the first run bit for bit, not as text
+    *((2, column, "rerun identical=False, matches frozen golden")
+      for column in SPECTRUM_COLUMNS),
+    # the first run's text is compared with the frozen golden
+    (1, None, "rerun identical=True, DIFFERS from frozen golden"),
+], ids=[*(f"rerun-{column}" for column in SPECTRUM_COLUMNS), "text"])
+def test_golden_check_fails_on_changed_text(monkeypatch, run, column, detail):
     spectrum_lines, runs = verify._spectrum_lines, itertools.count(1)
 
     def altered(cfg):
         lines, spec, field = spectrum_lines(cfg)
-        if next(runs) in tampered:
-            lines = itertools.chain(lines, ["1.0,2.0,3.0,4.0,5.0,6.0,7.0\n"])
+        if next(runs) == run:
+            if column is None:
+                lines = itertools.chain(lines, ["1.0,2.0,3.0,4.0,5.0,6.0,7.0\n"])
+            else:
+                spec = one_ulp_up(spec, column)
         return lines, spec, field
 
     monkeypatch.setattr(verify, "_spectrum_lines", altered)
     result = verify.check_golden(verify.DEFAULT_SEED)
     assert (result.passed, result.measured, result.detail) == (False, 1.0, detail)
+    assert next(runs) == 3  # both runs made
+
+
+def test_oracle_check_factorizes_each_system_once(monkeypatch):
+    shapes = []
+
+    def counting(a, y):
+        shapes.append((a.shape, y.shape))
+        return solve_dense(a, y)
+
+    monkeypatch.setattr(scattering, "solve_dense", counting)
+    assert verify.check_oracle(verify.DEFAULT_SEED).passed
+    cases = verify._ORACLE_CASES
+    # the sideband systems for the port and the displacement drive, then
+    # the carrier systems for the port drive
+    assert shapes == [((cases, 10, 10), (cases, 10, 2)), ((cases, 10, 10), (cases, 10, 1))]
+
+
+def test_p1_is_read_once_and_shared_read_only(monkeypatch):
+    reads = []
+
+    def counting(path):
+        reads.append(path)
+        return load_config(path)
+
+    verify._p1_config.cache_clear()
+    monkeypatch.setattr(verify, "load_config", counting)
+    for _ in range(2):
+        verify.run_all()
+    assert len(reads) == 1
+    with pytest.raises(ValueError):
+        verify._p1_config().grid[0] = 0.0
 
 
 def test_results_are_python_scalars():

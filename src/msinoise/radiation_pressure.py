@@ -77,11 +77,12 @@ def _force_entries(b: SidebandBlocks) -> np.ndarray:
     """F = 2 R_m X (M Q - Q* R_breve) T_tilde / d, shape (2, 2, N)."""
     (c, s), m = b.mixer, b.membrane
     (rho_w, rho_s), (t_w, t_s) = b.r_tilde, b.t_tilde
+    c_bar, s_bar, m_bar = c.conjugate(), s.conjugate(), m.conjugate()
     k = 2 * m.real / b.d
-    f_00 = m.conjugate() * s - s.conjugate() * rho_s
-    f_01 = m.conjugate() * c.conjugate() - c * rho_w
-    f_10 = m * c - c.conjugate() * rho_s
-    f_11 = s * rho_w - m * s.conjugate()
+    f_00 = m_bar * s - s_bar * rho_s
+    f_01 = m_bar * c_bar - c * rho_w
+    f_10 = m * c - c_bar * rho_s
+    f_11 = s * rho_w - m * s_bar
     return np.array([[k * f_00 * t_w, k * f_01 * t_s], [k * f_10 * t_w, k * f_11 * t_s]])
 
 
@@ -98,9 +99,10 @@ def _spring_entries(b: SidebandBlocks) -> np.ndarray:
     k = -4j * m.real**2 / b.d
     q_00 = s * s * rho_w + c.conjugate() ** 2 * rho_s
     q_11 = c * c * rho_w + s.conjugate() ** 2 * rho_s
-    g_00 = m.conjugate() * q_00 - both
+    m_bar = m.conjugate()
+    g_00 = m_bar * q_00 - both
     g_11 = m * q_11 - both
-    gen = np.array([[k * g_00, k * m.conjugate() * cross], [k * m * cross, k * g_11]])
+    gen = np.array([[k * g_00, k * m_bar * cross], [k * m * cross, k * g_11]])
     n = gen.shape[2] // 2
     return cc_close(gen[:, :, :n], gen[:, :, n:])
 

@@ -147,25 +147,27 @@ class IntracavityField:
 class SidebandBlocks:
     """Optical blocks shared by every sideband quantity, batched over Omega.
 
-    The last axis runs over the N sideband frequencies; pairs are ordered
-    (west, south).
+    The trailing axes ``...`` run over the grid: the broadcast shape of the
+    sideband grid and the params fields, (N, K) for (N, 1) sets of K
+    sidebands each.  Pairs are ordered (west, south).
     """
 
-    omega: np.ndarray       # (N,) absolute frequencies omega_p + Omega, rad/s
-    phases: np.ndarray      # (2, N) one-way phases e^{i omega tau}
-    r_tilde: np.ndarray     # (2, N) r e^{2 i omega tau}
-    t_tilde: np.ndarray     # (2, N) t e^{i omega tau}
-    d_e: np.ndarray         # (2, 2, N) mode matrix D_e
-    d: np.ndarray           # (N,) det D_e
-    singular: np.ndarray    # (N,) at or below the relative determinant floor
-    mixer: tuple[complex, complex]  # (C, S) of mode_mixer, (N,) for array params
-    membrane: complex               # e^{i theta_m}, (N,) for array params
+    omega: np.ndarray       # (...) absolute frequencies omega_p + Omega, rad/s
+    phases: np.ndarray      # (2, ...) one-way phases e^{i omega tau}
+    r_tilde: np.ndarray     # (2, ...) r e^{2 i omega tau}
+    t_tilde: np.ndarray     # (2, ...) t e^{i omega tau}
+    d_e: np.ndarray         # (2, 2, ...) mode matrix D_e
+    d: np.ndarray           # (...) det D_e
+    singular: np.ndarray    # (...) at or below the relative determinant floor
+    mixer: tuple[complex, complex]  # (C, S) of mode_mixer, shaped as the params
+    membrane: complex               # e^{i theta_m}, shaped as the params
 
     def checked(self) -> SidebandBlocks:
         """These blocks; raises OpticalSingularity at the first singular point."""
         if self.singular.any():
-            i = int(np.argmax(self.singular))
-            raise OpticalSingularity(float(self.omega[i]), complex(self.d[i]))
+            i = int(np.argmax(self.singular))  # flat, over the grid's shape
+            omega = np.broadcast_to(self.omega, self.d.shape).flat[i]
+            raise OpticalSingularity(float(omega), complex(self.d.flat[i]))
         return self
 
 
@@ -202,27 +204,30 @@ def _mixer(params: InterferometerParams) -> tuple[complex, complex]:
 def sideband_blocks(params: InterferometerParams, big_omega) -> SidebandBlocks:
     """The shared optical blocks at omega_p + Omega for every Omega at once.
 
-    ``params`` fields may be (N,) arrays aligned with the (N,) ``big_omega``:
-    point i is then set i at Omega[i], so N parameter sets cost one call.
-    D_e = Q^dagger - R_tilde Q^T M is written out entry by entry, so no
-    result depends on a BLAS kernel.  Singular points are flagged in
-    ``singular``, not raised; `SidebandBlocks.checked` raises for them.
-    Pass a 1-D array even for one point: elementwise array loops round
-    the same for any length, numpy's 0-d scalar arithmetic does not.
-    Formulas built on these blocks name each array factor of a complex
-    product, so a row rounds the same in a grid of any length.
+    ``params`` fields may be arrays that broadcast against ``big_omega``:
+    (N,) fields put set i at Omega[i] of an (N,) grid, and (N, 1) fields
+    give each set the K sidebands of its row of an (N, K) grid, with C, S
+    and e^{i theta_m} computed once per set.  D_e = Q^dagger - R_tilde Q^T M
+    is written out entry by entry, so no result depends on a BLAS kernel.
+    Singular points are flagged in ``singular``, not raised;
+    `SidebandBlocks.checked` raises for them.  Pass a 1-D array even for
+    one point: numpy's 0-d scalar arithmetic rounds differently.  Here and
+    in the formulas on these blocks no complex product has an unnamed array
+    on its right, so a point rounds the same in a batch of any length.
     """
     omega = params.omega_p + np.asarray(big_omega, dtype=float)
-    phases = np.exp(1j * (_pair(params.tau_w, params.tau_s) * omega))
-    r_tilde = _pair(params.r_w, params.r_s) * phases * phases
-    t_tilde = _pair(params.t_w, params.t_s) * phases
+    phases = np.exp(1j * (_pair(params.tau_w, params.tau_s, omega) * omega))
+    r_tilde = _pair(params.r_w, params.r_s, omega) * phases * phases
+    t_tilde = _pair(params.t_w, params.t_s, omega) * phases
     c, s = _mixer(params)
     r_m, t_m = _cos_sin(params.theta_m)
     m = r_m + 1j * t_m  # e^{i theta_m}; m.real is exactly R_m
+    c_bar, s_bar, m_bar = c.conjugate(), s.conjugate(), m.conjugate()
+    c_m, s_m_bar, s_bar_m, c_bar_m_bar = c * m, s * m_bar, s_bar * m, c_bar * m_bar
     rho_w, rho_s = r_tilde
     d_e = np.array([
-        [c.conjugate() - rho_w * (c * m), s.conjugate() - rho_w * (s * m.conjugate())],
-        [rho_s * (s.conjugate() * m) - s, c - rho_s * (c.conjugate() * m.conjugate())],
+        [c_bar - rho_w * c_m, s_bar - rho_w * s_m_bar],
+        [rho_s * s_bar_m - s, c - rho_s * c_bar_m_bar],
     ])
     d = det2(d_e)
     mag = np.abs(d_e)
@@ -231,18 +236,20 @@ def sideband_blocks(params: InterferometerParams, big_omega) -> SidebandBlocks:
     return SidebandBlocks(omega, phases, r_tilde, t_tilde, d_e, d, singular, (c, s), m)
 
 
-def _pair(west, south) -> np.ndarray:
-    """A (west, south) field pair as a (2, 1) column, or (2, N) for array fields."""
-    return np.array(np.broadcast_arrays(west, south)).reshape(2, -1)
+def _pair(west, south, grid: np.ndarray) -> np.ndarray:
+    """A (west, south) field pair, (2, ...), its trailing axes broadcasting against ``grid``."""
+    pair = np.array(np.broadcast_arrays(west, south))
+    return pair.reshape(2, *(1,) * (grid.ndim + 1 - pair.ndim), *pair.shape[1:])
 
 
 def _scattering_entries(params: InterferometerParams, b: SidebandBlocks) -> np.ndarray:
     """R_ifo = -R + T_tilde (Q^T M Q - R_breve) T_tilde / d, shape (2, 2, N)."""
     (c, s), m = b.mixer, b.membrane
+    c_bar, s_bar, m_bar = c.conjugate(), s.conjugate(), m.conjugate()
     (rho_w, rho_s), (t_w, t_s) = b.r_tilde, b.t_tilde
-    n_00 = (c * c * m + s * s * m.conjugate()) - rho_s
-    n_11 = (s.conjugate() ** 2 * m + c.conjugate() ** 2 * m.conjugate()) - rho_w
-    n_01 = s * c.conjugate() * m.conjugate() - c * s.conjugate() * m
+    n_00 = (c * c * m + s * s * m_bar) - rho_s
+    n_11 = (s_bar ** 2 * m + c_bar ** 2 * m_bar) - rho_w
+    n_01 = s * c_bar * m_bar - c * s_bar * m
     return np.array([
         [-params.r_w + t_w * n_00 * t_w / b.d, t_w * n_01 * t_s / b.d],
         [t_s * n_01 * t_w / b.d, -params.r_s + t_s * n_11 * t_s / b.d],
@@ -253,13 +260,12 @@ def _displacement_entries(b: SidebandBlocks) -> np.ndarray:
     """G = 2 R_m T_tilde^dagger (Q^dagger M^dagger - R_breve^dagger Q^T) X / d*,
     shape (2, 2, N)."""
     (c, s), m = b.mixer, b.membrane
+    c_bar, s_bar, m_bar = c.conjugate(), s.conjugate(), m.conjugate()
     (rho_w, rho_s), (t_w, t_s) = b.r_tilde.conj(), b.t_tilde.conj()
     k = 2 * m.real / b.d.conj()
     return np.array([
-        [k * t_w * (s.conjugate() * m - rho_s * s),
-         k * t_w * (c.conjugate() * m.conjugate() - rho_s * c)],
-        [k * t_s * (c * m - rho_w * c.conjugate()),
-         k * t_s * (rho_w * s.conjugate() - s * m.conjugate())],
+        [k * t_w * (s_bar * m - rho_s * s), k * t_w * (c_bar * m_bar - rho_s * c)],
+        [k * t_s * (c * m - rho_w * c_bar), k * t_s * (rho_w * s_bar - s * m_bar)],
     ])
 
 
@@ -349,38 +355,32 @@ def oracle_solve(
     drives = full[:len(full) - len(_batch_shape(params, omega))]
     k, n = math.prod(drives), math.prod(full[len(drives):])
 
-    def diag(west, south):
-        out = np.zeros((n, 2, 2), dtype=complex)
-        out[:, 0, 0], out[:, 1, 1] = west, south
-        return out
-
     def spread(values):  # -> (k, n): one row per drive, one column per case
         return np.broadcast_to(values, full).reshape(k, n)
 
-    def column(pair):  # (2, ...) amplitudes -> (n, 2, k)
-        return np.stack([spread(v) for v in pair.as_array()]).transpose(2, 0, 1)
-
-    q = np.broadcast_to(mode_mixer(params).reshape(2, 2, -1), (2, 2, n)).transpose(2, 0, 1)
-    a = diag(np.exp(1j * omega * params.tau_w), np.exp(1j * omega * params.tau_s))
-    m = diag(np.exp(1j * params.theta_m), np.exp(-1j * params.theta_m))
-    r = diag(params.r_w, params.r_s)
-    t = diag(params.t_w, params.t_s)
-    a_in = column(inputs)
-    x_source = spread(2j * params.k_p * params.r_m * x).T[:, None, :] * column(field)[:, ::-1]
-    z1 = np.zeros((n, 2, k))
+    q = mode_mixer(params)
+    a = (np.exp(1j * omega * params.tau_w), np.exp(1j * omega * params.tau_s))
+    m = (np.exp(1j * params.theta_m), np.exp(-1j * params.theta_m))
+    r, t = (params.r_w, params.r_s), (params.t_w, params.t_s)
+    a_in, e = inputs.as_array(), field.as_array()
+    x_drive = spread(2j * params.k_p * params.r_m * x)
     # the stack of 1 - couplings, built in place: 1 on the diagonal, and each
-    # unknown (b, c, d, e, f) = its couplings to the others + its source
+    # unknown (b, c, d, e, f) = its couplings to the others + its source;
+    # R, T, M and A are diagonal, so each block is written entry by entry
     system = np.zeros((n, 10, 10), dtype=complex)
     system[:, range(10), range(10)] = 1.0
-    for row, col, block in (
-        (0, 1, t),                      # b = -R a + T c
-        (1, 4, a @ q.swapaxes(1, 2)),   # c = A Q^T f
-        (2, 1, r),                      # d = T a + R c
-        (3, 2, q @ a),                  # e = Q A d
-        (4, 3, m),                      # f = M e + 2 i k_p R_m X E x
-    ):
-        system[:, 2 * row:2 * row + 2, 2 * col:2 * col + 2] -= block
-    sources = np.concatenate([-r @ a_in, z1, t @ a_in, z1, x_source], axis=1)
-    sol = solve_dense(system, sources)
+    sources = np.zeros((10, k, n), dtype=complex)
+    for i in range(2):
+        system[:, i, 2 + i] -= t[i]                    # b = -R a + T c
+        system[:, 4 + i, 2 + i] -= r[i]                # d = T a + R c
+        system[:, 8 + i, 6 + i] -= m[i]                # f = M e + 2 i k_p R_m X E x
+        for j in range(2):
+            system[:, 2 + i, 8 + j] -= a[i] * q[j, i]  # c = A Q^T f
+            system[:, 6 + i, 4 + j] -= q[i, j] * a[j]  # e = Q A d
+        drive = spread(a_in[i])
+        sources[i] = -r[i] * drive
+        sources[4 + i] = t[i] * drive
+        sources[8 + i] = x_drive * spread(e[1 - i])   # X swaps the modes
+    sol = solve_dense(system, sources.transpose(2, 0, 1))
     return OracleFields(*(sol[:, i:i + 2].transpose(1, 2, 0).reshape((2, *full))
                           for i in range(0, 10, 2)))

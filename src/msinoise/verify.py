@@ -4,8 +4,10 @@ Each check returns an InvariantResult; `run_all` drives the fixed list.
 The same functions back the CLI `verify` subcommand and the acceptance
 test module, so there is exactly one definition of every tolerance: a
 constant stated in its own check, which no argument or input overrides.
-Each random ensemble is evaluated once, by its conditioning screen; `run_all`
-shares one between ``symmetry_g_f`` and ``unitarity``, then drops it.
+Each random ensemble draws its N sets as (N, 1) fields against an (N, K)
+sideband grid, so one kernel call broadcasts each set over its K sidebands,
+and is evaluated once, by its conditioning screen; `run_all` shares one
+between ``symmetry_g_f`` and ``unitarity``, then drops it.
 Each check evaluates only what it compares: the search grids of
 ``canonical_limit`` and ``fano_minimum`` take the one-sided force noise,
 and ``golden_determinism`` makes the CSV text of the reference sweep once,
@@ -96,8 +98,8 @@ class InvariantResult:
         )
 
 
-def _random_params(rng: np.random.Generator, size: int | None = None) -> InterferometerParams:
-    """One random parameter set, or ``size`` sets as (size,) array fields."""
+def _random_params(rng: np.random.Generator, size=None) -> InterferometerParams:
+    """One random parameter set, or sets as array fields of shape ``size``."""
     r_s = rng.uniform(0.0, 0.995, size)
     r_w = rng.uniform(0.0, 0.995, size)
     return InterferometerParams(
@@ -114,30 +116,24 @@ def _random_params(rng: np.random.Generator, size: int | None = None) -> Interfe
     )
 
 
-def _per_point(params: InterferometerParams, k: int) -> InterferometerParams:
-    """Each of the (N,) sets in ``params`` repeated for its k sideband points."""
-    return InterferometerParams(**{name: np.repeat(v, k) for name, v in vars(params).items()})
-
-
 def _well_conditioned_cases(rng, n_sets: int, n_omegas: int, floor: float = 1e-3):
     """``n_sets`` random sets with ``n_omegas`` sidebands each, redrawing only
     the sets with |det D_e| < ``floor`` at a sideband or the carrier, so
     oracle-vs-closed-form comparisons are not dominated by conditioning.
-    Returns the sets per sideband point, the flat sidebands and the checked
-    blocks there; nothing is kept between calls (`run_all` shares a result).
+    Returns the sets as (n_sets, 1) fields, their (n_sets, n_omegas)
+    sidebands and the checked blocks there, which broadcast each set over
+    its sidebands; nothing is kept between calls (`run_all` shares a result).
     """
-    params = _random_params(rng, n_sets)
+    params = _random_params(rng, (n_sets, 1))
     omegas = rng.uniform(-1.0e9, 1.0e9, size=(n_sets, n_omegas))
     while True:
-        points = _per_point(params, n_omegas)
-        blocks = sideband_blocks(points, omegas.ravel())
-        carrier = sideband_blocks(params, np.zeros(n_sets)).d
-        worst = np.minimum(np.abs(blocks.d).reshape(n_sets, n_omegas).min(axis=1),
-                           np.abs(carrier))
+        blocks = sideband_blocks(params, omegas)
+        carrier = sideband_blocks(params, np.zeros((n_sets, 1))).d
+        worst = np.minimum(np.abs(blocks.d).min(axis=1), np.abs(carrier[:, 0]))
         redo = np.flatnonzero(worst < floor)
         if redo.size == 0:
-            return points, omegas.ravel(), blocks.checked()
-        fresh = _random_params(rng, redo.size)  # validated as it is drawn
+            return params, omegas, blocks.checked()
+        fresh = _random_params(rng, (redo.size, 1))  # validated as it is drawn
         for name, column in vars(params).items():
             column[redo] = vars(fresh)[name]
         omegas[redo] = rng.uniform(-1.0e9, 1.0e9, size=(redo.size, n_omegas))
@@ -195,22 +191,23 @@ def check_oracle(seed: int) -> InvariantResult:
     """
     tol = 1e-10
     rng = np.random.default_rng(seed)
-    params, _, b = _well_conditioned_cases(rng, _ORACLE_CASES, 1)
+    columns, _, b = _well_conditioned_cases(rng, _ORACLE_CASES, 1)
+    params = InterferometerParams(**{name: v[:, 0] for name, v in vars(columns).items()})
     pair = (2, _ORACLE_CASES)
     a = PortVector(*(rng.normal(size=pair) + 1j * rng.normal(size=pair)))
     e_cl = IntracavityField(*((rng.normal(size=pair) + 1j * rng.normal(size=pair)) * 1e8))
     x = 1e-15
-    r = _scattering_entries(params, b)
+    r = _scattering_entries(columns, b)[..., 0]
 
     apply = "ijn,jn->in"  # each (2, 2) matrix of a stack times its column
 
     # drive 0: the port inputs a alone; drive 1: the displacement x alone
     inputs = PortVector(*(np.stack([v, np.zeros_like(v)]) for v in a.as_array()))
-    sol = oracle_solve(params, b.omega, inputs, np.array([[0.0], [x]]), e_cl)
+    sol = oracle_solve(params, b.omega[:, 0], inputs, np.array([[0.0], [x]]), e_cl)
     port, moved = sol.b[:, 0], sol.b[:, 1]
     worst = _rel_dev(port, np.einsum(apply, r, a.as_array()))
 
-    g = 1j * params.k_p * _displacement_entries(b)
+    g = 1j * params.k_p * _displacement_entries(b)[..., 0]
     g_e = np.einsum(apply, g, e_cl.as_array())
     worst = max(worst, _rel_dev(moved, np.einsum(apply, r, g_e * x)))
 

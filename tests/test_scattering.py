@@ -25,7 +25,7 @@ from msinoise.scattering import (
     scattering_matrix,
     sideband_blocks,
 )
-from msinoise.verify import _per_point, _random_params
+from msinoise.verify import _random_params
 
 # intracavity amplitudes of the reference configuration, frozen from the
 # dense-solver oracle (oracle_solve at the pump frequency, dark south port)
@@ -140,6 +140,15 @@ class TestModeDynamics:
         assert b.singular.tolist() == [True, False]
         with pytest.raises(OpticalSingularity):
             b.checked()
+
+    def test_singular_point_of_a_grid_is_named(self):
+        prm = params_simple(r_s=1.0, t_s=0.0, tau_s=1.0, tau_w=1.0, k_p=1.0)
+        grid = np.array([[1.0, 2.0, 3.0], [4.0, -prm.omega_p, 5.0]])
+        b = sideband_blocks(prm, grid)
+        assert b.singular.tolist() == [[False] * 3, [False, True, False]]
+        with pytest.raises(OpticalSingularity) as err:
+            b.checked()
+        assert (err.value.omega, err.value.det) == (0.0, complex(b.d[1, 1]))
 
     def test_d_e_matches_matrix_products(self):
         rng = np.random.default_rng(14)
@@ -306,16 +315,17 @@ def worst_rel(batch, scalar):
 
 
 class TestBatchedParams:
-    """(N,) array params against per-set calls with float params."""
+    """Array params against per-set calls with float params."""
 
     N_SETS, N_OMEGAS = 300, 5
 
     def test_kernel_entries_and_fields_match_per_set_calls(self):
+        # (N, 1) sets broadcast over an (N, K) grid, as the verify ensembles draw them
         rng = np.random.default_rng(15)
         sets = _random_params(rng, self.N_SETS)
         omegas = rng.uniform(-1e9, 1e9, size=(self.N_SETS, self.N_OMEGAS))
-        params = _per_point(sets, self.N_OMEGAS)
-        b = sideband_blocks(params, omegas.ravel())
+        params = InterferometerParams(**{name: v[:, None] for name, v in vars(sets).items()})
+        b = sideband_blocks(params, omegas)
 
         def entries(prm, blocks):  # F, G and R_ifo stacks; only R_ifo reads the params
             return {"F": _force_entries(blocks), "G": _displacement_entries(blocks),
@@ -330,10 +340,9 @@ class TestBatchedParams:
         for i in range(self.N_SETS):
             single = one_set(sets, i)
             bs = sideband_blocks(single, omegas[i])
-            at = slice(i * self.N_OMEGAS, (i + 1) * self.N_OMEGAS)
-            worst["d"] = max(worst["d"], worst_rel(b.d[at][None], bs.d[None]))
+            worst["d"] = max(worst["d"], worst_rel(b.d[i][None], bs.d[None]))
             for name, stack in entries(single, bs).items():
-                worst[name] = max(worst[name], worst_rel(batched[name][:, :, at], stack))
+                worst[name] = max(worst[name], worst_rel(batched[name][:, :, i], stack))
             field = classical_fields(single, PortVector(pump.west[i], pump.south[i]))
             assert isinstance(field.e_plus, complex)
             worst["cf"] = max(worst["cf"], worst_rel(fields.as_array()[:, i:i + 1],
@@ -380,6 +389,18 @@ class TestBatchedParams:
             for name in "bcdef":
                 assert getattr(stacked, name).shape == (2, *drives)
                 assert getattr(stacked, name)[:, j].tobytes() == getattr(single, name).tobytes()
+
+    def test_a_set_rounds_alike_in_a_batch_of_any_length(self):
+        # 40 000 sets: numpy would multiply unnamed temporaries of this size
+        # in place, with the operands of a complex product swapped
+        rng = np.random.default_rng(5)
+        sets = _random_params(rng, 40000)
+        omegas = rng.uniform(-1e9, 1e9, 40000)
+        first = InterferometerParams(**{name: v[:100] for name, v in vars(sets).items()})
+        batch, alone = sideband_blocks(sets, omegas), sideband_blocks(first, omegas[:100])
+        for whole, part in ((batch.d, alone.d), (batch.d_e, alone.d_e),
+                            (_force_entries(batch), _force_entries(alone))):
+            assert whole[..., :100].tobytes() == part.tobytes()
 
     def test_float_and_array_fields_mix(self):
         rng = np.random.default_rng(18)

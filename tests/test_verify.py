@@ -9,8 +9,10 @@ import pytest
 from msinoise import scattering, verify
 from msinoise.algebra import solve_dense
 from msinoise.config import load_config
-from msinoise.radiation_pressure import _force_noise, noise_spectra
-from msinoise.scattering import sideband_blocks
+from msinoise.radiation_pressure import _force_entries, _force_noise, noise_spectra
+from msinoise.scattering import (
+    InterferometerParams, _displacement_entries, _scattering_entries, sideband_blocks,
+)
 
 
 @pytest.fixture
@@ -50,24 +52,39 @@ def test_resampler_redraws_only_the_sets_below_the_floor(kernel_calls):
         np.random.default_rng(21), n_sets, n_omegas, floor=floor)
     # two kernel calls per round (sidebands, carriers), so some were redrawn
     assert len(kernel_calls) >= 4
-    assert omegas.shape == params.theta_m.shape == (n_sets * n_omegas,)
+    assert params.theta_m.shape == (n_sets, 1) and omegas.shape == (n_sets, n_omegas)
     for grid in (omegas, np.zeros_like(omegas)):
         assert np.abs(sideband_blocks(params, grid).d).min() >= floor
     fresh = sideband_blocks(params, omegas)
+    assert blocks.d.shape == (n_sets, n_omegas)
     np.testing.assert_array_equal(blocks.d, fresh.d)
     np.testing.assert_array_equal(blocks.d_e, fresh.d_e)
 
     rng = np.random.default_rng(21)
-    first = verify._random_params(rng, n_sets)
+    first = verify._random_params(rng, (n_sets, 1))
     first_omegas = rng.uniform(-1.0e9, 1.0e9, size=(n_sets, n_omegas))
-    d = sideband_blocks(verify._per_point(first, n_omegas), first_omegas.ravel()).d
-    carrier = sideband_blocks(first, np.zeros(n_sets)).d
-    kept = np.minimum(np.abs(d).reshape(n_sets, -1).min(axis=1),
-                      np.abs(carrier)) >= floor
+    d = sideband_blocks(first, first_omegas).d
+    carrier = sideband_blocks(first, np.zeros((n_sets, 1))).d
+    kept = np.minimum(np.abs(d).min(axis=1), np.abs(carrier[:, 0])) >= floor
     assert 0 < kept.sum() < n_sets
-    per_set = params.theta_m.reshape(n_sets, n_omegas)[:, 0]
-    np.testing.assert_array_equal(per_set == first.theta_m, kept)
-    np.testing.assert_array_equal(omegas.reshape(n_sets, -1)[kept], first_omegas[kept])
+    np.testing.assert_array_equal(params.theta_m[:, 0] == first.theta_m[:, 0], kept)
+    np.testing.assert_array_equal(omegas[kept], first_omegas[kept])
+
+
+def test_broadcast_ensemble_equals_per_point_evaluation():
+    """Each (N, 1) set broadcast over its K sidebands gives the bits of the
+    same set repeated for every point of the flat (N K,) grid."""
+    params, omegas, b = verify._structural_cases(verify.DEFAULT_SEED)
+    k = omegas.shape[1]
+    points = InterferometerParams(**{name: np.repeat(v, k) for name, v in vars(params).items()})
+    flat = sideband_blocks(points, omegas.ravel())
+    for broadcast, per_point in (
+        (_force_entries(b), _force_entries(flat)),
+        (_displacement_entries(b), _displacement_entries(flat)),
+        (_scattering_entries(params, b), _scattering_entries(points, flat)),
+    ):
+        assert broadcast.shape == (2, 2, *omegas.shape)
+        assert broadcast.reshape(per_point.shape).tobytes() == per_point.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -308,7 +308,8 @@ def reduction_errors(
     exact zero counts as 0); err_K and err_S are those of the rigidity and
     the force noise at +Omega for ``field``.  Omega = 0 is allowed.  Raises
     OpticalSingularity if the exact optics is singular at any +/-Omega.
-    Evaluated in parts of `_CHUNK` grid points, as `noise_spectra`.
+    Evaluated in parts of `_CHUNK` grid points, as `noise_spectra`, into
+    three preallocated columns, so its temporaries stay the size of one part.
     """
     grid = np.asarray(grid, dtype=float)
     e = field.as_array()

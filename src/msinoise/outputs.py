@@ -22,7 +22,7 @@ from .lumped_mode import (
     from_exact,
     reduction_errors,
 )
-from .radiation_pressure import noise_spectra
+from .radiation_pressure import _CHUNK, noise_spectra
 from .scattering import classical_fields, sideband_blocks
 
 SPECTRUM_HEADER = "Omega,S_tilde_pos,S_tilde_neg,S_sym,Re_K,Im_K,H_opt"
@@ -30,19 +30,16 @@ COMPARE_HEADER = "Omega,err_F,err_K,err_S_tilde,err_S_canonical,err_S_fano"
 LANDSCAPE_HEADER = "chi,phi,n_bar,s_f_pos,s_f_neg"
 
 
-#: most values of a column that `_fmt` turns into Python floats at once
-_FMT_BLOCK = 2**16
-
-
 def _fmt(values: np.ndarray):
     """Lazy shortest decimals that round-trip to the same doubles, in C order.
 
-    The column is converted one block of `_FMT_BLOCK` values at a time, so
-    a large sweep never holds all its floats as Python objects.
+    The column is converted one part of `_CHUNK` values at a time, the part
+    size of the kernel calls, so a sweep holds at most one part of each
+    column as Python floats.
     """
     flat = values.ravel()
     return itertools.chain.from_iterable(
-        map(repr, flat[i:i + _FMT_BLOCK].tolist()) for i in range(0, flat.size, _FMT_BLOCK)
+        map(repr, flat[i:i + _CHUNK].tolist()) for i in range(0, flat.size, _CHUNK)
     )
 
 

@@ -30,9 +30,13 @@ __all__ = [
 
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-#: most grid points per kernel call of `noise_spectra`, which bounds its
-#: temporaries over the sidebands of one call whatever the grid size
-_CHUNK = 2**16
+#: the one part size of every pass over a grid: the kernel calls of
+#: `noise_spectra`, `_force_noise` and `lumped_mode.reduction_errors`, and
+#: the CSV formatting of `outputs._fmt`, so a pass holds the temporaries
+#: of one part, not of its grid.  Of 2**9, 2**10 and 2**11, measured on
+#: P1: 2**11 kept the 4 001-point sweep's peak RSS 1.4 MB higher, and 2**9
+#: took ~20 % longer per point on large grids, in per-call overhead.
+_CHUNK = 2**10
 
 
 @dataclass(frozen=True)
@@ -179,15 +183,21 @@ def _damping(s_pos: np.ndarray, s_neg: np.ndarray, grid: np.ndarray) -> np.ndarr
 def _force_noise(
     params: InterferometerParams, field_: IntracavityField, big_omega
 ) -> np.ndarray:
-    """Force noise S_tilde at each sideband Omega alone, N^2 s.
+    """Force noise S_tilde at each sideband Omega of a 1-D grid alone, N^2 s.
 
     The ``s_tilde_pos`` column of `noise_spectra`, bit for bit, without
     its -Omega blocks, rigidity or damping, for callers that read nothing
-    else.  Raises OpticalSingularity at a singular point, not skipping it.
+    else.  Evaluated in parts of `_CHUNK` points, like `noise_spectra`;
+    raises OpticalSingularity at the first singular point, not skipping it.
     """
+    grid = np.asarray(big_omega, dtype=float)
+    e = field_.as_array()
+    s_tilde = np.empty(grid.size)
     with np.errstate(all="ignore"):
-        b = sideband_blocks(params, np.asarray(big_omega, dtype=float)).checked()
-        return _noise_form(params.k_p, field_.as_array(), _force_entries(b))
+        for lo in range(0, grid.size, _CHUNK):
+            b = sideband_blocks(params, grid[lo:lo + _CHUNK]).checked()
+            s_tilde[lo:lo + _CHUNK] = _noise_form(params.k_p, e, _force_entries(b))
+    return s_tilde
 
 
 def noise_spectra(
@@ -200,8 +210,9 @@ def noise_spectra(
     For each Omega in ``grid`` evaluates the non-symmetrised densities at
     +/-Omega, the symmetrised density, the complex rigidity and the
     optical damping, from one `sideband_blocks` call over +/-grid per
-    part of at most `_CHUNK` grid points, so large grids keep bounded
-    temporaries; every value is the same as from one call over all of it.
+    part of at most `_CHUNK` grid points, so its temporaries stay the size
+    of one part whatever the grid's; every value is the same as from one
+    call over all of it.
     Points where either sideband hits an exact optical singularity are
     skipped and reported, not interpolated.  Numbers beyond double
     precision come out as inf or NaN without a warning; callers refuse them.

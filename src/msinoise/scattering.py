@@ -294,22 +294,25 @@ def classical_fields(params: InterferometerParams, pump: PortVector) -> Intracav
     E = adj(D_e) T_tilde A / det D_e at omega_p; the dressed transmissivity
     T_tilde carries the single-pass propagation phase of each port.  The
     2x2 products are broadcast sums, so no result depends on a BLAS kernel.
-    With (N,) params or pump amplitudes the amplitudes are (N,) arrays, and
-    the inverse is self-checked for every set.
+    With array params or pump amplitudes, of any broadcast shape such as
+    (N,) or (N, 1), the amplitudes are arrays of that shape, and the
+    inverse is self-checked for every set; a failed check names the set by
+    its flat index, as `SidebandBlocks.checked` does.
     """
     shape = _batch_shape(params, pump.west, pump.south)
     b = sideband_blocks(params, np.zeros(shape or 1)).checked()
     d_e, d = b.d_e, b.d
     adj = np.array([[d_e[1, 1], -d_e[0, 1]], [-d_e[1, 0], d_e[0, 0]]])
-    off = (adj[:, :, None] * d_e).sum(axis=1) / d - np.eye(2)[:, :, None]
+    off = (adj[:, :, None] * d_e).sum(axis=1) / d - np.eye(2).reshape(2, 2, *(1,) * d.ndim)
     residual = np.abs(off).max(axis=(0, 1))
     if residual.max() > 1e-12:
-        i = int(np.argmax(residual))
+        i = int(np.argmax(residual))  # flat, over the sets' shape
+        omega = np.broadcast_to(b.omega, d.shape).flat[i]
         raise ArithmeticError(
             "closed-form mode inverse failed its self-check; "
-            f"|D| = {abs(d[i]):.3e} at omega = {float(b.omega[i])!r}"
+            f"|D| = {abs(d.flat[i]):.3e} at omega = {float(omega)!r}"
         )
-    e = (adj * (b.t_tilde * pump.as_array().reshape(2, -1))).sum(axis=1) / d
+    e = (adj * (b.t_tilde * _pair(*pump.as_array(), d))).sum(axis=1) / d
     return IntracavityField(*(e if shape else e[:, 0].tolist()))  # complex for floats
 
 

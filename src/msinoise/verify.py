@@ -10,7 +10,8 @@ and is evaluated once, by its conditioning screen; `run_all` shares one
 between ``symmetry_g_f`` and ``unitarity``, then drops it.
 Each check evaluates only what it compares: the search grids of
 ``canonical_limit`` and ``fano_minimum`` take the one-sided force noise,
-and ``golden_determinism`` makes the CSV text of the reference sweep once,
+in parts of ``radiation_pressure._CHUNK`` points like every sweep, and
+``golden_determinism`` makes the CSV text of the reference sweep once,
 in memory, for the frozen golden, and compares its rerun bit for bit,
 writing no file.  ``oracle_equivalence`` factorizes each of its sideband
 systems once, for both its drives, and the packaged P1 configuration is

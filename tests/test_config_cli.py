@@ -205,10 +205,10 @@ class TestSpectrumCommand:
             assert float(row["H_opt"]) == spec.h_opt[0]
 
     def test_long_column_formats_as_one(self):
-        """A column of several formatting blocks reads like repr of each value."""
+        """A column of several formatting parts reads like repr of each value."""
         from msinoise import outputs
 
-        values = np.random.default_rng(0).standard_normal(2 * outputs._FMT_BLOCK + 3)
+        values = np.random.default_rng(0).standard_normal(2 * outputs._CHUNK + 3)
         assert list(outputs._fmt(values)) == [repr(v) for v in values.tolist()]
         assert list(outputs._fmt(values[:0])) == []
 

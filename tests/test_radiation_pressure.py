@@ -257,8 +257,9 @@ class TestChunkedEvaluation:
         finally:
             tracemalloc.stop()
         result = sum(getattr(spec, name).nbytes for name in COLUMNS)
-        # one kernel call over all 2^19 sidebands peaks at ~13x the result
-        assert peak <= 6 * result, peak / result
+        # 2^10-point parts peak at ~1.6x the result, 2^16-point parts at
+        # ~4.5x and one kernel call over all 2^19 sidebands at ~13x
+        assert peak <= 2 * result, peak / result
 
     def test_reduction_errors_peak_memory_is_bounded_by_the_result(self, p1, p1_drive):
         field = classical_fields(p1, p1_drive)
@@ -271,8 +272,37 @@ class TestChunkedEvaluation:
         finally:
             tracemalloc.stop()
         result = sum(err.nbytes for err in errors)
-        # one kernel call over all 2^19 sidebands peaks at ~44x the result
-        assert peak <= 20 * result, peak / result
+        # 2^10-point parts peak at ~1.2x the result, 2^16-point parts at
+        # ~13.5x and one kernel call over all 2^19 sidebands at ~44x
+        assert peak <= 2 * result, peak / result
+
+    def test_force_noise_parts_equal_one_call(self, monkeypatch):
+        """`_force_noise` over 3 parts and a tail: the values and the first
+        singular point of one call."""
+        cfg = _p1_config()
+        field = classical_fields(cfg.params, cfg.pump)
+        size = 3 * radiation_pressure._CHUNK + 5
+        grid = np.linspace(cfg.grid[0], cfg.grid[-1], size)
+        prm = unit_srm_params()
+        singular = np.linspace(1.0, 1e9, size)
+        singular[2 * radiation_pressure._CHUNK + 7] = -prm.omega_p  # in the third part
+        singular[-2] = -prm.omega_p  # a later one is not reached
+        points = []
+
+        def counting(params, big_omega):
+            points.append(np.size(big_omega))
+            return sideband_blocks(params, big_omega)
+
+        monkeypatch.setattr(radiation_pressure, "sideband_blocks", counting)
+        parts = _force_noise(cfg.params, field, grid)
+        assert points == [radiation_pressure._CHUNK] * 3 + [5]
+        with pytest.raises(OpticalSingularity) as in_parts:
+            _force_noise(prm, IntracavityField(1e4, 0.0), singular)
+        monkeypatch.setattr(radiation_pressure, "_CHUNK", 2 * size)
+        assert parts.tobytes() == _force_noise(cfg.params, field, grid).tobytes()
+        with pytest.raises(OpticalSingularity) as whole:
+            _force_noise(prm, IntracavityField(1e4, 0.0), singular)
+        assert (in_parts.value.omega, in_parts.value.det) == (whole.value.omega, whole.value.det)
 
     def test_rows_do_not_depend_on_the_grid_around_them(self, monkeypatch):
         """A row of a sub-grid equals the same Omega's row of a 40 001-point

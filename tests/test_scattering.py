@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import clear_of_resonance
-from msinoise.algebra import dagger, solve_dense
+from msinoise.algebra import dagger, det2, solve_dense
 from msinoise.errors import OpticalSingularity
 from msinoise.lumped_mode import params_for_targets
 from msinoise.radiation_pressure import force_transfer
@@ -348,6 +348,29 @@ class TestBatchedParams:
             worst["cf"] = max(worst["cf"], worst_rel(fields.as_array()[:, i:i + 1],
                                                      field.as_array()[:, None]))
         assert max(worst.values()) <= 1e-14, worst
+
+    def test_fields_of_column_sets_equal_the_flat_call(self):
+        # (N, 1) sets, as the verify ensembles and a (delta_s, alpha) map draw them
+        sets = _random_params(np.random.default_rng(19), (4, 1))
+        flat = InterferometerParams(**{name: v.ravel() for name, v in vars(sets).items()})
+        column = classical_fields(sets, PortVector(np.ones((4, 1)), 0.0))
+        assert column.e_plus.shape == column.e_minus.shape == (4, 1)
+        reference = classical_fields(flat, PortVector(np.ones(4), 0.0))
+        assert column.as_array().tobytes() == reference.as_array().tobytes()
+
+    def test_failed_self_check_names_the_set_by_flat_index(self, monkeypatch):
+        from msinoise import scattering
+
+        sets = _random_params(np.random.default_rng(20), (3, 2))
+
+        def off_at_4(d_e):  # det D_e one part in 1e6 off for flat set 4 only
+            d = det2(d_e)
+            return d * np.where(np.arange(d.size).reshape(d.shape) == 4, 1 + 1e-6, 1.0)
+
+        monkeypatch.setattr(scattering, "det2", off_at_4)
+        with pytest.raises(ArithmeticError, match="self-check") as err:
+            classical_fields(sets, PortVector(1.0, 0.0))
+        assert f"at omega = {float(sets.omega_p.flat[4])!r}" in str(err.value)
 
     def test_stacked_oracle_matches_per_case_calls(self):
         rng = np.random.default_rng(16)

@@ -47,7 +47,6 @@ from .radiation_pressure import (
     RigidityBreakdown,
     force_transfer,
     noise_spectra,
-    optical_damping,
     rigidity,
     rigidity_matrices,
 )
@@ -70,7 +69,7 @@ __all__ = [
     "classical_fields", "oracle_solve",
     # radiation pressure
     "ForceNoiseSpectrum", "RigidityBreakdown", "force_transfer",
-    "rigidity_matrices", "rigidity", "noise_spectra", "optical_damping",
+    "rigidity_matrices", "rigidity", "noise_spectra",
     # reduced model
     "LumpedParams", "CouplingConstants", "asymmetry_polar", "from_exact",
     "params_for_targets", "coupling_constants", "lorentzians",

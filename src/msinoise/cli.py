@@ -4,10 +4,11 @@ Subcommands: `spectrum` (force-noise sweep), `compare` (exact vs reduced
 model), `cooling` (occupancy report, optionally with pump optimisation),
 `verify` (the invariant suite).  Exit codes: 0 success, 1 invariant
 failure, 2 configuration error (including inputs whose results overflow
-double precision), 3 optical singularity over more than 10% of the grid
-or at a +/-omega_m sideband of `cooling`, 4 anti-damped (unstable)
-system.  `verify` reads no configuration: each invariant's tolerance is
-a constant of its check in `verify.py`.
+double precision, and a sweep of Omega = 0 alone), 3 optical singularity
+over more than 10% of the grid (Omega = 0 is skipped, not singular) or at
+a +/-omega_m sideband of `cooling`, 4 anti-damped (unstable) system.
+`verify` reads no configuration: each invariant's tolerance is a constant
+of its check in `verify.py`.
 """
 from __future__ import annotations
 
@@ -65,16 +66,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sweep(args) -> int:
-    """`spectrum` or `compare`: one CSV row per non-singular grid point."""
+    """`spectrum` or `compare`: one CSV row per non-singular grid point but Omega = 0."""
     run = run_spectrum if args.command == "spectrum" else run_compare
     summary = run(load_config(args.config), args.out)
-    if summary["skipped"] > 0.10 * summary["total"]:
+    if summary["singular"] > 0.10 * summary["total"]:
         print(
-            f"error: {summary['skipped']} of {summary['total']} grid points "
+            f"error: {summary['singular']} of {summary['total']} grid points "
             "were singular",
             file=sys.stderr,
         )
         return EXIT_SINGULAR
+    if summary["rows"] == 0:
+        raise ConfigError("sweep", "every grid point is Omega = 0, where the damping "
+                                   "is undefined")
     print(f"wrote {args.out / (args.command + '.csv')} ({summary['rows']} rows)")
     return EXIT_OK
 

@@ -21,8 +21,8 @@ import numpy as np
 from .algebra import cc_close
 from .errors import DegenerateFrequency
 from .radiation_pressure import (
-    _CHUNK, ForceNoiseSpectrum, _damping, _force_entries, _noise_form, _spring_entries,
-    _spring_form, _static_spring,
+    _CHUNK, ForceNoiseSpectrum, _force_entries, _noise_form, _spring_entries, _spring_form,
+    _static_spring,
 )
 from .scattering import (
     HBAR, SPEED_OF_LIGHT, InterferometerParams, IntracavityField, sideband_blocks,
@@ -70,7 +70,10 @@ class ValidityReport:
 
 @dataclass(frozen=True)
 class LumpedParams:
-    """Effective single-mode parameters of the reduced interferometer."""
+    """Effective single-mode parameters of the reduced interferometer.
+
+    gamma_m and delta_m are derived from p, alpha, theta_m and tau_s, not stored.
+    """
 
     gamma_s: float      # recycling-cavity half bandwidth, rad/s
     delta_s: float      # south detuning, rad/s
@@ -78,9 +81,15 @@ class LumpedParams:
     p: float            # asymmetry magnitude
     alpha: float        # asymmetry angle, rad
     theta_m: float      # membrane angle, rad
-    gamma_m: float      # asymmetry-induced bandwidth, rad/s
-    delta_m: float      # asymmetry-induced detuning, rad/s
     validity: ValidityReport | None = None
+
+    @property
+    def gamma_m(self) -> float:  # asymmetry-induced bandwidth, rad/s
+        return asymmetry_rates(self.p, self.alpha, self.theta_m, self.tau_s)[0]
+
+    @property
+    def delta_m(self) -> float:  # asymmetry-induced detuning, rad/s
+        return asymmetry_rates(self.p, self.alpha, self.theta_m, self.tau_s)[1]
 
     @property
     def gamma(self) -> float:
@@ -148,7 +157,6 @@ def from_exact(params: InterferometerParams) -> LumpedParams:
     round_trip = 2.0 * params.omega_p * params.tau_s - params.theta_m
     delta_s = float(np.angle(np.exp(1j * round_trip))) / (2.0 * params.tau_s)
     p, alpha = asymmetry_polar(params.epsilon, params.kappa)
-    gamma_m, delta_m = asymmetry_rates(p, alpha, params.theta_m, params.tau_s)
 
     warnings = []
     t_s_sq = params.t_s**2
@@ -174,8 +182,6 @@ def from_exact(params: InterferometerParams) -> LumpedParams:
         p=p,
         alpha=alpha,
         theta_m=params.theta_m,
-        gamma_m=gamma_m,
-        delta_m=delta_m,
         validity=report,
     )
 
@@ -248,8 +254,8 @@ def _approx_force_entries(lp: LumpedParams, big_omega: np.ndarray) -> np.ndarray
 
 
 def _approx_spring_entries(lp: LumpedParams, big_omega: np.ndarray) -> np.ndarray:
-    """Leading-order K, conjugate-closed, from Omega over (+grid, -grid);
-    shape (2, 2, N) for a grid of N, as `radiation_pressure._spring_entries`."""
+    """Leading-order K, conjugate-closed over a (2, ...) pair grid (+grid, -grid);
+    shape (2, 2, ...) over the remaining axes, as `radiation_pressure._spring_entries`."""
     ell, ell_s = lorentzians(lp, big_omega)
     th, al, p = lp.theta_m, lp.alpha, lp.p
     eps = p * math.cos(al)
@@ -259,8 +265,7 @@ def _approx_spring_entries(lp: LumpedParams, big_omega: np.ndarray) -> np.ndarra
         [k * lp.r_m, k * (-lp.r_m * p * np.exp(-1j * al))],
         [k * (-lp.r_m * p * np.exp(2j * (th - al))), k * g_11],
     ])
-    n = gen.shape[2] // 2
-    return cc_close(gen[:, :, :n], gen[:, :, n:])
+    return cc_close(gen[:, :, 0], gen[:, :, 1])
 
 
 def approx_force_transfer(lp: LumpedParams, big_omega: float) -> np.ndarray:
@@ -275,7 +280,7 @@ def approx_force_transfer(lp: LumpedParams, big_omega: float) -> np.ndarray:
 
 def approx_rigidity_matrix(lp: LumpedParams, big_omega: float) -> np.ndarray:
     """Leading-order rigidity matrix, conjugate-closed over +/-Omega."""
-    both = np.array([big_omega, -big_omega], dtype=float)
+    both = np.array([[big_omega], [-big_omega]], dtype=float)
     return _approx_spring_entries(lp, both)[:, :, 0]
 
 
@@ -316,9 +321,9 @@ def reduction_errors(
     err_f, err_k, err_s = np.empty((3, grid.size))
     for lo in range(0, grid.size, _CHUNK):
         part = grid[lo:lo + _CHUNK]
-        both = np.concatenate([part, -part])
+        both = np.stack([part, -part])
         b = sideband_blocks(params, both).checked()
-        f_exact = _force_entries(b)[:, :, :part.size]
+        f_exact = _force_entries(b)[:, :, 0]
         f_strip = strip_propagation_phases(params, f_exact, part)
         f_ap = _approx_force_entries(lp, part)
         err = np.abs(f_strip - f_ap) / np.maximum(np.abs(f_strip), 1e-300)
@@ -350,15 +355,7 @@ def canonical_spectra(lp: LumpedParams, k_p: float, e_plus: complex, grid) -> Fo
     s_neg = amp / np.abs(ell_neg) ** 2
     k_amp = 4.0 * HBAR * k_p**2 * lp.r_m**2 * abs(e_plus) ** 2 * lp.delta / lp.tau_s
     k = k_amp / (ell_pos * np.conj(ell_neg))
-    return ForceNoiseSpectrum(
-        grid=grid,
-        s_tilde_pos=s_pos,
-        s_tilde_neg=s_neg,
-        s_sym=(s_pos + s_neg) / 2.0,
-        k=k,
-        h_opt=_damping(s_pos, s_neg, grid),
-        skipped=(),
-    )
+    return ForceNoiseSpectrum(grid=grid, s_tilde_pos=s_pos, s_tilde_neg=s_neg, k=k)
 
 
 def fano_spectrum(

@@ -97,7 +97,8 @@ def _refuse_non_finite(what: str, grid: np.ndarray, columns) -> None:
 
 
 def _summary(cfg: RunConfig, spec) -> dict:
-    return {"rows": len(spec.grid), "skipped": len(spec.skipped), "total": len(cfg.grid)}
+    singular = sum(omega != 0.0 for omega, _ in spec.skipped)  # Omega = 0 is not singular
+    return {"rows": len(spec.grid), "singular": singular, "total": len(cfg.grid)}
 
 
 def _spectrum_columns(spec) -> tuple:
@@ -145,6 +146,7 @@ def run_compare(cfg: RunConfig, out_dir: Path) -> dict:
     phase-stripped gauge), scalar rigidity, force noise via the reduced
     matrix, the canonical Lorentzian (using the symmetric field only) and,
     when the south port is unpumped, the Fano line shape (NaN otherwise).
+    The last two are filled in `_CHUNK`-point parts, like the kernel passes.
 
     Raises ConfigError, and writes nothing, if the spectrum or any error
     that applies is not finite, e.g. relative errors of an unpumped
@@ -158,19 +160,22 @@ def run_compare(cfg: RunConfig, out_dir: Path) -> dict:
     spec = noise_spectra(params, field, cfg.grid)
     _refuse_non_finite("spectrum", spec.grid, (spec.s_tilde_pos, spec.s_tilde_neg, spec.k))
 
-    err_f, err_k, err_s = reduction_errors(params, lp, field, spec.grid)
-    s_exact = spec.s_tilde_pos
-    s_can = canonical_spectra(lp, k_p, field.e_plus, spec.grid).s_tilde_pos
+    grid = spec.grid
+    err_f, err_k, err_s = reduction_errors(params, lp, field, grid)
+    err_can, err_fano = np.empty(grid.size), np.full(grid.size, np.nan)
     # an unpumped spectrum makes these 0/0, which _refuse_non_finite refuses
     with np.errstate(divide="ignore", invalid="ignore"):
-        if dark_south:
-            s_fano = fano_spectrum(lp, params.epsilon, params.kappa, k_p, cfg.pump.west,
-                                   spec.grid)
-            err_fano = np.abs(s_exact - s_fano) / s_exact
-        else:
-            err_fano = np.full(len(spec.grid), np.nan)
-        columns = (spec.grid, err_f, err_k, err_s, np.abs(s_exact - s_can) / s_exact, err_fano)
-    _refuse_non_finite("comparison", spec.grid, columns if dark_south else columns[:-1])
+        for lo in range(0, grid.size, _CHUNK):
+            rows = slice(lo, lo + _CHUNK)
+            s_exact = spec.s_tilde_pos[rows]
+            s_can = canonical_spectra(lp, k_p, field.e_plus, grid[rows]).s_tilde_pos
+            err_can[rows] = np.abs(s_exact - s_can) / s_exact
+            if dark_south:
+                s_fano = fano_spectrum(lp, params.epsilon, params.kappa, k_p, cfg.pump.west,
+                                       grid[rows])
+                err_fano[rows] = np.abs(s_exact - s_fano) / s_exact
+    columns = (grid, err_f, err_k, err_s, err_can, err_fano)
+    _refuse_non_finite("comparison", grid, columns if dark_south else columns[:-1])
     couplings = coupling_constants(lp, k_p)
     sidecar = _sidecar(
         cfg,

@@ -25,7 +25,6 @@ __all__ = [
     "rigidity_matrices",
     "rigidity",
     "noise_spectra",
-    "optical_damping",
 ]
 
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -64,17 +63,31 @@ class ForceNoiseSpectrum:
 
     Spectra are stored at explicitly paired +/-Omega points: entry i holds
     the non-symmetrised density at +grid[i] and at -grid[i], so the
-    symmetrised column never resamples.  Grid points where the optics is
-    exactly singular are dropped and listed in ``skipped``.
+    symmetrised density and the optical damping, which that pair fixes,
+    are derived from it, never resampled or stored.  Grid points where the
+    optics is exactly singular are dropped and listed in ``skipped``.
     """
 
     grid: np.ndarray            # rad/s
     s_tilde_pos: np.ndarray     # N^2 s at +Omega
     s_tilde_neg: np.ndarray     # N^2 s at -Omega
-    s_sym: np.ndarray           # N^2 s, (pos + neg)/2
     k: np.ndarray               # complex N/m
-    h_opt: np.ndarray           # kg/s
     skipped: tuple = field(default_factory=tuple)
+
+    # inf or NaN beyond double precision come out without a warning, as the spectra do
+    @property
+    def s_sym(self) -> np.ndarray:
+        """Symmetrised density (S(+Omega) + S(-Omega)) / 2, N^2 s."""
+        with np.errstate(all="ignore"):
+            return (self.s_tilde_pos + self.s_tilde_neg) / 2.0
+
+    @property
+    def h_opt(self) -> np.ndarray:
+        """Optical damping (S(+Omega) - S(-Omega)) / 2 hbar Omega, kg/s; none at Omega = 0."""
+        if np.any(self.grid == 0.0):
+            raise DegenerateFrequency("optical damping is undefined at Omega = 0")
+        with np.errstate(all="ignore"):
+            return (self.s_tilde_pos - self.s_tilde_neg) / (2.0 * HBAR * self.grid)
 
 
 def _force_entries(b: SidebandBlocks) -> np.ndarray:
@@ -91,10 +104,11 @@ def _force_entries(b: SidebandBlocks) -> np.ndarray:
 
 
 def _spring_entries(b: SidebandBlocks) -> np.ndarray:
-    """K1 = K_g(+Omega) + K_g(-Omega)^dagger from blocks over (+grid, -grid).
+    """K1 = K_g(+Omega) + K_g(-Omega)^dagger from blocks over a (2, ...) pair grid.
 
     K_g = -4i R_m^2 X (M Q R_tilde Q^T - r~_w r~_s 1) X / d is the
-    one-sided generator; the result has shape (2, 2, N) for a grid of N.
+    one-sided generator; the leading grid axis holds (+grid, -grid), and
+    the result has shape (2, 2, ...) over the remaining axes.
     """
     (c, s), m = b.mixer, b.membrane
     rho_w, rho_s = b.r_tilde
@@ -107,12 +121,11 @@ def _spring_entries(b: SidebandBlocks) -> np.ndarray:
     g_00 = m_bar * q_00 - both
     g_11 = m * q_11 - both
     gen = np.array([[k * g_00, k * m_bar * cross], [k * m * cross, k * g_11]])
-    n = gen.shape[2] // 2
-    return cc_close(gen[:, :, :n], gen[:, :, n:])
+    return cc_close(gen[:, :, 0], gen[:, :, 1])
 
 
 def _spring_form(k_p: float, e: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """hbar k_p^2 e^dagger K e for a (2, 2, N) stack K, N/m."""
+    """hbar k_p^2 e^dagger K e for a (2, 2, ...) stack K, N/m."""
     e_p, e_m = e
     k_e_p = k[0, 0] * e_p + k[0, 1] * e_m
     k_e_m = k[1, 0] * e_p + k[1, 1] * e_m
@@ -127,8 +140,9 @@ def _static_spring(params: InterferometerParams, e: np.ndarray) -> float:
 
 
 def _noise_form(k_p: float, e: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """hbar^2 k_p^2 |e^dagger F|^2 for a (2, 2, N) stack F, N^2 s."""
-    row = (e.conj()[:, None, None] * f).sum(axis=0)
+    """hbar^2 k_p^2 |e^dagger F|^2 for a (2, 2, ...) stack F, N^2 s."""
+    e_bar = e.conj().reshape(2, *(1,) * (f.ndim - e.ndim), *e.shape[1:])
+    row = (e_bar * f).sum(axis=0)
     return HBAR**2 * k_p**2 * (row.real**2 + row.imag**2).sum(axis=0)
 
 
@@ -150,7 +164,7 @@ def rigidity_matrices(
     K1 needs the optics at both omega_p + Omega and omega_p - Omega (the
     conjugate closure); K2 = -4 R_m T_m Z is frequency independent.
     """
-    b = sideband_blocks(params, np.array([big_omega, -big_omega], dtype=float))
+    b = sideband_blocks(params, np.array([[big_omega], [-big_omega]], dtype=float))
     k1 = _spring_entries(b.checked())[:, :, 0]
     k2 = -4.0 * params.r_m * params.t_m * _Z
     return k1, k2, k1 + k2
@@ -166,18 +180,6 @@ def rigidity(
     e = field_.as_array()
     k1 = _spring_form(params.k_p, e, k1_mat[:, :, np.newaxis])
     return RigidityBreakdown(k1=complex(k1[0]), k2=float(_static_spring(params, e)))
-
-
-def optical_damping(spectrum: ForceNoiseSpectrum) -> np.ndarray:
-    """Optical damping H_opt from the +/-Omega spectral asymmetry, kg/s."""
-    return _damping(spectrum.s_tilde_pos, spectrum.s_tilde_neg, spectrum.grid)
-
-
-def _damping(s_pos: np.ndarray, s_neg: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    if np.any(grid == 0.0):
-        raise DegenerateFrequency("optical damping is undefined at Omega = 0")
-    return (np.asarray(s_pos) - np.asarray(s_neg)) / (2.0 * HBAR * grid)
 
 
 def _force_noise(
@@ -208,11 +210,10 @@ def noise_spectra(
     """Radiation-pressure force noise over a sideband grid (vacuum inputs).
 
     For each Omega in ``grid`` evaluates the non-symmetrised densities at
-    +/-Omega, the symmetrised density, the complex rigidity and the
-    optical damping, from one `sideband_blocks` call over +/-grid per
-    part of at most `_CHUNK` grid points, so its temporaries stay the size
-    of one part whatever the grid's; every value is the same as from one
-    call over all of it.
+    +/-Omega and the complex rigidity, with one `sideband_blocks` call over
+    the (2, m) pair grid (+part, -part) per part of at most `_CHUNK` grid
+    points, so its temporaries stay the size of one part whatever the
+    grid's; every value is the same as from one call over all of it.
     Points where either sideband hits an exact optical singularity are
     skipped and reported, not interpolated.  Numbers beyond double
     precision come out as inf or NaN without a warning; callers refuse them.
@@ -227,26 +228,21 @@ def noise_spectra(
         for lo in range(0, n, _CHUNK):
             hi = lo + _CHUNK
             part = grid[lo:hi]
-            m = part.size
-            b = sideband_blocks(params, np.concatenate([part, -part]))
+            b = sideband_blocks(params, np.stack([part, -part]))
             k1[lo:hi] = _spring_form(params.k_p, e, _spring_entries(b))
-            s_tilde = _noise_form(params.k_p, e, _force_entries(b))
-            s_pos[lo:hi], s_neg[lo:hi] = s_tilde[:m], s_tilde[m:]
-            keep[lo:hi] &= ~b.singular[:m] & ~b.singular[m:]
+            s_pos[lo:hi], s_neg[lo:hi] = _noise_form(params.k_p, e, _force_entries(b))
+            keep[lo:hi] &= ~b.singular.any(axis=0)
             for i in np.flatnonzero(~keep[lo:hi]):
                 if part[i] == 0.0:
                     reason = "zero sideband frequency (damping undefined)"
                 else:
-                    j = i if b.singular[i] else m + i
+                    j = int(np.argmax(b.singular[:, i])), i  # +Omega first
                     reason = str(OpticalSingularity(float(b.omega[j]), complex(b.d[j])))
                 skipped.append((float(part[i]), reason))
-        s_pos, s_neg = s_pos[keep], s_neg[keep]
         return ForceNoiseSpectrum(
             grid=grid[keep],
-            s_tilde_pos=s_pos,
-            s_tilde_neg=s_neg,
-            s_sym=(s_pos + s_neg) / 2.0,
+            s_tilde_pos=s_pos[keep],
+            s_tilde_neg=s_neg[keep],
             k=k1[keep] + _static_spring(params, e),
-            h_opt=_damping(s_pos, s_neg, grid[keep]),
             skipped=tuple(skipped),
         )

@@ -207,8 +207,11 @@ def sideband_blocks(params: InterferometerParams, big_omega) -> SidebandBlocks:
     ``params`` fields may be arrays that broadcast against ``big_omega``:
     (N,) fields put set i at Omega[i] of an (N,) grid, and (N, 1) fields
     give each set the K sidebands of its row of an (N, K) grid, with C, S
-    and e^{i theta_m} computed once per set.  D_e = Q^dagger - R_tilde Q^T M
-    is written out entry by entry, so no result depends on a BLAS kernel.
+    and e^{i theta_m} computed once per set.  A quantity of the +/-Omega
+    pair (spring, damping) takes np.stack([grid, -grid]): the pair is the
+    leading axis, [0] at +Omega and [1] at -Omega, of a grid of any shape.
+    D_e = Q^dagger - R_tilde Q^T M is written out entry by entry, so no
+    result depends on a BLAS kernel.
     Singular points are flagged in ``singular``, not raised;
     `SidebandBlocks.checked` raises for them.  Pass a 1-D array even for
     one point: numpy's 0-d scalar arithmetic rounds differently.  Here and

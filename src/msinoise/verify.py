@@ -39,7 +39,6 @@ from .cooling import (
 from .lumped_mode import (
     TARGET_TAU_S,
     LumpedParams,
-    asymmetry_rates,
     canonical_spectra,
     coupling_constants,
     fano_spectrum,
@@ -48,7 +47,7 @@ from .lumped_mode import (
     reduction_errors,
 )
 from .outputs import _spectrum_columns, _spectrum_lines
-from .radiation_pressure import _force_entries, _force_noise, force_transfer, noise_spectra
+from .radiation_pressure import _force_entries, _force_noise, noise_spectra
 from .scattering import (
     HBAR,
     InterferometerParams,
@@ -397,10 +396,7 @@ def check_cooling_optimum(seed: int) -> InvariantResult:
     mode = MechanicalMode(omega_m=2.5e7, h_friction=1e-12, n_thermal=1e4)
 
     # scale the budget so the resonant force noise matches the thermal one
-    (f00, f01), _ = force_transfer(params, mode.omega_m)
-    p11 = HBAR**2 * params.k_p**2 * float(
-        f00.real**2 + f00.imag**2 + (f01.real**2 + f01.imag**2)
-    )
+    p11 = _force_noise(params, IntracavityField(1.0, 0.0), [mode.omega_m])[0]
     s_t_neg = thermal_spectra(mode)[1]
     budget = s_t_neg / p11
 
@@ -436,10 +432,8 @@ def check_coupling_zeros(seed: int) -> InvariantResult:
     tau_s = 1e-9
 
     def lumped_at(p: float, alpha: float) -> LumpedParams:
-        gamma_m, delta_m = asymmetry_rates(p, alpha, theta, tau_s)
         return LumpedParams(gamma_s=2.5e6, delta_s=-2e6, tau_s=tau_s, p=p,
-                            alpha=alpha, theta_m=theta, gamma_m=gamma_m,
-                            delta_m=delta_m)
+                            alpha=alpha, theta_m=theta)
 
     # dispersive zero: theta - alpha = pi/2
     lp1 = lumped_at(0.02, theta - math.pi / 2)

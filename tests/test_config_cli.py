@@ -311,6 +311,28 @@ class TestSpectrumCommand:
         assert rc == 3
         assert "singular" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["spectrum", "compare"])
+    def test_zero_sideband_is_skipped_not_singular(self, tmp_path, command):
+        # one of three points is Omega = 0: skipped for its undefined damping,
+        # but no optical singularity, so it does not count toward the 10 % rule
+        raw = json.loads(json.dumps(P1_CONFIG))
+        raw["sweep"] = {"start_rad_s": -1e6, "stop_rad_s": 1e6, "points": 3}
+        cfg = write_config(tmp_path, raw)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / f"{command}.csv") as fh:
+            assert [float(row["Omega"]) for row in csv.DictReader(fh)] == [-1e6, 1e6]
+        sidecar = json.loads((tmp_path / f"{command}.json").read_text())
+        assert [entry["omega"] for entry in sidecar["skipped"]] == [0.0]
+
+    @pytest.mark.parametrize("command", ["spectrum", "compare"])
+    def test_sweep_of_zero_alone_exits_2(self, tmp_path, capsys, command):
+        raw = json.loads(json.dumps(P1_CONFIG))
+        raw["sweep"] = {"start_rad_s": 0.0, "stop_rad_s": 0.0, "points": 2}
+        cfg = write_config(tmp_path, raw)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Omega = 0" in err and "singular" not in err
+
 
 class TestCompareCommand:
     def test_symmetric_config_tracks_canonical(self, tmp_path):
@@ -352,6 +374,30 @@ class TestCompareCommand:
             "at Omega = 100000000.0 rad/s"
         ]
         assert not out.exists()
+
+    def test_model_columns_in_parts_equal_one_whole_grid_call(self, tmp_path):
+        from msinoise import outputs
+        from msinoise.lumped_mode import canonical_spectra, fano_spectrum
+        from msinoise.radiation_pressure import noise_spectra
+        from msinoise.scattering import classical_fields
+
+        raw = json.loads(json.dumps(P1_CONFIG))
+        raw["sweep"]["points"] = 3 * outputs._CHUNK + 5
+        path = write_config(tmp_path, raw)
+        assert main(["compare", "--config", str(path), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "compare.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        cfg = load_config(path)
+        params, lp = cfg.params, from_exact(cfg.params)
+        field = classical_fields(params, cfg.pump)
+        spec = noise_spectra(params, field, cfg.grid)
+        s = spec.s_tilde_pos
+        s_can = canonical_spectra(lp, params.k_p, field.e_plus, spec.grid).s_tilde_pos
+        s_fano = fano_spectrum(lp, params.epsilon, params.kappa, params.k_p, cfg.pump.west,
+                               spec.grid)
+        for column, model in (("err_S_canonical", s_can), ("err_S_fano", s_fano)):
+            written = np.array([float(row[column]) for row in rows])
+            assert written.tobytes() == (np.abs(s - model) / s).tobytes(), column
 
     def test_pumped_south_port_leaves_fano_column_nan(self, tmp_path):
         raw = json.loads(json.dumps(P1_CONFIG))
@@ -550,6 +596,18 @@ def test_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True, timeout=60)
     assert done.stdout.strip() == "[]"
+
+
+def test_every_public_name_resolves():
+    """Each name of the package's and of every module's ``__all__`` exists."""
+    import importlib
+    import pkgutil
+
+    modules = [msinoise, *(importlib.import_module(f"msinoise.{info.name}")
+                           for info in pkgutil.iter_modules(msinoise.__path__))]
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert missing == [], module.__name__
 
 
 class TestVerifyCommand:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -36,10 +37,8 @@ P1_DELTA_M = -196204.5013022525
 
 def lumped(gamma_s=2.5e6, delta_s=-2.0e6, p=0.01, alpha=-0.5,
            theta_m=THETA, tau_s=1e-9) -> LumpedParams:
-    gamma_m, delta_m = asymmetry_rates(p, alpha, theta_m, tau_s)
     return LumpedParams(gamma_s=gamma_s, delta_s=delta_s, tau_s=tau_s, p=p,
-                        alpha=alpha, theta_m=theta_m, gamma_m=gamma_m,
-                        delta_m=delta_m)
+                        alpha=alpha, theta_m=theta_m)
 
 
 class TestAsymmetryPolar:
@@ -75,6 +74,13 @@ class TestFromExact:
         assert abs(lp.delta_s - P1_DELTA_S) <= 1e-12 * abs(P1_DELTA_S)
         assert abs(lp.gamma_m - P1_GAMMA_M) <= 1e-12 * P1_GAMMA_M
         assert abs(lp.delta_m - P1_DELTA_M) <= 1e-12 * abs(P1_DELTA_M)
+
+    def test_asymmetry_rates_follow_the_asymmetry(self, p1):
+        lp = from_exact(p1)
+        moved = dataclasses.replace(lp, p=2 * lp.p)
+        rates = asymmetry_rates(2 * lp.p, lp.alpha, lp.theta_m, lp.tau_s)
+        assert (moved.gamma_m, moved.delta_m) == rates
+        assert moved.gamma == moved.gamma_s + rates[0]
 
     def test_p1_is_flagged_out_of_regime(self, p1):
         lp = from_exact(p1)

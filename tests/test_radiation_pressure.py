@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -13,9 +14,11 @@ from msinoise.radiation_pressure import (
     ForceNoiseSpectrum,
     _force_entries,
     _force_noise,
+    _noise_form,
+    _spring_entries,
+    _spring_form,
     force_transfer,
     noise_spectra,
-    optical_damping,
     rigidity,
     rigidity_matrices,
 )
@@ -162,19 +165,26 @@ class TestOpticalDamping:
     def test_symmetric_spectrum_no_damping(self):
         spec = ForceNoiseSpectrum(
             grid=np.array([1e6]), s_tilde_pos=np.array([3.0]),
-            s_tilde_neg=np.array([3.0]), s_sym=np.array([3.0]),
-            k=np.array([0.0j]), h_opt=np.array([0.0]),
+            s_tilde_neg=np.array([3.0]), k=np.array([0.0j]),
         )
-        assert optical_damping(spec)[0] == 0.0
+        assert spec.h_opt[0] == 0.0
 
     def test_zero_frequency_rejected(self):
         spec = ForceNoiseSpectrum(
             grid=np.array([0.0]), s_tilde_pos=np.array([1.0]),
-            s_tilde_neg=np.array([0.5]), s_sym=np.array([0.75]),
-            k=np.array([0.0j]), h_opt=np.array([0.0]),
+            s_tilde_neg=np.array([0.5]), k=np.array([0.0j]),
         )
         with pytest.raises(DegenerateFrequency):
-            optical_damping(spec)
+            spec.h_opt
+
+    def test_derived_columns_follow_the_stored_pair(self, p1, p1_drive):
+        spec = noise_spectra(p1, classical_fields(p1, p1_drive), [1e8, 3e8])
+        moved = dataclasses.replace(spec, s_tilde_neg=2.0 * spec.s_tilde_neg)
+        np.testing.assert_array_equal(
+            moved.s_sym, (spec.s_tilde_pos + 2.0 * spec.s_tilde_neg) / 2.0)
+        np.testing.assert_array_equal(
+            moved.h_opt, (spec.s_tilde_pos - 2.0 * spec.s_tilde_neg) / (2.0 * hbar * spec.grid))
+        assert not np.any(moved.h_opt == spec.h_opt)
 
     def test_red_detuned_damping_is_positive(self):
         prm = params_for_targets(gamma_s=2.5e6, delta_s=-6e6,
@@ -225,6 +235,27 @@ class TestBatchEqualsScalar:
                     force_transfer(prm, big_omega), f_batch[:, :, i]
                 )
                 assert rigidity(prm, field, big_omega).k == batch.k[i]
+
+
+class TestPairAxis:
+    def test_map_grid_equals_flat_grid(self):
+        """(N, 1) sets over a (2, N, K) pair grid give the bits of the same
+        sets repeated over the flat (2, N K) pair grid."""
+        rng = np.random.default_rng(17)
+        n, k = 6, 5
+        params = _random_params(rng, (n, 1))
+        omegas = rng.uniform(-1e9, 1e9, size=(n, k))
+        points = InterferometerParams(
+            **{name: np.repeat(v, k) for name, v in vars(params).items()})
+        e = IntracavityField(2e8 * np.exp(0.4j), 1.3e8 * np.exp(-0.9j)).as_array()
+        pair = sideband_blocks(params, np.stack([omegas, -omegas]))
+        flat = sideband_blocks(points, np.stack([omegas.ravel(), -omegas.ravel()]))
+        for form, entries, shape in ((_spring_form, _spring_entries, (n, k)),
+                                     (_noise_form, _force_entries, (2, n, k))):
+            on_map = form(params.k_p, e, entries(pair))
+            per_point = form(points.k_p, e, entries(flat))
+            assert on_map.shape == shape
+            assert on_map.reshape(per_point.shape).tobytes() == per_point.tobytes()
 
 
 class TestChunkedEvaluation:

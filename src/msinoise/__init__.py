@@ -26,6 +26,7 @@ from .errors import (
     NonpositiveTemperature,
     OpticalSingularity,
     SingularMatrix,
+    SingularSweep,
     UnreachableField,
     UnstableSystem,
 )
@@ -80,7 +81,7 @@ __all__ = [
     "thermal_spectra", "occupancy", "occupancy_simplified", "optimize_pump",
     "pump_for_intracavity",
     # errors
-    "MsiNoiseError", "SingularMatrix", "OpticalSingularity",
+    "MsiNoiseError", "SingularMatrix", "OpticalSingularity", "SingularSweep",
     "DegenerateFrequency", "NonpositiveTemperature", "UnstableSystem",
     "UnreachableField", "ConfigError",
 ]

@@ -25,6 +25,10 @@ class OpticalSingularity(MsiNoiseError):
         )
 
 
+class SingularSweep(MsiNoiseError):
+    """More than 10 % of a sweep's grid points were optically singular."""
+
+
 class DegenerateFrequency(MsiNoiseError):
     """An operation that needs Omega != 0 was asked for Omega = 0."""
 

@@ -14,7 +14,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, config_digest
 from .cooling import occupancy, optimize_pump
-from .errors import ConfigError
+from .errors import ConfigError, SingularSweep
 from .lumped_mode import (
     canonical_spectra,
     coupling_constants,
@@ -84,10 +84,6 @@ def _sidecar(cfg: RunConfig, kind: str, **extra) -> dict:
     return payload
 
 
-def _skipped(spec) -> list[dict]:
-    return [{"omega": omega, "reason": reason} for omega, reason in spec.skipped]
-
-
 def _refuse_non_finite(what: str, grid: np.ndarray, columns) -> None:
     """Raise ConfigError at the first Omega where any column is not finite."""
     finite = np.logical_and.reduce([np.isfinite(column) for column in columns])
@@ -96,9 +92,23 @@ def _refuse_non_finite(what: str, grid: np.ndarray, columns) -> None:
         raise ConfigError("<root>", f"the {what} is not finite at Omega = {omega!r} rad/s")
 
 
-def _summary(cfg: RunConfig, spec) -> dict:
-    singular = sum(omega != 0.0 for omega, _ in spec.skipped)  # Omega = 0 is not singular
-    return {"rows": len(spec.grid), "singular": singular, "total": len(cfg.grid)}
+def _write_sweep(cfg: RunConfig, out_dir: Path, kind: str, lines, spec, **extra) -> dict:
+    """Refuse the sweep or write <kind>.csv and <kind>.json; returns {"rows": n}.
+
+    Raises SingularSweep if over 10 % of the grid is optically singular (Omega = 0
+    is skipped, not singular) and ConfigError if no row is left.
+    """
+    skipped = [{"omega": omega, "reason": reason} for omega, reason in spec.skipped]
+    sidecar = _sidecar(cfg, kind, skipped=skipped, **extra)  # may overflow: ahead of the rules
+    singular, total = sum(entry["omega"] != 0.0 for entry in skipped), len(cfg.grid)
+    if singular > 0.10 * total:
+        raise SingularSweep(f"{singular} of {total} grid points were singular")
+    if len(spec.grid) == 0:
+        raise ConfigError("sweep", "every grid point is Omega = 0, where the damping is undefined")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_csv(out_dir / f"{kind}.csv", lines)
+    _write_json(out_dir / f"{kind}.json", sidecar)
+    return {"rows": len(spec.grid)}
 
 
 def _spectrum_columns(spec) -> tuple:
@@ -121,22 +131,17 @@ def _spectrum_lines(cfg: RunConfig):
 
 
 def run_spectrum(cfg: RunConfig, out_dir: Path) -> dict:
-    """Force-noise sweep -> spectrum.csv + spectrum.json; returns summary.
+    """Force-noise sweep -> spectrum.csv + spectrum.json; returns {"rows": n}.
 
-    Raises ConfigError, and writes nothing, if any row would not be finite.
+    Raises ConfigError if any row would not be finite or none is left, and
+    SingularSweep over 10 % singular points; either way it writes nothing.
     """
     lines, spec, field = _spectrum_lines(cfg)
     e = field.as_array()
-    sidecar = _sidecar(
-        cfg,
-        "spectrum",
-        skipped=_skipped(spec),
+    return _write_sweep(
+        cfg, out_dir, "spectrum", lines, spec,
         field={"e_plus": [e[0].real, e[0].imag], "e_minus": [e[1].real, e[1].imag]},
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "spectrum.csv", lines)
-    _write_json(out_dir / "spectrum.json", sidecar)
-    return _summary(cfg, spec)
 
 
 def run_compare(cfg: RunConfig, out_dir: Path) -> dict:
@@ -148,9 +153,10 @@ def run_compare(cfg: RunConfig, out_dir: Path) -> dict:
     when the south port is unpumped, the Fano line shape (NaN otherwise).
     The last two are filled in `_CHUNK`-point parts, like the kernel passes.
 
-    Raises ConfigError, and writes nothing, if the spectrum or any error
-    that applies is not finite, e.g. relative errors of an unpumped
-    (all-zero) spectrum.
+    Raises ConfigError if the spectrum or any error that applies is not
+    finite (e.g. relative errors of an unpumped, all-zero spectrum) or no row
+    is left, and SingularSweep over 10 % singular points; either way it
+    writes nothing.
     """
     params = cfg.params
     field = classical_fields(params, cfg.pump)
@@ -177,10 +183,8 @@ def run_compare(cfg: RunConfig, out_dir: Path) -> dict:
     columns = (grid, err_f, err_k, err_s, err_can, err_fano)
     _refuse_non_finite("comparison", grid, columns if dark_south else columns[:-1])
     couplings = coupling_constants(lp, k_p)
-    sidecar = _sidecar(
-        cfg,
-        "compare",
-        skipped=_skipped(spec),
+    return _write_sweep(
+        cfg, out_dir, "compare", _csv_lines(COMPARE_HEADER, map(_fmt, columns)), spec,
         fano_applicable=dark_south,
         lumped={
             "gamma_s": lp.gamma_s,
@@ -195,10 +199,6 @@ def run_compare(cfg: RunConfig, out_dir: Path) -> dict:
             "g_diss_combo": couplings.g_diss_combo,
         },
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "compare.csv", _csv_lines(COMPARE_HEADER, map(_fmt, columns)))
-    _write_json(out_dir / "compare.json", sidecar)
-    return _summary(cfg, spec)
 
 
 def run_cooling(cfg: RunConfig, out_dir: Path, optimize: bool = False) -> dict:
@@ -206,11 +206,14 @@ def run_cooling(cfg: RunConfig, out_dir: Path, optimize: bool = False) -> dict:
 
     Raises UnstableSystem for anti-damped configurations, OpticalSingularity
     at a singular +/-omega_m sideband (the CLI maps each to its exit code)
-    and ConfigError if the spectrum at omega_m or a number of the report
-    is not finite.  Every result and the sidecar are computed before the
-    first file is written, so an error leaves no partial output.
+    and ConfigError if there is no mechanical block or the spectrum at
+    omega_m or a number of the report is not finite.  Every result and the
+    sidecar are computed before the first file is written, so an error
+    leaves no partial output.
     """
     mode = cfg.mechanical
+    if mode is None:
+        raise ConfigError("mechanical", "cooling needs a mechanical block")
     field = classical_fields(cfg.params, cfg.pump)
     spec = noise_spectra(cfg.params, field, [mode.omega_m])
     if spec.skipped:  # raises the singular sideband's own OpticalSingularity

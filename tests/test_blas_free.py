@@ -9,8 +9,11 @@ No function of these modules is exempt: the dense oracle
 and its one LAPACK call, the LU solve, is `algebra.solve_dense`.
 
 A second lint keeps one reader of user JSON: only `config.py` parses it.
+A third keeps one writer of files: only `outputs.py` creates a directory
+or writes a file, so the refusal rules it applies first cover every write.
 """
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -88,3 +91,47 @@ def test_only_config_parses_json():
     uses = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
             if path.name != "config.py" for line in json_reads(path.read_text())]
     assert not uses, "JSON parsed outside config.py: " + ", ".join(uses)
+
+
+#: methods that create a directory or write a file
+WRITES = {"mkdir", "write_text", "write_bytes", "writelines"}
+
+
+def file_writes(source: str) -> list[int]:
+    """Lines of every ``WRITES`` call or ``open`` in a write mode in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        modes = [arg.value for arg in [*node.args[:2], *(k.value for k in node.keywords)]
+                 if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                 and re.fullmatch(r"[rwxabt+]+", arg.value)]
+        if name in WRITES or (name == "open" and any(set(m) & set("wxa+") for m in modes)):
+            found.append(node.lineno)
+    return found
+
+
+def test_write_linter_flags_each_form():
+    source = (
+        "path.mkdir(parents=True)\n"
+        "path.write_text(s)\n"
+        "path.write_bytes(b)\n"
+        "fh.writelines(lines)\n"
+        "path.open('w')\n"
+        "open(name, 'a')\n"
+        "open(name, mode='r+')\n"
+        "path.open()\n"
+        "open('data.csv')\n"
+        "path.read_text()\n"
+        "fh.write(s)\n"
+    )
+    assert file_writes(source) == [1, 2, 3, 4, 5, 6, 7]
+
+
+def test_only_outputs_writes_files():
+    package = Path(msinoise.__file__).parent
+    assert file_writes((package / "outputs.py").read_text())  # the one writer
+    uses = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+            if path.name != "outputs.py" for line in file_writes(path.read_text())]
+    assert not uses, "files written outside outputs.py: " + ", ".join(uses)

@@ -15,6 +15,7 @@ from msinoise.cli import main
 from msinoise.config import load_config, parse_config
 from msinoise.errors import ConfigError
 from msinoise.lumped_mode import from_exact, params_for_targets
+from msinoise.outputs import run_cooling
 from msinoise.scattering import InterferometerParams
 
 P1_CONFIG = {
@@ -288,7 +289,8 @@ class TestSpectrumCommand:
             outputs.append(([(out / name).read_bytes() for name in files], measured))
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
-    def test_mostly_singular_grid_exits_3(self, tmp_path, capsys):
+    @staticmethod
+    def half_singular_config(tmp_path):
         # unit SRM reflectivity; omega_p + Omega = 0 exactly at one of the
         # two grid points, so half the sweep is singular
         from msinoise.scattering import SPEED_OF_LIGHT
@@ -306,10 +308,23 @@ class TestSpectrumCommand:
             "sweep": {"start_rad_s": -omega_p, "stop_rad_s": -omega_p + 1.0,
                       "points": 2},
         }
-        cfg = write_config(tmp_path, raw)
-        rc = main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)])
+        return write_config(tmp_path, raw)
+
+    def test_mostly_singular_grid_exits_3(self, tmp_path, capsys):
+        cfg = self.half_singular_config(tmp_path)
+        out = tmp_path / "out"
+        rc = main(["spectrum", "--config", str(cfg), "--out", str(out)])
         assert rc == 3
-        assert "singular" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: 1 of 2 grid points were singular\n"
+        assert not out.exists()
+
+    def test_half_singular_compare_exits_2_on_the_comparison(self, tmp_path, capsys):
+        # the comparison at the remaining point is refused ahead of the 10 % rule
+        cfg = self.half_singular_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "the comparison is not finite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["spectrum", "compare"])
     def test_zero_sideband_is_skipped_not_singular(self, tmp_path, command):
@@ -329,9 +344,23 @@ class TestSpectrumCommand:
         raw = json.loads(json.dumps(P1_CONFIG))
         raw["sweep"] = {"start_rad_s": 0.0, "stop_rad_s": 0.0, "points": 2}
         cfg = write_config(tmp_path, raw)
-        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "Omega = 0" in err and "singular" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["spectrum", "compare"])
+    def test_overflowing_sidecar_of_a_zero_sweep_exits_2(self, tmp_path, capsys, command):
+        # the sidecar's overflow is reported, as it was before the sweep rules
+        raw = json.loads(json.dumps(P1_CONFIG))
+        raw["interferometer"]["kappa"] = 1e158
+        raw["sweep"] = {"start_rad_s": 0.0, "stop_rad_s": 0.0, "points": 2}
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out)]) == 2
+        assert "double-precision range" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCompareCommand:
@@ -574,6 +603,12 @@ class TestCoolingCommand:
         assert rc == 2
         assert "mechanical" in capsys.readouterr().err
 
+    def test_run_cooling_without_mechanical_block_raises_and_writes_nothing(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="'mechanical'"):
+            run_cooling(parse_config(P1_CONFIG), out, optimize=True)
+        assert not out.exists()
+
 
 def test_import_leaves_scipy_linalg_unloaded():
     """Importing scipy.linalg costs ~7 MB of resident memory; no path needs it."""
@@ -662,3 +697,16 @@ def test_unreadable_config_file_exits_2(tmp_path, capsys, command, content):
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "'<file>'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "cooling"])
+def test_out_that_is_a_file_exits_2_with_one_line(tmp_path, capsys, command):
+    raw = json.loads(json.dumps(P1_CONFIG))
+    raw["mechanical"] = {"omega_m_rad_s": 2.5e7, "h_friction_kg_s": 1e-14, "n_thermal": 1e4}
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    rc = main([command, "--config", str(write_config(tmp_path, raw)), "--out", str(out)])
+    assert rc == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and str(out) in line
+    assert out.read_text() == "kept\n"

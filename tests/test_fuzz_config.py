@@ -3,8 +3,8 @@ configuration dicts.
 
 Whatever the configuration, a command either refuses it (exit 2), reports
 singular optics (exit 3) or, for `cooling`, an anti-damped mode (exit 4),
-or exits 0 having written only finite numbers.  The search is derandomized,
-so every run tries the same examples.
+and writes no file, or it exits 0 having written only finite numbers.  The
+search is derandomized, so every run tries the same examples.
 """
 import csv
 import json
@@ -164,6 +164,7 @@ def test_spectrum_refuses_or_writes_finite_rows(raw):
         cfg.write_text(json.dumps(raw))
         rc = main(["spectrum", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
         assert rc in (0, 2, 3)
+        assert rc == 0 or not (Path(tmp) / "out").exists()
         if rc == 0:
             assert _all_finite(Path(tmp) / "out" / "spectrum.csv")
 
@@ -192,6 +193,7 @@ def test_compare_refuses_or_writes_finite_errors(raw):
     with tempfile.TemporaryDirectory() as tmp:
         rc = _run("compare", raw, tmp)
         assert rc in (0, 2, 3)
+        assert rc == 0 or not (Path(tmp) / "out").exists()
         if rc == 0:
             with (Path(tmp) / "out" / "compare.csv").open() as fh:
                 rows = list(csv.DictReader(fh))
@@ -213,6 +215,7 @@ def test_cooling_optimize_refuses_or_writes_finite_occupancy(raw):
     with tempfile.TemporaryDirectory() as tmp:
         rc = _run("cooling", raw, tmp, "--optimize")
         assert rc in (0, 2, 3, 4)
+        assert rc == 0 or not (Path(tmp) / "out").exists()
         if rc == 0:
             constants = []  # the regime flags may be Infinity, nothing may be NaN
             text = (Path(tmp) / "out" / "cooling.json").read_text()

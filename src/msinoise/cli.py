@@ -7,9 +7,9 @@ failure, 2 configuration error (including inputs whose results overflow
 double precision, a sweep of Omega = 0 alone and an unwritable `--out`),
 3 optical singularity over more than 10% of the grid (Omega = 0 is
 skipped, not singular) or at a +/-omega_m sideband of `cooling`, 4
-anti-damped (unstable) system.  A nonzero exit writes no file, unless a
-write itself fails part-way.  `verify` reads no configuration: each
-invariant's tolerance is a constant of its check in `verify.py`.
+anti-damped (unstable) system.  A nonzero exit leaves no file behind.
+`verify` reads no configuration: each invariant's tolerance is a
+constant of its check in `verify.py`.
 """
 from __future__ import annotations
 

@@ -324,7 +324,7 @@ def reduction_errors(
         both = np.stack([part, -part])
         b = sideband_blocks(params, both).checked()
         f_exact = _force_entries(b)[:, :, 0]
-        f_strip = strip_propagation_phases(params, f_exact, part)
+        f_strip = f_exact * b.phases[np.newaxis, :, 0].conj()  # the +Omega phases
         f_ap = _approx_force_entries(lp, part)
         err = np.abs(f_strip - f_ap) / np.maximum(np.abs(f_strip), 1e-300)
         err_f[lo:lo + _CHUNK] = err.max(axis=(0, 1))
@@ -349,8 +349,7 @@ def canonical_spectra(lp: LumpedParams, k_p: float, e_plus: complex, grid) -> Fo
     if np.any(grid == 0.0):
         raise DegenerateFrequency("grid must not contain Omega = 0")
     amp = 4.0 * HBAR**2 * k_p**2 * lp.r_m**2 * abs(e_plus) ** 2 * lp.gamma / lp.tau_s
-    ell_pos, _ = lorentzians(lp, grid)
-    ell_neg, _ = lorentzians(lp, -grid)
+    ell_pos, ell_neg = lorentzians(lp, np.stack([grid, -grid]))[0]
     s_pos = amp / np.abs(ell_pos) ** 2
     s_neg = amp / np.abs(ell_neg) ** 2
     k_amp = 4.0 * HBAR * k_p**2 * lp.r_m**2 * abs(e_plus) ** 2 * lp.delta / lp.tau_s
@@ -401,6 +400,4 @@ def strip_propagation_phases(
     rigidity) are blind to this gauge.  Takes a 2x2 matrix at one Omega or
     a (2, 2, N) stack at N values of Omega.
     """
-    omega = params.omega_p + np.asarray(big_omega, dtype=float)
-    phases = np.exp(-1j * np.multiply.outer((params.tau_w, params.tau_s), omega))
-    return matrix * phases[np.newaxis]
+    return matrix * sideband_blocks(params, big_omega).phases[np.newaxis].conj()

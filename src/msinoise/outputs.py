@@ -49,11 +49,6 @@ def _csv_lines(header: str, columns):
     return itertools.chain((header + "\n",), rows)
 
 
-def _write_csv(path: Path, lines) -> None:
-    with path.open("w") as fh:
-        fh.writelines(lines)
-
-
 def _json_default(obj):
     if isinstance(obj, np.bool_):
         return bool(obj)
@@ -64,10 +59,25 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {obj!r}")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(
-        json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
-    )
+def _json_lines(payload: dict) -> tuple[str]:
+    return (json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n",)
+
+
+def _write(out_dir: Path, files: dict) -> None:
+    """Make ``out_dir`` and write the {name: lines} files in order; a write
+    that fails part-way removes every file it opened, then re-raises."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    opened = []
+    try:
+        for name, lines in files.items():
+            path = out_dir / name
+            with path.open("w") as fh:
+                opened.append(path)
+                fh.writelines(lines)
+    except OSError:
+        for path in opened:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def _sidecar(cfg: RunConfig, kind: str, **extra) -> dict:
@@ -105,9 +115,7 @@ def _write_sweep(cfg: RunConfig, out_dir: Path, kind: str, lines, spec, **extra)
         raise SingularSweep(f"{singular} of {total} grid points were singular")
     if len(spec.grid) == 0:
         raise ConfigError("sweep", "every grid point is Omega = 0, where the damping is undefined")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / f"{kind}.csv", lines)
-    _write_json(out_dir / f"{kind}.json", sidecar)
+    _write(out_dir, {f"{kind}.csv": lines, f"{kind}.json": _json_lines(sidecar)})
     return {"rows": len(spec.grid)}
 
 
@@ -208,8 +216,8 @@ def run_cooling(cfg: RunConfig, out_dir: Path, optimize: bool = False) -> dict:
     at a singular +/-omega_m sideband (the CLI maps each to its exit code)
     and ConfigError if there is no mechanical block or the spectrum at
     omega_m or a number of the report is not finite.  Every result and the
-    sidecar are computed before the first file is written, so an error
-    leaves no partial output.
+    sidecar are computed before the first file is written, and `_write`
+    removes what it opened if a write fails, so an error leaves no output.
     """
     mode = cfg.mechanical
     if mode is None:
@@ -268,12 +276,12 @@ def run_cooling(cfg: RunConfig, out_dir: Path, optimize: bool = False) -> dict:
         json.dumps({**report, "regime_flags": None}, allow_nan=False, default=_json_default)
     except ValueError as exc:
         raise ConfigError("<root>", "the cooling report is not finite") from exc
-    sidecar = _sidecar(cfg, "cooling", report=report)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    files = {}
     if optimize:
         phi_text = list(_fmt(opt.phi_grid))
         chi_phi = (f"{chi},{phi}" for chi in _fmt(opt.chi_grid) for phi in phi_text)
         columns = map(_fmt, (opt.n_bar_grid, opt.s_f_pos_grid, opt.s_f_neg_grid))
-        _write_csv(out_dir / "landscape.csv", _csv_lines(LANDSCAPE_HEADER, [chi_phi, *columns]))
-    _write_json(out_dir / "cooling.json", sidecar)
+        files["landscape.csv"] = _csv_lines(LANDSCAPE_HEADER, [chi_phi, *columns])
+    files["cooling.json"] = _json_lines(_sidecar(cfg, "cooling", report=report))
+    _write(out_dir, files)
     return report

@@ -92,9 +92,8 @@ class ForceNoiseSpectrum:
 
 def _force_entries(b: SidebandBlocks) -> np.ndarray:
     """F = 2 R_m X (M Q - Q* R_breve) T_tilde / d, shape (2, 2, N)."""
-    (c, s), m = b.mixer, b.membrane
+    c, s, m, c_bar, s_bar, m_bar = b.factors
     (rho_w, rho_s), (t_w, t_s) = b.r_tilde, b.t_tilde
-    c_bar, s_bar, m_bar = c.conjugate(), s.conjugate(), m.conjugate()
     k = 2 * m.real / b.d
     f_00 = m_bar * s - s_bar * rho_s
     f_01 = m_bar * c_bar - c * rho_w
@@ -110,14 +109,13 @@ def _spring_entries(b: SidebandBlocks) -> np.ndarray:
     one-sided generator; the leading grid axis holds (+grid, -grid), and
     the result has shape (2, 2, ...) over the remaining axes.
     """
-    (c, s), m = b.mixer, b.membrane
+    c, s, m, c_bar, s_bar, m_bar = b.factors
     rho_w, rho_s = b.r_tilde
     both = rho_w * rho_s
     cross = c * s * rho_w - (c * s).conjugate() * rho_s
     k = -4j * m.real**2 / b.d
-    q_00 = s * s * rho_w + c.conjugate() ** 2 * rho_s
-    q_11 = c * c * rho_w + s.conjugate() ** 2 * rho_s
-    m_bar = m.conjugate()
+    q_00 = s * s * rho_w + c_bar ** 2 * rho_s
+    q_11 = c * c * rho_w + s_bar ** 2 * rho_s
     g_00 = m_bar * q_00 - both
     g_11 = m * q_11 - both
     gen = np.array([[k * g_00, k * m_bar * cross], [k * m * cross, k * g_11]])

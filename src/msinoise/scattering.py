@@ -100,23 +100,16 @@ class InterferometerParams:
 
     @property
     def r_m(self) -> float:
-        return _cos_sin(self.theta_m)[0]
+        return np.cos(self.theta_m)
 
     @property
     def t_m(self) -> float:
-        return _cos_sin(self.theta_m)[1]
+        return np.sin(self.theta_m)
 
     @property
     def omega_p(self) -> float:
         """Pump angular frequency, rad/s."""
         return SPEED_OF_LIGHT * self.k_p
-
-
-def _cos_sin(x):
-    """(cos x, sin x) by numpy for an array, by `math` for a float as the golden was made."""
-    if isinstance(x, np.ndarray):
-        return np.cos(x), np.sin(x)
-    return math.cos(x), math.sin(x)
 
 
 @dataclass(frozen=True)
@@ -149,7 +142,8 @@ class SidebandBlocks:
 
     The trailing axes ``...`` run over the grid: the broadcast shape of the
     sideband grid and the params fields, (N, K) for (N, 1) sets of K
-    sidebands each.  Pairs are ordered (west, south).
+    sidebands each.  Pairs are ordered (west, south).  ``factors`` holds
+    C, S of `mode_mixer`, m = e^{i theta_m} and their conjugates.
     """
 
     omega: np.ndarray       # (...) absolute frequencies omega_p + Omega, rad/s
@@ -159,8 +153,7 @@ class SidebandBlocks:
     d_e: np.ndarray         # (2, 2, ...) mode matrix D_e
     d: np.ndarray           # (...) det D_e
     singular: np.ndarray    # (...) at or below the relative determinant floor
-    mixer: tuple[complex, complex]  # (C, S) of mode_mixer, shaped as the params
-    membrane: complex               # e^{i theta_m}, shaped as the params
+    factors: tuple          # (C, S, m, C*, S*, m*), each shaped as the params
 
     def checked(self) -> SidebandBlocks:
         """These blocks; raises OpticalSingularity at the first singular point."""
@@ -196,8 +189,8 @@ def mode_mixer(params: InterferometerParams) -> np.ndarray:
 
 
 def _mixer(params: InterferometerParams) -> tuple[complex, complex]:
-    ce, se = _cos_sin(params.epsilon)
-    ck, sk = _cos_sin(params.kappa)
+    ce, se = np.cos(params.epsilon), np.sin(params.epsilon)
+    ck, sk = np.cos(params.kappa), np.sin(params.kappa)
     return ce * ck + 1j * se * sk, se * ck + 1j * ce * sk
 
 
@@ -214,7 +207,9 @@ def sideband_blocks(params: InterferometerParams, big_omega) -> SidebandBlocks:
     result depends on a BLAS kernel.
     Singular points are flagged in ``singular``, not raised;
     `SidebandBlocks.checked` raises for them.  Pass a 1-D array even for
-    one point: numpy's 0-d scalar arithmetic rounds differently.  Here and
+    one point: numpy's array loops multiply complex numbers with FMA (on an
+    AVX-512 Xeon 44 % of random products differ in the last bit from 0-d
+    operands, which take numpy's scalar path).  Here and
     in the formulas on these blocks no complex product has an unnamed array
     on its right, so a point rounds the same in a batch of any length.
     """
@@ -223,8 +218,7 @@ def sideband_blocks(params: InterferometerParams, big_omega) -> SidebandBlocks:
     r_tilde = _pair(params.r_w, params.r_s, omega) * phases * phases
     t_tilde = _pair(params.t_w, params.t_s, omega) * phases
     c, s = _mixer(params)
-    r_m, t_m = _cos_sin(params.theta_m)
-    m = r_m + 1j * t_m  # e^{i theta_m}; m.real is exactly R_m
+    m = params.r_m + 1j * params.t_m  # e^{i theta_m}; m.real is exactly R_m
     c_bar, s_bar, m_bar = c.conjugate(), s.conjugate(), m.conjugate()
     c_m, s_m_bar, s_bar_m, c_bar_m_bar = c * m, s * m_bar, s_bar * m, c_bar * m_bar
     rho_w, rho_s = r_tilde
@@ -236,7 +230,8 @@ def sideband_blocks(params: InterferometerParams, big_omega) -> SidebandBlocks:
     mag = np.abs(d_e)
     scale = mag[0, 0] + mag[0, 1] + mag[1, 0] + mag[1, 1]
     singular = np.abs(d) <= DET_TOL * scale * scale
-    return SidebandBlocks(omega, phases, r_tilde, t_tilde, d_e, d, singular, (c, s), m)
+    return SidebandBlocks(omega, phases, r_tilde, t_tilde, d_e, d, singular,
+                          (c, s, m, c_bar, s_bar, m_bar))
 
 
 def _pair(west, south, grid: np.ndarray) -> np.ndarray:
@@ -247,8 +242,7 @@ def _pair(west, south, grid: np.ndarray) -> np.ndarray:
 
 def _scattering_entries(params: InterferometerParams, b: SidebandBlocks) -> np.ndarray:
     """R_ifo = -R + T_tilde (Q^T M Q - R_breve) T_tilde / d, shape (2, 2, N)."""
-    (c, s), m = b.mixer, b.membrane
-    c_bar, s_bar, m_bar = c.conjugate(), s.conjugate(), m.conjugate()
+    c, s, m, c_bar, s_bar, m_bar = b.factors
     (rho_w, rho_s), (t_w, t_s) = b.r_tilde, b.t_tilde
     n_00 = (c * c * m + s * s * m_bar) - rho_s
     n_11 = (s_bar ** 2 * m + c_bar ** 2 * m_bar) - rho_w
@@ -262,8 +256,7 @@ def _scattering_entries(params: InterferometerParams, b: SidebandBlocks) -> np.n
 def _displacement_entries(b: SidebandBlocks) -> np.ndarray:
     """G = 2 R_m T_tilde^dagger (Q^dagger M^dagger - R_breve^dagger Q^T) X / d*,
     shape (2, 2, N)."""
-    (c, s), m = b.mixer, b.membrane
-    c_bar, s_bar, m_bar = c.conjugate(), s.conjugate(), m.conjugate()
+    c, s, m, c_bar, s_bar, m_bar = b.factors
     (rho_w, rho_s), (t_w, t_s) = b.r_tilde.conj(), b.t_tilde.conj()
     k = 2 * m.real / b.d.conj()
     return np.array([

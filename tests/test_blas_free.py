@@ -93,8 +93,10 @@ def test_only_config_parses_json():
     assert not uses, "JSON parsed outside config.py: " + ", ".join(uses)
 
 
-#: methods that create a directory or write a file
-WRITES = {"mkdir", "write_text", "write_bytes", "writelines"}
+#: methods (of a Path, or functions of os) that create, write, move or remove
+#: a file or directory
+WRITES = {"mkdir", "write_text", "write_bytes", "writelines",
+          "unlink", "rename", "replace", "rmdir", "touch"}
 
 
 def file_writes(source: str) -> list[int]:
@@ -104,6 +106,8 @@ def file_writes(source: str) -> list[int]:
         if not isinstance(node, ast.Call):
             continue
         name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name == "replace" and isinstance(node.func, ast.Name):
+            continue  # dataclasses.replace; os.replace and Path.replace are attributes
         modes = [arg.value for arg in [*node.args[:2], *(k.value for k in node.keywords)]
                  if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
                  and re.fullmatch(r"[rwxabt+]+", arg.value)]
@@ -121,12 +125,18 @@ def test_write_linter_flags_each_form():
         "path.open('w')\n"
         "open(name, 'a')\n"
         "open(name, mode='r+')\n"
+        "path.unlink(missing_ok=True)\n"
+        "os.rename(a, b)\n"
+        "path.replace(target)\n"
+        "path.rmdir()\n"
+        "path.touch()\n"
         "path.open()\n"
         "open('data.csv')\n"
         "path.read_text()\n"
         "fh.write(s)\n"
+        "replace(result, runtime_s=0.0)\n"
     )
-    assert file_writes(source) == [1, 2, 3, 4, 5, 6, 7]
+    assert file_writes(source) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]
 
 
 def test_only_outputs_writes_files():

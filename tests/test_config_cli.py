@@ -710,3 +710,23 @@ def test_out_that_is_a_file_exits_2_with_one_line(tmp_path, capsys, command):
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ") and str(out) in line
     assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command, written, blocked", [
+    ("spectrum", "spectrum.csv", "spectrum.json"),
+    ("compare", "compare.csv", "compare.json"),
+    ("cooling", "landscape.csv", "cooling.json"),
+])
+def test_write_that_fails_part_way_leaves_no_file(tmp_path, capsys, command, written, blocked):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)  # the second file cannot be opened
+    if command == "cooling":
+        cfg = TestCoolingCommand.cooling_config(tmp_path, delta_s=-2.5e7, h_friction=1e-14)
+        args = ["cooling", "--config", str(cfg), "--out", str(out), "--optimize"]
+    else:
+        args = [command, "--config", str(write_config(tmp_path, P1_CONFIG)), "--out", str(out)]
+    assert main(args) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and blocked in line
+    assert not (out / written).exists()
+    assert [path.name for path in out.iterdir()] == [blocked]

@@ -23,7 +23,8 @@ from msinoise.lumped_mode import (
     strip_propagation_phases,
 )
 from msinoise.radiation_pressure import force_transfer, noise_spectra, rigidity
-from msinoise.scattering import IntracavityField
+from msinoise.scattering import InterferometerParams, IntracavityField
+from msinoise.verify import _random_params
 
 THETA = 0.15 * math.pi
 K_P = 2 * math.pi / 1.064e-6
@@ -246,6 +247,43 @@ class TestReductionErrors:
                 strip_propagation_phases(prm, force_transfer(prm, big_omega), big_omega),
                 f_strip[:, :, i],
             )
+
+
+class TestStripPropagationPhases:
+    """The stripped gauge against the explicit one-way phases e^{-i (omega_p + Omega) tau}."""
+
+    @staticmethod
+    def reference(prm, matrix, big_omega):
+        omega = prm.omega_p + np.asarray(big_omega, dtype=float)
+        return matrix * np.exp(-1j * np.multiply.outer((prm.tau_w, prm.tau_s), omega))
+
+    @staticmethod
+    def assert_same_bits(a, b):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def check(self, prm, rng, grid):
+        matrices = rng.normal(size=(2, 2, grid.size)) + 1j * rng.normal(size=(2, 2, grid.size))
+        self.assert_same_bits(strip_propagation_phases(prm, matrices, grid),
+                              self.reference(prm, matrices, grid))
+        for i, big_omega in enumerate(grid):
+            self.assert_same_bits(strip_propagation_phases(prm, matrices[:, :, i], big_omega),
+                                  self.reference(prm, matrices[:, :, i], big_omega))
+
+    def test_p1_bit_for_bit(self, p1):
+        rng = np.random.default_rng(20)
+        self.check(p1, rng, np.concatenate([[0.0], rng.uniform(-2e9, 2e9, 40)]))
+
+    def test_random_sets_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        sets = _random_params(rng, 50)
+        grid = rng.uniform(-1e9, 1e9, 50)
+        matrices = rng.normal(size=(2, 2, 50)) + 1j * rng.normal(size=(2, 2, 50))
+        batch = strip_propagation_phases(sets, matrices, grid)  # set i at grid[i]
+        for i in range(50):
+            single = InterferometerParams(**{name: float(v[i]) for name, v in vars(sets).items()})
+            self.check(single, rng, rng.uniform(-1e9, 1e9, 5))
+            self.assert_same_bits(batch[:, :, i],
+                                  self.reference(single, matrices[:, :, i], grid[i]))
 
 
 class TestCanonicalSpectra:

@@ -17,6 +17,7 @@ from msinoise.scattering import (
     IntracavityField,
     PortVector,
     _displacement_entries,
+    _mixer,
     _scattering_entries,
     classical_fields,
     displacement_transfer,
@@ -88,7 +89,7 @@ class TestModeMixer:
                 np.testing.assert_allclose(dagger(q) @ q, np.eye(2), atol=1e-14)
 
 
-class TestFixedMatrices:
+class TestMirrorAndPhaseBlocks:
     """The diagonal propagation and mirror blocks of `sideband_blocks`."""
 
     def test_no_power_recycling_kills_west_reflection(self):
@@ -97,7 +98,7 @@ class TestFixedMatrices:
 
     def test_perfect_mirror_membrane(self):
         b = sideband_blocks(params_simple(theta_m=0.0), np.array([1e6]))
-        assert b.membrane == 1.0
+        assert b.factors[2] == 1.0  # m = e^{i theta_m}
 
     def test_half_wave_west_path(self):
         # a pump frequency of pi / tau_w puts half a wave on the west path
@@ -107,7 +108,7 @@ class TestFixedMatrices:
         assert abs(b.t_tilde[0, 0] + 1.0) < 1e-12
 
 
-class TestModeDynamics:
+class TestModeDeterminant:
     """The mode matrix D_e = Q^dagger - R_tilde Q^T M and its determinant."""
 
     def test_diagonal_case_closed_form(self):
@@ -452,3 +453,15 @@ class TestBatchedParams:
         InterferometerParams(**good)
         with pytest.raises(ValueError):
             InterferometerParams(**bad)
+
+    def test_float_set_and_one_point_arrays_share_the_factors(self):
+        # np.cos and np.sin for floats and arrays alike: a float set is its (1,) batch
+        sets = _random_params(np.random.default_rng(18), 200)
+        for i in range(200):
+            single = one_set(sets, i)
+            batch = InterferometerParams(**{name: v[i:i + 1] for name, v in vars(sets).items()})
+            pairs = [(single.r_m, batch.r_m), (single.t_m, batch.t_m),
+                     *zip(_mixer(single), _mixer(batch))]
+            for scalar, array in pairs:
+                assert array.shape == (1,)
+                assert np.asarray(scalar).tobytes() == array.tobytes()

@@ -122,9 +122,13 @@ def asymmetry_polar(epsilon: float, kappa: float) -> tuple[float, float]:
 
     alpha is set to 0 at p = 0, where it is undefined; every consumer
     multiplies it by p (or enters through gamma_m = delta_m = 0), so the
-    choice is inert.
+    choice is inert.  Raises OverflowError if p^2, which the reduced model
+    is built on, exceeds the double range.
     """
     p = math.hypot(epsilon, kappa)
+    if not math.isfinite(p * p):
+        raise OverflowError(f"asymmetry p = hypot(epsilon = {epsilon!r}, kappa = {kappa!r}) "
+                            f"= {p!r}: p^2 exceeds the double range")
     alpha = math.atan2(kappa, epsilon) if p > 0.0 else 0.0
     return p, alpha
 

@@ -5,7 +5,6 @@ no timestamps, so identical configurations produce bit-identical files.
 """
 from __future__ import annotations
 
-import itertools
 import json
 from pathlib import Path
 
@@ -30,23 +29,34 @@ COMPARE_HEADER = "Omega,err_F,err_K,err_S_tilde,err_S_canonical,err_S_fano"
 LANDSCAPE_HEADER = "chi,phi,n_bar,s_f_pos,s_f_neg"
 
 
-def _fmt(values: np.ndarray):
-    """Lazy shortest decimals that round-trip to the same doubles, in C order.
+#: rows per text part of a CSV.  A part's cell strings and joined text take
+#: ~3.4x the memory of its values as Python floats, so parts of a quarter
+#: of the kernel's part size peak below one kernel part held as floats.
+_ROWS = _CHUNK // 4
 
-    The column is converted one part of `_CHUNK` values at a time, the part
-    size of the kernel calls, so a sweep holds at most one part of each
-    column as Python floats.
+
+def _fmt(values: np.ndarray) -> list[str]:
+    """Shortest decimals that round-trip to the same doubles."""
+    return list(map(repr, values.tolist()))
+
+
+def _csv_text(header: str, columns):
+    """The text of a CSV, lazily: the header line, then `_ROWS` rows at a time.
+
+    A column is a 1-D array of doubles, formatted by `_fmt` one part at a
+    time, or a list of its cell strings.  A part is one join of its cells
+    and separators, laid out row by row, so a writer takes one string per
+    part, not one per row.
     """
-    flat = values.ravel()
-    return itertools.chain.from_iterable(
-        map(repr, flat[i:i + _CHUNK].tolist()) for i in range(0, flat.size, _CHUNK)
-    )
-
-
-def _csv_lines(header: str, columns):
-    """Lazy CSV lines: the header, then one row per position of the string columns."""
-    rows = (",".join(row) + "\n" for row in zip(*columns))
-    return itertools.chain((header + "\n",), rows)
+    yield header + "\n"
+    size, width = len(columns[0]), 2 * len(columns)
+    for lo in range(0, size, _ROWS):
+        rows, n = slice(lo, lo + _ROWS), min(_ROWS, size - lo)
+        text = [","] * (width * n)  # cell, separator, cell, separator, ...
+        text[width - 1::width] = ["\n"] * n  # ... the last of each row a newline
+        for j, column in enumerate(columns):
+            text[2 * j::width] = column[rows] if isinstance(column, list) else _fmt(column[rows])
+        yield "".join(text)
 
 
 def _json_default(obj):
@@ -64,16 +74,16 @@ def _json_lines(payload: dict) -> tuple[str]:
 
 
 def _write(out_dir: Path, files: dict) -> None:
-    """Make ``out_dir`` and write the {name: lines} files in order; a write
+    """Make ``out_dir`` and write the {name: strings} files in order; a write
     that fails part-way removes every file it opened, then re-raises."""
     out_dir.mkdir(parents=True, exist_ok=True)
     opened = []
     try:
-        for name, lines in files.items():
+        for name, text in files.items():
             path = out_dir / name
             with path.open("w") as fh:
                 opened.append(path)
-                fh.writelines(lines)
+                fh.writelines(text)
     except OSError:
         for path in opened:
             path.unlink(missing_ok=True)
@@ -102,7 +112,7 @@ def _refuse_non_finite(what: str, grid: np.ndarray, columns) -> None:
         raise ConfigError("<root>", f"the {what} is not finite at Omega = {omega!r} rad/s")
 
 
-def _write_sweep(cfg: RunConfig, out_dir: Path, kind: str, lines, spec, **extra) -> dict:
+def _write_sweep(cfg: RunConfig, out_dir: Path, kind: str, text, spec, **extra) -> dict:
     """Refuse the sweep or write <kind>.csv and <kind>.json; returns {"rows": n}.
 
     Raises SingularSweep if over 10 % of the grid is optically singular (Omega = 0
@@ -115,7 +125,7 @@ def _write_sweep(cfg: RunConfig, out_dir: Path, kind: str, lines, spec, **extra)
         raise SingularSweep(f"{singular} of {total} grid points were singular")
     if len(spec.grid) == 0:
         raise ConfigError("sweep", "every grid point is Omega = 0, where the damping is undefined")
-    _write(out_dir, {f"{kind}.csv": lines, f"{kind}.json": _json_lines(sidecar)})
+    _write(out_dir, {f"{kind}.csv": text, f"{kind}.json": _json_lines(sidecar)})
     return {"rows": len(spec.grid)}
 
 
@@ -126,7 +136,7 @@ def _spectrum_columns(spec) -> tuple:
 
 
 def _spectrum_lines(cfg: RunConfig):
-    """The lines of spectrum.csv, lazily, with the spectrum and field they show.
+    """The text of spectrum.csv, lazily, with the spectrum and field it shows.
 
     Raises ConfigError if any row would not be finite: the configuration
     then lies beyond what double precision can carry.
@@ -135,7 +145,7 @@ def _spectrum_lines(cfg: RunConfig):
     spec = noise_spectra(cfg.params, field, cfg.grid)
     columns = _spectrum_columns(spec)
     _refuse_non_finite("spectrum", spec.grid, columns)
-    return _csv_lines(SPECTRUM_HEADER, map(_fmt, columns)), spec, field
+    return _csv_text(SPECTRUM_HEADER, columns), spec, field
 
 
 def run_spectrum(cfg: RunConfig, out_dir: Path) -> dict:
@@ -144,10 +154,10 @@ def run_spectrum(cfg: RunConfig, out_dir: Path) -> dict:
     Raises ConfigError if any row would not be finite or none is left, and
     SingularSweep over 10 % singular points; either way it writes nothing.
     """
-    lines, spec, field = _spectrum_lines(cfg)
+    text, spec, field = _spectrum_lines(cfg)
     e = field.as_array()
     return _write_sweep(
-        cfg, out_dir, "spectrum", lines, spec,
+        cfg, out_dir, "spectrum", text, spec,
         field={"e_plus": [e[0].real, e[0].imag], "e_minus": [e[1].real, e[1].imag]},
     )
 
@@ -192,7 +202,7 @@ def run_compare(cfg: RunConfig, out_dir: Path) -> dict:
     _refuse_non_finite("comparison", grid, columns if dark_south else columns[:-1])
     couplings = coupling_constants(lp, k_p)
     return _write_sweep(
-        cfg, out_dir, "compare", _csv_lines(COMPARE_HEADER, map(_fmt, columns)), spec,
+        cfg, out_dir, "compare", _csv_text(COMPARE_HEADER, columns), spec,
         fano_applicable=dark_south,
         lumped={
             "gamma_s": lp.gamma_s,
@@ -278,10 +288,11 @@ def run_cooling(cfg: RunConfig, out_dir: Path, optimize: bool = False) -> dict:
         raise ConfigError("<root>", "the cooling report is not finite") from exc
     files = {}
     if optimize:
-        phi_text = list(_fmt(opt.phi_grid))
-        chi_phi = (f"{chi},{phi}" for chi in _fmt(opt.chi_grid) for phi in phi_text)
-        columns = map(_fmt, (opt.n_bar_grid, opt.s_f_pos_grid, opt.s_f_neg_grid))
-        files["landscape.csv"] = _csv_lines(LANDSCAPE_HEADER, [chi_phi, *columns])
+        phi_text = _fmt(opt.phi_grid)
+        chi_text = [text for text in _fmt(opt.chi_grid) for _ in phi_text]  # the mesh in C order
+        grids = (opt.n_bar_grid, opt.s_f_pos_grid, opt.s_f_neg_grid)
+        files["landscape.csv"] = _csv_text(
+            LANDSCAPE_HEADER, [chi_text, phi_text * opt.chi_grid.size, *map(np.ravel, grids)])
     files["cooling.json"] = _json_lines(_sidecar(cfg, "cooling", report=report))
     _write(out_dir, files)
     return report

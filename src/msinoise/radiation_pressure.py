@@ -29,12 +29,14 @@ __all__ = [
 
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-#: the one part size of every pass over a grid: the kernel calls of
-#: `noise_spectra`, `_force_noise` and `lumped_mode.reduction_errors`, and
-#: the CSV formatting of `outputs._fmt`, so a pass holds the temporaries
-#: of one part, not of its grid.  Of 2**9, 2**10 and 2**11, measured on
-#: P1: 2**11 kept the 4 001-point sweep's peak RSS 1.4 MB higher, and 2**9
-#: took ~20 % longer per point on large grids, in per-call overhead.
+#: the one part size of every kernel pass over a grid: the calls of
+#: `noise_spectra`, `_force_noise` and `lumped_mode.reduction_errors`, so a
+#: pass holds the temporaries of one part, not of its grid.  Of 2**9, 2**10
+#: and 2**11, measured on P1: 2**11 kept the 4 001-point sweep's peak RSS
+#: 1.4 MB higher, and 2**9 took ~20 % longer per point on large grids, in
+#: per-call overhead.  CSV text is made in parts of `outputs._ROWS` =
+#: _CHUNK // 4 rows, not _CHUNK: its strings take ~3.4x the memory of the
+#: values they print, held as Python floats.
 _CHUNK = 2**10
 
 

@@ -1,9 +1,11 @@
+import collections
 import csv
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,7 +17,7 @@ from msinoise.cli import main
 from msinoise.config import load_config, parse_config
 from msinoise.errors import ConfigError
 from msinoise.lumped_mode import from_exact, params_for_targets
-from msinoise.outputs import run_cooling
+from msinoise.outputs import _ROWS, run_cooling
 from msinoise.scattering import InterferometerParams
 
 P1_CONFIG = {
@@ -206,7 +208,7 @@ class TestSpectrumCommand:
             assert float(row["H_opt"]) == spec.h_opt[0]
 
     def test_long_column_formats_as_one(self):
-        """A column of several formatting parts reads like repr of each value."""
+        """A column longer than a kernel part reads like repr of each value."""
         from msinoise import outputs
 
         values = np.random.default_rng(0).standard_normal(2 * outputs._CHUNK + 3)
@@ -362,6 +364,63 @@ class TestSpectrumCommand:
         assert "double-precision range" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["spectrum", "compare"])
+    def test_overflowing_asymmetry_is_named(self, tmp_path, capsys, command):
+        raw = json.loads(json.dumps(P1_CONFIG))
+        raw["interferometer"]["kappa"] = 1e300  # p^2 overflows
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            # outside pytest a warning is printed to stderr ahead of the error
+            warnings.simplefilter("error")
+            rc = main([command, "--config", str(write_config(tmp_path, raw)),
+                       "--out", str(out)])
+        assert rc == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert "kappa = 1e+300" in line and "p^2 exceeds the double range" in line, line
+        assert not out.exists()
+
+
+class TestCsvText:
+    """`outputs._csv_text` against the row-by-row text it replaced."""
+
+    @pytest.mark.parametrize("rows", [1, _ROWS - 1, _ROWS, _ROWS + 1, 3 * _ROWS + 5])
+    def test_parts_equal_one_line_per_row(self, rows):
+        from msinoise import outputs
+
+        values = np.random.default_rng(rows).standard_normal((5, rows))
+        special = [math.nan, math.inf, -math.inf, -0.0, 1e16, 1e-05, 5e-324]
+        values.ravel()[:len(special)] = special[:values.size]
+        pair = np.empty(rows, dtype=complex)
+        pair.real, pair.imag = values[3], values[4]
+        # text and float columns mixed; the last two are strided views
+        columns = [outputs._fmt(values[0]), values[1], outputs._fmt(values[2]),
+                   pair.real, pair.imag]
+        expected = "a,b,c,d,e\n" + "".join(
+            ",".join(map(repr, row)) + "\n" for row in zip(*values.tolist()))
+        assert "".join(outputs._csv_text("a,b,c,d,e", columns)) == expected
+
+    def test_streamed_text_holds_less_than_one_kernel_part_of_floats(self):
+        from msinoise import outputs
+
+        raw = json.loads(json.dumps(P1_CONFIG))
+        raw["sweep"]["points"] = 3 * outputs._CHUNK + 5
+        _, spec, _ = outputs._spectrum_lines(parse_config(raw))
+        columns = outputs._spectrum_columns(spec)
+        text = outputs._csv_text(outputs.SPECTRUM_HEADER, columns)
+        tracemalloc.start()
+        try:
+            collections.deque(text, maxlen=0)  # each part dropped as the next is built
+            streamed = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            held = [column[:outputs._CHUNK].tolist() for column in columns]
+            floats = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        # 2^8-row text parts peak at ~0.86x one 2^10-point part of the seven
+        # columns as Python floats; the per-row lines they replaced at ~1.01x
+        assert streamed <= floats, streamed / floats
+
 
 class TestCompareCommand:
     def test_symmetric_config_tracks_canonical(self, tmp_path):
@@ -503,21 +562,24 @@ class TestCoolingCommand:
         from msinoise.cooling import optimize_pump
         from msinoise.outputs import LANDSCAPE_HEADER, run_cooling
 
-        cfg = load_config(self.cooling_config(tmp_path, delta_s=-2.5e7,
-                                              h_friction=1e-14))
-        report = run_cooling(cfg, tmp_path, optimize=True)
-        opt = optimize_pump(cfg.params, cfg.mechanical,
-                            report["optimum"]["energy_budget"])
-        # the row-by-row reference the column writer replaced
-        expected = [LANDSCAPE_HEADER] + [
-            ",".join(repr(float(v)) for v in (
-                chi, phi, opt.n_bar_grid[i, j], opt.s_f_pos_grid[i, j],
-                opt.s_f_neg_grid[i, j],
-            ))
-            for i, chi in enumerate(opt.chi_grid)
-            for j, phi in enumerate(opt.phi_grid)
-        ]
-        assert (tmp_path / "landscape.csv").read_text() == "\n".join(expected) + "\n"
+        path = self.cooling_config(tmp_path, delta_s=-2.5e7, h_friction=1e-14)
+        for constraint in ("intracavity", "injected"):
+            raw = json.loads(path.read_text())
+            raw["optimize"] = {"constraint": constraint}
+            cfg = parse_config(raw)
+            report = run_cooling(cfg, tmp_path / constraint, optimize=True)
+            opt = optimize_pump(cfg.params, cfg.mechanical,
+                                report["optimum"]["energy_budget"], constraint=constraint)
+            # the f-string per row that the part writer replaced
+            expected = LANDSCAPE_HEADER + "\n" + "".join(
+                f"{chi!r},{phi!r},{n!r},{s_pos!r},{s_neg!r}\n"
+                for chi, n_row, s_pos_row, s_neg_row in zip(
+                    opt.chi_grid.tolist(), opt.n_bar_grid.tolist(),
+                    opt.s_f_pos_grid.tolist(), opt.s_f_neg_grid.tolist())
+                for phi, n, s_pos, s_neg in zip(opt.phi_grid.tolist(),
+                                                n_row, s_pos_row, s_neg_row)
+            )
+            assert (tmp_path / constraint / "landscape.csv").read_text() == expected, constraint
 
     def test_overflowing_sidecar_exits_2_and_writes_nothing(self, tmp_path, capsys):
         raw = json.loads(json.dumps(P1_CONFIG))

@@ -31,6 +31,17 @@ EXIT_SINGULAR = 3
 EXIT_UNSTABLE = 4
 
 
+def _seed(text: str) -> int:
+    """A non-negative integer, the seeds numpy takes; argparse exits 2 otherwise."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"need a non-negative integer, got {text!r}")
+    return seed
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="msinoise",
@@ -59,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="also optimise the pump split at fixed energy")
 
     p_ver = sub.add_parser("verify", help="run the invariant suite")
-    p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    p_ver.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                        help="seed for the randomized ensembles")
     p_ver.add_argument("--json", action="store_true",
                        help="print one JSON list of the checks instead of the table")

@@ -32,8 +32,7 @@ _KEYS = {
                        "t_s", "r_w", "t_w", "tau_s_s", "l_s_m", "tau_w_s", "l_w_m"),
     "pump": ("west", "south"),
     "sweep": ("start_rad_s", "stop_rad_s", "points", "spacing"),
-    "mechanical": ("omega_m_rad_s", "h_friction_kg_s", "temperature_k",
-                   "n_thermal", "mass_kg"),
+    "mechanical": ("omega_m_rad_s", "h_friction_kg_s", "temperature_k", "n_thermal"),
     "optimize": ("energy_budget", "constraint"),
 }
 
@@ -173,7 +172,7 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("<root>", "top level must be an object")
     _known_keys(raw, "<root>")
     schema = raw.get("schema", SCHEMA_VERSION)
-    if schema != SCHEMA_VERSION:
+    if type(schema) is not int or schema != SCHEMA_VERSION:  # not true, not 1.0
         raise ConfigError("schema", f"unsupported schema {schema!r}")
 
     ifo = _section(raw, "interferometer")
@@ -218,7 +217,6 @@ def parse_config(raw: dict) -> RunConfig:
                 h_friction=_number(sec, "h_friction_kg_s", "mechanical"),
                 temperature=_number(sec, "temperature_k", "mechanical", required=False),
                 n_thermal=_number(sec, "n_thermal", "mechanical", required=False),
-                mass=_number(sec, "mass_kg", "mechanical", required=False),
             )
         except ValueError as exc:
             raise ConfigError("mechanical", str(exc)) from exc

@@ -42,7 +42,6 @@ __all__ = [
     "occupancy_simplified",
     "optimize_pump",
     "pump_for_intracavity",
-    "spring_shifted_frequency",
 ]
 
 #: margin each simplifying inequality needs for the one-line occupancy
@@ -71,15 +70,13 @@ class MechanicalMode:
 
     ``omega_m`` is the effective resonance frequency with any optical
     spring shift already absorbed.  The bath is given either as a
-    temperature or directly as an occupation number.  ``mass`` is only
-    needed by the optional spring-shift helper.
+    temperature or directly as an occupation number.
     """
 
     omega_m: float          # rad/s
     h_friction: float       # kg/s
     temperature: float | None = None
     n_thermal: float | None = None
-    mass: float | None = None
 
     def __post_init__(self):
         if self.omega_m <= 0.0:
@@ -401,19 +398,3 @@ def pump_for_intracavity(params: InterferometerParams, field: IntracavityField) 
         else:
             amplitudes.append(needed[idx] / t)
     return PortVector(west=amplitudes[0], south=amplitudes[1])
-
-
-def spring_shifted_frequency(mode: MechanicalMode, k_re: float) -> float:
-    """First-order spring-shifted resonance sqrt(omega_m^2 + Re K / m).
-
-    Convenience outside the core formulas (which absorb the shift into
-    omega_m); requires the mode mass.
-    """
-    if mode.mass is None:
-        raise ValueError("spring_shifted_frequency needs MechanicalMode.mass")
-    shifted_sq = mode.omega_m**2 + k_re / mode.mass
-    if shifted_sq <= 0.0:
-        raise UnstableSystem(
-            f"spring constant {k_re!r} N/m overwhelms the mechanical restoring force"
-        )
-    return math.sqrt(shifted_sq)

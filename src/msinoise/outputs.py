@@ -259,9 +259,9 @@ def run_cooling(cfg: RunConfig, out_dir: Path, optimize: bool = False) -> dict:
     }
 
     if optimize:
-        e = field.as_array()
         budget = cfg.energy_budget
-        if budget is None:
+        if budget is None:  # the configured pump's own, in the constraint's variables
+            e = (field if cfg.optimize_constraint == "intracavity" else cfg.pump).as_array()
             budget = float(np.abs(e[0]) ** 2 + np.abs(e[1]) ** 2)
             if not budget > 0.0:
                 raise ConfigError("optimize.energy_budget", "the pump carries no energy")

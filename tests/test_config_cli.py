@@ -557,6 +557,16 @@ class TestCoolingCommand:
         with open(tmp_path / "landscape.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 64 * 64
+        # power-recycled and injected with no budget: the budget is the pump's own flux
+        raw = json.loads(cfg_path.read_text())
+        raw["interferometer"]["r_w"] = 0.9
+        raw["pump"]["south"] = {"power_w": 1e-4}
+        raw["optimize"] = {"constraint": "injected"}
+        cfg = parse_config(raw)
+        report = run_cooling(cfg, tmp_path / "injected", optimize=True)
+        assert report["optimum"]["n_bar"] <= report["n_bar"] * (1 + 1e-12)
+        a = cfg.pump.as_array()
+        assert report["optimum"]["energy_budget"] == float(np.abs(a[0]) ** 2 + np.abs(a[1]) ** 2)
 
     def test_landscape_is_chi_major_and_exact(self, tmp_path):
         from msinoise.cooling import optimize_pump
@@ -606,6 +616,18 @@ class TestCoolingCommand:
         ("pump", {"west": {"power_w": 0.0}}, ["--optimize"], "'optimize.energy_budget'"),
         # an overflowing force noise would make n_bar NaN
         ("pump", {"west": {"amplitude": [1e168, 0.0]}}, [], "not finite"),
+        ("schema", True, [], "'schema': unsupported schema True"),
+        ("sweep", [], [], "'sweep': must be an object"),
+        ("pump", {"west": 5}, [], "'pump.west': must be an object"),
+        ("sweep", {"start_rad_s": 0.0, "stop_rad_s": 1e6, "points": 2, "spacing": "log"}, [],
+         "'sweep.spacing': log spacing needs positive bounds"),
+        ("interferometer", {**P1_CONFIG["interferometer"], "r_s": -0.6, "t_s": 0.8}, [],
+         "'interferometer': r_s, t_s must be non-negative"),
+        ("mechanical", {"omega_m_rad_s": 2.5e7, "h_friction_kg_s": 1e-14,
+                        "n_thermal": -1.0}, [], "'mechanical': n_thermal"),
+        # a finite spectrum, but the thermal spectra overflow
+        ("mechanical", {"omega_m_rad_s": 2.5e7, "h_friction_kg_s": 1e300,
+                        "temperature_k": 1e300}, [], "the cooling report is not finite"),
     ])
     def test_bad_bath_or_budget_exits_2_and_writes_nothing(
         self, tmp_path, capsys, section, value, flags, expected
@@ -730,6 +752,13 @@ class TestVerifyCommand:
         assert main(["verify"]) == 1
         out = capsys.readouterr()
         assert "FAIL" in out.out and "unitarity" in out.err
+
+    @pytest.mark.parametrize("seed", ["-1", "1.5"])
+    def test_seed_that_is_not_a_non_negative_integer_exits_2(self, capsys, seed):
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", "--seed", seed])
+        assert exit_.value.code == 2
+        assert "--seed: need a non-negative integer" in capsys.readouterr().err
 
     def test_verify_takes_no_config(self, capsys):
         with pytest.raises(SystemExit) as exit_:

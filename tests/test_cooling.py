@@ -11,7 +11,6 @@ from msinoise.cooling import (
     occupancy_simplified,
     optimize_pump,
     pump_for_intracavity,
-    spring_shifted_frequency,
     thermal_occupation,
     thermal_spectra,
 )
@@ -33,8 +32,8 @@ from msinoise.scattering import (
 THETA = 0.15 * math.pi
 
 
-def mode(n_t=1e4, omega_m=2.5e7, h=1e-12, **kw):
-    return MechanicalMode(omega_m=omega_m, h_friction=h, n_thermal=n_t, **kw)
+def mode(n_t=1e4, omega_m=2.5e7, h=1e-12):
+    return MechanicalMode(omega_m=omega_m, h_friction=h, n_thermal=n_t)
 
 
 def cooling_params(delta_s=-2.5e7, p=1e-4):
@@ -316,21 +315,3 @@ class TestPumpForIntracavity:
         )
         with pytest.raises(UnreachableField):
             pump_for_intracavity(prm, IntracavityField(2e8, 1e8))
-
-
-class TestSpringShift:
-    def test_needs_mass(self):
-        with pytest.raises(ValueError):
-            spring_shifted_frequency(mode(), 1.0)
-
-    def test_first_order_shift(self):
-        m = mode(mass=1e-10)
-        k_re = 0.5 * m.mass * m.omega_m**2
-        assert spring_shifted_frequency(m, k_re) == pytest.approx(
-            m.omega_m * math.sqrt(1.5), rel=1e-12
-        )
-
-    def test_overwhelming_negative_spring_raises(self):
-        m = mode(mass=1e-10)
-        with pytest.raises(UnstableSystem):
-            spring_shifted_frequency(m, -2.0 * m.mass * m.omega_m**2)

@@ -9,7 +9,9 @@ double precision, a sweep of Omega = 0 alone and an unwritable `--out`),
 skipped, not singular) or at a +/-omega_m sideband of `cooling`, 4
 anti-damped (unstable) system.  A nonzero exit leaves no file behind.
 `verify` reads no configuration: each invariant's tolerance is a
-constant of its check in `verify.py`.
+constant of its check in `verify.py`.  Floating-point warnings are
+silenced here, once for every command, because each command refuses a
+non-finite result with its own error line instead.
 """
 from __future__ import annotations
 
@@ -18,6 +20,8 @@ import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
+
+import numpy as np
 
 from .config import load_config
 from .errors import ConfigError, OpticalSingularity, SingularSweep, UnstableSystem
@@ -116,7 +120,8 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        return handlers[args.command](args)
+        with np.errstate(all="ignore"):
+            return handlers[args.command](args)
     except (ConfigError, OSError) as exc:  # OSError: an --out that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

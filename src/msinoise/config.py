@@ -196,6 +196,10 @@ def parse_config(raw: dict) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError("interferometer", str(exc)) from exc
+    # the model squares k_p and divides by the photon energy hbar omega_p
+    if not (math.isfinite(params.k_p * params.k_p) and HBAR * params.omega_p > 0.0):
+        raise ConfigError("interferometer.wavelength_m",
+                          f"{wavelength!r} puts k_p^2 or hbar omega_p beyond double precision")
 
     pump_sec = _section(raw, "pump")
     ports = {}
@@ -220,6 +224,9 @@ def parse_config(raw: dict) -> RunConfig:
             )
         except ValueError as exc:
             raise ConfigError("mechanical", str(exc)) from exc
+        if not HBAR * mech.omega_m > 0.0:  # the occupancy divides by 2 hbar omega_m
+            raise ConfigError("mechanical.omega_m_rad_s",
+                              f"{mech.omega_m!r} makes hbar omega_m underflow to 0")
 
     opt_sec = _section(raw, "optimize", required=False)
     energy_budget = _number(opt_sec, "energy_budget", "optimize", required=False)

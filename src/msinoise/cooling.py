@@ -299,8 +299,8 @@ def optimize_pump(
     if constraint not in ("intracavity", "injected"):
         raise ValueError(f"unknown constraint {constraint!r}")
 
-    blocks = sideband_blocks(params, np.array([mode.omega_m, -mode.omega_m])).checked()
-    f_all = _force_entries(blocks)
+    blocks = sideband_blocks(params, np.array([[mode.omega_m], [-mode.omega_m]])).checked()
+    f_all = _force_entries(blocks)[..., 0]
     if constraint == "injected":
         # columns of W: the intracavity field driven by each unit port amplitude
         w = [classical_fields(params, port)

@@ -165,11 +165,12 @@ def from_exact(params: InterferometerParams) -> LumpedParams:
     warnings = []
     t_s_sq = params.t_s**2
     det_phase = abs(delta_s) * params.tau_s
-    if t_s_sq > VALIDITY_THRESHOLD:
+    # `not x <= threshold` also flags a NaN, e.g. delta_s where omega_p tau_s overflows
+    if not t_s_sq <= VALIDITY_THRESHOLD:
         warnings.append(f"t_s^2 = {t_s_sq:.3g} exceeds {VALIDITY_THRESHOLD}")
-    if det_phase > VALIDITY_THRESHOLD:
+    if not det_phase <= VALIDITY_THRESHOLD:
         warnings.append(f"|delta_s| tau_s = {det_phase:.3g} exceeds {VALIDITY_THRESHOLD}")
-    if p**2 > VALIDITY_THRESHOLD:
+    if not p**2 <= VALIDITY_THRESHOLD:
         warnings.append(f"p^2 = {p**2:.3g} exceeds {VALIDITY_THRESHOLD}")
     if params.r_w != 0.0:
         warnings.append("power recycling present (r_w > 0); reduction assumes r_w = 0")
@@ -336,9 +337,8 @@ def reduction_errors(
         k_ap = _spring_form(params.k_p, e, _approx_spring_entries(lp, both))
         s_exact = _noise_form(params.k_p, e, f_exact)
         s_ap = _noise_form(params.k_p, e, f_ap)
-        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 of an unpumped field
-            err_k[lo:lo + _CHUNK] = np.abs(k_exact - k_ap) / np.abs(k_exact)
-            err_s[lo:lo + _CHUNK] = np.abs(s_exact - s_ap) / s_exact
+        err_k[lo:lo + _CHUNK] = np.abs(k_exact - k_ap) / np.abs(k_exact)
+        err_s[lo:lo + _CHUNK] = np.abs(s_exact - s_ap) / s_exact
     return err_f, err_k, err_s
 
 

@@ -187,17 +187,15 @@ def run_compare(cfg: RunConfig, out_dir: Path) -> dict:
     grid = spec.grid
     err_f, err_k, err_s = reduction_errors(params, lp, field, grid)
     err_can, err_fano = np.empty(grid.size), np.full(grid.size, np.nan)
-    # an unpumped spectrum makes these 0/0, which _refuse_non_finite refuses
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, grid.size, _CHUNK):
-            rows = slice(lo, lo + _CHUNK)
-            s_exact = spec.s_tilde_pos[rows]
-            s_can = canonical_spectra(lp, k_p, field.e_plus, grid[rows]).s_tilde_pos
-            err_can[rows] = np.abs(s_exact - s_can) / s_exact
-            if dark_south:
-                s_fano = fano_spectrum(lp, params.epsilon, params.kappa, k_p, cfg.pump.west,
-                                       grid[rows])
-                err_fano[rows] = np.abs(s_exact - s_fano) / s_exact
+    for lo in range(0, grid.size, _CHUNK):
+        rows = slice(lo, lo + _CHUNK)
+        s_exact = spec.s_tilde_pos[rows]
+        s_can = canonical_spectra(lp, k_p, field.e_plus, grid[rows]).s_tilde_pos
+        err_can[rows] = np.abs(s_exact - s_can) / s_exact
+        if dark_south:
+            s_fano = fano_spectrum(lp, params.epsilon, params.kappa, k_p, cfg.pump.west,
+                                   grid[rows])
+            err_fano[rows] = np.abs(s_exact - s_fano) / s_exact
     columns = (grid, err_f, err_k, err_s, err_can, err_fano)
     _refuse_non_finite("comparison", grid, columns if dark_south else columns[:-1])
     couplings = coupling_constants(lp, k_p)
@@ -235,7 +233,7 @@ def run_cooling(cfg: RunConfig, out_dir: Path, optimize: bool = False) -> dict:
     field = classical_fields(cfg.params, cfg.pump)
     spec = noise_spectra(cfg.params, field, [mode.omega_m])
     if spec.skipped:  # raises the singular sideband's own OpticalSingularity
-        sideband_blocks(cfg.params, np.array([mode.omega_m, -mode.omega_m])).checked()
+        sideband_blocks(cfg.params, np.array([[mode.omega_m], [-mode.omega_m]])).checked()
     _refuse_non_finite("spectrum", spec.grid, (spec.s_tilde_pos, spec.s_tilde_neg, spec.k))
     result = occupancy(mode, float(spec.s_tilde_pos[0]), float(spec.s_tilde_neg[0]))
 

@@ -76,20 +76,17 @@ class ForceNoiseSpectrum:
     k: np.ndarray               # complex N/m
     skipped: tuple = field(default_factory=tuple)
 
-    # inf or NaN beyond double precision come out without a warning, as the spectra do
     @property
     def s_sym(self) -> np.ndarray:
         """Symmetrised density (S(+Omega) + S(-Omega)) / 2, N^2 s."""
-        with np.errstate(all="ignore"):
-            return (self.s_tilde_pos + self.s_tilde_neg) / 2.0
+        return (self.s_tilde_pos + self.s_tilde_neg) / 2.0
 
     @property
     def h_opt(self) -> np.ndarray:
         """Optical damping (S(+Omega) - S(-Omega)) / 2 hbar Omega, kg/s; none at Omega = 0."""
         if np.any(self.grid == 0.0):
             raise DegenerateFrequency("optical damping is undefined at Omega = 0")
-        with np.errstate(all="ignore"):
-            return (self.s_tilde_pos - self.s_tilde_neg) / (2.0 * HBAR * self.grid)
+        return (self.s_tilde_pos - self.s_tilde_neg) / (2.0 * HBAR * self.grid)
 
 
 def _force_entries(b: SidebandBlocks) -> np.ndarray:
@@ -195,10 +192,9 @@ def _force_noise(
     grid = np.asarray(big_omega, dtype=float)
     e = field_.as_array()
     s_tilde = np.empty(grid.size)
-    with np.errstate(all="ignore"):
-        for lo in range(0, grid.size, _CHUNK):
-            b = sideband_blocks(params, grid[lo:lo + _CHUNK]).checked()
-            s_tilde[lo:lo + _CHUNK] = _noise_form(params.k_p, e, _force_entries(b))
+    for lo in range(0, grid.size, _CHUNK):
+        b = sideband_blocks(params, grid[lo:lo + _CHUNK]).checked()
+        s_tilde[lo:lo + _CHUNK] = _noise_form(params.k_p, e, _force_entries(b))
     return s_tilde
 
 
@@ -216,7 +212,8 @@ def noise_spectra(
     grid's; every value is the same as from one call over all of it.
     Points where either sideband hits an exact optical singularity are
     skipped and reported, not interpolated.  Numbers beyond double
-    precision come out as inf or NaN without a warning; callers refuse them.
+    precision come out as inf or NaN without a warning, since skipping a
+    singular point divides by ~0 on the way; callers refuse them.
     """
     grid = np.asarray(grid, dtype=float)
     n = grid.size

@@ -1,5 +1,6 @@
 import collections
 import csv
+import errno
 import json
 import math
 import os
@@ -38,6 +39,10 @@ P1_CONFIG = {
     },
     "sweep": {"start_rad_s": 1e8, "stop_rad_s": 2e9, "points": 41},
 }
+
+
+#: the error line of a spectrum refused at a sideband frequency (%r rad/s)
+NOT_FINITE = "config field '<root>': the spectrum is not finite at Omega = %r rad/s"
 
 
 def write_config(tmp_path, cfg, name="run.json"):
@@ -241,6 +246,9 @@ class TestSpectrumCommand:
         ("sweep", "start_rad_s", math.nan),
         ("pump", "west", {"amplitude": [math.nan, 0.0]}),
         ("pump", "west", {"power_w": math.inf}),
+        # finite, but k_p^2 overflows or the photon energy hbar omega_p underflows
+        ("interferometer", "wavelength_m", 1e-300),
+        ("interferometer", "wavelength_m", 1e300),
     ])
     def test_non_finite_number_exits_2(self, tmp_path, capsys, section, key, value):
         raw = json.loads(json.dumps(P1_CONFIG))
@@ -440,11 +448,17 @@ class TestCompareCommand:
         assert sidecar["validity_warnings"] == []
         assert sidecar["fano_applicable"] is True
 
-    def test_out_of_regime_config_warns_but_succeeds(self, tmp_path):
-        cfg = write_config(tmp_path, P1_CONFIG)  # P1 detuning is out of regime
-        assert main(["compare", "--config", str(cfg),
+    @pytest.mark.parametrize("command, change", [
+        ("compare", {}),  # P1 detuning is out of regime
+        ("spectrum", {"tau_s_s": 1e293}),  # 2 omega_p tau_s overflows: delta_s is NaN
+    ])
+    def test_out_of_regime_config_warns_but_succeeds(self, tmp_path, command, change):
+        raw = json.loads(json.dumps(P1_CONFIG))
+        raw["interferometer"].update(change)
+        cfg = write_config(tmp_path, raw)
+        assert main([command, "--config", str(cfg),
                      "--out", str(tmp_path)]) == 0
-        sidecar = json.loads((tmp_path / "compare.json").read_text())
+        sidecar = json.loads((tmp_path / f"{command}.json").read_text())
         assert any("delta_s" in w for w in sidecar["validity_warnings"])
 
     def test_unpumped_config_exits_2_and_writes_nothing(self, tmp_path, capsys):
@@ -604,7 +618,6 @@ class TestCoolingCommand:
         assert "double-precision range" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow on the way
     @pytest.mark.parametrize("section, value, flags, expected", [
         ("mechanical", {"omega_m_rad_s": 2.5e7, "h_friction_kg_s": 1e-14,
                         "temperature_k": 0.0}, [], "'mechanical': temperature"),
@@ -625,6 +638,9 @@ class TestCoolingCommand:
          "'interferometer': r_s, t_s must be non-negative"),
         ("mechanical", {"omega_m_rad_s": 2.5e7, "h_friction_kg_s": 1e-14,
                         "n_thermal": -1.0}, [], "'mechanical': n_thermal"),
+        # the phonon energy hbar omega_m underflows to 0
+        ("mechanical", {"omega_m_rad_s": 1e-300, "h_friction_kg_s": 1e-14,
+                        "n_thermal": 1e4}, [], "'mechanical.omega_m_rad_s'"),
         # a finite spectrum, but the thermal spectra overflow
         ("mechanical", {"omega_m_rad_s": 2.5e7, "h_friction_kg_s": 1e300,
                         "temperature_k": 1e300}, [], "the cooling report is not finite"),
@@ -641,17 +657,26 @@ class TestCoolingCommand:
         assert expected in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, flags, omega", [
-        ("spectrum", [], "100000000.0"),
-        ("cooling", [], "25000000.0"),
-        ("cooling", ["--optimize"], "25000000.0"),
-        ("compare", [], "100000000.0"),
-    ])
+    @pytest.mark.parametrize("command, flags, section, change, error", [
+        # |E|^2 overflows
+        ("spectrum", [], "pump", {"west": {"amplitude": [1e168, 0.0]}}, NOT_FINITE % 1e8),
+        ("cooling", [], "pump", {"west": {"amplitude": [1e168, 0.0]}}, NOT_FINITE % 2.5e7),
+        ("cooling", ["--optimize"], "pump", {"west": {"amplitude": [1e168, 0.0]}},
+         NOT_FINITE % 2.5e7),
+        ("compare", [], "pump", {"west": {"amplitude": [1e168, 0.0]}}, NOT_FINITE % 1e8),
+        # omega_p tau_s overflows in the optical blocks
+        ("spectrum", [], "interferometer", {"tau_s_s": 1e294}, NOT_FINITE % 1e8),
+        # the canonical and Fano line shapes overflow
+        ("compare", [], "interferometer", {"tau_s_s": 1e-300},
+         "configuration exceeds the double-precision range: "
+         f"{OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))}"),
+    ], ids=["spectrum", "cooling", "cooling-optimize", "compare",
+            "spectrum-tau_s-1e294", "compare-tau_s-1e-300"])
     def test_overflowing_force_noise_prints_only_the_error(
-        self, tmp_path, capsys, command, flags, omega
+        self, tmp_path, capsys, command, flags, section, change, error
     ):
         raw = json.loads(json.dumps(P1_CONFIG))
-        raw["pump"]["west"] = {"amplitude": [1e168, 0.0]}  # |E|^2 overflows
+        raw[section].update(change)
         raw["mechanical"] = {"omega_m_rad_s": 2.5e7, "h_friction_kg_s": 1e-14,
                              "n_thermal": 1e4}
         cfg = write_config(tmp_path, raw)
@@ -661,9 +686,7 @@ class TestCoolingCommand:
             warnings.simplefilter("error")
             rc = main([command, "--config", str(cfg), "--out", str(out), *flags])
         assert rc == 2
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: config field '<root>': the spectrum is not finite at Omega = {omega} rad/s"
-        ]
+        assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
         assert not out.exists()
 
     def test_singular_lower_sideband_exits_3_and_names_it(self, tmp_path, capsys):

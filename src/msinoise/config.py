@@ -16,7 +16,7 @@ import numpy as np
 
 from .cooling import MechanicalMode
 from .errors import ConfigError
-from .scattering import HBAR, SPEED_OF_LIGHT, InterferometerParams, PortVector
+from .scattering import HBAR, K_BOLTZMANN, SPEED_OF_LIGHT, InterferometerParams, PortVector
 
 __all__ = ["RunConfig", "parse_config", "load_config", "config_digest"]
 
@@ -227,6 +227,11 @@ def parse_config(raw: dict) -> RunConfig:
         if not HBAR * mech.omega_m > 0.0:  # the occupancy divides by 2 hbar omega_m
             raise ConfigError("mechanical.omega_m_rad_s",
                               f"{mech.omega_m!r} makes hbar omega_m underflow to 0")
+        # the Bose occupation divides by expm1(hbar omega_m / k_B T)
+        if mech.temperature is not None and not (
+                HBAR * mech.omega_m / (K_BOLTZMANN * mech.temperature) > 0.0):
+            raise ConfigError("mechanical.temperature_k", f"{mech.temperature!r} makes "
+                              "hbar omega_m / k_B T underflow to 0")
 
     opt_sec = _section(raw, "optimize", required=False)
     energy_budget = _number(opt_sec, "energy_budget", "optimize", required=False)

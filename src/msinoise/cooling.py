@@ -20,7 +20,7 @@ from .errors import (
     UnreachableField,
     UnstableSystem,
 )
-from .radiation_pressure import _force_entries
+from .radiation_pressure import _force_entries, _noise_form
 from .scattering import (
     HBAR,
     K_BOLTZMANN,
@@ -274,16 +274,19 @@ def optimize_pump(
     """Minimise the phonon number over the pump split at fixed energy.
 
     With the pump e = sqrt(E) v, v = (cos chi, sin chi e^{i phi}) and
-    E = energy_budget, the force spectra at +/-omega_m are E v^dag P+- v,
-    P = hbar^2 k_p^2 F F^dag, and the occupancy is n = v^dag A v / v^dag B v
-    with A = P- + (s_t- / E) 1 and B = P+ - P- + ((s_t+ - s_t-) / E) 1.
-    1/n is a generalised Rayleigh quotient of B against A: the minimum n
-    is 1/lambda_max of det(B - lambda A) = 0, the optimal split its
-    eigenvector, both in closed form from the 2x2 entries.  With
-    ``constraint="injected"`` v holds the port amplitudes (fixed injected
-    flux |A_w|^2 + |A_s|^2) and F becomes W^dag F, where W = D_e^{-1}
-    T_tilde maps port amplitudes to the intracavity field as in
-    `classical_fields`; the intracavity optimum does not carry over.
+    E = energy_budget, the force spectra at +/-omega_m are `_noise_form`,
+    hbar^2 k_p^2 |e^dag F|^2, on the +/-omega_m blocks of `noise_spectra`:
+    an intracavity optimum is bit for bit the spectra of its field.  As
+    E v^dag P+- v, P = hbar^2 k_p^2 F F^dag (built only for this pencil),
+    they give n = v^dag A v / v^dag B v with A = P- + (s_t- / E) 1 and
+    B = P+ - P- + ((s_t+ - s_t-) / E) 1.  1/n is a generalised Rayleigh
+    quotient of B against A: the minimum n is 1/lambda_max of
+    det(B - lambda A) = 0, the optimal split its eigenvector, both in
+    closed form from the 2x2 entries.  With ``constraint="injected"`` v
+    holds the port amplitudes (fixed injected flux |A_w|^2 + |A_s|^2) and
+    F becomes W^dag F, W = D_e^{-1} T_tilde from one `classical_fields`
+    call on the two unit port drives; the intracavity optimum does not
+    carry over.
 
     ``grid_size`` only sets the resolution of the returned landscape (n,
     inf where anti-damped, and the force spectra on a grid_size^2 mesh of
@@ -300,41 +303,25 @@ def optimize_pump(
         raise ValueError(f"unknown constraint {constraint!r}")
 
     blocks = sideband_blocks(params, np.array([[mode.omega_m], [-mode.omega_m]])).checked()
-    f_all = _force_entries(blocks)[..., 0]
+    f = _force_entries(blocks)  # (2, 2, pair, 1): the +/-omega_m blocks of `noise_spectra`
     if constraint == "injected":
-        # columns of W: the intracavity field driven by each unit port amplitude
-        w = [classical_fields(params, port)
-             for port in (PortVector(1.0, 0.0), PortVector(0.0, 1.0))]
-    forms = []  # P+ and P- as (p00, p11, p01)
-    for i in (0, 1):
-        (f00, f01), (f10, f11) = [[complex(f_all[r, col, i]) for col in (0, 1)]
-                                  for r in (0, 1)]
-        if constraint == "injected":  # W^dagger F
-            (f00, f01), (f10, f11) = [
-                [w[r].e_plus.conjugate() * f0 + w[r].e_minus.conjugate() * f1
-                 for f0, f1 in ((f00, f10), (f01, f11))] for r in (0, 1)]
-        forms.append(tuple(HBAR**2 * params.k_p**2 * x for x in (
-            f00.real**2 + f00.imag**2 + (f01.real**2 + f01.imag**2),
-            f10.real**2 + f10.imag**2 + (f11.real**2 + f11.imag**2),
-            f00 * f10.conjugate() + f01 * f11.conjugate(),
-        )))
-    p_pos, p_neg = forms
+        # W: column j is the intracavity field of a unit drive at port j
+        w = classical_fields(params, PortVector(*np.eye(2))).as_array()
+        f = (w.conj().reshape(2, 2, 1, 1, 1) * f[:, np.newaxis]).sum(axis=0)  # W^dagger F
+    # P+- = hbar^2 k_p^2 F F^dagger as (p00, p11, p01), the pencil's only input
+    g = (HBAR**2 * params.k_p**2 * (f[:, np.newaxis] * f.conj()).sum(axis=2)[..., 0]).tolist()
+    p_pos, p_neg = ((g[0][0][i].real, g[1][1][i].real, g[0][1][i]) for i in (0, 1))
 
     s_t_pos, s_t_neg = thermal_spectra(mode)
+    root = math.sqrt(energy_budget)
 
-    def spectra_at(chi, phi):
-        """Force spectra at +/-omega_m for pump split (chi, phi); vectorised."""
-        c, s = np.cos(chi), np.sin(chi)
-        cross = c * s * np.exp(1j * phi)
-        return [
-            energy_budget * (c * c * p00 + s * s * p11 + 2.0 * np.real(p01 * cross))
-            for p00, p11, p01 in (p_pos, p_neg)
-        ]
+    def pump(chi, phi):  # sqrt(E) (cos chi, sin chi e^{i phi}) over chi, phi broadcast
+        return root * np.array(np.broadcast_arrays(np.cos(chi), np.sin(chi) * np.exp(1j * phi)))
 
     chi_grid = np.linspace(0.0, math.pi / 2.0, grid_size)
     phi_grid = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
-    chi_mesh, phi_mesh = np.meshgrid(chi_grid, phi_grid, indexing="ij")
-    s_f_pos_grid, s_f_neg_grid = spectra_at(chi_mesh, phi_mesh)
+    s_f_pos_grid, s_f_neg_grid = _noise_form(
+        params.k_p, pump(chi_grid[:, np.newaxis], phi_grid), f[..., np.newaxis])
     num = s_t_neg + s_f_neg_grid
     den = (s_t_pos + s_f_pos_grid) - num
     n_grid = np.where(den > 0.0, num / np.maximum(den, 1e-300), np.inf)
@@ -348,15 +335,12 @@ def optimize_pump(
     best_chi = math.atan2(abs(v1), abs(v0))
     best_phi = cmath.phase(v1 * v0.conjugate()) % (2.0 * math.pi)
 
-    root = math.sqrt(energy_budget)
-    vec = (root * math.cos(best_chi),
-           root * math.sin(best_chi) * cmath.exp(1j * best_phi))
+    e = pump(best_chi, best_phi)
     if constraint == "injected":
-        field = classical_fields(params, PortVector(*vec))
+        field = classical_fields(params, PortVector(*e.tolist()))
     else:
-        field = IntracavityField(complex(vec[0]), vec[1])
-    s_f_pos, s_f_neg = spectra_at(np.array([best_chi]), np.array([best_phi]))
-    result = occupancy(mode, float(s_f_pos[0]), float(s_f_neg[0]))
+        field = IntracavityField(*e.tolist())
+    result = occupancy(mode, *_noise_form(params.k_p, e, f)[:, 0].tolist())
     return PumpOptimum(
         field=field,
         chi=best_chi,

@@ -379,9 +379,14 @@ def fano_spectrum(
     """
     grid = np.asarray(grid, dtype=float)
     ell0, _ = lorentzians(lp, 0.0)
+    try:  # a Python float, which raises where numpy would give inf
+        ell0_sq = abs(ell0) ** 2
+    except OverflowError:
+        raise OverflowError(f"Fano prefactor |ell(0)|^2, ell(0) = {ell0!r}, exceeds the "
+                            f"double range at tau_s = {lp.tau_s!r} s") from None
     ell, _ = lorentzians(lp, grid)
     pref = 4.0 * HBAR**2 * k_p**2 * lp.r_m**2 * abs(a_plus) ** 2 / (
-        lp.tau_s * abs(ell0) ** 2 * np.abs(ell) ** 2
+        lp.tau_s * ell0_sq * np.abs(ell) ** 2
     )
     cross = 2.0 * epsilon * kappa / lp.tau_s
     dip = lp.gamma_m * (2.0 * lp.delta_s - cross + grid) ** 2

@@ -204,7 +204,7 @@ def sideband_blocks(params: InterferometerParams, big_omega) -> SidebandBlocks:
     pair (spring, damping) takes np.stack([grid, -grid]): the pair is the
     leading axis, [0] at +Omega and [1] at -Omega, of a grid of any shape.
     D_e = Q^dagger - R_tilde Q^T M is written out entry by entry, so no
-    result depends on a BLAS kernel.
+    result depends on a BLAS kernel.  A complex grid raises TypeError.
     Singular points are flagged in ``singular``, not raised;
     `SidebandBlocks.checked` raises for them.  Pass a 1-D array even for
     one point: numpy's array loops multiply complex numbers with FMA (on an
@@ -213,7 +213,10 @@ def sideband_blocks(params: InterferometerParams, big_omega) -> SidebandBlocks:
     in the formulas on these blocks no complex product has an unnamed array
     on its right, so a point rounds the same in a batch of any length.
     """
-    omega = params.omega_p + np.asarray(big_omega, dtype=float)
+    grid = np.asarray(big_omega)
+    if grid.dtype.kind == "c":  # a cast to float would drop the imaginary part
+        raise TypeError(f"sideband grid must be real, got {grid.dtype}")
+    omega = params.omega_p + grid.astype(float, copy=False)
     phases = np.exp(1j * (_pair(params.tau_w, params.tau_s, omega) * omega))
     r_tilde = _pair(params.r_w, params.r_s, omega) * phases * phases
     t_tilde = _pair(params.t_w, params.t_s, omega) * phases

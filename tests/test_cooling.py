@@ -21,7 +21,7 @@ from msinoise.errors import (
     UnstableSystem,
 )
 from msinoise.lumped_mode import params_for_targets
-from msinoise.radiation_pressure import force_transfer
+from msinoise.radiation_pressure import force_transfer, noise_spectra
 from msinoise.scattering import (
     InterferometerParams,
     IntracavityField,
@@ -71,6 +71,26 @@ def random_cooling_cases(seed, count=4):
             a = p_neg + s_t_neg / budget * np.eye(2)
             b = p_pos - p_neg + (s_t_pos - s_t_neg) / budget * np.eye(2)
             yield prm, m, budget, constraint, a, b
+
+
+def red_detuned_cases(seed, count=16):
+    """Resolved-sideband configs detuned red by omega_m, each with the
+    intracavity energy of a 1 mW west pump as its budget.
+
+    Yields (params, mode, budget).
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        omega_m = rng.uniform(1e7, 4e7)
+        prm = params_for_targets(
+            gamma_s=0.1 * omega_m, delta_s=-omega_m, theta_m=rng.uniform(0.1, 0.4) * math.pi,
+            p=rng.uniform(5e-5, 2e-4), alpha=rng.uniform(-1.0, 0.0),
+        )
+        m = MechanicalMode(omega_m=omega_m, h_friction=1e-12,
+                           n_thermal=10 ** rng.uniform(3, 5))
+        pump = PortVector(math.sqrt(1e-3 / (hbar * prm.omega_p)), 0.0)
+        e = classical_fields(prm, pump).as_array()
+        yield prm, m, float(np.sum(np.abs(e) ** 2))
 
 
 class TestThermalOccupation:
@@ -247,6 +267,20 @@ class TestOptimizePump:
             assert residual <= 1e-12 * np.linalg.norm(b, 2) * np.linalg.norm(v)
             top = np.linalg.eigvals(np.linalg.solve(a, b)).real.max()
             assert lam == pytest.approx(top, rel=1e-10)
+
+    def test_intracavity_optimum_is_the_occupancy_of_its_field(self):
+        """The optimum's spectra and n_bar are those of `noise_spectra` at the
+        field it reports, bit for bit: one force-noise form on one pair of
+        +/-omega_m blocks."""
+        cases = [(prm, m, budget) for seed in (5, 6)
+                 for prm, m, budget, constraint, _, _ in random_cooling_cases(seed)
+                 if constraint == "intracavity"]
+        cases += [case for seed in (1, 901) for case in red_detuned_cases(seed)]
+        for prm, m, budget in cases:
+            opt = optimize_pump(prm, m, budget, grid_size=8)
+            spec = noise_spectra(prm, opt.field, [m.omega_m])
+            assert opt.result == occupancy(m, float(spec.s_tilde_pos[0]),
+                                           float(spec.s_tilde_neg[0]))
 
     def test_no_thermal_noise_and_rank_deficient_optics(self):
         # closed west port: F(-omega_m) has one nonzero column, so P- and,

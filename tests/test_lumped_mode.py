@@ -342,9 +342,8 @@ class TestFanoSpectrum:
         kap = lp.p * math.sin(lp.alpha)
         predicted = -2 * lp.delta_s + 2 * eps * kap / lp.tau_s
         grid = np.linspace(predicted - lp.gamma, predicted + lp.gamma, 2001)
-        # subtract the Omega-independent floor piece to isolate the dip term
+        # times |ell|^2 the spectrum is the dip term plus an Omega-independent floor
         vals = fano_spectrum(lp, eps, kap, K_P, 1e8, grid)
-        floor = fano_spectrum(lp, eps, 0.0 * kap, K_P, 0.0, grid)
         ell = lp.gamma - 1j * (lp.delta + grid)
         dip_term = vals * np.abs(ell) ** 2
         found = grid[np.argmin(dip_term)]

@@ -151,6 +151,12 @@ class TestModeDeterminant:
             b.checked()
         assert (err.value.omega, err.value.det) == (0.0, complex(b.d[1, 1]))
 
+    def test_complex_grid_is_refused(self, p1):
+        # a cast to float would drop 1e7j and evaluate at Omega = 1e8
+        for grid in (np.array([1e8 + 1e7j]), [1e8, 2e8 + 0j]):
+            with pytest.raises(TypeError, match="must be real, got complex"):
+                sideband_blocks(p1, grid)
+
     def test_d_e_matches_matrix_products(self):
         rng = np.random.default_rng(14)
         for _ in range(20):

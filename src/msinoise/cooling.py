@@ -276,7 +276,7 @@ def optimize_pump(
     With the pump e = sqrt(E) v, v = (cos chi, sin chi e^{i phi}) and
     E = energy_budget, the force spectra at +/-omega_m are `_noise_form`,
     hbar^2 k_p^2 |e^dag F|^2, on the +/-omega_m blocks of `noise_spectra`:
-    an intracavity optimum is bit for bit the spectra of its field.  As
+    every optimum's ``result`` is bit for bit `occupancy` of its field.  As
     E v^dag P+- v, P = hbar^2 k_p^2 F F^dag (built only for this pencil),
     they give n = v^dag A v / v^dag B v with A = P- + (s_t- / E) 1 and
     B = P+ - P- + ((s_t+ - s_t-) / E) 1.  1/n is a generalised Rayleigh
@@ -284,9 +284,9 @@ def optimize_pump(
     det(B - lambda A) = 0, the optimal split its eigenvector, both in
     closed form from the 2x2 entries.  With ``constraint="injected"`` v
     holds the port amplitudes (fixed injected flux |A_w|^2 + |A_s|^2) and
-    F becomes W^dag F, W = D_e^{-1} T_tilde from one `classical_fields`
-    call on the two unit port drives; the intracavity optimum does not
-    carry over.
+    the pencil and landscape take W^dag F, W = D_e^{-1} T_tilde from one
+    `classical_fields` call on the two unit port drives; the intracavity
+    optimum does not carry over.
 
     ``grid_size`` only sets the resolution of the returned landscape (n,
     inf where anti-damped, and the force spectra on a grid_size^2 mesh of
@@ -303,13 +303,13 @@ def optimize_pump(
         raise ValueError(f"unknown constraint {constraint!r}")
 
     blocks = sideband_blocks(params, np.array([[mode.omega_m], [-mode.omega_m]])).checked()
-    f = _force_entries(blocks)  # (2, 2, pair, 1): the +/-omega_m blocks of `noise_spectra`
+    f = wf = _force_entries(blocks)  # (2, 2, pair, 1): the +/-omega_m blocks of `noise_spectra`
     if constraint == "injected":
         # W: column j is the intracavity field of a unit drive at port j
         w = classical_fields(params, PortVector(*np.eye(2))).as_array()
-        f = (w.conj().reshape(2, 2, 1, 1, 1) * f[:, np.newaxis]).sum(axis=0)  # W^dagger F
+        wf = (w.conj().reshape(2, 2, 1, 1, 1) * f[:, np.newaxis]).sum(axis=0)  # W^dagger F
     # P+- = hbar^2 k_p^2 F F^dagger as (p00, p11, p01), the pencil's only input
-    g = (HBAR**2 * params.k_p**2 * (f[:, np.newaxis] * f.conj()).sum(axis=2)[..., 0]).tolist()
+    g = (HBAR**2 * params.k_p**2 * (wf[:, np.newaxis] * wf.conj()).sum(axis=2)[..., 0]).tolist()
     p_pos, p_neg = ((g[0][0][i].real, g[1][1][i].real, g[0][1][i]) for i in (0, 1))
 
     s_t_pos, s_t_neg = thermal_spectra(mode)
@@ -321,7 +321,7 @@ def optimize_pump(
     chi_grid = np.linspace(0.0, math.pi / 2.0, grid_size)
     phi_grid = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
     s_f_pos_grid, s_f_neg_grid = _noise_form(
-        params.k_p, pump(chi_grid[:, np.newaxis], phi_grid), f[..., np.newaxis])
+        params.k_p, pump(chi_grid[:, np.newaxis], phi_grid), wf[..., np.newaxis])
     num = s_t_neg + s_f_neg_grid
     den = (s_t_pos + s_f_pos_grid) - num
     n_grid = np.where(den > 0.0, num / np.maximum(den, 1e-300), np.inf)
@@ -340,7 +340,7 @@ def optimize_pump(
         field = classical_fields(params, PortVector(*e.tolist()))
     else:
         field = IntracavityField(*e.tolist())
-    result = occupancy(mode, *_noise_form(params.k_p, e, f)[:, 0].tolist())
+    result = occupancy(mode, *_noise_form(params.k_p, field.as_array(), f)[:, 0].tolist())
     return PumpOptimum(
         field=field,
         chi=best_chi,

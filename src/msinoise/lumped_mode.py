@@ -25,7 +25,7 @@ from .radiation_pressure import (
     _static_spring,
 )
 from .scattering import (
-    HBAR, SPEED_OF_LIGHT, InterferometerParams, IntracavityField, sideband_blocks,
+    HBAR, SPEED_OF_LIGHT, InterferometerParams, IntracavityField, _real_grid, sideband_blocks,
 )
 
 __all__ = [
@@ -280,13 +280,12 @@ def approx_force_transfer(lp: LumpedParams, big_omega: float) -> np.ndarray:
     phases of the two ports are absorbed into the field references (see
     `strip_propagation_phases`).  Top row is O(1/p), bottom row O(1).
     """
-    return _approx_force_entries(lp, np.array([big_omega], dtype=float))[:, :, 0]
+    return _approx_force_entries(lp, _real_grid([big_omega]))[:, :, 0]
 
 
 def approx_rigidity_matrix(lp: LumpedParams, big_omega: float) -> np.ndarray:
     """Leading-order rigidity matrix, conjugate-closed over +/-Omega."""
-    both = np.array([[big_omega], [-big_omega]], dtype=float)
-    return _approx_spring_entries(lp, both)[:, :, 0]
+    return _approx_spring_entries(lp, _real_grid([[big_omega], [-big_omega]]))[:, :, 0]
 
 
 def approx_rigidity(
@@ -321,7 +320,7 @@ def reduction_errors(
     Evaluated in parts of `_CHUNK` grid points, as `noise_spectra`, into
     three preallocated columns, so its temporaries stay the size of one part.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = _real_grid(grid)
     e = field.as_array()
     err_f, err_k, err_s = np.empty((3, grid.size))
     for lo in range(0, grid.size, _CHUNK):
@@ -349,7 +348,7 @@ def canonical_spectra(lp: LumpedParams, k_p: float, e_plus: complex, grid) -> Fo
     peaked at Omega = -delta with full width at half maximum 2 gamma.
     The rigidity column carries the matching canonical spring.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = _real_grid(grid)
     if np.any(grid == 0.0):
         raise DegenerateFrequency("grid must not contain Omega = 0")
     amp = 4.0 * HBAR**2 * k_p**2 * lp.r_m**2 * abs(e_plus) ** 2 * lp.gamma / lp.tau_s
@@ -377,7 +376,7 @@ def fano_spectrum(
     gamma_m.  ``a_plus`` is the west-port pump amplitude; ell(0) in the
     prefactor is the resonance denominator at zero sideband frequency.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = _real_grid(grid)
     ell0, _ = lorentzians(lp, 0.0)
     try:  # a Python float, which raises where numpy would give inf
         ell0_sq = abs(ell0) ** 2

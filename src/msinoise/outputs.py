@@ -6,6 +6,7 @@ no timestamps, so identical configurations produce bit-identical files.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -59,18 +60,8 @@ def _csv_text(header: str, columns):
         yield "".join(text)
 
 
-def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {obj!r}")
-
-
 def _json_lines(payload: dict) -> tuple[str]:
-    return (json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n",)
+    return (json.dumps(payload, sort_keys=True, indent=2) + "\n",)
 
 
 def _write(out_dir: Path, files: dict) -> None:
@@ -179,7 +170,7 @@ def run_compare(cfg: RunConfig, out_dir: Path) -> dict:
     params = cfg.params
     field = classical_fields(params, cfg.pump)
     lp = from_exact(params)
-    dark_south = cfg.pump.south == 0
+    dark_south = bool(cfg.pump.south == 0)
     k_p = params.k_p
     spec = noise_spectra(params, field, cfg.grid)
     _refuse_non_finite("spectrum", spec.grid, (spec.s_tilde_pos, spec.s_tilde_neg, spec.k))
@@ -220,6 +211,9 @@ def run_compare(cfg: RunConfig, out_dir: Path) -> dict:
 def run_cooling(cfg: RunConfig, out_dir: Path, optimize: bool = False) -> dict:
     """Occupancy report -> cooling.json (+ landscape.csv with optimisation).
 
+    The report, also returned, is the `CoolingResult` at omega_m with its flags (and
+    ``ok``) as ``regime_flags``, n_thermal, H, the rigidity and any optimum.
+
     Raises UnstableSystem for anti-damped configurations, OpticalSingularity
     at a singular +/-omega_m sideband (the CLI maps each to its exit code)
     and ConfigError if there is no mechanical block or the spectrum at
@@ -233,28 +227,17 @@ def run_cooling(cfg: RunConfig, out_dir: Path, optimize: bool = False) -> dict:
     field = classical_fields(cfg.params, cfg.pump)
     spec = noise_spectra(cfg.params, field, [mode.omega_m])
     if spec.skipped:  # raises the singular sideband's own OpticalSingularity
-        sideband_blocks(cfg.params, np.array([[mode.omega_m], [-mode.omega_m]])).checked()
+        sideband_blocks(cfg.params, [[mode.omega_m], [-mode.omega_m]]).checked()
     _refuse_non_finite("spectrum", spec.grid, (spec.s_tilde_pos, spec.s_tilde_neg, spec.k))
     result = occupancy(mode, float(spec.s_tilde_pos[0]), float(spec.s_tilde_neg[0]))
 
     report = {
-        "n_bar": result.n_bar,
-        "n_bar_sym_form": result.n_bar_sym_form,
+        **asdict(result),
         "n_thermal": mode.n_t,
-        "s_t_pos": result.s_t_pos,
-        "s_t_neg": result.s_t_neg,
-        "s_f_pos": result.s_f_pos,
-        "s_f_neg": result.s_f_neg,
-        "h_opt": result.h_opt,
         "h_friction": mode.h_friction,
         "rigidity": {"re": spec.k[0].real, "im": spec.k[0].imag},
-        "regime_flags": {
-            "thermal_asymmetry": result.flags.thermal_asymmetry,
-            "force_asymmetry": result.flags.force_asymmetry,
-            "weak_backaction": result.flags.weak_backaction,
-            "ok": result.flags.ok,
-        },
     }
+    report["regime_flags"] = {**report.pop("flags"), "ok": result.flags.ok}
 
     if optimize:
         budget = cfg.energy_budget
@@ -263,12 +246,7 @@ def run_cooling(cfg: RunConfig, out_dir: Path, optimize: bool = False) -> dict:
             budget = float(np.abs(e[0]) ** 2 + np.abs(e[1]) ** 2)
             if not budget > 0.0:
                 raise ConfigError("optimize.energy_budget", "the pump carries no energy")
-        opt = optimize_pump(
-            cfg.params,
-            mode,
-            budget,
-            constraint=cfg.optimize_constraint,
-        )
+        opt = optimize_pump(cfg.params, mode, budget, constraint=cfg.optimize_constraint)
         e_opt = opt.field.as_array()
         report["optimum"] = {
             "chi": opt.chi,
@@ -281,7 +259,7 @@ def run_cooling(cfg: RunConfig, out_dir: Path, optimize: bool = False) -> dict:
         }
 
     try:  # strict JSON has no NaN or Infinity; only the regime margins may be infinite
-        json.dumps({**report, "regime_flags": None}, allow_nan=False, default=_json_default)
+        json.dumps({**report, "regime_flags": None}, allow_nan=False)
     except ValueError as exc:
         raise ConfigError("<root>", "the cooling report is not finite") from exc
     files = {}

@@ -15,7 +15,7 @@ import numpy as np
 from .algebra import cc_close
 from .errors import DegenerateFrequency, OpticalSingularity
 from .scattering import (
-    HBAR, InterferometerParams, IntracavityField, SidebandBlocks, sideband_blocks,
+    HBAR, InterferometerParams, IntracavityField, SidebandBlocks, _real_grid, sideband_blocks,
 )
 
 __all__ = [
@@ -149,7 +149,7 @@ def force_transfer(params: InterferometerParams, big_omega: float) -> np.ndarray
     Satisfies F(Omega)^dagger = G(Omega) (the displacement transfer), the
     two-port form of the usual measurement/back-action reciprocity.
     """
-    b = sideband_blocks(params, np.array([big_omega], dtype=float)).checked()
+    b = sideband_blocks(params, [big_omega]).checked()
     return _force_entries(b)[:, :, 0]
 
 
@@ -161,8 +161,8 @@ def rigidity_matrices(
     K1 needs the optics at both omega_p + Omega and omega_p - Omega (the
     conjugate closure); K2 = -4 R_m T_m Z is frequency independent.
     """
-    b = sideband_blocks(params, np.array([[big_omega], [-big_omega]], dtype=float))
-    k1 = _spring_entries(b.checked())[:, :, 0]
+    b = sideband_blocks(params, [[big_omega], [-big_omega]]).checked()
+    k1 = _spring_entries(b)[:, :, 0]
     k2 = -4.0 * params.r_m * params.t_m * _Z
     return k1, k2, k1 + k2
 
@@ -189,7 +189,7 @@ def _force_noise(
     else.  Evaluated in parts of `_CHUNK` points, like `noise_spectra`;
     raises OpticalSingularity at the first singular point, not skipping it.
     """
-    grid = np.asarray(big_omega, dtype=float)
+    grid = _real_grid(big_omega)
     e = field_.as_array()
     s_tilde = np.empty(grid.size)
     for lo in range(0, grid.size, _CHUNK):
@@ -215,7 +215,7 @@ def noise_spectra(
     precision come out as inf or NaN without a warning, since skipping a
     singular point divides by ~0 on the way; callers refuse them.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = _real_grid(grid)
     n = grid.size
     s_pos, s_neg, k1 = np.empty(n), np.empty(n), np.empty(n, dtype=complex)
     keep = grid != 0.0

@@ -213,10 +213,7 @@ def sideband_blocks(params: InterferometerParams, big_omega) -> SidebandBlocks:
     in the formulas on these blocks no complex product has an unnamed array
     on its right, so a point rounds the same in a batch of any length.
     """
-    grid = np.asarray(big_omega)
-    if grid.dtype.kind == "c":  # a cast to float would drop the imaginary part
-        raise TypeError(f"sideband grid must be real, got {grid.dtype}")
-    omega = params.omega_p + grid.astype(float, copy=False)
+    omega = params.omega_p + _real_grid(big_omega)
     phases = np.exp(1j * (_pair(params.tau_w, params.tau_s, omega) * omega))
     r_tilde = _pair(params.r_w, params.r_s, omega) * phases * phases
     t_tilde = _pair(params.t_w, params.t_s, omega) * phases
@@ -235,6 +232,14 @@ def sideband_blocks(params: InterferometerParams, big_omega) -> SidebandBlocks:
     singular = np.abs(d) <= DET_TOL * scale * scale
     return SidebandBlocks(omega, phases, r_tilde, t_tilde, d_e, d, singular,
                           (c, s, m, c_bar, s_bar, m_bar))
+
+
+def _real_grid(big_omega) -> np.ndarray:
+    """``big_omega`` as a float array; a complex one raises TypeError."""
+    grid = np.asarray(big_omega)
+    if grid.dtype.kind == "c":  # a cast to float would drop the imaginary part
+        raise TypeError(f"sideband grid must be real, got {grid.dtype}")
+    return grid.astype(float, copy=False)
 
 
 def _pair(west, south, grid: np.ndarray) -> np.ndarray:
@@ -273,7 +278,7 @@ def scattering_matrix(params: InterferometerParams, big_omega: float) -> np.ndar
 
     Lossless by construction: R_ifo^dagger R_ifo = 1 for any parameters.
     """
-    b = sideband_blocks(params, np.array([big_omega], dtype=float)).checked()
+    b = sideband_blocks(params, [big_omega]).checked()
     return _scattering_entries(params, b)[:, :, 0]
 
 
@@ -283,7 +288,7 @@ def displacement_transfer(params: InterferometerParams, big_omega: float) -> np.
     All frequency-dependent blocks are evaluated at the absolute frequency
     omega_p + Omega.  Vanishes for a fully transparent membrane.
     """
-    b = sideband_blocks(params, np.array([big_omega], dtype=float)).checked()
+    b = sideband_blocks(params, [big_omega]).checked()
     return _displacement_entries(b)[:, :, 0]
 
 

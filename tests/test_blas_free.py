@@ -11,6 +11,9 @@ and its one LAPACK call, the LU solve, is `algebra.solve_dense`.
 A second lint keeps one reader of user JSON: only `config.py` parses it.
 A third keeps one writer of files: only `outputs.py` creates a directory
 or writes a file, so the refusal rules it applies first cover every write.
+A fourth keeps one intake of sideband grids in the five modules above: no
+``np.array``/``np.asarray`` casts to float, which would evaluate a complex
+Omega at its real part; `scattering._real_grid` refuses it instead.
 """
 import ast
 import re
@@ -69,6 +72,33 @@ def test_linter_flags_each_banned_form():
         "a * b + np.multiply.outer(a, b)\n"
     )
     assert [n for n, _ in blas_uses(source)] == [2, 3, 4, 5, 6, 7, 8, 9, 11]
+
+
+def float_casts(source: str) -> list[int]:
+    """Lines of every ``np.array``/``np.asarray`` call with ``dtype=float`` in ``source``."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) in {"array", "asarray"}
+            and any(k.arg == "dtype" and ast.unparse(k.value) in {"float", "np.float64"}
+                    for k in node.keywords)]
+
+
+def test_float_cast_linter_flags_each_form():
+    source = (
+        "np.array([w], dtype=float)\n"
+        "np.asarray(grid, dtype=float)\n"
+        "np.asarray(grid, dtype=np.float64)\n"
+        "np.array(w, dtype=complex)\n"
+        "np.zeros(3, dtype=float)\n"
+        "grid.astype(float, copy=False)\n"
+    )
+    assert float_casts(source) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_sideband_modules_cast_no_grid_to_float(module):
+    path = Path(msinoise.__file__).parent / f"{module}.py"
+    lines = float_casts(path.read_text())
+    assert not lines, f"{module}.py: dtype=float casts at lines {lines}; use _real_grid"
 
 
 def json_reads(source: str) -> list[int]:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +16,12 @@ import pytest
 import msinoise
 from msinoise.cli import main
 from msinoise.config import load_config, parse_config
+from msinoise.cooling import CoolingResult, RegimeFlags, occupancy
 from msinoise.errors import ConfigError
 from msinoise.lumped_mode import from_exact, params_for_targets
 from msinoise.outputs import _ROWS, run_cooling
-from msinoise.scattering import InterferometerParams
+from msinoise.radiation_pressure import noise_spectra
+from msinoise.scattering import InterferometerParams, classical_fields
 
 P1_CONFIG = {
     "schema": 1,
@@ -538,6 +541,28 @@ class TestCoolingCommand:
         # the difference form of the occupancy carries an eps*n_t rounding
         report = json.loads((tmp_path / "cooling.json").read_text())["report"]
         assert report["n_bar"] == pytest.approx(1e4, rel=1e-11)
+
+    def test_report_is_the_cooling_result(self, tmp_path):
+        # the CoolingResult's fields, its flags as regime_flags, and the bath and rigidity
+        cfg_path = self.cooling_config(tmp_path, delta_s=-2.5e7, h_friction=1e-14)
+        assert main(["cooling", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "cooling.json").read_text())["report"]
+        names = [f.name for f in fields(CoolingResult) if f.name != "flags"]
+        assert set(report) == {*names, "n_thermal", "h_friction", "rigidity", "regime_flags"}
+        flags = [f.name for f in fields(RegimeFlags)]
+        assert set(report["regime_flags"]) == {*flags, "ok"}
+        cfg = load_config(cfg_path)
+        spec = noise_spectra(cfg.params, classical_fields(cfg.params, cfg.pump),
+                             [cfg.mechanical.omega_m])
+        result = occupancy(cfg.mechanical, float(spec.s_tilde_pos[0]),
+                           float(spec.s_tilde_neg[0]))
+        assert [report[name] for name in names] == [getattr(result, name) for name in names]
+        assert [report["regime_flags"][name] for name in flags] == [
+            getattr(result.flags, name) for name in flags]
+        assert report["regime_flags"]["ok"] is result.flags.ok
+        assert report["n_thermal"] == cfg.mechanical.n_t
+        assert report["h_friction"] == cfg.mechanical.h_friction
+        assert report["rigidity"] == {"re": spec.k[0].real, "im": spec.k[0].imag}
 
     def test_cooling_reduces_occupancy(self, tmp_path):
         cfg_path = self.cooling_config(tmp_path, delta_s=-2.5e7,

@@ -268,19 +268,20 @@ class TestOptimizePump:
             top = np.linalg.eigvals(np.linalg.solve(a, b)).real.max()
             assert lam == pytest.approx(top, rel=1e-10)
 
-    def test_intracavity_optimum_is_the_occupancy_of_its_field(self):
-        """The optimum's spectra and n_bar are those of `noise_spectra` at the
-        field it reports, bit for bit: one force-noise form on one pair of
-        +/-omega_m blocks."""
-        cases = [(prm, m, budget) for seed in (5, 6)
-                 for prm, m, budget, constraint, _, _ in random_cooling_cases(seed)
-                 if constraint == "intracavity"]
-        cases += [case for seed in (1, 901) for case in red_detuned_cases(seed)]
-        for prm, m, budget in cases:
-            opt = optimize_pump(prm, m, budget, grid_size=8)
+    def test_every_optimum_is_the_occupancy_of_its_field(self):
+        """Under either constraint, the optimum's spectra and n_bar are those of
+        `noise_spectra` at the intracavity field it reports, bit for bit: one
+        force-noise form on one pair of +/-omega_m blocks."""
+        cases = [(prm, m, budget, constraint) for seed in (5, 6, 7, 8)
+                 for prm, m, budget, constraint, _, _ in random_cooling_cases(seed)]
+        cases += [(*case, constraint) for seed in (1, 901) for case in red_detuned_cases(seed)
+                  for constraint in ("intracavity", "injected")]
+        assert len(cases) == 96
+        for prm, m, budget, constraint in cases:
+            opt = optimize_pump(prm, m, budget, grid_size=8, constraint=constraint)
             spec = noise_spectra(prm, opt.field, [m.omega_m])
             assert opt.result == occupancy(m, float(spec.s_tilde_pos[0]),
-                                           float(spec.s_tilde_neg[0]))
+                                           float(spec.s_tilde_neg[0])), constraint
 
     def test_no_thermal_noise_and_rank_deficient_optics(self):
         # closed west port: F(-omega_m) has one nonzero column, so P- and,

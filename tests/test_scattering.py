@@ -6,9 +6,23 @@ import pytest
 from conftest import clear_of_resonance
 from msinoise.algebra import dagger, det2, solve_dense
 from msinoise.errors import OpticalSingularity
-from msinoise.lumped_mode import params_for_targets
-from msinoise.radiation_pressure import force_transfer
-from msinoise.radiation_pressure import _force_entries
+from msinoise.lumped_mode import (
+    approx_force_transfer,
+    approx_rigidity,
+    canonical_spectra,
+    fano_spectrum,
+    from_exact,
+    params_for_targets,
+    reduction_errors,
+)
+from msinoise.radiation_pressure import (
+    _force_entries,
+    _force_noise,
+    force_transfer,
+    noise_spectra,
+    rigidity,
+    rigidity_matrices,
+)
 from msinoise.scattering import (
     HBAR,
     K_BOLTZMANN,
@@ -32,6 +46,27 @@ from msinoise.verify import _random_params
 # dense-solver oracle (oracle_solve at the pump frequency, dark south port)
 P1_E_PLUS = 37894832.492348395 - 92514887.8959454j
 P1_E_MINUS = 1690742.7281192031 - 1455645.3846162788j
+
+
+#: every entry point that takes a sideband frequency, as (params, lp, field, Omega) ->
+#: a call; the grid functions get a grid holding Omega
+OMEGA_ENTRIES = {
+    "sideband_blocks": lambda prm, lp, e, w: sideband_blocks(prm, [1e8, w]),
+    "scattering_matrix": lambda prm, lp, e, w: scattering_matrix(prm, w),
+    "displacement_transfer": lambda prm, lp, e, w: displacement_transfer(prm, w),
+    "force_transfer": lambda prm, lp, e, w: force_transfer(prm, w),
+    "rigidity_matrices": lambda prm, lp, e, w: rigidity_matrices(prm, w),
+    "rigidity": lambda prm, lp, e, w: rigidity(prm, e, w),
+    "approx_force_transfer": lambda prm, lp, e, w: approx_force_transfer(lp, w),
+    "approx_rigidity": lambda prm, lp, e, w: approx_rigidity(lp, prm.k_p, w, e),
+    "noise_spectra": lambda prm, lp, e, w: noise_spectra(prm, e, [1e8, w]),
+    "_force_noise": lambda prm, lp, e, w: _force_noise(prm, e, [1e8, w]),
+    "reduction_errors": lambda prm, lp, e, w: reduction_errors(prm, lp, e, [1e8, w]),
+    "canonical_spectra": lambda prm, lp, e, w: canonical_spectra(lp, prm.k_p, e.e_plus,
+                                                                 [1e8, w]),
+    "fano_spectrum": lambda prm, lp, e, w: fano_spectrum(lp, prm.epsilon, prm.kappa, prm.k_p,
+                                                         1e8, [1e8, w]),
+}
 
 
 def params_simple(**overrides):
@@ -151,11 +186,13 @@ class TestModeDeterminant:
             b.checked()
         assert (err.value.omega, err.value.det) == (0.0, complex(b.d[1, 1]))
 
-    def test_complex_grid_is_refused(self, p1):
-        # a cast to float would drop 1e7j and evaluate at Omega = 1e8
-        for grid in (np.array([1e8 + 1e7j]), [1e8, 2e8 + 0j]):
-            with pytest.raises(TypeError, match="must be real, got complex"):
-                sideband_blocks(p1, grid)
+    @pytest.mark.parametrize("omega", [np.complex128(1e8 + 1e7j), 2e8 + 0j])
+    @pytest.mark.parametrize("entry", OMEGA_ENTRIES)
+    def test_complex_grid_is_refused(self, p1, entry, omega):
+        # a cast to float would drop the imaginary part and evaluate at Re Omega
+        field = IntracavityField(P1_E_PLUS, P1_E_MINUS)
+        with pytest.raises(TypeError, match="must be real, got complex"):
+            OMEGA_ENTRIES[entry](p1, from_exact(p1), field, omega)
 
     def test_d_e_matches_matrix_products(self):
         rng = np.random.default_rng(14)

@@ -48,10 +48,10 @@ def solve_dense(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     The brute-force oracle path: the raw port-by-port field equations get
     stacked into one dense system and solved here, independently of any
     closed-form inverse.  ``a`` is one (n, n) matrix with ``y`` of shape
-    (n,), or an (N, n, n) stack with ``y`` of shape (N, n), each system
-    solved on its own in one call.  A ``y`` with one more axis, (n, k) or
-    (N, n, k), holds k right-hand sides per system, all solved with the
-    one factorization of their system.
+    (n,), or a stack (..., n, n) of any rank with ``y`` of shape (..., n),
+    each system solved on its own in one call.  A ``y`` with one more
+    axis, (n, k) or (..., n, k), holds k right-hand sides per system, all
+    solved with the one factorization of their system.
 
     Raises
     ------
@@ -62,7 +62,7 @@ def solve_dense(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if a.shape[-1] > MAX_DENSE_N:
         raise ValueError(f"system size {a.shape[-1]} exceeds {MAX_DENSE_N}")

@@ -54,7 +54,7 @@ def thermal_occupation(temperature: float, omega: float) -> float:
     Algebraically identical to the coth form 2 n_T + 1 =
     coth(hbar|Omega| / 2kT).
     """
-    if temperature <= 0.0:
+    if not temperature > 0.0:
         raise NonpositiveTemperature(f"temperature {temperature!r} K")
     if omega == 0.0:
         raise DegenerateFrequency("thermal occupation diverges at Omega = 0")
@@ -79,15 +79,15 @@ class MechanicalMode:
     n_thermal: float | None = None
 
     def __post_init__(self):
-        if self.omega_m <= 0.0:
+        if not self.omega_m > 0.0:
             raise ValueError(f"omega_m = {self.omega_m!r} must be positive")
-        if self.h_friction <= 0.0:
+        if not self.h_friction > 0.0:
             raise ValueError(f"h_friction = {self.h_friction!r} must be positive")
         if (self.temperature is None) == (self.n_thermal is None):
             raise ValueError("give exactly one of temperature, n_thermal")
         if self.temperature is not None and not self.temperature > 0.0:
             raise ValueError(f"temperature = {self.temperature!r} K must be positive")
-        if self.n_thermal is not None and self.n_thermal < 0.0:
+        if self.n_thermal is not None and not self.n_thermal >= 0.0:
             raise ValueError(f"n_thermal = {self.n_thermal!r} must be >= 0")
 
     @property
@@ -297,7 +297,7 @@ def optimize_pump(
     UnstableSystem
         If every pump split is anti-damped.
     """
-    if energy_budget <= 0.0:
+    if not energy_budget > 0.0:
         raise ValueError(f"energy_budget = {energy_budget!r} must be positive")
     if constraint not in ("intracavity", "injected"):
         raise ValueError(f"unknown constraint {constraint!r}")

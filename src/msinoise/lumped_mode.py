@@ -408,4 +408,4 @@ def strip_propagation_phases(
     rigidity) are blind to this gauge.  Takes a 2x2 matrix at one Omega or
     a (2, 2, N) stack at N values of Omega.
     """
-    return matrix * sideband_blocks(params, big_omega).phases[np.newaxis].conj()
+    return matrix * sideband_blocks(params, big_omega).phases.conj().reshape(matrix.shape[1:])

@@ -51,8 +51,8 @@ DET_TOL = 1e-14
 class InterferometerParams:
     """Full geometric/optical description of the interferometer.
 
-    A field may be an (N,) array of N sets, entry i going with Omega[i] of
-    the sideband grid it is evaluated on; see `sideband_blocks`.
+    A field may be an array of sets, broadcasting against the sideband grid:
+    (N,) against an (N,) grid, or (N, 1) against an (N, K); see `sideband_blocks`.
 
     Parameters
     ----------
@@ -85,17 +85,19 @@ class InterferometerParams:
     k_p: float
 
     def __post_init__(self):
-        # the float tests, entrywise: any failing entry raises, and NaN as before
+        # each test is the condition that must hold, entrywise, so NaN fails it
         for name, r, t in (("s", self.r_s, self.t_s), ("w", self.r_w, self.t_w)):
-            if np.asarray(abs(r * r + t * t - 1.0) > 1e-12).any():
+            if not np.all(abs(r * r + t * t - 1.0) <= 1e-12):
                 raise ValueError(f"r_{name}^2 + t_{name}^2 = {r * r + t * t!r} != 1")
-            if np.asarray((r < 0) | (t < 0)).any():
+            if not np.all((r >= 0) & (t >= 0)):
                 raise ValueError(f"r_{name}, t_{name} must be non-negative")
-        if not np.asarray((0.0 <= self.theta_m) & (self.theta_m <= math.pi / 2)).all():
+        if not np.all((0.0 <= self.theta_m) & (self.theta_m <= math.pi / 2)):
             raise ValueError(f"theta_m = {self.theta_m!r} outside [0, pi/2]")
-        if not np.asarray(abs(self.epsilon) < math.pi / 4).all():
+        if not np.all(abs(self.epsilon) < math.pi / 4):
             raise ValueError(f"|epsilon| = {abs(self.epsilon)!r} >= pi/4")
-        if np.asarray((self.tau_s <= 0) | (self.tau_w <= 0) | (self.k_p <= 0)).any():
+        if not np.all(np.isfinite(self.kappa)):
+            raise ValueError(f"kappa = {self.kappa!r} must be finite")
+        if not np.all((self.tau_s > 0) & (self.tau_w > 0) & (self.k_p > 0)):
             raise ValueError("tau_s, tau_w and k_p must be positive")
 
     @property
@@ -203,14 +205,11 @@ def sideband_blocks(params: InterferometerParams, big_omega) -> SidebandBlocks:
     and e^{i theta_m} computed once per set.  A quantity of the +/-Omega
     pair (spring, damping) takes np.stack([grid, -grid]): the pair is the
     leading axis, [0] at +Omega and [1] at -Omega, of a grid of any shape.
-    D_e = Q^dagger - R_tilde Q^T M is written out entry by entry, so no
-    result depends on a BLAS kernel.  A complex grid raises TypeError.
-    Singular points are flagged in ``singular``, not raised;
-    `SidebandBlocks.checked` raises for them.  Pass a 1-D array even for
-    one point: numpy's array loops multiply complex numbers with FMA (on an
-    AVX-512 Xeon 44 % of random products differ in the last bit from 0-d
-    operands, which take numpy's scalar path).  Here and
-    in the formulas on these blocks no complex product has an unnamed array
+    D_e = Q^dagger - R_tilde Q^T M is written out entry by entry, so no result
+    depends on a BLAS kernel.  A scalar Omega is a one-point grid, and a complex
+    one raises TypeError (`_real_grid`).  Singular points are flagged in
+    ``singular``, not raised; `SidebandBlocks.checked` raises for them.  Here
+    and in the formulas on these blocks no complex product has an unnamed array
     on its right, so a point rounds the same in a batch of any length.
     """
     omega = params.omega_p + _real_grid(big_omega)
@@ -235,8 +234,10 @@ def sideband_blocks(params: InterferometerParams, big_omega) -> SidebandBlocks:
 
 
 def _real_grid(big_omega) -> np.ndarray:
-    """``big_omega`` as a float array; a complex one raises TypeError."""
-    grid = np.asarray(big_omega)
+    """``big_omega`` as a float array, a scalar as a one-point grid: numpy's
+    array loops multiply complex numbers with FMA, and on an AVX-512 Xeon 44 %
+    of random products round otherwise on its scalar path.  Complex raises TypeError."""
+    grid = np.atleast_1d(big_omega)
     if grid.dtype.kind == "c":  # a cast to float would drop the imaginary part
         raise TypeError(f"sideband grid must be real, got {grid.dtype}")
     return grid.astype(float, copy=False)
@@ -304,7 +305,7 @@ def classical_fields(params: InterferometerParams, pump: PortVector) -> Intracav
     its flat index, as `SidebandBlocks.checked` does.
     """
     shape = _batch_shape(params, pump.west, pump.south)
-    b = sideband_blocks(params, np.zeros(shape or 1)).checked()
+    b = sideband_blocks(params, np.zeros(shape)).checked()
     d_e, d = b.d_e, b.d
     adj = np.array([[d_e[1, 1], -d_e[0, 1]], [-d_e[1, 0], d_e[0, 0]]])
     off = (adj[:, :, None] * d_e).sum(axis=1) / d - np.eye(2).reshape(2, 2, *(1,) * d.ndim)
@@ -340,12 +341,12 @@ def oracle_solve(
     anywhere on this path, which makes it the independent oracle for
     `scattering_matrix`, `displacement_transfer` and `classical_fields`.
 
-    Params fields and ``omega`` may be (N,) arrays of N cases: one
-    (N, 10, 10) stack is built and each system is factorized once.  The
-    drives ``inputs``, ``x`` and ``field`` share the case shape or carry a
-    leading axis of k drives beyond it, solved as k right-hand sides of
-    the same factorization.  Each result is (2, *drives, *cases): (2,) for
-    scalars, (2, N) for N cases, (2, k, N) for k drives of N cases.
+    The cases are the broadcast shape, of any rank, of the params fields
+    and ``omega``, as in `sideband_blocks`; each of their systems is
+    factorized once.  The drives ``inputs``, ``x`` and ``field`` broadcast
+    against the cases or carry leading drive axes, solved as right-hand
+    sides of the same factorization.  Each result is (2, *drives, *cases):
+    (2,) for scalars, (2, k, N, 1) for k drives of (N, 1) sets.
 
     Parameters
     ----------
@@ -357,37 +358,32 @@ def oracle_solve(
     field : IntracavityField
         Classical intracavity amplitudes the displacement beats against.
     """
-    full = _batch_shape(params, omega, x, inputs.west, inputs.south,
-                       field.e_plus, field.e_minus)
-    drives = full[:len(full) - len(_batch_shape(params, omega))]
-    k, n = math.prod(drives), math.prod(full[len(drives):])
-
-    def spread(values):  # -> (k, n): one row per drive, one column per case
-        return np.broadcast_to(values, full).reshape(k, n)
-
+    cases = _batch_shape(params, omega)
+    full = _batch_shape(params, omega, x, inputs.west, inputs.south, field.e_plus, field.e_minus)
+    drives = full[:len(full) - len(cases)]
     q = mode_mixer(params)
     a = (np.exp(1j * omega * params.tau_w), np.exp(1j * omega * params.tau_s))
     m = (np.exp(1j * params.theta_m), np.exp(-1j * params.theta_m))
     r, t = (params.r_w, params.r_s), (params.t_w, params.t_s)
     a_in, e = inputs.as_array(), field.as_array()
-    x_drive = spread(2j * params.k_p * params.r_m * x)
+    x_drive = 2j * params.k_p * params.r_m * x
     # the stack of 1 - couplings, built in place: 1 on the diagonal, and each
     # unknown (b, c, d, e, f) = its couplings to the others + its source;
     # R, T, M and A are diagonal, so each block is written entry by entry
-    system = np.zeros((n, 10, 10), dtype=complex)
-    system[:, range(10), range(10)] = 1.0
-    sources = np.zeros((10, k, n), dtype=complex)
+    system = np.zeros((*cases, 10, 10), dtype=complex)
+    system[..., range(10), range(10)] = 1.0
+    sources = np.zeros((10, *full), dtype=complex)
     for i in range(2):
-        system[:, i, 2 + i] -= t[i]                    # b = -R a + T c
-        system[:, 4 + i, 2 + i] -= r[i]                # d = T a + R c
-        system[:, 8 + i, 6 + i] -= m[i]                # f = M e + 2 i k_p R_m X E x
+        system[..., i, 2 + i] -= t[i]                    # b = -R a + T c
+        system[..., 4 + i, 2 + i] -= r[i]                # d = T a + R c
+        system[..., 8 + i, 6 + i] -= m[i]                # f = M e + 2 i k_p R_m X E x
         for j in range(2):
-            system[:, 2 + i, 8 + j] -= a[i] * q[j, i]  # c = A Q^T f
-            system[:, 6 + i, 4 + j] -= q[i, j] * a[j]  # e = Q A d
-        drive = spread(a_in[i])
-        sources[i] = -r[i] * drive
-        sources[4 + i] = t[i] * drive
-        sources[8 + i] = x_drive * spread(e[1 - i])   # X swaps the modes
-    sol = solve_dense(system, sources.transpose(2, 0, 1))
-    return OracleFields(*(sol[:, i:i + 2].transpose(1, 2, 0).reshape((2, *full))
-                          for i in range(0, 10, 2)))
+            system[..., 2 + i, 8 + j] -= a[i] * q[j, i]  # c = A Q^T f
+            system[..., 6 + i, 4 + j] -= q[i, j] * a[j]  # e = Q A d
+        sources[i] = -r[i] * a_in[i]
+        sources[4 + i] = t[i] * a_in[i]
+        sources[8 + i] = x_drive * e[1 - i]              # X swaps the modes
+    # the drives, one column each (one column without drives), of each case's system
+    rhs = np.moveaxis(sources.reshape(10, math.prod(drives), *cases), (0, 1), (-2, -1))
+    sol = np.moveaxis(solve_dense(system, rhs), (-2, -1), (0, 1))
+    return OracleFields(*(sol[i:i + 2].reshape(2, *full) for i in range(0, 10, 2)))

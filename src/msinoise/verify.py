@@ -13,9 +13,9 @@ Each check evaluates only what it compares: the search grids of
 in parts of ``radiation_pressure._CHUNK`` points like every sweep, and
 ``golden_determinism`` makes the CSV text of the reference sweep once,
 in memory, for the frozen golden, and compares its rerun bit for bit,
-writing no file.  ``oracle_equivalence`` factorizes each of its sideband
-systems once, for both its drives, and the packaged P1 configuration is
-parsed once per process.
+writing no file.  ``oracle_equivalence`` solves its screen's (N, 1) sets
+as drawn, factorizing each sideband system once for both its drives, and
+the packaged P1 configuration is parsed once per process.
 """
 from __future__ import annotations
 
@@ -177,7 +177,7 @@ def check_unitarity(seed: int, *, draw=_structural_cases) -> InvariantResult:
 
 
 def _rel_dev(value: np.ndarray, ref: np.ndarray) -> float:
-    """Worst per-case deviation of (2, N) ``value`` from ``ref``, relative to max |ref|."""
+    """Worst per-case deviation of (2, ...) ``value`` from ``ref``, relative to max |ref|."""
     return float((np.abs(value - ref).max(axis=0) / np.abs(ref).max(axis=0)).max())
 
 
@@ -190,23 +190,22 @@ def check_oracle(seed: int) -> InvariantResult:
     """
     tol = 1e-10
     rng = np.random.default_rng(seed)
-    columns, _, b = _well_conditioned_cases(rng, _ORACLE_CASES, 1)
-    params = InterferometerParams(**{name: v[:, 0] for name, v in vars(columns).items()})
-    pair = (2, _ORACLE_CASES)
+    params, _, b = _well_conditioned_cases(rng, _ORACLE_CASES, 1)
+    pair = (2, _ORACLE_CASES, 1)
     a = PortVector(*(rng.normal(size=pair) + 1j * rng.normal(size=pair)))
     e_cl = IntracavityField(*((rng.normal(size=pair) + 1j * rng.normal(size=pair)) * 1e8))
     x = 1e-15
-    r = _scattering_entries(columns, b)[..., 0]
+    r = _scattering_entries(params, b)
 
-    apply = "ijn,jn->in"  # each (2, 2) matrix of a stack times its column
+    apply = "ij...,j...->i..."  # each (2, 2) matrix of a stack times its column
 
     # drive 0: the port inputs a alone; drive 1: the displacement x alone
     inputs = PortVector(*(np.stack([v, np.zeros_like(v)]) for v in a.as_array()))
-    sol = oracle_solve(params, b.omega[:, 0], inputs, np.array([[0.0], [x]]), e_cl)
+    sol = oracle_solve(params, b.omega, inputs, np.array([0.0, x]).reshape(2, 1, 1), e_cl)
     port, moved = sol.b[:, 0], sol.b[:, 1]
     worst = _rel_dev(port, np.einsum(apply, r, a.as_array()))
 
-    g = 1j * params.k_p * _displacement_entries(b)[..., 0]
+    g = 1j * params.k_p * _displacement_entries(b)
     g_e = np.einsum(apply, g, e_cl.as_array())
     worst = max(worst, _rel_dev(moved, np.einsum(apply, r, g_e * x)))
 

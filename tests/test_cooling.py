@@ -115,6 +115,10 @@ class TestThermalOccupation:
         with pytest.raises(DegenerateFrequency):
             thermal_occupation(1.0, 0.0)
 
+    def test_nan_temperature_is_refused(self):
+        with pytest.raises(NonpositiveTemperature):
+            thermal_occupation(math.nan, 1e6)
+
 
 class TestThermalSpectra:
     def test_ground_state_bath_has_no_antistokes(self):
@@ -148,6 +152,13 @@ class TestThermalSpectra:
         for temperature in (0.0, -5.0):  # caught here, not lazily by n_t
             with pytest.raises(ValueError):
                 MechanicalMode(omega_m=1e6, h_friction=1e-12, temperature=temperature)
+
+    @pytest.mark.parametrize("name", ["omega_m", "h_friction", "n_thermal"])
+    def test_nan_is_refused(self, name):
+        # each check states the condition that must hold, which NaN fails
+        values = {"omega_m": 1e6, "h_friction": 1e-12, "n_thermal": 1.0, name: math.nan}
+        with pytest.raises(ValueError, match=name):
+            MechanicalMode(**values)
 
 
 class TestOccupancy:
@@ -313,6 +324,10 @@ class TestOptimizePump:
     def test_rejects_bad_budget(self):
         with pytest.raises(ValueError):
             optimize_pump(cooling_params(), mode(), 0.0)
+
+    def test_rejects_nan_budget(self):
+        with pytest.raises(ValueError, match="energy_budget = nan"):
+            optimize_pump(cooling_params(), mode(), math.nan)
 
 
 class TestPumpForIntracavity:

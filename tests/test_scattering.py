@@ -68,6 +68,26 @@ OMEGA_ENTRIES = {
                                                          1e8, [1e8, w]),
 }
 
+#: the entry points that take a grid, as (params, lp, field, grid) -> a call
+GRID_ENTRIES = {
+    "sideband_blocks": lambda prm, lp, e, g: sideband_blocks(prm, g),
+    "noise_spectra": lambda prm, lp, e, g: noise_spectra(prm, e, g),
+    "_force_noise": lambda prm, lp, e, g: _force_noise(prm, e, g),
+    "reduction_errors": lambda prm, lp, e, g: reduction_errors(prm, lp, e, g),
+    "canonical_spectra": lambda prm, lp, e, g: canonical_spectra(lp, prm.k_p, e.e_plus, g),
+    "fano_spectrum": lambda prm, lp, e, g: fano_spectrum(lp, prm.epsilon, prm.kappa, prm.k_p,
+                                                         1e8, g),
+}
+
+
+def result_arrays(result) -> tuple:
+    """The arrays of a result: itself, its items, or its array fields."""
+    if isinstance(result, np.ndarray):
+        return (result,)
+    if isinstance(result, tuple):
+        return result
+    return tuple(v for v in vars(result).values() if isinstance(v, np.ndarray))
+
 
 def params_simple(**overrides):
     base = dict(
@@ -102,6 +122,19 @@ class TestParamsValidation:
     def test_positive_times(self):
         with pytest.raises(ValueError):
             params_simple(tau_s=0.0)
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["float", "entry"])
+    @pytest.mark.parametrize("name", ["tau_s", "tau_w", "k_p", "r_s", "t_s", "r_w", "t_w",
+                                      "kappa"])
+    def test_nan_is_refused(self, name, batch):
+        # each check states the condition that must hold, which NaN fails
+        value = np.array([vars(params_simple())[name], math.nan]) if batch else math.nan
+        with pytest.raises(ValueError):
+            params_simple(**{name: value})
+
+    def test_kappa_must_be_finite(self):
+        with pytest.raises(ValueError, match="kappa = inf must be finite"):
+            params_simple(kappa=math.inf)
 
 
 class TestModeMixer:
@@ -193,6 +226,15 @@ class TestModeDeterminant:
         field = IntracavityField(P1_E_PLUS, P1_E_MINUS)
         with pytest.raises(TypeError, match="must be real, got complex"):
             OMEGA_ENTRIES[entry](p1, from_exact(p1), field, omega)
+
+    @pytest.mark.parametrize("entry", GRID_ENTRIES)
+    def test_scalar_grid_is_a_one_point_grid(self, p1, entry):
+        field = IntracavityField(P1_E_PLUS, P1_E_MINUS)
+        alone, listed = (result_arrays(GRID_ENTRIES[entry](p1, from_exact(p1), field, grid))
+                         for grid in (2e8, [2e8]))
+        assert alone[0].shape == (1,)
+        for one, ref in zip(alone, listed, strict=True):
+            assert one.shape == ref.shape and one.tobytes() == ref.tobytes()
 
     def test_d_e_matches_matrix_products(self):
         rng = np.random.default_rng(14)
@@ -456,6 +498,29 @@ class TestBatchedParams:
             for name in "bcdef":
                 assert getattr(stacked, name).shape == (2, *drives)
                 assert getattr(stacked, name)[:, j].tobytes() == getattr(single, name).tobytes()
+
+    def test_set_columns_on_a_grid_equal_flat_row_calls_bit_for_bit(self):
+        """(n, 1) sets at an (n, m) grid with k drives: one solve, each row as
+        a flat call of its set alone at its m sidebands."""
+        rng = np.random.default_rng(18)
+        k, n, m = 2, 6, 3
+        sets = _random_params(rng, (n, 1))
+        omega = sets.omega_p + rng.uniform(-1e9, 1e9, (n, m))
+        inputs = PortVector(*(rng.normal(size=(2, k, n, m))
+                              + 1j * rng.normal(size=(2, k, n, m))))
+        x = rng.uniform(0.0, 1e-15, (k, n, m))
+        field = IntracavityField(*(rng.normal(size=(2, n, 1))
+                                   + 1j * rng.normal(size=(2, n, 1))) * 1e8)
+        stacked = oracle_solve(sets, omega, inputs, x, field)
+        for i in range(n):
+            row = oracle_solve(
+                InterferometerParams(**{name: float(v[i, 0]) for name, v in vars(sets).items()}),
+                omega[i], PortVector(inputs.west[:, i], inputs.south[:, i]), x[:, i],
+                IntracavityField(field.e_plus[i, 0], field.e_minus[i, 0]),
+            )
+            for name in "bcdef":
+                assert getattr(stacked, name).shape == (2, k, n, m)
+                assert getattr(stacked, name)[:, :, i].tobytes() == getattr(row, name).tobytes()
 
     def test_a_set_rounds_alike_in_a_batch_of_any_length(self):
         # 40 000 sets: numpy would multiply unnamed temporaries of this size

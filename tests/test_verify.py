@@ -184,8 +184,9 @@ def test_oracle_check_factorizes_each_system_once(monkeypatch):
     assert verify.check_oracle(verify.DEFAULT_SEED).passed
     cases = verify._ORACLE_CASES
     # the sideband systems for the port and the displacement drive, then
-    # the carrier systems for the port drive
-    assert shapes == [((cases, 10, 10), (cases, 10, 2)), ((cases, 10, 10), (cases, 10, 1))]
+    # the carrier systems for the port drive, each for the screen's (N, 1) sets as drawn
+    assert shapes == [((cases, 1, 10, 10), (cases, 1, 10, 2)),
+                      ((cases, 1, 10, 10), (cases, 1, 10, 1))]
 
 
 def test_p1_is_read_once_and_shared_read_only(monkeypatch):

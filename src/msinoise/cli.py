@@ -64,16 +64,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="force-noise sweep to CSV/JSON")
     common(p_spec)
+    p_spec.set_defaults(handler=_cmd_sweep, run=run_spectrum)
 
     p_cmp = sub.add_parser("compare", help="exact vs reduced-model error sweep")
     common(p_cmp)
+    p_cmp.set_defaults(handler=_cmd_sweep, run=run_compare)
 
     p_cool = sub.add_parser("cooling", help="steady-state occupancy report")
     common(p_cool)
+    p_cool.set_defaults(handler=_cmd_cooling)
     p_cool.add_argument("--optimize", action="store_true",
                         help="also optimise the pump split at fixed energy")
 
     p_ver = sub.add_parser("verify", help="run the invariant suite")
+    p_ver.set_defaults(handler=_cmd_verify)
     p_ver.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                        help="seed for the randomized ensembles")
     p_ver.add_argument("--json", action="store_true",
@@ -83,8 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_sweep(args) -> int:
     """`spectrum` or `compare`: one CSV row per non-singular grid point but Omega = 0."""
-    run = run_spectrum if args.command == "spectrum" else run_compare
-    summary = run(load_config(args.config), args.out)
+    summary = args.run(load_config(args.config), args.out)
     print(f"wrote {args.out / (args.command + '.csv')} ({summary['rows']} rows)")
     return EXIT_OK
 
@@ -113,15 +116,9 @@ def _cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "spectrum": _cmd_sweep,
-        "compare": _cmd_sweep,
-        "cooling": _cmd_cooling,
-        "verify": _cmd_verify,
-    }
     try:
         with np.errstate(all="ignore"):
-            return handlers[args.command](args)
+            return args.handler(args)
     except (ConfigError, OSError) as exc:  # OSError: an --out that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

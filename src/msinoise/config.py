@@ -179,6 +179,11 @@ def parse_config(raw: dict) -> RunConfig:
     wavelength = _number(ifo, "wavelength_m", "interferometer")
     if wavelength <= 0.0:
         raise ConfigError("interferometer.wavelength_m", f"{wavelength!r} <= 0")
+    k_p = 2.0 * math.pi / wavelength
+    # the model squares k_p and divides by the photon energy hbar omega_p
+    if not (math.isfinite(k_p * k_p) and HBAR * (SPEED_OF_LIGHT * k_p) > 0.0):
+        raise ConfigError("interferometer.wavelength_m",
+                          f"{wavelength!r} puts k_p^2 or hbar omega_p beyond double precision")
     r_s, t_s = _mirror_pair(ifo, "s", "interferometer")
     r_w, t_w = _mirror_pair(ifo, "w", "interferometer")
     try:
@@ -192,14 +197,10 @@ def parse_config(raw: dict) -> RunConfig:
             t_s=t_s,
             r_w=r_w,
             t_w=t_w,
-            k_p=2.0 * math.pi / wavelength,
+            k_p=k_p,
         )
     except ValueError as exc:
         raise ConfigError("interferometer", str(exc)) from exc
-    # the model squares k_p and divides by the photon energy hbar omega_p
-    if not (math.isfinite(params.k_p * params.k_p) and HBAR * params.omega_p > 0.0):
-        raise ConfigError("interferometer.wavelength_m",
-                          f"{wavelength!r} puts k_p^2 or hbar omega_p beyond double precision")
 
     pump_sec = _section(raw, "pump")
     ports = {}

@@ -174,7 +174,7 @@ def occupancy(mode: MechanicalMode, s_f_pos: float, s_f_neg: float) -> CoolingRe
     """
     s_t_pos, s_t_neg = thermal_spectra(mode)
     h_opt = (s_f_pos - s_f_neg) / (2.0 * HBAR * mode.omega_m)
-    if mode.h_friction + h_opt <= 0.0:
+    if not mode.h_friction + h_opt > 0.0:  # NaN fails it too
         raise UnstableSystem(
             f"H + H_opt = {mode.h_friction + h_opt!r} kg/s <= 0 "
             "(optical anti-damping)"
@@ -273,20 +273,22 @@ def optimize_pump(
 ) -> PumpOptimum:
     """Minimise the phonon number over the pump split at fixed energy.
 
-    With the pump e = sqrt(E) v, v = (cos chi, sin chi e^{i phi}) and
-    E = energy_budget, the force spectra at +/-omega_m are `_noise_form`,
-    hbar^2 k_p^2 |e^dag F|^2, on the +/-omega_m blocks of `noise_spectra`:
-    every optimum's ``result`` is bit for bit `occupancy` of its field.  As
-    E v^dag P+- v, P = hbar^2 k_p^2 F F^dag (built only for this pencil),
-    they give n = v^dag A v / v^dag B v with A = P- + (s_t- / E) 1 and
-    B = P+ - P- + ((s_t+ - s_t-) / E) 1.  1/n is a generalised Rayleigh
-    quotient of B against A: the minimum n is 1/lambda_max of
-    det(B - lambda A) = 0, the optimal split its eigenvector, both in
-    closed form from the 2x2 entries.  With ``constraint="injected"`` v
-    holds the port amplitudes (fixed injected flux |A_w|^2 + |A_s|^2) and
-    the pencil and landscape take W^dag F, W = D_e^{-1} T_tilde from one
-    `classical_fields` call on the two unit port drives; the intracavity
-    optimum does not carry over.
+    The pump is sqrt(E) v, v = (cos chi, sin chi e^{i phi}), E =
+    energy_budget, and its intracavity field is e = sqrt(E) W v.  Under
+    ``constraint="intracavity"`` v holds the mode amplitudes and W = 1;
+    under ``"injected"`` v holds the port amplitudes (fixed injected flux
+    |A_w|^2 + |A_s|^2) and W = D_e^{-1} T_tilde, from one `classical_fields`
+    call on the two unit port drives.  The force spectra at +/-omega_m are
+    `_noise_form`, hbar^2 k_p^2 |e^dag F|^2, on the +/-omega_m blocks of
+    `noise_spectra`: every optimum's ``result`` is bit for bit `occupancy`
+    of its field.  As E v^dag P+- v, P = hbar^2 k_p^2 W^dag F F^dag W (built
+    only for this pencil), they give n = v^dag A v / v^dag B v with
+    A = P- + (s_t- / E) 1 and B = P+ - P- + ((s_t+ - s_t-) / E) 1.  1/n is a
+    generalised Rayleigh quotient of B against A: the minimum n is
+    1/lambda_max of det(B - lambda A) = 0, the optimal split its
+    eigenvector, both in closed form from the 2x2 entries.  The landscape
+    reads W^dag F too, so the two constraints share one path, but their
+    optima differ.
 
     ``grid_size`` only sets the resolution of the returned landscape (n,
     inf where anti-damped, and the force spectra on a grid_size^2 mesh of
@@ -303,12 +305,12 @@ def optimize_pump(
         raise ValueError(f"unknown constraint {constraint!r}")
 
     blocks = sideband_blocks(params, np.array([[mode.omega_m], [-mode.omega_m]])).checked()
-    f = wf = _force_entries(blocks)  # (2, 2, pair, 1): the +/-omega_m blocks of `noise_spectra`
-    if constraint == "injected":
-        # W: column j is the intracavity field of a unit drive at port j
-        w = classical_fields(params, PortVector(*np.eye(2))).as_array()
-        wf = (w.conj().reshape(2, 2, 1, 1, 1) * f[:, np.newaxis]).sum(axis=0)  # W^dagger F
-    # P+- = hbar^2 k_p^2 F F^dagger as (p00, p11, p01), the pencil's only input
+    f = _force_entries(blocks)  # (2, 2, pair, 1): the +/-omega_m blocks of `noise_spectra`
+    # E = W v; under "injected" column j of W is the field of a unit drive at port j
+    w = np.eye(2) if constraint == "intracavity" else classical_fields(
+        params, PortVector(*np.eye(2))).as_array()
+    wf = (w.conj().reshape(2, 2, 1, 1, 1) * f[:, np.newaxis]).sum(axis=0)  # W^dagger F
+    # P+- = hbar^2 k_p^2 W^dagger F F^dagger W as (p00, p11, p01), the pencil's only input
     g = (HBAR**2 * params.k_p**2 * (wf[:, np.newaxis] * wf.conj()).sum(axis=2)[..., 0]).tolist()
     p_pos, p_neg = ((g[0][0][i].real, g[1][1][i].real, g[0][1][i]) for i in (0, 1))
 
@@ -335,11 +337,7 @@ def optimize_pump(
     best_chi = math.atan2(abs(v1), abs(v0))
     best_phi = cmath.phase(v1 * v0.conjugate()) % (2.0 * math.pi)
 
-    e = pump(best_chi, best_phi)
-    if constraint == "injected":
-        field = classical_fields(params, PortVector(*e.tolist()))
-    else:
-        field = IntracavityField(*e.tolist())
+    field = IntracavityField(*(w * pump(best_chi, best_phi)).sum(axis=1).tolist())  # W v
     result = occupancy(mode, *_noise_form(params.k_p, field.as_array(), f)[:, 0].tolist())
     return PumpOptimum(
         field=field,

@@ -21,8 +21,8 @@ import numpy as np
 from .algebra import cc_close
 from .errors import DegenerateFrequency
 from .radiation_pressure import (
-    _CHUNK, ForceNoiseSpectrum, _force_entries, _noise_form, _spring_entries, _spring_form,
-    _static_spring,
+    _CHUNK, ForceNoiseSpectrum, _force_entries, _noise_form, _one_set, _spring_entries,
+    _spring_form, _static_spring,
 )
 from .scattering import (
     HBAR, SPEED_OF_LIGHT, InterferometerParams, IntracavityField, _real_grid, sideband_blocks,
@@ -320,6 +320,7 @@ def reduction_errors(
     Evaluated in parts of `_CHUNK` grid points, as `noise_spectra`, into
     three preallocated columns, so its temporaries stay the size of one part.
     """
+    _one_set("reduction_errors", params, field)
     grid = _real_grid(grid)
     e = field.as_array()
     err_f, err_k, err_s = np.empty((3, grid.size))

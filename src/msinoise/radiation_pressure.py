@@ -15,7 +15,8 @@ import numpy as np
 from .algebra import cc_close
 from .errors import DegenerateFrequency, OpticalSingularity
 from .scattering import (
-    HBAR, InterferometerParams, IntracavityField, SidebandBlocks, _real_grid, sideband_blocks,
+    HBAR, InterferometerParams, IntracavityField, SidebandBlocks, _batch_shape, _real_grid,
+    sideband_blocks,
 )
 
 __all__ = [
@@ -38,6 +39,14 @@ _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 #: _CHUNK // 4 rows, not _CHUNK: its strings take ~3.4x the memory of the
 #: values they print, held as Python floats.
 _CHUNK = 2**10
+
+
+def _one_set(caller: str, params: InterferometerParams, field_: IntracavityField) -> None:
+    """Refuse batched params or field amplitudes: a grid pass cuts the grid, not the sets."""
+    shape = _batch_shape(params, field_.e_plus, field_.e_minus)
+    if shape:
+        raise ValueError(f"{caller} takes one parameter set and one field, got sets of shape "
+                         f"{shape}; evaluate batched sets with sideband_blocks")
 
 
 @dataclass(frozen=True)
@@ -189,6 +198,7 @@ def _force_noise(
     else.  Evaluated in parts of `_CHUNK` points, like `noise_spectra`;
     raises OpticalSingularity at the first singular point, not skipping it.
     """
+    _one_set("_force_noise", params, field_)
     grid = _real_grid(big_omega)
     e = field_.as_array()
     s_tilde = np.empty(grid.size)
@@ -215,6 +225,7 @@ def noise_spectra(
     precision come out as inf or NaN without a warning, since skipping a
     singular point divides by ~0 on the way; callers refuse them.
     """
+    _one_set("noise_spectra", params, field_)
     grid = _real_grid(grid)
     n = grid.size
     s_pos, s_neg, k1 = np.empty(n), np.empty(n), np.empty(n, dtype=complex)

@@ -99,6 +99,8 @@ class InterferometerParams:
             raise ValueError(f"kappa = {self.kappa!r} must be finite")
         if not np.all((self.tau_s > 0) & (self.tau_w > 0) & (self.k_p > 0)):
             raise ValueError("tau_s, tau_w and k_p must be positive")
+        if not np.all(np.isfinite(self.tau_s) & np.isfinite(self.tau_w) & np.isfinite(self.k_p)):
+            raise ValueError("tau_s, tau_w and k_p must be finite")
 
     @property
     def r_m(self) -> float:

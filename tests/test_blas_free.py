@@ -14,6 +14,9 @@ or writes a file, so the refusal rules it applies first cover every write.
 A fourth keeps one intake of sideband grids in the five modules above: no
 ``np.array``/``np.asarray`` casts to float, which would evaluate a complex
 Omega at its real part; `scattering._real_grid` refuses it instead.
+A fifth keeps every import in use: each name a module of the package
+imports is read there or listed in its ``__all__``, so a deletion leaves no
+import behind.
 """
 import ast
 import re
@@ -175,3 +178,43 @@ def test_only_outputs_writes_files():
     uses = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
             if path.name != "outputs.py" for line in file_writes(path.read_text())]
     assert not uses, "files written outside outputs.py: " + ", ".join(uses)
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every name ``source`` imports but neither reads nor lists in
+    ``__all__``; ``from __future__`` imports are exempt."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__" for target in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return [(node.lineno, name) for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for name in (alias.asname or alias.name.split(".")[0] for alias in node.names)
+            if name not in read]
+
+
+def test_unused_import_linter_flags_each_form():
+    source = (
+        "from __future__ import annotations\n"
+        "import json\n"
+        "import numpy as np\n"
+        "import os.path\n"
+        "from .a import used, unused, exported\n"
+        "from .b import x as y\n"
+        "__all__ = ['exported']\n"
+        "def f(z: y) -> None:\n"
+        "    import math\n"
+        "    return np.zeros(used)\n"
+    )
+    assert unused_imports(source) == [(2, "json"), (4, "os"), (5, "unused"), (9, "math")]
+
+
+def test_every_import_is_used():
+    package = Path(msinoise.__file__).parent
+    unused = [f"{path.name}:{line} {name}" for path in sorted(package.glob("*.py"))
+              for line, name in unused_imports(path.read_text())]
+    assert not unused, "imported but never read: " + ", ".join(unused)

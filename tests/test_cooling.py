@@ -187,6 +187,13 @@ class TestOccupancy:
         with pytest.raises(UnstableSystem):
             occupancy(m, 0.0, 10.0 * s)
 
+    @pytest.mark.parametrize("s_f_pos, s_f_neg", [(math.nan, math.nan), (1e-30, math.nan),
+                                                  (math.nan, 0.0)])
+    def test_nan_spectra_raise(self, s_f_pos, s_f_neg):
+        # the stability test states the condition that must hold, which NaN fails
+        with pytest.raises(UnstableSystem, match="anti-damping"):
+            occupancy(mode(n_t=1.0), s_f_pos, s_f_neg)
+
 
 class TestOccupancySimplified:
     def test_unit_occupancy(self):
@@ -293,6 +300,35 @@ class TestOptimizePump:
             spec = noise_spectra(prm, opt.field, [m.omega_m])
             assert opt.result == occupancy(m, float(spec.s_tilde_pos[0]),
                                            float(spec.s_tilde_neg[0])), constraint
+
+    @pytest.mark.parametrize("constraint, solves", [("intracavity", 0), ("injected", 1)])
+    def test_one_carrier_solve_at_most(self, monkeypatch, constraint, solves):
+        # the pump reaches the intracavity field through one matrix W, so the
+        # optimum's field needs no carrier solve of its own
+        from msinoise import cooling
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return classical_fields(*args)
+
+        monkeypatch.setattr(cooling, "classical_fields", counting)
+        optimize_pump(cooling_params(), mode(), 1e16, grid_size=8, constraint=constraint)
+        assert len(calls) == solves
+
+    def test_injected_field_is_the_carrier_solve_of_its_pump(self):
+        cases = [(prm, m, budget) for seed in (5, 6, 7, 8)
+                 for prm, m, budget, constraint, _, _ in random_cooling_cases(seed)
+                 if constraint == "injected"]
+        cases += list(red_detuned_cases(1))
+        for prm, m, budget in cases:
+            opt = optimize_pump(prm, m, budget, grid_size=8, constraint="injected")
+            v = math.sqrt(budget) * np.array(
+                [math.cos(opt.chi), math.sin(opt.chi) * np.exp(1j * opt.phi)])
+            e = opt.field.as_array()
+            reference = classical_fields(prm, PortVector(*v)).as_array()
+            assert np.abs(e - reference).max() <= 1e-13 * np.abs(e).max()
 
     def test_no_thermal_noise_and_rank_deficient_optics(self):
         # closed west port: F(-omega_m) has one nonzero column, so P- and,

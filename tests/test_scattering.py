@@ -16,6 +16,7 @@ from msinoise.lumped_mode import (
     reduction_errors,
 )
 from msinoise.radiation_pressure import (
+    _CHUNK,
     _force_entries,
     _force_noise,
     force_transfer,
@@ -130,6 +131,14 @@ class TestParamsValidation:
         # each check states the condition that must hold, which NaN fails
         value = np.array([vars(params_simple())[name], math.nan]) if batch else math.nan
         with pytest.raises(ValueError):
+            params_simple(**{name: value})
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["float", "entry"])
+    @pytest.mark.parametrize("name", ["tau_s", "tau_w", "k_p"])
+    def test_infinity_is_refused(self, name, batch):
+        # sideband_blocks would give det D_e = NaN, which no singularity flag catches
+        value = np.array([vars(params_simple())[name], math.inf]) if batch else math.inf
+        with pytest.raises(ValueError, match="tau_s, tau_w and k_p must be finite"):
             params_simple(**{name: value})
 
     def test_kappa_must_be_finite(self):
@@ -457,6 +466,21 @@ class TestBatchedParams:
         with pytest.raises(ArithmeticError, match="self-check") as err:
             classical_fields(sets, PortVector(1.0, 0.0))
         assert f"at omega = {float(sets.omega_p.flat[4])!r}" in str(err.value)
+
+    @pytest.mark.parametrize("n", [5, _CHUNK + 1])
+    @pytest.mark.parametrize("batched", ["params", "field"])
+    @pytest.mark.parametrize("entry", ["noise_spectra", "_force_noise", "reduction_errors"])
+    def test_grid_passes_refuse_batched_sets(self, p1, entry, batched, n):
+        # a grid pass cuts its grid into parts of _CHUNK points but never the
+        # sets, so a batch matching the grid would work up to _CHUNK points only
+        rng = np.random.default_rng(21)
+        prm, field = p1, IntracavityField(P1_E_PLUS, P1_E_MINUS)
+        if batched == "params":
+            prm = _random_params(rng, n)
+        else:
+            field = IntracavityField(np.full(n, P1_E_PLUS), P1_E_MINUS)
+        with pytest.raises(ValueError, match=f"^{entry} takes one parameter set .*sideband_blocks"):
+            GRID_ENTRIES[entry](prm, from_exact(p1), field, rng.uniform(1e6, 1e9, size=n))
 
     def test_stacked_oracle_matches_per_case_calls(self):
         rng = np.random.default_rng(16)

@@ -56,6 +56,10 @@ def thermal_occupation(temperature: float, omega: float) -> float:
     """
     if not temperature > 0.0:
         raise NonpositiveTemperature(f"temperature {temperature!r} K")
+    if not math.isfinite(temperature):
+        raise ValueError(f"temperature = {temperature!r} K must be finite")
+    if not math.isfinite(omega):
+        raise ValueError(f"omega = {omega!r} rad/s must be finite")
     if omega == 0.0:
         raise DegenerateFrequency("thermal occupation diverges at Omega = 0")
     x = HBAR * abs(omega) / (K_BOLTZMANN * temperature)
@@ -89,6 +93,10 @@ class MechanicalMode:
             raise ValueError(f"temperature = {self.temperature!r} K must be positive")
         if self.n_thermal is not None and not self.n_thermal >= 0.0:
             raise ValueError(f"n_thermal = {self.n_thermal!r} must be >= 0")
+        for name in ("omega_m", "h_friction", "temperature", "n_thermal"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} = {value!r} must be finite")
 
     @property
     def n_t(self) -> float:
@@ -301,6 +309,8 @@ def optimize_pump(
     """
     if not energy_budget > 0.0:
         raise ValueError(f"energy_budget = {energy_budget!r} must be positive")
+    if not math.isfinite(energy_budget):
+        raise ValueError(f"energy_budget = {energy_budget!r} must be finite")
     if constraint not in ("intracavity", "injected"):
         raise ValueError(f"unknown constraint {constraint!r}")
 

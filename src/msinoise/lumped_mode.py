@@ -72,7 +72,9 @@ class ValidityReport:
 class LumpedParams:
     """Effective single-mode parameters of the reduced interferometer.
 
-    gamma_m and delta_m are derived from p, alpha, theta_m and tau_s, not stored.
+    The one input of every reduced-model function, the pump wavenumber k_p
+    included.  The asymmetry is stored in polar form (epsilon = p cos(alpha),
+    kappa = p sin(alpha)); gamma_m and delta_m are derived, not stored.
     """
 
     gamma_s: float      # recycling-cavity half bandwidth, rad/s
@@ -81,6 +83,7 @@ class LumpedParams:
     p: float            # asymmetry magnitude
     alpha: float        # asymmetry angle, rad
     theta_m: float      # membrane angle, rad
+    k_p: float          # pump wavenumber, 1/m
     validity: ValidityReport | None = None
 
     @property
@@ -187,6 +190,7 @@ def from_exact(params: InterferometerParams) -> LumpedParams:
         p=p,
         alpha=alpha,
         theta_m=params.theta_m,
+        k_p=params.k_p,
         validity=report,
     )
 
@@ -223,17 +227,19 @@ def params_for_targets(
     )
 
 
-def coupling_constants(lp: LumpedParams, k_p: float) -> CouplingConstants:
+def coupling_constants(lp: LumpedParams) -> CouplingConstants:
     """Dispersive/dissipative coupling constants of the reduced mode.
 
     g_disp = 2 k_p R_m p cos(theta_m - alpha) / tau_s vanishes for a
-    purely dissipative configuration (theta_m - alpha = pi/2); the
-    dissipative combination vanishes at theta_m = alpha, where its sign
-    is taken as 0 (it passes through zero continuously there).
+    purely dissipative configuration (theta_m - alpha = pi/2).  The
+    dissipative combination has magnitude 2 k_p R_m / sqrt(tau_s) whatever
+    theta_m - alpha, so it jumps sign at theta_m = alpha, where the sign is
+    taken as 0; only the bare g_diss, proportional to p sin(theta_m - alpha),
+    passes through zero continuously there.
     """
-    g_disp = 2.0 * k_p * lp.r_m * lp.p * math.cos(lp.theta_m - lp.alpha) / lp.tau_s
+    g_disp = 2.0 * lp.k_p * lp.r_m * lp.p * math.cos(lp.theta_m - lp.alpha) / lp.tau_s
     sign = float(np.sign(lp.theta_m - lp.alpha))
-    g_diss_combo = 2.0 * k_p * lp.r_m * sign / math.sqrt(lp.tau_s)
+    g_diss_combo = 2.0 * lp.k_p * lp.r_m * sign / math.sqrt(lp.tau_s)
     return CouplingConstants(g_disp=g_disp, g_diss_combo=g_diss_combo)
 
 
@@ -288,12 +294,7 @@ def approx_rigidity_matrix(lp: LumpedParams, big_omega: float) -> np.ndarray:
     return _approx_spring_entries(lp, _real_grid([[big_omega], [-big_omega]]))[:, :, 0]
 
 
-def approx_rigidity(
-    lp: LumpedParams,
-    k_p: float,
-    big_omega: float,
-    field: IntracavityField,
-) -> complex:
+def approx_rigidity(lp: LumpedParams, big_omega: float, field: IntracavityField) -> complex:
     """Scalar optical rigidity of the reduced model, N/m.
 
     For a purely symmetric field (e_minus = 0) this reduces algebraically
@@ -302,16 +303,13 @@ def approx_rigidity(
     (single power of hbar: the density |E|^2 is a photon flux).
     """
     k_mat = approx_rigidity_matrix(lp, big_omega)[:, :, np.newaxis]
-    return complex(_spring_form(k_p, field.as_array(), k_mat)[0])
+    return complex(_spring_form(lp.k_p, field.as_array(), k_mat)[0])
 
 
 def reduction_errors(
-    params: InterferometerParams,
-    lp: LumpedParams,
-    field: IntracavityField,
-    grid,
+    params: InterferometerParams, field: IntracavityField, grid
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Relative errors (err_F, err_K, err_S) of the reduced model at each Omega.
+    """Relative errors (err_F, err_K, err_S) of `from_exact(params)` at each Omega.
 
     err_F is the worst entry of F in the phase-stripped gauge (a matched
     exact zero counts as 0); err_K and err_S are those of the rigidity and
@@ -322,6 +320,7 @@ def reduction_errors(
     """
     _one_set("reduction_errors", params, field)
     grid = _real_grid(grid)
+    lp = from_exact(params)
     e = field.as_array()
     err_f, err_k, err_s = np.empty((3, grid.size))
     for lo in range(0, grid.size, _CHUNK):
@@ -342,7 +341,7 @@ def reduction_errors(
     return err_f, err_k, err_s
 
 
-def canonical_spectra(lp: LumpedParams, k_p: float, e_plus: complex, grid) -> ForceNoiseSpectrum:
+def canonical_spectra(lp: LumpedParams, e_plus: complex, grid) -> ForceNoiseSpectrum:
     """Canonical Lorentzian force noise for symmetric pumping (e_minus = 0).
 
     s_tilde(Omega) = 4 hbar^2 k_p^2 R_m^2 |E+|^2 gamma / (tau_s |ell|^2),
@@ -352,28 +351,22 @@ def canonical_spectra(lp: LumpedParams, k_p: float, e_plus: complex, grid) -> Fo
     grid = _real_grid(grid)
     if np.any(grid == 0.0):
         raise DegenerateFrequency("grid must not contain Omega = 0")
-    amp = 4.0 * HBAR**2 * k_p**2 * lp.r_m**2 * abs(e_plus) ** 2 * lp.gamma / lp.tau_s
+    amp = 4.0 * HBAR**2 * lp.k_p**2 * lp.r_m**2 * abs(e_plus) ** 2 * lp.gamma / lp.tau_s
     ell_pos, ell_neg = lorentzians(lp, np.stack([grid, -grid]))[0]
     s_pos = amp / np.abs(ell_pos) ** 2
     s_neg = amp / np.abs(ell_neg) ** 2
-    k_amp = 4.0 * HBAR * k_p**2 * lp.r_m**2 * abs(e_plus) ** 2 * lp.delta / lp.tau_s
+    k_amp = 4.0 * HBAR * lp.k_p**2 * lp.r_m**2 * abs(e_plus) ** 2 * lp.delta / lp.tau_s
     k = k_amp / (ell_pos * np.conj(ell_neg))
     return ForceNoiseSpectrum(grid=grid, s_tilde_pos=s_pos, s_tilde_neg=s_neg, k=k)
 
 
-def fano_spectrum(
-    lp: LumpedParams,
-    epsilon: float,
-    kappa: float,
-    k_p: float,
-    a_plus: complex,
-    grid,
-) -> np.ndarray:
+def fano_spectrum(lp: LumpedParams, a_plus: complex, grid) -> np.ndarray:
     """Force noise for pumping through the bright port only (A_south = 0).
 
     The resonantly enhanced differential field interferes with the
     symmetric one and carves a Fano dip into the spectrum at
-    Omega = -2 delta_s + 2 epsilon kappa / tau_s; the dip vanishes with
+    Omega = -2 delta_s + 2 epsilon kappa / tau_s, with 2 epsilon kappa =
+    p^2 sin(2 alpha); the dip vanishes with
     gamma_m.  ``a_plus`` is the west-port pump amplitude; ell(0) in the
     prefactor is the resonance denominator at zero sideband frequency.
     """
@@ -385,10 +378,10 @@ def fano_spectrum(
         raise OverflowError(f"Fano prefactor |ell(0)|^2, ell(0) = {ell0!r}, exceeds the "
                             f"double range at tau_s = {lp.tau_s!r} s") from None
     ell, _ = lorentzians(lp, grid)
-    pref = 4.0 * HBAR**2 * k_p**2 * lp.r_m**2 * abs(a_plus) ** 2 / (
+    pref = 4.0 * HBAR**2 * lp.k_p**2 * lp.r_m**2 * abs(a_plus) ** 2 / (
         lp.tau_s * ell0_sq * np.abs(ell) ** 2
     )
-    cross = 2.0 * epsilon * kappa / lp.tau_s
+    cross = lp.p**2 * math.sin(2.0 * lp.alpha) / lp.tau_s
     dip = lp.gamma_m * (2.0 * lp.delta_s - cross + grid) ** 2
     floor = lp.gamma_s * (lp.gamma**2 + (lp.delta_s - lp.delta_m - cross) ** 2)
     return pref * (dip + floor)

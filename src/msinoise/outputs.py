@@ -171,25 +171,23 @@ def run_compare(cfg: RunConfig, out_dir: Path) -> dict:
     field = classical_fields(params, cfg.pump)
     lp = from_exact(params)
     dark_south = bool(cfg.pump.south == 0)
-    k_p = params.k_p
     spec = noise_spectra(params, field, cfg.grid)
     _refuse_non_finite("spectrum", spec.grid, (spec.s_tilde_pos, spec.s_tilde_neg, spec.k))
 
     grid = spec.grid
-    err_f, err_k, err_s = reduction_errors(params, lp, field, grid)
+    err_f, err_k, err_s = reduction_errors(params, field, grid)
     err_can, err_fano = np.empty(grid.size), np.full(grid.size, np.nan)
     for lo in range(0, grid.size, _CHUNK):
         rows = slice(lo, lo + _CHUNK)
         s_exact = spec.s_tilde_pos[rows]
-        s_can = canonical_spectra(lp, k_p, field.e_plus, grid[rows]).s_tilde_pos
+        s_can = canonical_spectra(lp, field.e_plus, grid[rows]).s_tilde_pos
         err_can[rows] = np.abs(s_exact - s_can) / s_exact
         if dark_south:
-            s_fano = fano_spectrum(lp, params.epsilon, params.kappa, k_p, cfg.pump.west,
-                                   grid[rows])
+            s_fano = fano_spectrum(lp, cfg.pump.west, grid[rows])
             err_fano[rows] = np.abs(s_exact - s_fano) / s_exact
     columns = (grid, err_f, err_k, err_s, err_can, err_fano)
     _refuse_non_finite("comparison", grid, columns if dark_south else columns[:-1])
-    couplings = coupling_constants(lp, k_p)
+    couplings = coupling_constants(lp)
     return _write_sweep(
         cfg, out_dir, "compare", _csv_text(COMPARE_HEADER, columns), spec,
         fano_applicable=dark_south,

@@ -246,7 +246,7 @@ def _convergence_errors(p: float) -> tuple[float, float, float]:
     params = _conv_params(p)
     lp = from_exact(params)
     grid = np.linspace(-5 * lp.gamma, 5 * lp.gamma, 41)
-    errors = reduction_errors(params, lp, _CONV_FIELD, grid)
+    errors = reduction_errors(params, _CONV_FIELD, grid)
     return tuple(float(err.max()) for err in errors)
 
 
@@ -280,12 +280,11 @@ def check_canonical(seed: int) -> InvariantResult:
     params = _conv_params(p)
     lp = from_exact(params)
     field = IntracavityField(3e8, 0.0)
-    k_p = params.k_p
 
     grid = np.linspace(-5 * lp.gamma, 5 * lp.gamma, 41)
     grid = grid[grid != 0.0]
     exact = noise_spectra(params, field, grid)
-    canon = canonical_spectra(lp, k_p, field.e_plus, grid)
+    canon = canonical_spectra(lp, field.e_plus, grid)
     err_s = float(np.max(np.abs(exact.s_tilde_pos - canon.s_tilde_pos)
                          / canon.s_tilde_pos))
     err_k = float(np.max(np.abs(exact.k - canon.k) / np.abs(canon.k)))
@@ -339,8 +338,7 @@ def check_fano(seed: int) -> InvariantResult:
     dev = abs(found - predicted) / lp.gamma
 
     # the closed-form line shape should also track the exact spectrum
-    shape = fano_spectrum(lp, params.epsilon, params.kappa, params.k_p,
-                          pump.west, grid)
+    shape = fano_spectrum(lp, pump.west, grid)
     err_shape = float(np.max(np.abs(s_exact - shape) / s_exact))
 
     passed = dev <= tol and err_shape <= 10.0 * p
@@ -430,17 +428,17 @@ def check_coupling_zeros(seed: int) -> InvariantResult:
 
     def lumped_at(p: float, alpha: float) -> LumpedParams:
         return LumpedParams(gamma_s=2.5e6, delta_s=-2e6, tau_s=tau_s, p=p,
-                            alpha=alpha, theta_m=theta)
+                            alpha=alpha, theta_m=theta, k_p=k_p)
 
     # dispersive zero: theta - alpha = pi/2
     lp1 = lumped_at(0.02, theta - math.pi / 2)
-    c1 = coupling_constants(lp1, k_p)
+    c1 = coupling_constants(lp1)
     scale1 = 2 * k_p * lp1.r_m * lp1.p / lp1.tau_s
     disp_resid = abs(c1.g_disp) / scale1
 
     # dissipative zero: theta = alpha (the sign factor is exactly 0 there)
     lp2 = lumped_at(0.02, theta)
-    c2 = coupling_constants(lp2, k_p)
+    c2 = coupling_constants(lp2)
     scale2 = 2 * k_p * lp2.r_m / math.sqrt(lp2.tau_s)
     diss_resid = abs(c2.g_diss_combo) / scale2
 
@@ -448,7 +446,7 @@ def check_coupling_zeros(seed: int) -> InvariantResult:
     mags = []
     for p in (0.02, 0.01):
         lp = lumped_at(p, -0.5)
-        mags.append(abs(coupling_constants(lp, k_p).g_diss_combo) / scale2)
+        mags.append(abs(coupling_constants(lp).g_diss_combo) / scale2)
     mag_dev = abs(mags[0] - 1.0) + abs(mags[1] - 1.0)
 
     worst = max(disp_resid, diss_resid)

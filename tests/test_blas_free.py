@@ -17,6 +17,9 @@ Omega at its real part; `scattering._real_grid` refuses it instead.
 A fifth keeps every import in use: each name a module of the package
 imports is read there or listed in its ``__all__``, so a deletion leaves no
 import behind.
+A sixth keeps one record of the reduced model: no function of
+`lumped_mode` that takes ``lp`` also takes ``k_p``, ``epsilon``, ``kappa``
+or ``params``, inputs that `LumpedParams` already carries or is built from.
 """
 import ast
 import re
@@ -218,3 +221,44 @@ def test_every_import_is_used():
     unused = [f"{path.name}:{line} {name}" for path in sorted(package.glob("*.py"))
               for line, name in unused_imports(path.read_text())]
     assert not unused, "imported but never read: " + ", ".join(unused)
+
+
+#: parameters that restate what a `LumpedParams` carries or is derived from
+RESTATED = {"k_p", "epsilon", "kappa", "params"}
+
+
+def restated_inputs(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every ``RESTATED`` parameter of a function in ``source``
+    that also takes ``lp``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            a = node.args
+            names = [arg.arg for arg in [*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs,
+                                         a.kwarg] if arg is not None]
+            if "lp" in names:
+                found += [(node.lineno, name) for name in names if name in RESTATED]
+    return found
+
+
+def test_restated_input_linter_flags_each_form():
+    source = (
+        "def fano(lp, epsilon, kappa, k_p, a_plus, grid): ...\n"
+        "def errors(params, lp, field, grid): ...\n"
+        "def rigidity(lp, /, *, k_p=1.0): ...\n"
+        "class C:\n"
+        "    def spring(self, lp, *k_p): ...\n"
+        "f = lambda lp, **kappa: lp\n"
+        "def fine(lp, a_plus, grid): ...\n"
+        "def exact(params, k_p): ...\n"
+    )
+    assert restated_inputs(source) == [
+        (1, "epsilon"), (1, "kappa"), (1, "k_p"), (2, "params"), (3, "k_p"),
+        (5, "k_p"), (6, "kappa")]
+
+
+def test_reduced_model_takes_one_record():
+    path = Path(msinoise.__file__).parent / "lumped_mode.py"
+    found = restated_inputs(path.read_text())
+    assert not found, "lumped_mode.py: " + ", ".join(
+        f"line {n}: {name} beside lp" for n, name in found)

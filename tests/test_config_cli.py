@@ -496,9 +496,8 @@ class TestCompareCommand:
         field = classical_fields(params, cfg.pump)
         spec = noise_spectra(params, field, cfg.grid)
         s = spec.s_tilde_pos
-        s_can = canonical_spectra(lp, params.k_p, field.e_plus, spec.grid).s_tilde_pos
-        s_fano = fano_spectrum(lp, params.epsilon, params.kappa, params.k_p, cfg.pump.west,
-                               spec.grid)
+        s_can = canonical_spectra(lp, field.e_plus, spec.grid).s_tilde_pos
+        s_fano = fano_spectrum(lp, cfg.pump.west, spec.grid)
         for column, model in (("err_S_canonical", s_can), ("err_S_fano", s_fano)):
             written = np.array([float(row[column]) for row in rows])
             assert written.tobytes() == (np.abs(s - model) / s).tobytes(), column

@@ -119,6 +119,15 @@ class TestThermalOccupation:
         with pytest.raises(NonpositiveTemperature):
             thermal_occupation(math.nan, 1e6)
 
+    def test_infinite_temperature_is_refused(self):
+        with pytest.raises(ValueError, match="temperature = inf K must be finite"):
+            thermal_occupation(math.inf, 1e6)
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+    def test_non_finite_frequency_is_refused(self, omega):
+        with pytest.raises(ValueError, match=f"omega = {omega!r} rad/s must be finite"):
+            thermal_occupation(300.0, omega)
+
 
 class TestThermalSpectra:
     def test_ground_state_bath_has_no_antistokes(self):
@@ -158,6 +167,13 @@ class TestThermalSpectra:
         # each check states the condition that must hold, which NaN fails
         values = {"omega_m": 1e6, "h_friction": 1e-12, "n_thermal": 1.0, name: math.nan}
         with pytest.raises(ValueError, match=name):
+            MechanicalMode(**values)
+
+    @pytest.mark.parametrize("name", ["omega_m", "h_friction", "temperature", "n_thermal"])
+    def test_infinity_is_refused(self, name):
+        bath = "n_thermal" if name == "n_thermal" else "temperature"
+        values = {"omega_m": 1e6, "h_friction": 1e-12, bath: 1.0, name: math.inf}
+        with pytest.raises(ValueError, match=f"{name} = inf.* must be finite"):
             MechanicalMode(**values)
 
 
@@ -364,6 +380,10 @@ class TestOptimizePump:
     def test_rejects_nan_budget(self):
         with pytest.raises(ValueError, match="energy_budget = nan"):
             optimize_pump(cooling_params(), mode(), math.nan)
+
+    def test_rejects_infinite_budget(self):
+        with pytest.raises(ValueError, match="energy_budget = inf must be finite"):
+            optimize_pump(cooling_params(), mode(), math.inf)
 
 
 class TestPumpForIntracavity:

@@ -39,7 +39,7 @@ P1_DELTA_M = -196204.5013022525
 def lumped(gamma_s=2.5e6, delta_s=-2.0e6, p=0.01, alpha=-0.5,
            theta_m=THETA, tau_s=1e-9) -> LumpedParams:
     return LumpedParams(gamma_s=gamma_s, delta_s=delta_s, tau_s=tau_s, p=p,
-                        alpha=alpha, theta_m=theta_m)
+                        alpha=alpha, theta_m=theta_m, k_p=K_P)
 
 
 class TestAsymmetryPolar:
@@ -83,6 +83,9 @@ class TestFromExact:
         assert (moved.gamma_m, moved.delta_m) == rates
         assert moved.gamma == moved.gamma_s + rates[0]
 
+    def test_wavenumber_is_the_params_wavenumber(self, p1):
+        assert from_exact(p1).k_p is p1.k_p
+
     def test_p1_is_flagged_out_of_regime(self, p1):
         lp = from_exact(p1)
         assert not lp.validity.ok
@@ -122,23 +125,23 @@ class TestAsymmetryRates:
 class TestCouplingConstants:
     def test_aligned_asymmetry_is_purely_dispersive(self):
         lp = lumped(alpha=THETA, p=0.02)
-        c = coupling_constants(lp, K_P)
+        c = coupling_constants(lp)
         assert c.g_diss_combo == 0.0
         expected = 2 * K_P * lp.r_m * lp.p / lp.tau_s
         assert abs(c.g_disp - expected) <= 1e-15 * expected
 
     def test_orthogonal_asymmetry_is_purely_dissipative(self):
         lp = lumped(alpha=THETA - math.pi / 2, p=0.02)
-        c = coupling_constants(lp, K_P)
+        c = coupling_constants(lp)
         scale = 2 * K_P * lp.r_m * lp.p / lp.tau_s
         assert abs(c.g_disp) <= 1e-15 * scale
 
     def test_dissipative_magnitude_survives_vanishing_asymmetry(self):
         mags = []
         for p in (0.02, 0.002, 0.0002):
-            c = coupling_constants(lumped(p=p), K_P)
+            c = coupling_constants(lumped(p=p))
             mags.append(abs(c.g_diss_combo))
-            assert abs(coupling_constants(lumped(p=p), K_P).g_disp) > 0
+            assert abs(coupling_constants(lumped(p=p)).g_disp) > 0
         assert max(mags) - min(mags) <= 1e-12 * max(mags)
 
 
@@ -183,7 +186,7 @@ class TestApproxRigidity:
         lp = lumped(p=0.01)
         field = IntracavityField(3e8, 0.0)
         for big_omega in (0.3 * lp.gamma, -1.7 * lp.gamma):
-            k = approx_rigidity(lp, K_P, big_omega, field)
+            k = approx_rigidity(lp, big_omega, field)
             ell_pos, _ = lorentzians(lp, big_omega)
             ell_neg, _ = lorentzians(lp, -big_omega)
             canonical = (4 * hbar * K_P**2 * lp.r_m**2 * abs(field.e_plus) ** 2
@@ -192,7 +195,7 @@ class TestApproxRigidity:
 
     def test_no_spring_on_resonance(self):
         lp = lumped(delta_s=0.0, p=0.0, alpha=0.0)
-        k = approx_rigidity(lp, K_P, 0.0, IntracavityField(3e8, 0.0))
+        k = approx_rigidity(lp, 0.0, IntracavityField(3e8, 0.0))
         assert k.real == pytest.approx(0.0, abs=1e-30)
 
     def test_matrix_is_conjugate_closed(self):
@@ -218,7 +221,7 @@ class TestReductionErrors:
     def test_matches_per_point_matrix_products(self):
         prm, lp, field, grid = self.case()
         assert 0.0 in grid
-        err_f, err_k, err_s = reduction_errors(prm, lp, field, grid)
+        err_f, err_k, err_s = reduction_errors(prm, field, grid)
         e = field.as_array()
         for i, big_omega in enumerate(grid):
             omega = prm.omega_p + big_omega
@@ -239,9 +242,9 @@ class TestReductionErrors:
         prm, lp, field, grid = self.case()
         f_strip = strip_propagation_phases(
             prm, np.stack([force_transfer(prm, w) for w in grid], axis=2), grid)
-        batch = reduction_errors(prm, lp, field, grid)
+        batch = reduction_errors(prm, field, grid)
         for i, big_omega in enumerate(grid):
-            one = reduction_errors(prm, lp, field, [big_omega])
+            one = reduction_errors(prm, field, [big_omega])
             assert [err[0] for err in one] == [err[i] for err in batch]
             np.testing.assert_array_equal(
                 strip_propagation_phases(prm, force_transfer(prm, big_omega), big_omega),
@@ -291,7 +294,7 @@ class TestCanonicalSpectra:
         lp = lumped(p=0.0, alpha=0.0)
         e_plus = 3e8
         grid = np.array([-lp.delta])  # resonance
-        spec = canonical_spectra(lp, K_P, e_plus, grid)
+        spec = canonical_spectra(lp, e_plus, grid)
         peak = 4 * hbar**2 * K_P**2 * lp.r_m**2 * abs(e_plus) ** 2 / (
             lp.tau_s * lp.gamma)
         assert spec.s_tilde_pos[0] == pytest.approx(peak, rel=1e-12)
@@ -300,22 +303,21 @@ class TestCanonicalSpectra:
         lp = lumped()
         grid = np.linspace(-4 * lp.gamma, 4 * lp.gamma, 33)
         grid = grid[grid != 0.0]
-        spec = canonical_spectra(lp, K_P, 2e8, grid)
-        pos_of_neg = canonical_spectra(lp, K_P, 2e8, -grid).s_tilde_pos
+        spec = canonical_spectra(lp, 2e8, grid)
+        pos_of_neg = canonical_spectra(lp, 2e8, -grid).s_tilde_pos
         np.testing.assert_allclose(
             spec.s_sym, (spec.s_tilde_pos + pos_of_neg) / 2, rtol=1e-14
         )
 
     def test_half_width(self):
         lp = lumped()
-        at_peak = canonical_spectra(lp, K_P, 2e8, [-lp.delta]).s_tilde_pos[0]
-        at_hwhm = canonical_spectra(lp, K_P, 2e8,
-                                    [-lp.delta + lp.gamma]).s_tilde_pos[0]
+        at_peak = canonical_spectra(lp, 2e8, [-lp.delta]).s_tilde_pos[0]
+        at_hwhm = canonical_spectra(lp, 2e8, [-lp.delta + lp.gamma]).s_tilde_pos[0]
         assert at_hwhm == pytest.approx(at_peak / 2, rel=1e-12)
 
     def test_rejects_zero_frequency(self):
         with pytest.raises(DegenerateFrequency):
-            canonical_spectra(lumped(), K_P, 1e8, [0.0])
+            canonical_spectra(lumped(), 1e8, [0.0])
 
 
 class TestFanoSpectrum:
@@ -326,7 +328,7 @@ class TestFanoSpectrum:
         eps = lp.p * math.cos(lp.alpha)
         kap = lp.p * math.sin(lp.alpha)
         grid = np.linspace(-3 * lp.gamma, 3 * lp.gamma, 65)
-        vals = fano_spectrum(lp, eps, kap, K_P, 1e8, grid)
+        vals = fano_spectrum(lp, 1e8, grid)
         ell0, _ = lorentzians(lp, 0.0)
         ell = lp.gamma - 1j * (lp.delta + grid)
         cross = 2 * eps * kap / lp.tau_s
@@ -343,11 +345,46 @@ class TestFanoSpectrum:
         predicted = -2 * lp.delta_s + 2 * eps * kap / lp.tau_s
         grid = np.linspace(predicted - lp.gamma, predicted + lp.gamma, 2001)
         # times |ell|^2 the spectrum is the dip term plus an Omega-independent floor
-        vals = fano_spectrum(lp, eps, kap, K_P, 1e8, grid)
+        vals = fano_spectrum(lp, 1e8, grid)
         ell = lp.gamma - 1j * (lp.delta + grid)
         dip_term = vals * np.abs(ell) ** 2
         found = grid[np.argmin(dip_term)]
         assert abs(found - predicted) <= (grid[1] - grid[0])
+
+
+class TestRecordWavenumber:
+    """The record is the one source of k_p: doubling ``lp.k_p`` scales every
+    output by its power of k_p, bit for bit (a power of two scales exactly)."""
+
+    @staticmethod
+    def pair():
+        lp = lumped(p=0.02, gamma_s=8e3, delta_s=6e4)
+        return lp, dataclasses.replace(lp, k_p=2 * lp.k_p)
+
+    def test_canonical_spectra_scale_by_four(self):
+        lp, doubled = self.pair()
+        grid = np.linspace(-3 * lp.gamma, 3 * lp.gamma, 16)
+        one, two = canonical_spectra(lp, 2e8, grid), canonical_spectra(doubled, 2e8, grid)
+        for name in ("s_tilde_pos", "s_tilde_neg", "k"):
+            np.testing.assert_array_equal(getattr(two, name), 4 * getattr(one, name))
+
+    def test_fano_spectrum_scales_by_four(self):
+        lp, doubled = self.pair()
+        grid = np.linspace(-3 * lp.gamma, 3 * lp.gamma, 16)
+        np.testing.assert_array_equal(fano_spectrum(doubled, 1e8, grid),
+                                      4 * fano_spectrum(lp, 1e8, grid))
+
+    def test_approx_rigidity_scales_by_four(self):
+        lp, doubled = self.pair()
+        field = IntracavityField(3e8 * np.exp(0.3j), 2.2e8 * np.exp(-1.1j))
+        assert approx_rigidity(doubled, 0.7 * lp.gamma, field) == 4 * approx_rigidity(
+            lp, 0.7 * lp.gamma, field)
+
+    def test_coupling_constants_scale_by_two(self):
+        lp, doubled = self.pair()
+        one, two = coupling_constants(lp), coupling_constants(doubled)
+        assert one.g_disp != 0.0 and one.g_diss_combo != 0.0
+        assert (two.g_disp, two.g_diss_combo) == (2 * one.g_disp, 2 * one.g_diss_combo)
 
 
 def test_canonical_symmetrised_closed_form():
@@ -355,7 +392,7 @@ def test_canonical_symmetrised_closed_form():
     lp = lumped()
     grid = np.linspace(-4 * lp.gamma, 4 * lp.gamma, 33)
     grid = grid[grid != 0.0]
-    spec = canonical_spectra(lp, K_P, 2e8, grid)
+    spec = canonical_spectra(lp, 2e8, grid)
     amp = 4 * hbar**2 * K_P**2 * lp.r_m**2 * abs(2e8) ** 2 * lp.gamma / lp.tau_s
     ell_pos_sq = lp.gamma**2 + (lp.delta + grid) ** 2
     ell_neg_sq = lp.gamma**2 + (lp.delta - grid) ** 2
@@ -390,7 +427,7 @@ def test_exact_matches_canonical_at_zero_asymmetry():
     grid = np.linspace(-5 * lp.gamma, 5 * lp.gamma, 81)
     grid = grid[grid != 0.0]
     exact = noise_spectra(prm, field, grid)
-    canon = canonical_spectra(lp, prm.k_p, field.e_plus, grid)
+    canon = canonical_spectra(lp, field.e_plus, grid)
     err = np.max(np.abs(exact.s_tilde_pos - canon.s_tilde_pos)
                  / canon.s_tilde_pos)
     assert err <= 2.0 * lp.gamma * lp.tau_s

@@ -295,10 +295,9 @@ class TestChunkedEvaluation:
     def test_reduction_errors_peak_memory_is_bounded_by_the_result(self, p1, p1_drive):
         field = classical_fields(p1, p1_drive)
         grid = np.linspace(1e8, 2e9, 2**18)
-        lp = from_exact(p1)
         tracemalloc.start()
         try:
-            errors = reduction_errors(p1, lp, field, grid)
+            errors = reduction_errors(p1, field, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -340,18 +339,17 @@ class TestChunkedEvaluation:
         grid evaluated as one part, whatever the sub-grid's length."""
         cfg = _p1_config()
         field = classical_fields(cfg.params, cfg.pump)
-        lp = from_exact(cfg.params)
         grid = np.linspace(cfg.grid[0], cfg.grid[-1], 40_001)
         for module in (radiation_pressure, lumped_mode):
             monkeypatch.setattr(module, "_CHUNK", 2 * grid.size)
         whole = noise_spectra(cfg.params, field, grid)
-        whole_errors = reduction_errors(cfg.params, lp, field, grid)
+        whole_errors = reduction_errors(cfg.params, field, grid)
         for size, lo in ((41, 7), (4_001, 1_000), (8_192, 3), (12_000, 20_000)):
             rows = slice(lo, lo + size)
             part = noise_spectra(cfg.params, field, grid[rows])
             for name in COLUMNS:
                 np.testing.assert_array_equal(getattr(part, name), getattr(whole, name)[rows])
-            for err, whole_err in zip(reduction_errors(cfg.params, lp, field, grid[rows]),
+            for err, whole_err in zip(reduction_errors(cfg.params, field, grid[rows]),
                                       whole_errors):
                 np.testing.assert_array_equal(err, whole_err[rows])
 

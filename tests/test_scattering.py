@@ -59,14 +59,12 @@ OMEGA_ENTRIES = {
     "rigidity_matrices": lambda prm, lp, e, w: rigidity_matrices(prm, w),
     "rigidity": lambda prm, lp, e, w: rigidity(prm, e, w),
     "approx_force_transfer": lambda prm, lp, e, w: approx_force_transfer(lp, w),
-    "approx_rigidity": lambda prm, lp, e, w: approx_rigidity(lp, prm.k_p, w, e),
+    "approx_rigidity": lambda prm, lp, e, w: approx_rigidity(lp, w, e),
     "noise_spectra": lambda prm, lp, e, w: noise_spectra(prm, e, [1e8, w]),
     "_force_noise": lambda prm, lp, e, w: _force_noise(prm, e, [1e8, w]),
-    "reduction_errors": lambda prm, lp, e, w: reduction_errors(prm, lp, e, [1e8, w]),
-    "canonical_spectra": lambda prm, lp, e, w: canonical_spectra(lp, prm.k_p, e.e_plus,
-                                                                 [1e8, w]),
-    "fano_spectrum": lambda prm, lp, e, w: fano_spectrum(lp, prm.epsilon, prm.kappa, prm.k_p,
-                                                         1e8, [1e8, w]),
+    "reduction_errors": lambda prm, lp, e, w: reduction_errors(prm, e, [1e8, w]),
+    "canonical_spectra": lambda prm, lp, e, w: canonical_spectra(lp, e.e_plus, [1e8, w]),
+    "fano_spectrum": lambda prm, lp, e, w: fano_spectrum(lp, 1e8, [1e8, w]),
 }
 
 #: the entry points that take a grid, as (params, lp, field, grid) -> a call
@@ -74,10 +72,9 @@ GRID_ENTRIES = {
     "sideband_blocks": lambda prm, lp, e, g: sideband_blocks(prm, g),
     "noise_spectra": lambda prm, lp, e, g: noise_spectra(prm, e, g),
     "_force_noise": lambda prm, lp, e, g: _force_noise(prm, e, g),
-    "reduction_errors": lambda prm, lp, e, g: reduction_errors(prm, lp, e, g),
-    "canonical_spectra": lambda prm, lp, e, g: canonical_spectra(lp, prm.k_p, e.e_plus, g),
-    "fano_spectrum": lambda prm, lp, e, g: fano_spectrum(lp, prm.epsilon, prm.kappa, prm.k_p,
-                                                         1e8, g),
+    "reduction_errors": lambda prm, lp, e, g: reduction_errors(prm, e, g),
+    "canonical_spectra": lambda prm, lp, e, g: canonical_spectra(lp, e.e_plus, g),
+    "fano_spectrum": lambda prm, lp, e, g: fano_spectrum(lp, 1e8, g),
 }
 
 

@@ -767,6 +767,20 @@ def test_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_import_loads_no_submodule():
+    """The package re-exports nothing: each public name is imported from the
+    module that defines it, so ``import msinoise`` loads none of them."""
+    src = str(Path(msinoise.__file__).parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, msinoise\n"
+            "print(sorted(m for m in sys.modules if m.startswith('msinoise.')),"
+            " msinoise.__version__)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.strip() == "[] 0.1.0"
+
+
 def test_every_public_name_resolves():
     """Each name of the package's and of every module's ``__all__`` exists."""
     import importlib

@@ -20,7 +20,7 @@ from .errors import (
     UnreachableField,
     UnstableSystem,
 )
-from .radiation_pressure import _force_entries, _noise_form
+from .radiation_pressure import _force_entries, _noise_form, _one_set
 from .scattering import (
     HBAR,
     K_BOLTZMANN,
@@ -373,7 +373,10 @@ def pump_for_intracavity(params: InterferometerParams, field: IntracavityField) 
     ------
     UnreachableField
         If a port with zero transmissivity would have to carry drive.
+    ValueError
+        If ``params`` or ``field`` hold batched sets.
     """
+    _one_set("pump_for_intracavity", params, field)
     b = sideband_blocks(params, np.zeros(1)).checked()
     d_e = b.d_e[:, :, 0]
     needed = d_e[:, 0] * field.e_plus + d_e[:, 1] * field.e_minus

@@ -302,6 +302,7 @@ def approx_rigidity(lp: LumpedParams, big_omega: float, field: IntracavityField)
     4 hbar k_p^2 R_m^2 |E+|^2 delta / (tau_s ell(Omega) ell*(-Omega))
     (single power of hbar: the density |E|^2 is a photon flux).
     """
+    _one_set("approx_rigidity", lp, field)
     k_mat = approx_rigidity_matrix(lp, big_omega)[:, :, np.newaxis]
     return complex(_spring_form(lp.k_p, field.as_array(), k_mat)[0])
 

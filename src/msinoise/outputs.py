@@ -14,7 +14,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, config_digest
 from .cooling import occupancy, optimize_pump
-from .errors import ConfigError, SingularSweep
+from .errors import ConfigError, OpticalSingularity, SingularSweep
 from .lumped_mode import (
     canonical_spectra,
     coupling_constants,
@@ -23,7 +23,7 @@ from .lumped_mode import (
     reduction_errors,
 )
 from .radiation_pressure import _CHUNK, noise_spectra
-from .scattering import classical_fields, sideband_blocks
+from .scattering import classical_fields
 
 SPECTRUM_HEADER = "Omega,S_tilde_pos,S_tilde_neg,S_sym,Re_K,Im_K,H_opt"
 COMPARE_HEADER = "Omega,err_F,err_K,err_S_tilde,err_S_canonical,err_S_fano"
@@ -106,12 +106,14 @@ def _refuse_non_finite(what: str, grid: np.ndarray, columns) -> None:
 def _write_sweep(cfg: RunConfig, out_dir: Path, kind: str, text, spec, **extra) -> dict:
     """Refuse the sweep or write <kind>.csv and <kind>.json; returns {"rows": n}.
 
-    Raises SingularSweep if over 10 % of the grid is optically singular (Omega = 0
-    is skipped, not singular) and ConfigError if no row is left.
+    The sidecar lists each skipped point with the text of its exception.  Raises
+    SingularSweep if over 10 % of the grid is optically singular (Omega = 0 is
+    skipped, not singular) and ConfigError if no row is left.
     """
-    skipped = [{"omega": omega, "reason": reason} for omega, reason in spec.skipped]
+    skipped = [{"omega": omega, "reason": str(reason)} for omega, reason in spec.skipped]
     sidecar = _sidecar(cfg, kind, skipped=skipped, **extra)  # may overflow: ahead of the rules
-    singular, total = sum(entry["omega"] != 0.0 for entry in skipped), len(cfg.grid)
+    singular = sum(isinstance(reason, OpticalSingularity) for _, reason in spec.skipped)
+    total = len(cfg.grid)
     if singular > 0.10 * total:
         raise SingularSweep(f"{singular} of {total} grid points were singular")
     if len(spec.grid) == 0:
@@ -224,8 +226,8 @@ def run_cooling(cfg: RunConfig, out_dir: Path, optimize: bool = False) -> dict:
         raise ConfigError("mechanical", "cooling needs a mechanical block")
     field = classical_fields(cfg.params, cfg.pump)
     spec = noise_spectra(cfg.params, field, [mode.omega_m])
-    if spec.skipped:  # raises the singular sideband's own OpticalSingularity
-        sideband_blocks(cfg.params, [[mode.omega_m], [-mode.omega_m]]).checked()
+    if spec.skipped:  # the singular sideband's own OpticalSingularity
+        raise spec.skipped[0][1]
     _refuse_non_finite("spectrum", spec.grid, (spec.s_tilde_pos, spec.s_tilde_neg, spec.k))
     result = occupancy(mode, float(spec.s_tilde_pos[0]), float(spec.s_tilde_neg[0]))
 

@@ -30,19 +30,19 @@ __all__ = [
 
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-#: the one part size of every kernel pass over a grid: the calls of
-#: `noise_spectra`, `_force_noise` and `lumped_mode.reduction_errors`, so a
-#: pass holds the temporaries of one part, not of its grid.  Of 2**9, 2**10
-#: and 2**11, measured on P1: 2**11 kept the 4 001-point sweep's peak RSS
-#: 1.4 MB higher, and 2**9 took ~20 % longer per point on large grids, in
-#: per-call overhead.  CSV text is made in parts of `outputs._ROWS` =
-#: _CHUNK // 4 rows, not _CHUNK: its strings take ~3.4x the memory of the
-#: values they print, held as Python floats.
+#: the one part size of the two grid passes, `noise_spectra` and
+#: `lumped_mode.reduction_errors`, so a pass holds the temporaries of one
+#: part, not of its grid.  Of 2**9, 2**10 and 2**11, measured on P1: 2**11
+#: kept the 4 001-point sweep's peak RSS 1.4 MB higher, and 2**9 took ~20 %
+#: longer per point on large grids, in per-call overhead.  CSV text is made
+#: in parts of `outputs._ROWS` = _CHUNK // 4 rows, not _CHUNK: its strings
+#: take ~3.4x the memory of the values they print, held as Python floats.
 _CHUNK = 2**10
 
 
-def _one_set(caller: str, params: InterferometerParams, field_: IntracavityField) -> None:
-    """Refuse batched params or field amplitudes: a grid pass cuts the grid, not the sets."""
+def _one_set(caller: str, params, field_: IntracavityField) -> None:
+    """Refuse batched params (exact or reduced) or field amplitudes: a grid
+    pass cuts the grid, not the sets, and a scalar view returns one value."""
     shape = _batch_shape(params, field_.e_plus, field_.e_minus)
     if shape:
         raise ValueError(f"{caller} takes one parameter set and one field, got sets of shape "
@@ -76,7 +76,9 @@ class ForceNoiseSpectrum:
     the non-symmetrised density at +grid[i] and at -grid[i], so the
     symmetrised density and the optical damping, which that pair fixes,
     are derived from it, never resampled or stored.  Grid points where the
-    optics is exactly singular are dropped and listed in ``skipped``.
+    optics is exactly singular, and Omega = 0, are dropped and listed in
+    ``skipped`` as (Omega, exception) pairs: the OpticalSingularity that
+    `SidebandBlocks.checked` raises there, or a DegenerateFrequency.
     """
 
     grid: np.ndarray            # rad/s
@@ -182,30 +184,11 @@ def rigidity(
     big_omega: float,
 ) -> RigidityBreakdown:
     """Scalar optical rigidity for the given intracavity field, N/m."""
+    _one_set("rigidity", params, field_)
     k1_mat, _, _ = rigidity_matrices(params, big_omega)
     e = field_.as_array()
     k1 = _spring_form(params.k_p, e, k1_mat[:, :, np.newaxis])
     return RigidityBreakdown(k1=complex(k1[0]), k2=float(_static_spring(params, e)))
-
-
-def _force_noise(
-    params: InterferometerParams, field_: IntracavityField, big_omega
-) -> np.ndarray:
-    """Force noise S_tilde at each sideband Omega of a 1-D grid alone, N^2 s.
-
-    The ``s_tilde_pos`` column of `noise_spectra`, bit for bit, without
-    its -Omega blocks, rigidity or damping, for callers that read nothing
-    else.  Evaluated in parts of `_CHUNK` points, like `noise_spectra`;
-    raises OpticalSingularity at the first singular point, not skipping it.
-    """
-    _one_set("_force_noise", params, field_)
-    grid = _real_grid(big_omega)
-    e = field_.as_array()
-    s_tilde = np.empty(grid.size)
-    for lo in range(0, grid.size, _CHUNK):
-        b = sideband_blocks(params, grid[lo:lo + _CHUNK]).checked()
-        s_tilde[lo:lo + _CHUNK] = _noise_form(params.k_p, e, _force_entries(b))
-    return s_tilde
 
 
 def noise_spectra(
@@ -220,10 +203,11 @@ def noise_spectra(
     the (2, m) pair grid (+part, -part) per part of at most `_CHUNK` grid
     points, so its temporaries stay the size of one part whatever the
     grid's; every value is the same as from one call over all of it.
-    Points where either sideband hits an exact optical singularity are
-    skipped and reported, not interpolated.  Numbers beyond double
-    precision come out as inf or NaN without a warning, since skipping a
-    singular point divides by ~0 on the way; callers refuse them.
+    Points where either sideband hits an exact optical singularity, and
+    Omega = 0, are skipped and reported with the exception each stands for,
+    not interpolated.  Numbers beyond double precision come out as inf or
+    NaN without a warning, since skipping a singular point divides by ~0 on
+    the way; callers refuse them.
     """
     _one_set("noise_spectra", params, field_)
     grid = _real_grid(grid)
@@ -242,10 +226,10 @@ def noise_spectra(
             keep[lo:hi] &= ~b.singular.any(axis=0)
             for i in np.flatnonzero(~keep[lo:hi]):
                 if part[i] == 0.0:
-                    reason = "zero sideband frequency (damping undefined)"
+                    reason = DegenerateFrequency("zero sideband frequency (damping undefined)")
                 else:
-                    j = int(np.argmax(b.singular[:, i])), i  # +Omega first
-                    reason = str(OpticalSingularity(float(b.omega[j]), complex(b.d[j])))
+                    j = int(np.argmax(b.singular[:, i])), i  # +Omega first, as `checked`
+                    reason = OpticalSingularity(float(b.omega[j]), complex(b.d[j]))
                 skipped.append((float(part[i]), reason))
         return ForceNoiseSpectrum(
             grid=grid[keep],

@@ -9,13 +9,13 @@ sideband grid, so one kernel call broadcasts each set over its K sidebands,
 and is evaluated once, by its conditioning screen; `run_all` shares one
 between ``symmetry_g_f`` and ``unitarity``, then drops it.
 Each check evaluates only what it compares: the search grids of
-``canonical_limit`` and ``fano_minimum`` take the one-sided force noise,
-in parts of ``radiation_pressure._CHUNK`` points like every sweep, and
-``golden_determinism`` makes the CSV text of the reference sweep once,
-in memory, for the frozen golden, and compares its rerun bit for bit,
-writing no file.  ``oracle_equivalence`` solves its screen's (N, 1) sets
-as drawn, factorizing each sideband system once for both its drives, and
-the packaged P1 configuration is parsed once per process.
+``canonical_limit`` and ``fano_minimum`` take the one-sided force noise
+from one kernel call each, and ``golden_determinism`` makes the CSV text
+of the reference sweep once, in memory, for the frozen golden, and
+compares its rerun bit for bit, writing no file.  ``oracle_equivalence``
+solves its screen's (N, 1) sets as drawn, factorizing each sideband system
+once for both its drives, and the packaged P1 configuration is parsed once
+per process.
 """
 from __future__ import annotations
 
@@ -46,7 +46,7 @@ from .lumped_mode import (
     reduction_errors,
 )
 from .outputs import _spectrum_columns, _spectrum_lines
-from .radiation_pressure import _force_entries, _force_noise, noise_spectra
+from .radiation_pressure import _force_entries, _noise_form, noise_spectra
 from .scattering import (
     HBAR,
     InterferometerParams,
@@ -176,6 +176,14 @@ def check_unitarity(seed: int, *, draw=_structural_cases) -> InvariantResult:
     )
 
 
+def _s_tilde_pos(params: InterferometerParams, field: IntracavityField, grid) -> np.ndarray:
+    """S_tilde(+Omega) alone over ``grid``, N^2 s: the ``s_tilde_pos`` column of
+    `noise_spectra`, bit for bit, from one kernel call without the -Omega
+    blocks; raises OpticalSingularity at a singular sideband."""
+    b = sideband_blocks(params, grid).checked()
+    return _noise_form(params.k_p, field.as_array(), _force_entries(b))
+
+
 def _rel_dev(value: np.ndarray, ref: np.ndarray) -> float:
     """Worst per-case deviation of (2, ...) ``value`` from ``ref``, relative to max |ref|."""
     return float((np.abs(value - ref).max(axis=0) / np.abs(ref).max(axis=0)).max())
@@ -291,7 +299,7 @@ def check_canonical(seed: int) -> InvariantResult:
 
     # FWHM of the exact spectrum against the canonical 2 gamma
     peak_grid = np.linspace(-lp.delta - 4 * lp.gamma, -lp.delta + 4 * lp.gamma, 4001)
-    vals = _force_noise(params, field, peak_grid)
+    vals = _s_tilde_pos(params, field, peak_grid)
     peak = vals.max()
     above = vals >= peak / 2.0
     lo_i = int(np.argmax(above))
@@ -333,7 +341,7 @@ def check_fano(seed: int) -> InvariantResult:
 
     predicted = -2.0 * lp.delta_s + 2.0 * params.epsilon * params.kappa / params.tau_s
     grid = np.linspace(predicted - 1.5 * lp.gamma, predicted + 1.5 * lp.gamma, 3001)
-    s_exact = _force_noise(params, field, grid)
+    s_exact = _s_tilde_pos(params, field, grid)
     found = float(grid[np.argmin(s_exact)])
     dev = abs(found - predicted) / lp.gamma
 
@@ -392,7 +400,7 @@ def check_cooling_optimum(seed: int) -> InvariantResult:
     mode = MechanicalMode(omega_m=2.5e7, h_friction=1e-12, n_thermal=1e4)
 
     # scale the budget so the resonant force noise matches the thermal one
-    p11 = _force_noise(params, IntracavityField(1.0, 0.0), [mode.omega_m])[0]
+    p11 = _s_tilde_pos(params, IntracavityField(1.0, 0.0), [mode.omega_m])[0]
     s_t_neg = thermal_spectra(mode)[1]
     budget = s_t_neg / p11
 

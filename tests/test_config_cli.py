@@ -17,11 +17,11 @@ import msinoise
 from msinoise.cli import main
 from msinoise.config import load_config, parse_config
 from msinoise.cooling import CoolingResult, RegimeFlags, occupancy
-from msinoise.errors import ConfigError
+from msinoise.errors import ConfigError, OpticalSingularity
 from msinoise.lumped_mode import from_exact, params_for_targets
 from msinoise.outputs import _ROWS, run_cooling
 from msinoise.radiation_pressure import noise_spectra
-from msinoise.scattering import InterferometerParams, classical_fields
+from msinoise.scattering import InterferometerParams, classical_fields, sideband_blocks
 
 P1_CONFIG = {
     "schema": 1,
@@ -729,6 +729,29 @@ class TestCoolingCommand:
                    "--out", str(out)])
         assert rc == 3
         assert "singular at omega = 0.0 rad/s" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_singular_sideband_is_raised_from_the_one_kernel_call(
+            self, tmp_path, capsys, kernel_grids):
+        # the exception noise_spectra recorded is the one the CLI reports:
+        # its text is that of checking the +/-omega_m blocks, and they are
+        # evaluated once
+        raw = json.loads(json.dumps(P1_CONFIG))
+        raw["interferometer"].update(t_s=0.0, theta_m_rad=0.0, epsilon_rad=0.0, kappa=0.0)
+        params = parse_config(raw).params
+        omega_m = params.omega_p
+        raw["mechanical"] = {"omega_m_rad_s": omega_m, "h_friction_kg_s": 1e-14,
+                             "n_thermal": 1e4}
+        pair = [[omega_m], [-omega_m]]
+        with pytest.raises(OpticalSingularity) as expected:
+            sideband_blocks(params, pair).checked()
+        del kernel_grids[:]
+        out = tmp_path / "out"
+        rc = main(["cooling", "--config", str(write_config(tmp_path, raw)),
+                   "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {expected.value}\n"
+        assert sum(np.array_equal(grid, pair) for grid in kernel_grids) == 1
         assert not out.exists()
 
     def test_missing_mechanical_block_exits_2(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from conftest import clear_of_resonance
 from msinoise.algebra import dagger, det2, solve_dense
+from msinoise.cooling import pump_for_intracavity
 from msinoise.errors import OpticalSingularity
 from msinoise.lumped_mode import (
     approx_force_transfer,
@@ -18,7 +20,6 @@ from msinoise.lumped_mode import (
 from msinoise.radiation_pressure import (
     _CHUNK,
     _force_entries,
-    _force_noise,
     force_transfer,
     noise_spectra,
     rigidity,
@@ -61,7 +62,6 @@ OMEGA_ENTRIES = {
     "approx_force_transfer": lambda prm, lp, e, w: approx_force_transfer(lp, w),
     "approx_rigidity": lambda prm, lp, e, w: approx_rigidity(lp, w, e),
     "noise_spectra": lambda prm, lp, e, w: noise_spectra(prm, e, [1e8, w]),
-    "_force_noise": lambda prm, lp, e, w: _force_noise(prm, e, [1e8, w]),
     "reduction_errors": lambda prm, lp, e, w: reduction_errors(prm, e, [1e8, w]),
     "canonical_spectra": lambda prm, lp, e, w: canonical_spectra(lp, e.e_plus, [1e8, w]),
     "fano_spectrum": lambda prm, lp, e, w: fano_spectrum(lp, 1e8, [1e8, w]),
@@ -71,7 +71,6 @@ OMEGA_ENTRIES = {
 GRID_ENTRIES = {
     "sideband_blocks": lambda prm, lp, e, g: sideband_blocks(prm, g),
     "noise_spectra": lambda prm, lp, e, g: noise_spectra(prm, e, g),
-    "_force_noise": lambda prm, lp, e, g: _force_noise(prm, e, g),
     "reduction_errors": lambda prm, lp, e, g: reduction_errors(prm, e, g),
     "canonical_spectra": lambda prm, lp, e, g: canonical_spectra(lp, e.e_plus, g),
     "fano_spectrum": lambda prm, lp, e, g: fano_spectrum(lp, 1e8, g),
@@ -466,7 +465,7 @@ class TestBatchedParams:
 
     @pytest.mark.parametrize("n", [5, _CHUNK + 1])
     @pytest.mark.parametrize("batched", ["params", "field"])
-    @pytest.mark.parametrize("entry", ["noise_spectra", "_force_noise", "reduction_errors"])
+    @pytest.mark.parametrize("entry", ["noise_spectra", "reduction_errors"])
     def test_grid_passes_refuse_batched_sets(self, p1, entry, batched, n):
         # a grid pass cuts its grid into parts of _CHUNK points but never the
         # sets, so a batch matching the grid would work up to _CHUNK points only
@@ -478,6 +477,27 @@ class TestBatchedParams:
             field = IntracavityField(np.full(n, P1_E_PLUS), P1_E_MINUS)
         with pytest.raises(ValueError, match=f"^{entry} takes one parameter set .*sideband_blocks"):
             GRID_ENTRIES[entry](prm, from_exact(p1), field, rng.uniform(1e6, 1e9, size=n))
+
+    @pytest.mark.parametrize("batched", ["params", "field"])
+    @pytest.mark.parametrize("entry", ["approx_rigidity", "pump_for_intracavity", "rigidity"])
+    def test_scalar_views_refuse_batched_sets(self, p1, entry, batched):
+        # a scalar view returns one value: at two sets approx_rigidity used to
+        # return the first set's K and pump_for_intracavity to mix the two
+        call = {
+            "approx_rigidity": lambda prm, lp, e: approx_rigidity(lp, 2e6, e),
+            "pump_for_intracavity": lambda prm, lp, e: pump_for_intracavity(prm, e),
+            "rigidity": lambda prm, lp, e: rigidity(prm, e, 2e6),
+        }[entry]
+        prm, lp = p1, from_exact(p1)
+        field = IntracavityField(P1_E_PLUS, P1_E_MINUS)
+        if batched == "params":
+            prm = _random_params(np.random.default_rng(22), 2)
+            lp = dataclasses.replace(lp, gamma_s=np.array([lp.gamma_s, 2 * lp.gamma_s]))
+        else:
+            field = IntracavityField(np.array([P1_E_PLUS, 2 * P1_E_PLUS]),
+                                     np.array([P1_E_MINUS, 0.5 * P1_E_MINUS]))
+        with pytest.raises(ValueError, match=f"^{entry} takes one parameter set "):
+            call(prm, lp, field)
 
     def test_stacked_oracle_matches_per_case_calls(self):
         rng = np.random.default_rng(16)

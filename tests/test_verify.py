@@ -1,7 +1,6 @@
 """The verify ensembles: masked resampling, batched evaluation, result types."""
 import dataclasses
 import itertools
-import sys
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ import pytest
 from msinoise import scattering, verify
 from msinoise.algebra import solve_dense
 from msinoise.config import load_config
-from msinoise.radiation_pressure import _force_entries, _force_noise, noise_spectra
+from msinoise.radiation_pressure import _force_entries, noise_spectra
 from msinoise.scattering import (
     InterferometerParams, _displacement_entries, _scattering_entries, sideband_blocks,
 )
@@ -26,22 +25,6 @@ def kernel_calls(monkeypatch):
 
     monkeypatch.setattr(verify, "sideband_blocks", counting)
     return calls
-
-
-@pytest.fixture
-def kernel_points(monkeypatch):
-    """The sideband count of every call through any msinoise binding of `sideband_blocks`."""
-    points = []
-
-    def counting(params, big_omega):
-        points.append(np.size(big_omega))
-        return sideband_blocks(params, big_omega)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "msinoise" and (
-                getattr(module, "sideband_blocks", None) is sideband_blocks):
-            monkeypatch.setattr(module, "sideband_blocks", counting)
-    return points
 
 
 def test_resampler_redraws_only_the_sets_below_the_floor(kernel_calls):
@@ -97,10 +80,12 @@ def test_ensemble_check_evaluates_all_sets_in_few_kernel_calls(kernel_calls, che
 def test_run_all_evaluates_each_ensemble_once(kernel_calls):
     seed = 5
     first = verify.run_all(seed)
-    # one draw shared by symmetry_g_f and unitarity, one for oracle_equivalence
-    assert len(kernel_calls) == 4
+    # one draw (sidebands, carriers) shared by symmetry_g_f and unitarity, one
+    # for oracle_equivalence, and one call per one-sided S_tilde(+Omega) grid of
+    # canonical_limit, fano_minimum and cooling_optimum
+    assert len(kernel_calls) == 2 + 2 + 3
     again = verify.run_all(seed)
-    assert len(kernel_calls) == 8  # nothing drawn is kept between runs
+    assert len(kernel_calls) == 2 * 7  # nothing drawn is kept between runs
     standalone = [check(seed).measured for check in verify.CHECK_NAMES.values()]
     for results in (first, again):
         assert [repr(r.measured) for r in results] == [repr(m) for m in standalone]
@@ -108,29 +93,29 @@ def test_run_all_evaluates_each_ensemble_once(kernel_calls):
 
 @pytest.mark.parametrize("check, points", [
     # 40 nonzero points at +/-Omega, then the one-sided 4 001-point peak grid
-    (verify.check_canonical, 80 + 4001),
+    (verify.check_canonical, [80, 4001]),
     # the carrier of the classical field, then the one-sided 3 001-point grid
-    (verify.check_fano, 1 + 3001),
-])
-def test_search_grids_evaluate_only_the_sidebands_they_read(kernel_points, check, points):
+    (verify.check_fano, [1, 3001]),
+], ids=["check_canonical", "check_fano"])
+def test_search_grids_evaluate_only_the_sidebands_they_read(kernel_grids, check, points):
     assert check(verify.DEFAULT_SEED).passed
-    assert sum(kernel_points) == points
+    assert [grid.size for grid in kernel_grids] == points  # one call per search grid
 
 
 @pytest.mark.parametrize("check, size", [(verify.check_canonical, 4001),
                                          (verify.check_fano, 3001)])
 def test_one_sided_search_grid_equals_noise_spectra(monkeypatch, check, size):
-    calls = []
+    calls, s_tilde_pos = [], verify._s_tilde_pos
 
-    def recording(params, field, big_omega):
-        calls.append((params, field, big_omega))
-        return _force_noise(params, field, big_omega)
+    def recording(params, field, grid):
+        calls.append((params, field, grid))
+        return s_tilde_pos(params, field, grid)
 
-    monkeypatch.setattr(verify, "_force_noise", recording)
+    monkeypatch.setattr(verify, "_s_tilde_pos", recording)
     assert check(verify.DEFAULT_SEED).passed
     [(params, field, grid)] = calls
     assert len(grid) == size
-    np.testing.assert_array_equal(_force_noise(params, field, grid),
+    np.testing.assert_array_equal(s_tilde_pos(params, field, grid),
                                   noise_spectra(params, field, grid).s_tilde_pos)
 
 

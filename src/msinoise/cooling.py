@@ -20,13 +20,14 @@ from .errors import (
     UnreachableField,
     UnstableSystem,
 )
-from .radiation_pressure import _force_entries, _noise_form, _one_set
+from .radiation_pressure import _force_entries, _noise_form
 from .scattering import (
     HBAR,
     K_BOLTZMANN,
     InterferometerParams,
     IntracavityField,
     PortVector,
+    _one_set,
     classical_fields,
     sideband_blocks,
 )

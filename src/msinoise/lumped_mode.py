@@ -21,11 +21,12 @@ import numpy as np
 from .algebra import cc_close
 from .errors import DegenerateFrequency
 from .radiation_pressure import (
-    _CHUNK, ForceNoiseSpectrum, _force_entries, _noise_form, _one_set, _spring_entries,
-    _spring_form, _static_spring,
+    _CHUNK, ForceNoiseSpectrum, _force_entries, _noise_form, _spring_entries, _spring_form,
+    _static_spring,
 )
 from .scattering import (
-    HBAR, SPEED_OF_LIGHT, InterferometerParams, IntracavityField, _real_grid, sideband_blocks,
+    HBAR, SPEED_OF_LIGHT, InterferometerParams, IntracavityField, _one_point, _one_set, _real_grid,
+    sideband_blocks,
 )
 
 __all__ = [
@@ -280,29 +281,30 @@ def _approx_spring_entries(lp: LumpedParams, big_omega: np.ndarray) -> np.ndarra
 
 
 def approx_force_transfer(lp: LumpedParams, big_omega: float) -> np.ndarray:
-    """Leading-order force transfer matrix of the reduced interferometer.
+    """Leading-order force transfer matrix of the reduced interferometer at one Omega.
 
     Written in the phase-stripped port gauge: the single-pass propagation
     phases of the two ports are absorbed into the field references (see
-    `strip_propagation_phases`).  Top row is O(1/p), bottom row O(1).
+    `strip_propagation_phases`).  Top row O(1/p), bottom row O(1); grids: `_approx_force_entries`.
     """
-    return _approx_force_entries(lp, _real_grid([big_omega]))[:, :, 0]
+    return _approx_force_entries(lp, _one_point("approx_force_transfer", big_omega, lp))[:, :, 0]
 
 
 def approx_rigidity_matrix(lp: LumpedParams, big_omega: float) -> np.ndarray:
-    """Leading-order rigidity matrix, conjugate-closed over +/-Omega."""
-    return _approx_spring_entries(lp, _real_grid([[big_omega], [-big_omega]]))[:, :, 0]
+    """Leading-order K at one Omega, closed over +/-Omega; grids: `_approx_spring_entries`."""
+    grid = _one_point("approx_rigidity_matrix", big_omega, lp)
+    return _approx_spring_entries(lp, np.stack([grid, -grid]))[:, :, 0]
 
 
 def approx_rigidity(lp: LumpedParams, big_omega: float, field: IntracavityField) -> complex:
-    """Scalar optical rigidity of the reduced model, N/m.
+    """Scalar optical rigidity of the reduced model at one Omega of one record and field, N/m.
 
     For a purely symmetric field (e_minus = 0) this reduces algebraically
     to the canonical form
     4 hbar k_p^2 R_m^2 |E+|^2 delta / (tau_s ell(Omega) ell*(-Omega))
     (single power of hbar: the density |E|^2 is a photon flux).
     """
-    _one_set("approx_rigidity", lp, field)
+    _one_point("approx_rigidity", big_omega, lp, field)
     k_mat = approx_rigidity_matrix(lp, big_omega)[:, :, np.newaxis]
     return complex(_spring_form(lp.k_p, field.as_array(), k_mat)[0])
 

@@ -15,7 +15,7 @@ import numpy as np
 from .algebra import cc_close
 from .errors import DegenerateFrequency, OpticalSingularity
 from .scattering import (
-    HBAR, InterferometerParams, IntracavityField, SidebandBlocks, _batch_shape, _real_grid,
+    HBAR, InterferometerParams, IntracavityField, SidebandBlocks, _one_point, _one_set, _real_grid,
     sideband_blocks,
 )
 
@@ -38,15 +38,6 @@ _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 #: in parts of `outputs._ROWS` = _CHUNK // 4 rows, not _CHUNK: its strings
 #: take ~3.4x the memory of the values they print, held as Python floats.
 _CHUNK = 2**10
-
-
-def _one_set(caller: str, params, field_: IntracavityField) -> None:
-    """Refuse batched params (exact or reduced) or field amplitudes: a grid
-    pass cuts the grid, not the sets, and a scalar view returns one value."""
-    shape = _batch_shape(params, field_.e_plus, field_.e_minus)
-    if shape:
-        raise ValueError(f"{caller} takes one parameter set and one field, got sets of shape "
-                         f"{shape}; evaluate batched sets with sideband_blocks")
 
 
 @dataclass(frozen=True)
@@ -155,27 +146,27 @@ def _noise_form(k_p: float, e: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def force_transfer(params: InterferometerParams, big_omega: float) -> np.ndarray:
-    """Input-field-to-force transfer matrix F at sideband frequency Omega.
+    """Input-field-to-force transfer matrix F at one sideband frequency Omega of one set.
 
     Satisfies F(Omega)^dagger = G(Omega) (the displacement transfer), the
-    two-port form of the usual measurement/back-action reciprocity.
+    two-port form of measurement/back-action reciprocity; grids and batches: `_force_entries`.
     """
-    b = sideband_blocks(params, [big_omega]).checked()
+    b = sideband_blocks(params, _one_point("force_transfer", big_omega, params)).checked()
     return _force_entries(b)[:, :, 0]
 
 
 def rigidity_matrices(
     params: InterferometerParams, big_omega: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rigidity matrices (K1, K2, K1 + K2) at sideband frequency Omega.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rigidity matrices (K1, K2) at one sideband frequency Omega of one set.
 
     K1 needs the optics at both omega_p + Omega and omega_p - Omega (the
-    conjugate closure); K2 = -4 R_m T_m Z is frequency independent.
+    conjugate closure); K2 = -4 R_m T_m Z is frequency independent.  Grids
+    and batches: `_spring_entries` on `sideband_blocks` over +/-grid.
     """
-    b = sideband_blocks(params, [[big_omega], [-big_omega]]).checked()
-    k1 = _spring_entries(b)[:, :, 0]
-    k2 = -4.0 * params.r_m * params.t_m * _Z
-    return k1, k2, k1 + k2
+    grid = _one_point("rigidity_matrices", big_omega, params)
+    b = sideband_blocks(params, np.stack([grid, -grid])).checked()
+    return _spring_entries(b)[:, :, 0], -4.0 * params.r_m * params.t_m * _Z
 
 
 def rigidity(
@@ -183,9 +174,9 @@ def rigidity(
     field_: IntracavityField,
     big_omega: float,
 ) -> RigidityBreakdown:
-    """Scalar optical rigidity for the given intracavity field, N/m."""
-    _one_set("rigidity", params, field_)
-    k1_mat, _, _ = rigidity_matrices(params, big_omega)
+    """Scalar optical rigidity at one Omega of one set and field, N/m; grids: `noise_spectra`."""
+    _one_point("rigidity", big_omega, params, field_)
+    k1_mat, _ = rigidity_matrices(params, big_omega)
     e = field_.as_array()
     k1 = _spring_form(params.k_p, e, k1_mat[:, :, np.newaxis])
     return RigidityBreakdown(k1=complex(k1[0]), k2=float(_static_spring(params, e)))

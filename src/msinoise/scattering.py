@@ -277,21 +277,21 @@ def _displacement_entries(b: SidebandBlocks) -> np.ndarray:
 
 
 def scattering_matrix(params: InterferometerParams, big_omega: float) -> np.ndarray:
-    """Two-port output scattering matrix R_ifo at sideband frequency Omega.
+    """Two-port output scattering matrix R_ifo at one sideband frequency Omega of one set.
 
-    Lossless by construction: R_ifo^dagger R_ifo = 1 for any parameters.
+    Lossless by construction (R_ifo^dagger R_ifo = 1); grids and batches: `_scattering_entries`.
     """
-    b = sideband_blocks(params, [big_omega]).checked()
+    b = sideband_blocks(params, _one_point("scattering_matrix", big_omega, params)).checked()
     return _scattering_entries(params, b)[:, :, 0]
 
 
 def displacement_transfer(params: InterferometerParams, big_omega: float) -> np.ndarray:
-    """Displacement-to-field transfer matrix G at sideband frequency Omega.
+    """Displacement-to-field transfer matrix G at one sideband frequency Omega of one set.
 
-    All frequency-dependent blocks are evaluated at the absolute frequency
-    omega_p + Omega.  Vanishes for a fully transparent membrane.
+    All frequency-dependent blocks are evaluated at omega_p + Omega.  Vanishes for
+    a fully transparent membrane.  Grids and batches: `_displacement_entries`.
     """
-    b = sideband_blocks(params, [big_omega]).checked()
+    b = sideband_blocks(params, _one_point("displacement_transfer", big_omega, params)).checked()
     return _displacement_entries(b)[:, :, 0]
 
 
@@ -326,6 +326,23 @@ def classical_fields(params: InterferometerParams, pump: PortVector) -> Intracav
 def _batch_shape(params: InterferometerParams, *values) -> tuple:
     """Broadcast shape of every params field and ``values``: () for scalars."""
     return np.broadcast(*vars(params).values(), *values).shape
+
+
+def _one_set(caller: str, *records) -> None:
+    """Refuse batched params (exact or reduced) or fields: views and grid passes take one set."""
+    shape = np.broadcast(*(value for record in records for value in vars(record).values())).shape
+    if shape:
+        hint = "; evaluate batched sets with sideband_blocks"  # it evaluates exact sets only
+        raise ValueError(f"{caller} takes one parameter set at a time, got sets of shape {shape}"
+                         + (hint if isinstance(records[0], InterferometerParams) else ""))
+
+
+def _one_point(caller: str, big_omega, *records) -> np.ndarray:
+    """The one-point grid of a scalar view: one real Omega (0-d arrays too) of one set."""
+    if np.ndim(big_omega) > 0:
+        raise ValueError(f"{caller} takes one Omega, got an array of shape {np.shape(big_omega)}")
+    _one_set(caller, *records)
+    return _real_grid(big_omega)
 
 
 def oracle_solve(

@@ -20,6 +20,9 @@ module re-exports another's names (``__all__`` does not count as a read).
 A sixth keeps one record of the reduced model: no function of
 `lumped_mode` that takes ``lp`` also takes ``k_p``, ``epsilon``, ``kappa``
 or ``params``, inputs that `LumpedParams` already carries or is built from.
+A seventh keeps one intake of a scalar view's Omega in the five modules
+above: no call of ``GRID_TAKERS`` gets a list or tuple literal, so no view
+builds its one-point grid by hand past `scattering._one_point`.
 """
 import ast
 import re
@@ -259,3 +262,42 @@ def test_reduced_model_takes_one_record():
     found = restated_inputs(path.read_text())
     assert not found, "lumped_mode.py: " + ", ".join(
         f"line {n}: {name} beside lp" for n, name in found)
+
+
+#: functions that take a sideband grid (`_real_grid`'s is its only argument)
+GRID_TAKERS = {"sideband_blocks", "_real_grid", "_approx_force_entries", "_approx_spring_entries"}
+
+
+def literal_grids(source: str) -> list[tuple[int, str]]:
+    """(line, function) of every ``GRID_TAKERS`` call in ``source`` given a list
+    or tuple literal."""
+    return [(node.lineno, name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and (name := getattr(node.func, "attr", getattr(node.func, "id", None))) in GRID_TAKERS
+            and any(isinstance(arg, (ast.List, ast.Tuple))
+                    for arg in [*node.args, *(k.value for k in node.keywords)])]
+
+
+def test_literal_grid_linter_flags_each_form():
+    source = (
+        "sideband_blocks(params, [big_omega])\n"
+        "scattering.sideband_blocks(params, [[w], [-w]])\n"
+        "_real_grid((big_omega,))\n"
+        "_approx_force_entries(lp, big_omega=[w])\n"
+        "_approx_spring_entries(lp, [[w], [-w]])\n"
+        "sideband_blocks(params, np.stack([grid, -grid]))\n"
+        "sideband_blocks(params, _one_point('view', w, params))\n"
+        "_real_grid(grid)\n"
+        "np.stack([grid, -grid])\n"
+    )
+    assert literal_grids(source) == [
+        (1, "sideband_blocks"), (2, "sideband_blocks"), (3, "_real_grid"),
+        (4, "_approx_force_entries"), (5, "_approx_spring_entries")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_sideband_modules_build_no_grid_by_hand(module):
+    path = Path(msinoise.__file__).parent / f"{module}.py"
+    found = literal_grids(path.read_text())
+    assert not found, f"{module}.py: " + ", ".join(
+        f"line {n}: {name} of a literal grid; use scattering._one_point" for n, name in found)

@@ -72,16 +72,16 @@ class TestForceTransfer:
 
 class TestRigidityMatrices:
     def test_static_part_vanishes_for_perfect_mirror(self):
-        _, k2, _ = rigidity_matrices(make_params(theta_m=0.0), 2e6)
+        _, k2 = rigidity_matrices(make_params(theta_m=0.0), 2e6)
         np.testing.assert_allclose(np.abs(k2), 0.0, atol=1e-12)
 
     def test_static_part_closed_form_at_45_degrees(self):
-        _, k2, _ = rigidity_matrices(make_params(theta_m=math.pi / 4), 2e6)
+        _, k2 = rigidity_matrices(make_params(theta_m=math.pi / 4), 2e6)
         np.testing.assert_allclose(k2, -2.0 * Z, atol=1e-15)
 
     def test_dynamic_part_needs_a_cavity(self):
         prm = make_params(r_s=0.0, t_s=1.0)
-        k1, _, _ = rigidity_matrices(prm, 2e6)
+        k1, _ = rigidity_matrices(prm, 2e6)
         np.testing.assert_allclose(np.abs(k1), 0.0, atol=1e-15)
 
 

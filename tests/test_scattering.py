@@ -9,8 +9,11 @@ from msinoise.algebra import dagger, det2, solve_dense
 from msinoise.cooling import pump_for_intracavity
 from msinoise.errors import OpticalSingularity
 from msinoise.lumped_mode import (
+    _approx_force_entries,
+    _approx_spring_entries,
     approx_force_transfer,
     approx_rigidity,
+    approx_rigidity_matrix,
     canonical_spectra,
     fano_spectrum,
     from_exact,
@@ -20,6 +23,9 @@ from msinoise.lumped_mode import (
 from msinoise.radiation_pressure import (
     _CHUNK,
     _force_entries,
+    _spring_entries,
+    _spring_form,
+    _static_spring,
     force_transfer,
     noise_spectra,
     rigidity,
@@ -60,6 +66,7 @@ OMEGA_ENTRIES = {
     "rigidity_matrices": lambda prm, lp, e, w: rigidity_matrices(prm, w),
     "rigidity": lambda prm, lp, e, w: rigidity(prm, e, w),
     "approx_force_transfer": lambda prm, lp, e, w: approx_force_transfer(lp, w),
+    "approx_rigidity_matrix": lambda prm, lp, e, w: approx_rigidity_matrix(lp, w),
     "approx_rigidity": lambda prm, lp, e, w: approx_rigidity(lp, w, e),
     "noise_spectra": lambda prm, lp, e, w: noise_spectra(prm, e, [1e8, w]),
     "reduction_errors": lambda prm, lp, e, w: reduction_errors(prm, e, [1e8, w]),
@@ -75,6 +82,9 @@ GRID_ENTRIES = {
     "canonical_spectra": lambda prm, lp, e, g: canonical_spectra(lp, e.e_plus, g),
     "fano_spectrum": lambda prm, lp, e, g: fano_spectrum(lp, 1e8, g),
 }
+
+#: the scalar views: one Omega of one set, through `scattering._one_point`
+SCALAR_VIEWS = [entry for entry in OMEGA_ENTRIES if entry not in GRID_ENTRIES]
 
 
 def result_arrays(result) -> tuple:
@@ -478,26 +488,64 @@ class TestBatchedParams:
         with pytest.raises(ValueError, match=f"^{entry} takes one parameter set .*sideband_blocks"):
             GRID_ENTRIES[entry](prm, from_exact(p1), field, rng.uniform(1e6, 1e9, size=n))
 
-    @pytest.mark.parametrize("batched", ["params", "field"])
-    @pytest.mark.parametrize("entry", ["approx_rigidity", "pump_for_intracavity", "rigidity"])
+    @pytest.mark.parametrize("entry, batched", [
+        *((entry, batched) for entry in SCALAR_VIEWS for batched in ("params", "omega")),
+        ("pump_for_intracavity", "params"),
+        *((entry, "field") for entry in ("approx_rigidity", "pump_for_intracavity", "rigidity")),
+    ])
     def test_scalar_views_refuse_batched_sets(self, p1, entry, batched):
-        # a scalar view returns one value: at two sets approx_rigidity used to
-        # return the first set's K and pump_for_intracavity to mix the two
-        call = {
-            "approx_rigidity": lambda prm, lp, e: approx_rigidity(lp, 2e6, e),
-            "pump_for_intracavity": lambda prm, lp, e: pump_for_intracavity(prm, e),
-            "rigidity": lambda prm, lp, e: rigidity(prm, e, 2e6),
-        }[entry]
-        prm, lp = p1, from_exact(p1)
+        # a scalar view returns one value: at two sets or two Omegas the matrix
+        # views returned set 0 or a (2, 2, 2) stack, rigidity_matrices added K2
+        # along the Omega axis, and pump_for_intracavity mixed the two sets
+        call = {**OMEGA_ENTRIES, "pump_for_intracavity":
+                lambda prm, lp, e, w: pump_for_intracavity(prm, e)}[entry]
+        prm, lp, omega = p1, from_exact(p1), 2e6
         field = IntracavityField(P1_E_PLUS, P1_E_MINUS)
         if batched == "params":
             prm = _random_params(np.random.default_rng(22), 2)
             lp = dataclasses.replace(lp, gamma_s=np.array([lp.gamma_s, 2 * lp.gamma_s]))
-        else:
+        elif batched == "field":
             field = IntracavityField(np.array([P1_E_PLUS, 2 * P1_E_PLUS]),
                                      np.array([P1_E_MINUS, 0.5 * P1_E_MINUS]))
-        with pytest.raises(ValueError, match=f"^{entry} takes one parameter set "):
-            call(prm, lp, field)
+        else:
+            omega = np.array([2e6, 3e6])
+        refusal = "one Omega, got an array of shape" if batched == "omega" else "one parameter set"
+        with pytest.raises(ValueError, match=f"^{entry} takes {refusal} ") as err:
+            call(prm, lp, field, omega)
+        # sideband_blocks evaluates batched exact sets, not the reduced model
+        exact_sets = batched != "omega" and not entry.startswith("approx")
+        assert ("sideband_blocks" in str(err.value)) == exact_sets
+
+    def test_rigidity_matrices_refuse_an_omega_array(self, p1):
+        # K1 + K2 used to add the (2, 2) K2 along the trailing Omega axis, so
+        # the total at 2e6 came out off by 1.62 without an error
+        with pytest.raises(ValueError, match="^rigidity_matrices takes one Omega"):
+            rigidity_matrices(p1, np.array([2e6, 3e6]))
+
+    @pytest.mark.parametrize("omega", [0.0, 2e6, np.float64(-3.5e8), np.array(7e8)],
+                             ids=["zero", "float", "float64", "0-d"])
+    def test_scalar_views_are_their_grid_entries(self, p1, omega):
+        # each view equals the entry at its Omega of a grid call, bit for bit;
+        # 0-d arrays and Omega = 0 are one point
+        lp, e = from_exact(p1), IntracavityField(P1_E_PLUS, P1_E_MINUS)
+        grid = np.array([1e5, float(omega), 3e7])
+        b, pair = sideband_blocks(p1, grid), sideband_blocks(p1, np.stack([grid, -grid]))
+        k1, approx_k = _spring_entries(pair), _approx_spring_entries(lp, np.stack([grid, -grid]))
+        arr = e.as_array()
+        k2 = -4.0 * p1.r_m * p1.t_m * np.diag([1.0 + 0j, -1.0])
+        pairs = [
+            (scattering_matrix(p1, omega), _scattering_entries(p1, b)[:, :, 1]),
+            (displacement_transfer(p1, omega), _displacement_entries(b)[:, :, 1]),
+            (force_transfer(p1, omega), _force_entries(b)[:, :, 1]),
+            (np.array(rigidity_matrices(p1, omega)), np.array([k1[:, :, 1], k2])),
+            (np.array(list(vars(rigidity(p1, e, omega)).values())),
+             np.array([_spring_form(p1.k_p, arr, k1)[1], _static_spring(p1, arr)])),
+            (approx_force_transfer(lp, omega), _approx_force_entries(lp, grid)[:, :, 1]),
+            (approx_rigidity_matrix(lp, omega), approx_k[:, :, 1]),
+            (np.array(approx_rigidity(lp, omega, e)), _spring_form(lp.k_p, arr, approx_k)[1]),
+        ]
+        for view, entry in pairs:
+            assert view.shape == entry.shape and view.tobytes() == entry.tobytes()
 
     def test_stacked_oracle_matches_per_case_calls(self):
         rng = np.random.default_rng(16)

@@ -4,9 +4,9 @@ For a weakly transmissive signal-recycling mirror tuned near resonance
 and a small asymmetry p = sqrt(epsilon^2 + kappa^2), the interferometer
 collapses to an effective single mode with bandwidth gamma and detuning
 delta.  The asymmetry contributes its own bandwidth gamma_m (dissipative
-coupling) and detuning shift delta_m (dispersive coupling); the leading
-non-vanishing entries of the force and rigidity matrices take compact
-closed forms, and the dark-port-unpumped spectrum acquires a Fano dip.
+coupling) and detuning shift delta_m (dispersive coupling).  One mode
+response W = D_e^-1 T_tilde, at leading order, gives the force matrix and the
+carrier of a pump through either port, whose force noise has a Fano dip.
 
 Validity of the reduction is reported, never enforced: probing its
 breakdown deliberately is a supported use.
@@ -25,8 +25,8 @@ from .radiation_pressure import (
     _static_spring,
 )
 from .scattering import (
-    HBAR, SPEED_OF_LIGHT, InterferometerParams, IntracavityField, _one_point, _one_set, _real_grid,
-    sideband_blocks,
+    HBAR, SPEED_OF_LIGHT, InterferometerParams, IntracavityField, PortVector, _one_point,
+    _one_set, _real_grid, sideband_blocks,
 )
 
 __all__ = [
@@ -161,6 +161,7 @@ def from_exact(params: InterferometerParams) -> LumpedParams:
     spectral range.  Out-of-regime configurations are flagged, not
     rejected.
     """
+    _one_set("from_exact", params)
     gamma_s = params.t_s**2 / (4.0 * params.tau_s)
     round_trip = 2.0 * params.omega_p * params.tau_s - params.theta_m
     delta_s = float(np.angle(np.exp(1j * round_trip))) / (2.0 * params.tau_s)
@@ -252,17 +253,29 @@ def lorentzians(lp: LumpedParams, big_omega) -> tuple[complex, complex]:
     return ell, ell_s
 
 
-def _approx_force_entries(lp: LumpedParams, big_omega: np.ndarray) -> np.ndarray:
-    """Leading-order F of the reduced model at each Omega, shape (2, 2, N)."""
+def _approx_mode_entries(lp: LumpedParams, big_omega: np.ndarray) -> np.ndarray:
+    """Leading-order mode response W = D_e^-1 T_tilde of the reduced model at each
+    Omega, shape (2, 2, N), in the phase-stripped port gauge: the intracavity
+    (+, -) sideband or carrier per unit stripped port amplitude (west, south)."""
     ell, ell_s = lorentzians(lp, big_omega)
     th, al, p = lp.theta_m, lp.alpha, lp.p
     root = math.sqrt(lp.gamma_s * lp.tau_s)
-    k = 2.0 * lp.r_m / (lp.tau_s * ell)
-    f_10 = (lp.tau_s * ell_s + 0.5j * p**2 * math.sin(2 * al)) * np.exp(1j * th)
+    # every entry divides by tau_ell: a complex product with an unnamed array on
+    # its right may round by the grid's length (see `sideband_blocks`)
+    tau_ell = lp.tau_s * ell
     return np.array([
-        [k * (1j * p * math.sin(al - th)), k * (root * np.exp(-1j * th))],
-        [k * f_10, k * (-root * p * np.exp(1j * (th - al)))],
+        [(lp.tau_s * ell_s + 0.5j * p**2 * math.sin(2 * al)) / tau_ell,
+         -p * np.exp(-1j * al) * root / tau_ell],
+        [1j * p * math.sin(al - th) * np.exp(1j * th) / tau_ell, root / tau_ell],
     ])
+
+
+def _approx_force_entries(lp: LumpedParams, big_omega: np.ndarray) -> np.ndarray:
+    """Leading-order F = 2 R_m [[0, m*], [m, 0]] W at each Omega, shape (2, 2, N):
+    the identity `radiation_pressure._force_entries` spells out, on the reduced W."""
+    w = _approx_mode_entries(lp, big_omega)
+    m = 2.0 * lp.r_m * np.exp(1j * lp.theta_m)
+    return np.array([m.conjugate() * w[1], m * w[0]])
 
 
 def _approx_spring_entries(lp: LumpedParams, big_omega: np.ndarray) -> np.ndarray:
@@ -351,6 +364,7 @@ def canonical_spectra(lp: LumpedParams, e_plus: complex, grid) -> ForceNoiseSpec
     peaked at Omega = -delta with full width at half maximum 2 gamma.
     The rigidity column carries the matching canonical spring.
     """
+    _one_set("canonical_spectra", lp, IntracavityField(e_plus, 0.0))
     grid = _real_grid(grid)
     if np.any(grid == 0.0):
         raise DegenerateFrequency("grid must not contain Omega = 0")
@@ -363,31 +377,18 @@ def canonical_spectra(lp: LumpedParams, e_plus: complex, grid) -> ForceNoiseSpec
     return ForceNoiseSpectrum(grid=grid, s_tilde_pos=s_pos, s_tilde_neg=s_neg, k=k)
 
 
-def fano_spectrum(lp: LumpedParams, a_plus: complex, grid) -> np.ndarray:
-    """Force noise for pumping through the bright port only (A_south = 0).
+def fano_spectrum(lp: LumpedParams, pump: PortVector, grid) -> np.ndarray:
+    """Force noise of the reduced model for a pump through both ports, N^2 s.
 
-    The resonantly enhanced differential field interferes with the
-    symmetric one and carves a Fano dip into the spectrum at
-    Omega = -2 delta_s + 2 epsilon kappa / tau_s, with 2 epsilon kappa =
-    p^2 sin(2 alpha); the dip vanishes with
-    gamma_m.  ``a_plus`` is the west-port pump amplitude; ell(0) in the
-    prefactor is the resonance denominator at zero sideband frequency.
+    ``pump`` is in the phase-stripped gauge, A_j e^{i omega_p tau_j}, and
+    drives the carrier E = W(0) A (`_approx_mode_entries`).  Its resonant
+    differential part interferes with the symmetric one into a Fano dip,
+    which vanishes with gamma_m; with the south port dark it lies at
+    Omega = -2 delta_s + p^2 sin(2 alpha) / tau_s, and a south pump moves it.
     """
-    grid = _real_grid(grid)
-    ell0, _ = lorentzians(lp, 0.0)
-    try:  # a Python float, which raises where numpy would give inf
-        ell0_sq = abs(ell0) ** 2
-    except OverflowError:
-        raise OverflowError(f"Fano prefactor |ell(0)|^2, ell(0) = {ell0!r}, exceeds the "
-                            f"double range at tau_s = {lp.tau_s!r} s") from None
-    ell, _ = lorentzians(lp, grid)
-    pref = 4.0 * HBAR**2 * lp.k_p**2 * lp.r_m**2 * abs(a_plus) ** 2 / (
-        lp.tau_s * ell0_sq * np.abs(ell) ** 2
-    )
-    cross = lp.p**2 * math.sin(2.0 * lp.alpha) / lp.tau_s
-    dip = lp.gamma_m * (2.0 * lp.delta_s - cross + grid) ** 2
-    floor = lp.gamma_s * (lp.gamma**2 + (lp.delta_s - lp.delta_m - cross) ** 2)
-    return pref * (dip + floor)
+    _one_set("fano_spectrum", lp, pump)
+    e = (_approx_mode_entries(lp, np.zeros(1))[:, :, 0] * pump.as_array()).sum(axis=1)
+    return _noise_form(lp.k_p, e, _approx_force_entries(lp, _real_grid(grid)))
 
 
 def strip_propagation_phases(

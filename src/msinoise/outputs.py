@@ -23,7 +23,7 @@ from .lumped_mode import (
     reduction_errors,
 )
 from .radiation_pressure import _CHUNK, noise_spectra
-from .scattering import classical_fields
+from .scattering import PortVector, classical_fields, sideband_blocks
 
 SPECTRUM_HEADER = "Omega,S_tilde_pos,S_tilde_neg,S_sym,Re_K,Im_K,H_opt"
 COMPARE_HEADER = "Omega,err_F,err_K,err_S_tilde,err_S_canonical,err_S_fano"
@@ -160,39 +160,36 @@ def run_compare(cfg: RunConfig, out_dir: Path) -> dict:
 
     Relative-error columns: force transfer matrix (entrywise, in the
     phase-stripped gauge), scalar rigidity, force noise via the reduced
-    matrix, the canonical Lorentzian (using the symmetric field only) and,
-    when the south port is unpumped, the Fano line shape (NaN otherwise).
+    matrix, the canonical Lorentzian (using the symmetric field only) and
+    the Fano line shape of the configured pump, in the stripped gauge.
     The last two are filled in `_CHUNK`-point parts, like the kernel passes.
 
-    Raises ConfigError if the spectrum or any error that applies is not
-    finite (e.g. relative errors of an unpumped, all-zero spectrum) or no row
-    is left, and SingularSweep over 10 % singular points; either way it
-    writes nothing.
+    Raises ConfigError if the spectrum or any error is not finite (e.g.
+    relative errors of an unpumped, all-zero spectrum) or no row is left,
+    and SingularSweep over 10 % singular points; either way it writes nothing.
     """
     params = cfg.params
     field = classical_fields(params, cfg.pump)
     lp = from_exact(params)
-    dark_south = bool(cfg.pump.south == 0)
+    phases = sideband_blocks(params, np.zeros(1)).phases[:, 0]  # e^{i omega_p tau_j}
+    pump = PortVector(*(phases * cfg.pump.as_array()))  # in the stripped gauge
     spec = noise_spectra(params, field, cfg.grid)
     _refuse_non_finite("spectrum", spec.grid, (spec.s_tilde_pos, spec.s_tilde_neg, spec.k))
 
     grid = spec.grid
     err_f, err_k, err_s = reduction_errors(params, field, grid)
-    err_can, err_fano = np.empty(grid.size), np.full(grid.size, np.nan)
+    err_can, err_fano = np.empty((2, grid.size))
     for lo in range(0, grid.size, _CHUNK):
         rows = slice(lo, lo + _CHUNK)
         s_exact = spec.s_tilde_pos[rows]
         s_can = canonical_spectra(lp, field.e_plus, grid[rows]).s_tilde_pos
         err_can[rows] = np.abs(s_exact - s_can) / s_exact
-        if dark_south:
-            s_fano = fano_spectrum(lp, cfg.pump.west, grid[rows])
-            err_fano[rows] = np.abs(s_exact - s_fano) / s_exact
+        err_fano[rows] = np.abs(s_exact - fano_spectrum(lp, pump, grid[rows])) / s_exact
     columns = (grid, err_f, err_k, err_s, err_can, err_fano)
-    _refuse_non_finite("comparison", grid, columns if dark_south else columns[:-1])
+    _refuse_non_finite("comparison", grid, columns)
     couplings = coupling_constants(lp)
     return _write_sweep(
         cfg, out_dir, "compare", _csv_text(COMPARE_HEADER, columns), spec,
-        fano_applicable=dark_south,
         lumped={
             "gamma_s": lp.gamma_s,
             "delta_s": lp.delta_s,

@@ -265,7 +265,8 @@ def test_reduced_model_takes_one_record():
 
 
 #: functions that take a sideband grid (`_real_grid`'s is its only argument)
-GRID_TAKERS = {"sideband_blocks", "_real_grid", "_approx_force_entries", "_approx_spring_entries"}
+GRID_TAKERS = {"sideband_blocks", "_real_grid", "_approx_mode_entries", "_approx_force_entries",
+               "_approx_spring_entries"}
 
 
 def literal_grids(source: str) -> list[tuple[int, str]]:
@@ -285,6 +286,7 @@ def test_literal_grid_linter_flags_each_form():
         "_real_grid((big_omega,))\n"
         "_approx_force_entries(lp, big_omega=[w])\n"
         "_approx_spring_entries(lp, [[w], [-w]])\n"
+        "_approx_mode_entries(lp, (0.0,))\n"
         "sideband_blocks(params, np.stack([grid, -grid]))\n"
         "sideband_blocks(params, _one_point('view', w, params))\n"
         "_real_grid(grid)\n"
@@ -292,7 +294,7 @@ def test_literal_grid_linter_flags_each_form():
     )
     assert literal_grids(source) == [
         (1, "sideband_blocks"), (2, "sideband_blocks"), (3, "_real_grid"),
-        (4, "_approx_force_entries"), (5, "_approx_spring_entries")]
+        (4, "_approx_force_entries"), (5, "_approx_spring_entries"), (6, "_approx_mode_entries")]
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -7,6 +7,7 @@ from scipy.constants import hbar
 
 from msinoise.errors import DegenerateFrequency
 from msinoise.lumped_mode import (
+    TARGET_TAU_S,
     LumpedParams,
     approx_force_transfer,
     approx_rigidity,
@@ -23,8 +24,10 @@ from msinoise.lumped_mode import (
     strip_propagation_phases,
 )
 from msinoise.radiation_pressure import force_transfer, noise_spectra, rigidity
-from msinoise.scattering import InterferometerParams, IntracavityField
-from msinoise.verify import _random_params
+from msinoise.scattering import (
+    InterferometerParams, IntracavityField, PortVector, classical_fields, sideband_blocks,
+)
+from msinoise.verify import _CONV_THETA, _random_params
 
 THETA = 0.15 * math.pi
 K_P = 2 * math.pi / 1.064e-6
@@ -34,6 +37,9 @@ K_P = 2 * math.pi / 1.064e-6
 P1_DELTA_S = -1310374830.645404
 P1_GAMMA_M = 28.813281139545833
 P1_DELTA_M = -196204.5013022525
+
+#: a pump through the west port only, in the stripped gauge
+DARK_SOUTH = PortVector(1e8, 0.0)
 
 
 def lumped(gamma_s=2.5e6, delta_s=-2.0e6, p=0.01, alpha=-0.5,
@@ -328,7 +334,7 @@ class TestFanoSpectrum:
         eps = lp.p * math.cos(lp.alpha)
         kap = lp.p * math.sin(lp.alpha)
         grid = np.linspace(-3 * lp.gamma, 3 * lp.gamma, 65)
-        vals = fano_spectrum(lp, 1e8, grid)
+        vals = fano_spectrum(lp, DARK_SOUTH, grid)
         ell0, _ = lorentzians(lp, 0.0)
         ell = lp.gamma - 1j * (lp.delta + grid)
         cross = 2 * eps * kap / lp.tau_s
@@ -345,11 +351,68 @@ class TestFanoSpectrum:
         predicted = -2 * lp.delta_s + 2 * eps * kap / lp.tau_s
         grid = np.linspace(predicted - lp.gamma, predicted + lp.gamma, 2001)
         # times |ell|^2 the spectrum is the dip term plus an Omega-independent floor
-        vals = fano_spectrum(lp, 1e8, grid)
+        vals = fano_spectrum(lp, DARK_SOUTH, grid)
         ell = lp.gamma - 1j * (lp.delta + grid)
         dip_term = vals * np.abs(ell) ** 2
         found = grid[np.argmin(dip_term)]
         assert abs(found - predicted) <= (grid[1] - grid[0])
+
+
+    @staticmethod
+    def dip_and_floor(lp, a_west, grid):
+        """The dark-south line shape written out as a Lorentzian times a
+        quadratic dip term plus an Omega-independent floor."""
+        ell0, _ = lorentzians(lp, 0.0)
+        ell, _ = lorentzians(lp, grid)
+        pref = 4.0 * hbar**2 * lp.k_p**2 * lp.r_m**2 * abs(a_west) ** 2 / (
+            lp.tau_s * abs(ell0) ** 2 * np.abs(ell) ** 2)
+        cross = lp.p**2 * math.sin(2.0 * lp.alpha) / lp.tau_s
+        dip = lp.gamma_m * (2.0 * lp.delta_s - cross + grid) ** 2
+        floor = lp.gamma_s * (lp.gamma**2 + (lp.delta_s - lp.delta_m - cross) ** 2)
+        return pref * (dip + floor)
+
+    def test_dark_south_is_the_dip_and_floor_formula(self):
+        rng = np.random.default_rng(33)
+        worst = 0.0
+        for _ in range(200):
+            lp = lumped(gamma_s=rng.uniform(1e3, 1e7), delta_s=rng.uniform(-1e7, 1e7),
+                        p=rng.uniform(0.0, 0.1), alpha=rng.uniform(-math.pi, math.pi),
+                        theta_m=rng.uniform(0.0, math.pi / 2), tau_s=rng.uniform(1e-10, 1e-8))
+            a_west = rng.uniform(1e6, 1e9) * np.exp(1j * rng.uniform(-math.pi, math.pi))
+            grid = rng.uniform(-3, 3, 17) * lp.gamma - lp.delta
+            vals = fano_spectrum(lp, PortVector(a_west, 0.0), grid)
+            oracle = self.dip_and_floor(lp, a_west, grid)
+            worst = max(worst, float(np.max(np.abs(vals - oracle) / oracle)))
+        assert worst <= 1e-13
+
+    @staticmethod
+    def fano_case():
+        """`verify.check_fano`'s configuration, its record and its search grid."""
+        p = 0.02
+        gamma_s = p**2 / 50.0 / TARGET_TAU_S
+        gamma_total = gamma_s + p**2 / TARGET_TAU_S
+        prm = params_for_targets(gamma_s=gamma_s, delta_s=0.15 * gamma_total,
+                                 theta_m=_CONV_THETA, p=p, alpha=_CONV_THETA - math.pi / 2)
+        lp = from_exact(prm)
+        predicted = -2.0 * lp.delta_s + 2.0 * prm.epsilon * prm.kappa / prm.tau_s
+        return prm, lp, np.linspace(predicted - 1.5 * lp.gamma, predicted + 1.5 * lp.gamma, 3001)
+
+    @pytest.mark.parametrize("ratio, phase", [
+        (0.0, 0.0), (0.5, 1.0), (0.5, -2.0), (2.0, 1.0), (2.0, -2.0), (8.0, 1.0), (8.0, -2.0),
+    ])
+    def test_two_port_line_shape_tracks_the_exact_spectrum(self, ratio, phase):
+        # a south pump moves the dip (to -2.32 gamma at ratio 8 and phase 1,
+        # from -1.10 gamma dark); the reduced shape follows it
+        prm, lp, grid = self.fano_case()
+        pump = PortVector(1e8, ratio * 1e8 * np.exp(1j * phase))
+        exact = noise_spectra(prm, classical_fields(prm, pump), grid)
+        phases = sideband_blocks(prm, np.zeros(1)).phases[:, 0]
+        shape = fano_spectrum(lp, PortVector(*(phases * pump.as_array())), exact.grid)
+        s = exact.s_tilde_pos
+        assert np.max(np.abs(s - shape) / s) <= 5e-3
+        found, ours = int(np.argmin(s)), int(np.argmin(shape))
+        assert 0 < found < s.size - 1, "the exact dip lies inside the grid"
+        assert abs(found - ours) <= 2
 
 
 class TestRecordWavenumber:
@@ -371,8 +434,8 @@ class TestRecordWavenumber:
     def test_fano_spectrum_scales_by_four(self):
         lp, doubled = self.pair()
         grid = np.linspace(-3 * lp.gamma, 3 * lp.gamma, 16)
-        np.testing.assert_array_equal(fano_spectrum(doubled, 1e8, grid),
-                                      4 * fano_spectrum(lp, 1e8, grid))
+        np.testing.assert_array_equal(fano_spectrum(doubled, DARK_SOUTH, grid),
+                                      4 * fano_spectrum(lp, DARK_SOUTH, grid))
 
     def test_approx_rigidity_scales_by_four(self):
         lp, doubled = self.pair()

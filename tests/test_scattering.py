@@ -71,7 +71,7 @@ OMEGA_ENTRIES = {
     "noise_spectra": lambda prm, lp, e, w: noise_spectra(prm, e, [1e8, w]),
     "reduction_errors": lambda prm, lp, e, w: reduction_errors(prm, e, [1e8, w]),
     "canonical_spectra": lambda prm, lp, e, w: canonical_spectra(lp, e.e_plus, [1e8, w]),
-    "fano_spectrum": lambda prm, lp, e, w: fano_spectrum(lp, 1e8, [1e8, w]),
+    "fano_spectrum": lambda prm, lp, e, w: fano_spectrum(lp, PortVector(1e8, 2e6j), [1e8, w]),
 }
 
 #: the entry points that take a grid, as (params, lp, field, grid) -> a call
@@ -80,7 +80,7 @@ GRID_ENTRIES = {
     "noise_spectra": lambda prm, lp, e, g: noise_spectra(prm, e, g),
     "reduction_errors": lambda prm, lp, e, g: reduction_errors(prm, e, g),
     "canonical_spectra": lambda prm, lp, e, g: canonical_spectra(lp, e.e_plus, g),
-    "fano_spectrum": lambda prm, lp, e, g: fano_spectrum(lp, 1e8, g),
+    "fano_spectrum": lambda prm, lp, e, g: fano_spectrum(lp, PortVector(1e8, 2e6j), g),
 }
 
 #: the scalar views: one Omega of one set, through `scattering._one_point`
@@ -515,6 +515,26 @@ class TestBatchedParams:
         # sideband_blocks evaluates batched exact sets, not the reduced model
         exact_sets = batched != "omega" and not entry.startswith("approx")
         assert ("sideband_blocks" in str(err.value)) == exact_sets
+
+    @pytest.mark.parametrize("entry, batched", [
+        ("from_exact", "params"), ("canonical_spectra", "amplitude"),
+        ("canonical_spectra", "record"), ("fano_spectrum", "pump"), ("fano_spectrum", "record"),
+    ])
+    def test_reduced_intakes_refuse_batched_inputs(self, p1, entry, batched):
+        # from_exact raised numpy's TypeError of a float() cast, and
+        # canonical_spectra paired amplitude i with Omega i of its grid
+        lp, grid, amp = from_exact(p1), np.array([2e6, 3e6]), 1e8
+        if batched == "record":
+            lp = dataclasses.replace(lp, gamma_s=np.array([lp.gamma_s, 2 * lp.gamma_s]))
+        elif batched != "params":
+            amp = np.array([1e8, 2e8])
+        call = {
+            "from_exact": lambda: from_exact(_random_params(np.random.default_rng(23), 2)),
+            "canonical_spectra": lambda: canonical_spectra(lp, amp, grid),
+            "fano_spectrum": lambda: fano_spectrum(lp, PortVector(amp, 1e6), grid),
+        }[entry]
+        with pytest.raises(ValueError, match=f"^{entry} takes one parameter set at a time"):
+            call()
 
     def test_rigidity_matrices_refuse_an_omega_array(self, p1):
         # K1 + K2 used to add the (2, 2) K2 along the trailing Omega axis, so

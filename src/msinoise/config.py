@@ -118,9 +118,7 @@ def _path_time(section: dict, name: str, path: str) -> float:
     tau_key, length_key = f"tau_{name}_s", f"l_{name}_m"
     has_tau, has_len = tau_key in section, length_key in section
     if has_tau == has_len:
-        raise ConfigError(
-            f"{path}.{tau_key}", f"give exactly one of {tau_key}, {length_key}"
-        )
+        raise ConfigError(f"{path}.{tau_key}", f"give exactly one of {tau_key}, {length_key}")
     if has_tau:
         return _number(section, tau_key, path)
     return _number(section, length_key, path) / SPEED_OF_LIGHT
@@ -158,6 +156,8 @@ def _sweep_grid(section: dict, path: str) -> np.ndarray:
                           f"need an integer in [2, {MAX_POINTS}], got {points!r}")
     spacing = _get(section, "spacing", path, required=False, default="linear")
     if spacing == "linear":
+        if not math.isfinite(stop - start):  # linspace's step would overflow, a point to NaN
+            raise ConfigError(f"{path}.stop_rad_s", f"stop - start = {stop - start!r} overflows")
         return np.linspace(start, stop, points)
     if spacing == "log":
         if start <= 0.0 or stop <= 0.0:

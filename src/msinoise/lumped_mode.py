@@ -6,7 +6,8 @@ collapses to an effective single mode with bandwidth gamma and detuning
 delta.  The asymmetry contributes its own bandwidth gamma_m (dissipative
 coupling) and detuning shift delta_m (dispersive coupling).  One mode
 response W = D_e^-1 T_tilde, at leading order, gives the force matrix and the
-carrier of a pump through either port, whose force noise has a Fano dip.
+carrier of a pump through either port; `approx_spectra` reads the force noise
+and rigidity of any field from it, the canonical Lorentzian at e_minus = 0.
 
 Validity of the reduction is reported, never enforced: probing its
 breakdown deliberately is a supported use.
@@ -25,7 +26,7 @@ from .radiation_pressure import (
     _static_spring,
 )
 from .scattering import (
-    HBAR, SPEED_OF_LIGHT, InterferometerParams, IntracavityField, PortVector, _one_point,
+    SPEED_OF_LIGHT, InterferometerParams, IntracavityField, PortVector, _one_point,
     _one_set, _real_grid, sideband_blocks,
 )
 
@@ -43,7 +44,7 @@ __all__ = [
     "approx_rigidity_matrix",
     "approx_rigidity",
     "reduction_errors",
-    "canonical_spectra",
+    "approx_spectra",
     "fano_spectrum",
     "strip_propagation_phases",
 ]
@@ -312,8 +313,8 @@ def approx_rigidity_matrix(lp: LumpedParams, big_omega: float) -> np.ndarray:
 def approx_rigidity(lp: LumpedParams, big_omega: float, field: IntracavityField) -> complex:
     """Scalar optical rigidity of the reduced model at one Omega of one record and field, N/m.
 
-    For a purely symmetric field (e_minus = 0) this reduces algebraically
-    to the canonical form
+    The K of `approx_spectra`, Omega = 0 allowed.  For a purely symmetric
+    field (e_minus = 0) it is the canonical spring
     4 hbar k_p^2 R_m^2 |E+|^2 delta / (tau_s ell(Omega) ell*(-Omega))
     (single power of hbar: the density |E|^2 is a photon flux).
     """
@@ -357,23 +358,22 @@ def reduction_errors(
     return err_f, err_k, err_s
 
 
-def canonical_spectra(lp: LumpedParams, e_plus: complex, grid) -> ForceNoiseSpectrum:
-    """Canonical Lorentzian force noise for symmetric pumping (e_minus = 0).
+def approx_spectra(lp: LumpedParams, field: IntracavityField, grid) -> ForceNoiseSpectrum:
+    """Reduced-model force noise and rigidity over a sideband grid, as `noise_spectra`.
 
-    s_tilde(Omega) = 4 hbar^2 k_p^2 R_m^2 |E+|^2 gamma / (tau_s |ell|^2),
-    peaked at Omega = -delta with full width at half maximum 2 gamma.
-    The rigidity column carries the matching canonical spring.
+    S_tilde(+/-Omega) and K are the noise and spring forms of ``field`` on
+    `_approx_force_entries` and `_approx_spring_entries` over (+grid, -grid).
+    K has no static part K2.  Raises DegenerateFrequency at Omega = 0.  At
+    e_minus = 0, S_tilde = 4 hbar^2 k_p^2 R_m^2 |E+|^2 gamma / (tau_s |ell|^2),
+    the canonical Lorentzian at -delta, 2 gamma wide.
     """
-    _one_set("canonical_spectra", lp, IntracavityField(e_plus, 0.0))
+    _one_set("approx_spectra", lp, field)
     grid = _real_grid(grid)
     if np.any(grid == 0.0):
         raise DegenerateFrequency("grid must not contain Omega = 0")
-    amp = 4.0 * HBAR**2 * lp.k_p**2 * lp.r_m**2 * abs(e_plus) ** 2 * lp.gamma / lp.tau_s
-    ell_pos, ell_neg = lorentzians(lp, np.stack([grid, -grid]))[0]
-    s_pos = amp / np.abs(ell_pos) ** 2
-    s_neg = amp / np.abs(ell_neg) ** 2
-    k_amp = 4.0 * HBAR * lp.k_p**2 * lp.r_m**2 * abs(e_plus) ** 2 * lp.delta / lp.tau_s
-    k = k_amp / (ell_pos * np.conj(ell_neg))
+    both, e = np.stack([grid, -grid]), field.as_array()
+    s_pos, s_neg = _noise_form(lp.k_p, e, _approx_force_entries(lp, both))
+    k = _spring_form(lp.k_p, e, _approx_spring_entries(lp, both))
     return ForceNoiseSpectrum(grid=grid, s_tilde_pos=s_pos, s_tilde_neg=s_neg, k=k)
 
 

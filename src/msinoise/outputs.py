@@ -16,14 +16,14 @@ from .config import RunConfig, config_digest
 from .cooling import occupancy, optimize_pump
 from .errors import ConfigError, OpticalSingularity, SingularSweep
 from .lumped_mode import (
-    canonical_spectra,
+    approx_spectra,
     coupling_constants,
     fano_spectrum,
     from_exact,
     reduction_errors,
 )
 from .radiation_pressure import _CHUNK, noise_spectra
-from .scattering import PortVector, classical_fields, sideband_blocks
+from .scattering import IntracavityField, PortVector, classical_fields, sideband_blocks
 
 SPECTRUM_HEADER = "Omega,S_tilde_pos,S_tilde_neg,S_sym,Re_K,Im_K,H_opt"
 COMPARE_HEADER = "Omega,err_F,err_K,err_S_tilde,err_S_canonical,err_S_fano"
@@ -160,7 +160,7 @@ def run_compare(cfg: RunConfig, out_dir: Path) -> dict:
 
     Relative-error columns: force transfer matrix (entrywise, in the
     phase-stripped gauge), scalar rigidity, force noise via the reduced
-    matrix, the canonical Lorentzian (using the symmetric field only) and
+    matrix, `approx_spectra` of the symmetric field alone (e_minus = 0) and
     the Fano line shape of the configured pump, in the stripped gauge.
     The last two are filled in `_CHUNK`-point parts, like the kernel passes.
 
@@ -182,7 +182,7 @@ def run_compare(cfg: RunConfig, out_dir: Path) -> dict:
     for lo in range(0, grid.size, _CHUNK):
         rows = slice(lo, lo + _CHUNK)
         s_exact = spec.s_tilde_pos[rows]
-        s_can = canonical_spectra(lp, field.e_plus, grid[rows]).s_tilde_pos
+        s_can = approx_spectra(lp, IntracavityField(field.e_plus, 0.0), grid[rows]).s_tilde_pos
         err_can[rows] = np.abs(s_exact - s_can) / s_exact
         err_fano[rows] = np.abs(s_exact - fano_spectrum(lp, pump, grid[rows])) / s_exact
     columns = (grid, err_f, err_k, err_s, err_can, err_fano)

@@ -266,7 +266,7 @@ def test_reduced_model_takes_one_record():
 
 #: functions that take a sideband grid (`_real_grid`'s is its only argument)
 GRID_TAKERS = {"sideband_blocks", "_real_grid", "_approx_mode_entries", "_approx_force_entries",
-               "_approx_spring_entries"}
+               "_approx_spring_entries", "approx_spectra", "fano_spectrum"}
 
 
 def literal_grids(source: str) -> list[tuple[int, str]]:
@@ -287,6 +287,8 @@ def test_literal_grid_linter_flags_each_form():
         "_approx_force_entries(lp, big_omega=[w])\n"
         "_approx_spring_entries(lp, [[w], [-w]])\n"
         "_approx_mode_entries(lp, (0.0,))\n"
+        "approx_spectra(lp, field, [w])\n"
+        "lumped_mode.fano_spectrum(lp, pump, grid=(w, -w))\n"
         "sideband_blocks(params, np.stack([grid, -grid]))\n"
         "sideband_blocks(params, _one_point('view', w, params))\n"
         "_real_grid(grid)\n"
@@ -294,7 +296,8 @@ def test_literal_grid_linter_flags_each_form():
     )
     assert literal_grids(source) == [
         (1, "sideband_blocks"), (2, "sideband_blocks"), (3, "_real_grid"),
-        (4, "_approx_force_entries"), (5, "_approx_spring_entries"), (6, "_approx_mode_entries")]
+        (4, "_approx_force_entries"), (5, "_approx_spring_entries"), (6, "_approx_mode_entries"),
+        (7, "approx_spectra"), (8, "fano_spectrum")]
 
 
 @pytest.mark.parametrize("module", MODULES)

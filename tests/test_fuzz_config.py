@@ -190,7 +190,7 @@ def test_unmutated_base_exits_0(tmp_path, command, raw, flags):
 @settings(derandomize=True, database=None, max_examples=250, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(raw=configs(FULL_BASE, FULL_LEAVES))
-# the canonical line shape overflows to NaN at a vanishing tau_s
+# a vanishing tau_s: gamma / tau_s overflows, the reduced forms do not
 @example(raw=_with(("interferometer",), "tau_s_s", 1e-300, FULL_BASE))
 def test_compare_refuses_or_writes_finite_errors(raw):
     with tempfile.TemporaryDirectory() as tmp:

@@ -9,12 +9,13 @@ from msinoise.errors import DegenerateFrequency
 from msinoise.lumped_mode import (
     TARGET_TAU_S,
     LumpedParams,
+    _approx_mode_entries,
     approx_force_transfer,
     approx_rigidity,
     approx_rigidity_matrix,
+    approx_spectra,
     asymmetry_polar,
     asymmetry_rates,
-    canonical_spectra,
     coupling_constants,
     fano_spectrum,
     from_exact,
@@ -46,6 +47,11 @@ def lumped(gamma_s=2.5e6, delta_s=-2.0e6, p=0.01, alpha=-0.5,
            theta_m=THETA, tau_s=1e-9) -> LumpedParams:
     return LumpedParams(gamma_s=gamma_s, delta_s=delta_s, tau_s=tau_s, p=p,
                         alpha=alpha, theta_m=theta_m, k_p=K_P)
+
+
+def canonical(lp, e_plus, grid):
+    """The reduced record of a symmetric field (e_minus = 0), the canonical Lorentzian."""
+    return approx_spectra(lp, IntracavityField(e_plus, 0.0), grid)
 
 
 class TestAsymmetryPolar:
@@ -300,7 +306,7 @@ class TestCanonicalSpectra:
         lp = lumped(p=0.0, alpha=0.0)
         e_plus = 3e8
         grid = np.array([-lp.delta])  # resonance
-        spec = canonical_spectra(lp, e_plus, grid)
+        spec = canonical(lp, e_plus, grid)
         peak = 4 * hbar**2 * K_P**2 * lp.r_m**2 * abs(e_plus) ** 2 / (
             lp.tau_s * lp.gamma)
         assert spec.s_tilde_pos[0] == pytest.approx(peak, rel=1e-12)
@@ -309,21 +315,21 @@ class TestCanonicalSpectra:
         lp = lumped()
         grid = np.linspace(-4 * lp.gamma, 4 * lp.gamma, 33)
         grid = grid[grid != 0.0]
-        spec = canonical_spectra(lp, 2e8, grid)
-        pos_of_neg = canonical_spectra(lp, 2e8, -grid).s_tilde_pos
+        spec = canonical(lp, 2e8, grid)
+        pos_of_neg = canonical(lp, 2e8, -grid).s_tilde_pos
         np.testing.assert_allclose(
             spec.s_sym, (spec.s_tilde_pos + pos_of_neg) / 2, rtol=1e-14
         )
 
     def test_half_width(self):
         lp = lumped()
-        at_peak = canonical_spectra(lp, 2e8, [-lp.delta]).s_tilde_pos[0]
-        at_hwhm = canonical_spectra(lp, 2e8, [-lp.delta + lp.gamma]).s_tilde_pos[0]
+        at_peak = canonical(lp, 2e8, [-lp.delta]).s_tilde_pos[0]
+        at_hwhm = canonical(lp, 2e8, [-lp.delta + lp.gamma]).s_tilde_pos[0]
         assert at_hwhm == pytest.approx(at_peak / 2, rel=1e-12)
 
     def test_rejects_zero_frequency(self):
         with pytest.raises(DegenerateFrequency):
-            canonical_spectra(lumped(), 1e8, [0.0])
+            canonical(lumped(), 1e8, [0.0])
 
 
 class TestFanoSpectrum:
@@ -385,6 +391,19 @@ class TestFanoSpectrum:
             worst = max(worst, float(np.max(np.abs(vals - oracle) / oracle)))
         assert worst <= 1e-13
 
+    def test_is_the_record_of_its_carrier(self):
+        # the one-sided line shape is the S_tilde(+Omega) column of `approx_spectra`
+        # for the carrier E = W(0) A, bit for bit
+        rng = np.random.default_rng(37)
+        for size in (1, 17, 3001):
+            lp = lumped(gamma_s=rng.uniform(1e3, 1e7), delta_s=rng.uniform(-1e7, 1e7),
+                        p=rng.uniform(0.0, 0.1), alpha=rng.uniform(-math.pi, math.pi))
+            pump = PortVector(*(rng.uniform(1e6, 1e9, 2) * np.exp(1j * rng.uniform(-3, 3, 2))))
+            carrier = (_approx_mode_entries(lp, np.zeros(1))[:, :, 0] * pump.as_array()).sum(axis=1)
+            grid = rng.uniform(-3, 3, size) * lp.gamma - lp.delta
+            record = approx_spectra(lp, IntracavityField(*carrier), grid)
+            np.testing.assert_array_equal(fano_spectrum(lp, pump, grid), record.s_tilde_pos)
+
     @staticmethod
     def fano_case():
         """`verify.check_fano`'s configuration, its record and its search grid."""
@@ -424,10 +443,10 @@ class TestRecordWavenumber:
         lp = lumped(p=0.02, gamma_s=8e3, delta_s=6e4)
         return lp, dataclasses.replace(lp, k_p=2 * lp.k_p)
 
-    def test_canonical_spectra_scale_by_four(self):
+    def test_canonical_record_scales_by_four(self):
         lp, doubled = self.pair()
         grid = np.linspace(-3 * lp.gamma, 3 * lp.gamma, 16)
-        one, two = canonical_spectra(lp, 2e8, grid), canonical_spectra(doubled, 2e8, grid)
+        one, two = canonical(lp, 2e8, grid), canonical(doubled, 2e8, grid)
         for name in ("s_tilde_pos", "s_tilde_neg", "k"):
             np.testing.assert_array_equal(getattr(two, name), 4 * getattr(one, name))
 
@@ -455,7 +474,7 @@ def test_canonical_symmetrised_closed_form():
     lp = lumped()
     grid = np.linspace(-4 * lp.gamma, 4 * lp.gamma, 33)
     grid = grid[grid != 0.0]
-    spec = canonical_spectra(lp, 2e8, grid)
+    spec = canonical(lp, 2e8, grid)
     amp = 4 * hbar**2 * K_P**2 * lp.r_m**2 * abs(2e8) ** 2 * lp.gamma / lp.tau_s
     ell_pos_sq = lp.gamma**2 + (lp.delta + grid) ** 2
     ell_neg_sq = lp.gamma**2 + (lp.delta - grid) ** 2
@@ -490,7 +509,7 @@ def test_exact_matches_canonical_at_zero_asymmetry():
     grid = np.linspace(-5 * lp.gamma, 5 * lp.gamma, 81)
     grid = grid[grid != 0.0]
     exact = noise_spectra(prm, field, grid)
-    canon = canonical_spectra(lp, field.e_plus, grid)
+    canon = approx_spectra(lp, field, grid)
     err = np.max(np.abs(exact.s_tilde_pos - canon.s_tilde_pos)
                  / canon.s_tilde_pos)
     assert err <= 2.0 * lp.gamma * lp.tau_s

@@ -1,17 +1,21 @@
-"""Symbolic oracle for the reduced model: D_e expanded in sympy.
+"""Symbolic oracle for the reduced model: D_e and the spring expanded in sympy.
 
 The reduced model's resonance ell(Omega) = gamma - i(delta + Omega), with
 the asymmetry rates gamma_m and delta_m of `lumped_mode.asymmetry_rates`,
-and its mode response W are hand-typed.  Here D_e at r_w = 0 is
-transcribed into sympy entry by entry, as `scattering.sideband_blocks`
-forms it, its determinant tied to the kernel's ``d`` at random points, and
-expanded with epsilon, kappa and t_s of order lambda and
-x = (delta_s + Omega) tau_s of order lambda^2.  The lambda^2 coefficient of
-det D_e must be 2 tau_s ell(Omega), and the leading coefficient of each
-entry of adj(D_e) diag(1, t_s), the stripped D_e^-1 T_tilde times det D_e,
-must be 2 tau_s ell(Omega) W.  The exact force matrix is that response
-times 2 R_m [[0, m*], [m, 0]], which ties W to the force noise.
+its mode response W and its spring are hand-typed.  Here D_e and the
+one-sided spring generator K_g are transcribed into sympy entry by entry,
+as `scattering.sideband_blocks` and `radiation_pressure._spring_entries`
+form them, tied to the kernel at random points, and at r_w = 0 expanded
+with epsilon, kappa and t_s of order lambda and x = (delta_s + Omega) tau_s
+of order lambda^2.  The lambda^2 coefficient of det D_e must be
+2 tau_s ell(Omega), and the leading coefficient of each entry of
+adj(D_e) diag(1, t_s), the stripped D_e^-1 T_tilde times det D_e, must be
+2 tau_s ell(Omega) W.  The exact force matrix is that response times
+2 R_m [[0, m*], [m, 0]], which ties W to the force noise.  At e_minus = 0
+the force row and the leading K_g[0, 0] give the canonical Lorentzian and
+spring, which are thereby derived, not typed.
 """
+import functools
 import math
 from pathlib import Path
 
@@ -19,39 +23,76 @@ import numpy as np
 import sympy as sp
 
 import msinoise
+from msinoise.algebra import cc_close
 from msinoise.lumped_mode import (
-    LumpedParams, _approx_mode_entries, asymmetry_polar, from_exact, lorentzians,
+    LumpedParams, _approx_force_entries, _approx_mode_entries, _approx_spring_entries,
+    asymmetry_polar, from_exact, lorentzians,
 )
-from msinoise.radiation_pressure import _force_entries
+from msinoise.radiation_pressure import _force_entries, _spring_entries
 from msinoise.scattering import InterferometerParams, sideband_blocks
 from msinoise.verify import _conv_params, _random_params
 
 EPS, KAP, THETA = sp.symbols("epsilon kappa theta_m", real=True)
+RHO_W = sp.Symbol("rho_w")  # r_w e^{2 i omega tau_w}, the kernel's r_tilde[0]
 RHO_S = sp.Symbol("rho_s")  # r_s e^{2 i omega tau_s}, the kernel's r_tilde[1]
 LAM, T_S, X = sp.symbols("lambda t_s x", real=True)
+Y = sp.Symbol("y", real=True)  # (delta_s - Omega) tau_s, x at -Omega
+R_M = sp.cos(THETA)
 
 
-def d_e_matrix(eps, kap, theta, rho_s):
-    """D_e at r_w = 0 (rho_w = 0), with D_e = Q^dagger - R_tilde Q^T M
-    written entry by entry as `sideband_blocks` writes it."""
+def mixer(eps, kap, theta):
+    """C, S, m = e^{i theta_m} and their conjugates, as the kernel's ``factors``."""
     c = sp.cos(eps) * sp.cos(kap) + sp.I * sp.sin(eps) * sp.sin(kap)
     s = sp.sin(eps) * sp.cos(kap) + sp.I * sp.cos(eps) * sp.sin(kap)
     m = sp.exp(sp.I * theta)
-    c_bar, s_bar, m_bar = (sp.conjugate(z) for z in (c, s, m))
-    return sp.Matrix([[c_bar, s_bar], [rho_s * s_bar * m - s, c - rho_s * c_bar * m_bar]])
+    return c, s, m, *(sp.conjugate(z) for z in (c, s, m))
 
 
-D_E = d_e_matrix(EPS, KAP, THETA, RHO_S)
+def d_e_matrix(eps, kap, theta, rho_w, rho_s):
+    """D_e = Q^dagger - R_tilde Q^T M written entry by entry as `sideband_blocks` writes it."""
+    c, s, m, c_bar, s_bar, m_bar = mixer(eps, kap, theta)
+    return sp.Matrix([[c_bar - rho_w * c * m, s_bar - rho_w * s * m_bar],
+                      [rho_s * s_bar * m - s, c - rho_s * c_bar * m_bar]])
+
+
+def spring_numerator(eps, kap, theta, rho_w, rho_s):
+    """d K_g / (-4i R_m^2), K_g = -4i R_m^2 X (M Q R_tilde Q^T - rho_w rho_s 1) X / d
+    the one-sided spring generator, entry by entry as `_spring_entries` forms it."""
+    c, s, m, c_bar, s_bar, m_bar = mixer(eps, kap, theta)
+    both = rho_w * rho_s
+    cross = c * s * rho_w - sp.conjugate(c * s) * rho_s
+    q_00 = s * s * rho_w + c_bar**2 * rho_s
+    q_11 = c * c * rho_w + s_bar**2 * rho_s
+    return sp.Matrix([[m_bar * q_00 - both, m_bar * cross], [m * cross, m * q_11 - both]])
+
+
+D_E = d_e_matrix(EPS, KAP, THETA, 0, RHO_S)  # at r_w = 0, as the reduction
 DET = D_E.det()
 # delta_s tau_s = omega_p tau_s - theta_m / 2 (mod pi), as `from_exact`
 # reads it, so e^{2 i omega tau_s} = e^{i theta_m} e^{2 i x}
 SCALED_RHO_S = sp.sqrt(1 - (LAM * T_S) ** 2) * sp.exp(sp.I * THETA) * sp.exp(2 * sp.I * LAM**2 * X)
 SCALING = {RHO_S: SCALED_RHO_S, EPS: LAM * EPS, KAP: LAM * KAP}
+# tau_s gamma = t_s^2 / 4 + p^2 sin^2(theta_m - alpha) and tau_s delta_m =
+# p^2 R_m sin(theta_m - 2 alpha), in the unscaled symbols
+TAU_GAMMA = T_S**2 / 4 + (EPS * sp.sin(THETA) - KAP * R_M) ** 2
+TAU_DELTA_M = R_M * (sp.sin(THETA) * (EPS**2 - KAP**2) - 2 * EPS * KAP * R_M)
+
+
+def tau_ell(x):
+    """tau_s ell = tau_s gamma - i (x + tau_s delta_m) at x = (delta_s + Omega) tau_s."""
+    return TAU_GAMMA - sp.I * (x + TAU_DELTA_M)
 
 
 def order(expr, k):
     """The lambda^k coefficient of ``expr``."""
     return expr.diff(LAM, k).subs(LAM, 0) / math.factorial(k)
+
+
+@functools.cache
+def det_orders():
+    """The lambda^0 to lambda^2 coefficients of det D_e."""
+    scaled = DET.subs(SCALING)
+    return tuple(order(scaled, k) for k in range(3))
 
 
 def random_record(rng):
@@ -84,9 +125,9 @@ def test_transcription_is_the_kernel_determinant():
 
 
 def test_leading_order_is_twice_tau_s_ell():
-    scaled = DET.subs(SCALING)
-    orders = [order(scaled, k) for k in range(3)]
+    orders = det_orders()
     assert [sp.simplify(o) for o in orders[:2]] == [0, 0]
+    assert sp.simplify(sp.expand_complex(orders[2] - 2 * tau_ell(X))) == 0
     second = sp.lambdify((EPS, KAP, THETA, T_S, X), orders[2], "numpy")
 
     rng = np.random.default_rng(30)
@@ -133,6 +174,83 @@ def test_mode_response_is_the_leading_order_of_the_stripped_inverse():
         expected = 2.0 * lp.tau_s * ell * _approx_mode_entries(lp, np.array([big_omega]))[:, :, 0]
         for (i, j), coefficient in leading.items():
             worst = max(worst, abs(coefficient(*point) - expected[i, j]) / abs(expected[i, j]))
+    assert worst <= 1e-12
+
+
+def test_record_rates_are_the_symbolic_rates():
+    # tau_ell's rates are the record's: gamma_s from t_s, gamma_m and delta_m
+    # from `asymmetry_rates`
+    rates = sp.lambdify((EPS, KAP, THETA, T_S), (TAU_GAMMA, TAU_DELTA_M), "numpy")
+    rng = np.random.default_rng(33)
+    for _ in range(24):
+        (eps, kap, theta, t_s, _), lp, _ = random_record(rng)
+        tau_gamma, tau_delta_m = rates(eps, kap, theta, t_s)
+        assert abs(tau_gamma - lp.tau_s * lp.gamma) <= 1e-12 * lp.tau_s * lp.gamma
+        assert abs(tau_delta_m - lp.tau_s * lp.delta_m) <= 1e-12 * lp.tau_s * lp.gamma
+
+
+def test_spring_transcription_is_the_kernel_generator():
+    # K1 = K_g(+Omega) + K_g(-Omega)^dagger, with power recycling too
+    d = d_e_matrix(EPS, KAP, THETA, RHO_W, RHO_S).det()
+    k_g = -4 * sp.I * R_M**2 * spring_numerator(EPS, KAP, THETA, RHO_W, RHO_S) / d
+    generator = sp.lambdify((EPS, KAP, THETA, RHO_W, RHO_S), k_g, "numpy")
+    rng = np.random.default_rng(34)
+    n = 200
+    params = _random_params(rng, n)
+    grid = rng.uniform(-1e9, 1e9, n)
+    b = sideband_blocks(params, np.stack([grid, -grid]))
+    gen = np.array(generator(params.epsilon, params.kappa, params.theta_m, *b.r_tilde))
+    exact = _spring_entries(b)
+    closed = cc_close(gen[:, :, 0], gen[:, :, 1])
+    assert (np.abs(closed - exact).max(axis=(0, 1)) / np.abs(exact).max(axis=(0, 1))).max() <= 1e-12
+
+
+def test_spring_leading_order_is_the_reduced_spring_on_the_symmetric_mode():
+    # K_g = -4i R_m^2 N / d at r_w = 0, and d starts at lambda^2: entry (i, j)
+    # of N starts at lambda^(i + j), so K_g at lambda^(i + j - 2).  Only the
+    # leading [0, 0] entry is `_approx_spring_entries`': its other three
+    # entries are not the leading order of K_g
+    scaled = spring_numerator(EPS, KAP, THETA, 0, RHO_S).subs(SCALING)
+    for i, j in np.ndindex(2, 2):
+        assert [sp.simplify(order(scaled[i, j], k)) for k in range(i + j)] == [0] * (i + j)
+    assert sp.simplify(order(scaled[0, 0], 0)) == 1
+    leading = sp.lambdify((EPS, KAP, THETA, T_S, X), -4 * sp.I * R_M**2 / det_orders()[2], "numpy")
+
+    rng = np.random.default_rng(35)
+    worst = 0.0
+    for _ in range(24):
+        (eps, kap, theta, t_s, x), lp, big_omega = random_record(rng)
+        x_neg = (lp.delta_s - big_omega) * lp.tau_s
+        closed = leading(eps, kap, theta, t_s, x) + np.conj(leading(eps, kap, theta, t_s, x_neg))
+        reduced = _approx_spring_entries(lp, np.array([[big_omega], [-big_omega]]))[0, 0, 0]
+        worst = max(worst, abs(closed - reduced) / abs(reduced))
+    assert worst <= 1e-12
+
+
+def test_symmetric_mode_gives_the_canonical_lorentzian_and_spring():
+    # at e_minus = 0 the force row is 2 R_m m* W[1, :], and tau_s ell W[1, :]
+    # is the lambda coefficient of the bottom row of adj(D_e) diag(1, t_s) over
+    # 2: its power is tau_s gamma, so sum_j |F[0, j]|^2 = 4 R_m^2 gamma / (tau_s |ell|^2)
+    scaled = (D_E.adjugate() * sp.diag(1, LAM * T_S)).subs(SCALING)
+    row = [sp.expand_complex(order(scaled[1, j], 1)) for j in range(2)]
+    assert sp.simplify(sum(sp.re(a) ** 2 + sp.im(a) ** 2 for a in row) - 4 * TAU_GAMMA) == 0
+    # the leading K_g[0, 0] = -2i R_m^2 / tau_s ell, closed over +/-Omega, is
+    # 4 R_m^2 delta / (tau_s ell(Omega) ell*(-Omega)); tau_s delta = (x + y) / 2 + tau_s delta_m
+    closed = -2 * sp.I * R_M**2 / tau_ell(X) + sp.conjugate(-2 * sp.I * R_M**2 / tau_ell(Y))
+    spring = 4 * R_M**2 * ((X + Y) / 2 + TAU_DELTA_M) / (tau_ell(X) * sp.conjugate(tau_ell(Y)))
+    assert sp.simplify(closed - spring) == 0
+
+    rng = np.random.default_rng(36)
+    worst = 0.0
+    for _ in range(24):
+        _, lp, big_omega = random_record(rng)
+        ell, _ = lorentzians(lp, np.array([big_omega, -big_omega]))
+        force = _approx_force_entries(lp, np.array([big_omega]))[0, :, 0]
+        lorentzian = 4 * lp.r_m**2 * lp.gamma / (lp.tau_s * abs(ell[0]) ** 2)
+        k = _approx_spring_entries(lp, np.array([[big_omega], [-big_omega]]))[0, 0, 0]
+        canonical_k = 4 * lp.r_m**2 * lp.delta / (lp.tau_s * ell[0] * ell[1].conjugate())
+        worst = max(worst, abs(np.sum(np.abs(force) ** 2) - lorentzian) / lorentzian,
+                    abs(k - canonical_k) / abs(canonical_k))
     assert worst <= 1e-12
 
 

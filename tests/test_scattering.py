@@ -14,7 +14,7 @@ from msinoise.lumped_mode import (
     approx_force_transfer,
     approx_rigidity,
     approx_rigidity_matrix,
-    canonical_spectra,
+    approx_spectra,
     fano_spectrum,
     from_exact,
     params_for_targets,
@@ -70,7 +70,7 @@ OMEGA_ENTRIES = {
     "approx_rigidity": lambda prm, lp, e, w: approx_rigidity(lp, w, e),
     "noise_spectra": lambda prm, lp, e, w: noise_spectra(prm, e, [1e8, w]),
     "reduction_errors": lambda prm, lp, e, w: reduction_errors(prm, e, [1e8, w]),
-    "canonical_spectra": lambda prm, lp, e, w: canonical_spectra(lp, e.e_plus, [1e8, w]),
+    "approx_spectra": lambda prm, lp, e, w: approx_spectra(lp, e, [1e8, w]),
     "fano_spectrum": lambda prm, lp, e, w: fano_spectrum(lp, PortVector(1e8, 2e6j), [1e8, w]),
 }
 
@@ -79,7 +79,7 @@ GRID_ENTRIES = {
     "sideband_blocks": lambda prm, lp, e, g: sideband_blocks(prm, g),
     "noise_spectra": lambda prm, lp, e, g: noise_spectra(prm, e, g),
     "reduction_errors": lambda prm, lp, e, g: reduction_errors(prm, e, g),
-    "canonical_spectra": lambda prm, lp, e, g: canonical_spectra(lp, e.e_plus, g),
+    "approx_spectra": lambda prm, lp, e, g: approx_spectra(lp, e, g),
     "fano_spectrum": lambda prm, lp, e, g: fano_spectrum(lp, PortVector(1e8, 2e6j), g),
 }
 
@@ -517,12 +517,12 @@ class TestBatchedParams:
         assert ("sideband_blocks" in str(err.value)) == exact_sets
 
     @pytest.mark.parametrize("entry, batched", [
-        ("from_exact", "params"), ("canonical_spectra", "amplitude"),
-        ("canonical_spectra", "record"), ("fano_spectrum", "pump"), ("fano_spectrum", "record"),
+        ("from_exact", "params"), ("approx_spectra", "field"),
+        ("approx_spectra", "record"), ("fano_spectrum", "pump"), ("fano_spectrum", "record"),
     ])
     def test_reduced_intakes_refuse_batched_inputs(self, p1, entry, batched):
-        # from_exact raised numpy's TypeError of a float() cast, and
-        # canonical_spectra paired amplitude i with Omega i of its grid
+        # from_exact raised numpy's TypeError of a float() cast, and the
+        # canonical Lorentzian paired amplitude i with Omega i of its grid
         lp, grid, amp = from_exact(p1), np.array([2e6, 3e6]), 1e8
         if batched == "record":
             lp = dataclasses.replace(lp, gamma_s=np.array([lp.gamma_s, 2 * lp.gamma_s]))
@@ -530,7 +530,7 @@ class TestBatchedParams:
             amp = np.array([1e8, 2e8])
         call = {
             "from_exact": lambda: from_exact(_random_params(np.random.default_rng(23), 2)),
-            "canonical_spectra": lambda: canonical_spectra(lp, amp, grid),
+            "approx_spectra": lambda: approx_spectra(lp, IntracavityField(amp, 0.0), grid),
             "fano_spectrum": lambda: fano_spectrum(lp, PortVector(amp, 1e6), grid),
         }[entry]
         with pytest.raises(ValueError, match=f"^{entry} takes one parameter set at a time"):

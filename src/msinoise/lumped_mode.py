@@ -6,8 +6,9 @@ collapses to an effective single mode with bandwidth gamma and detuning
 delta.  The asymmetry contributes its own bandwidth gamma_m (dissipative
 coupling) and detuning shift delta_m (dispersive coupling).  One mode
 response W = D_e^-1 T_tilde, at leading order, gives the force matrix and the
-carrier of a pump through either port; `approx_spectra` reads the force noise
-and rigidity of any field from it, the canonical Lorentzian at e_minus = 0.
+carrier of a pump through either port; K comes from the spring generator K_g,
+not from W, and is leading-order right for any field.  `approx_spectra` reads
+the force noise and K from both; at e_minus = 0 they are the canonical ones.
 
 Validity of the reduction is reported, never enforced: probing its
 breakdown deliberately is a supported use.
@@ -280,17 +281,15 @@ def _approx_force_entries(lp: LumpedParams, big_omega: np.ndarray) -> np.ndarray
 
 
 def _approx_spring_entries(lp: LumpedParams, big_omega: np.ndarray) -> np.ndarray:
-    """Leading-order K, conjugate-closed over a (2, ...) pair grid (+grid, -grid);
-    shape (2, 2, ...) over the remaining axes, as `radiation_pressure._spring_entries`."""
-    ell, ell_s = lorentzians(lp, big_omega)
-    th, al, p = lp.theta_m, lp.alpha, lp.p
-    eps = p * math.cos(al)
+    """Leading-order K, conjugate-closed over a (2, ...) pair grid (+grid, -grid), shape
+    (2, 2, ...) as `radiation_pressure._spring_entries`: the generator is the leading
+    order of the exact K_g, rank one, k R_m u v^T with k = -2i R_m / (tau_s ell),
+    u = (1, -p e^{i(2 theta_m - alpha)}) and v = (1, -p e^{-i alpha})."""
+    ell, _ = lorentzians(lp, big_omega)
     k = -2j * lp.r_m / (lp.tau_s * ell)
-    g_11 = (lp.tau_s * ell_s + eps**2) * np.exp(1j * th)
-    gen = np.array([
-        [k * lp.r_m, k * (-lp.r_m * p * np.exp(-1j * al))],
-        [k * (-lp.r_m * p * np.exp(2j * (th - al))), k * g_11],
-    ])
+    u = (1.0, -lp.p * np.exp(1j * (2 * lp.theta_m - lp.alpha)))
+    v = (1.0, -lp.p * np.exp(-1j * lp.alpha))
+    gen = np.array([[k * (lp.r_m * u_i * v_j) for v_j in v] for u_i in u])
     return cc_close(gen[:, :, 0], gen[:, :, 1])
 
 

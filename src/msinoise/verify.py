@@ -264,7 +264,7 @@ def check_convergence(seed: int) -> InvariantResult:
     With the regime scaling held fixed (gamma_s tau_s and delta_s tau_s
     proportional to p^2), the worst relative error over |Omega| <= 5 gamma
     must be <= 10 p at p = 0.02 for each of F, K and the force noise,
-    and the combined worst error must fall by 0.5 +/- 50% per p-halving.
+    and the combined worst error must fall by 0.25 +/- 50% per p-halving.
     """
     tol = 10.0 * 0.02
     p_values = (0.02, 0.01, 0.005)
@@ -272,7 +272,7 @@ def check_convergence(seed: int) -> InvariantResult:
     worst_at_02 = max(errors[0.02])
     combined = [max(errors[p]) for p in p_values]
     ratios = [combined[i + 1] / combined[i] for i in range(2)]
-    ratio_ok = all(0.25 <= r <= 0.75 for r in ratios)
+    ratio_ok = all(0.125 <= r <= 0.375 for r in ratios)
     passed = worst_at_02 <= tol and ratio_ok
     detail = (
         f"err(F,K,S)@p=0.02 = ({errors[0.02][0]:.3e}, {errors[0.02][1]:.3e}, "

@@ -52,7 +52,7 @@ def test_criterion_03_oracle_equivalence():
 
 
 def test_criterion_04_lumped_convergence():
-    """Reduced-model error <= 10 p at p = 0.02 and halves (within 50%) per
+    """Reduced-model error <= 10 p at p = 0.02 and falls x0.25 (within 50%) per
     p-halving, regime scaling held fixed, |Omega| <= 5 gamma."""
     _assert(check_convergence(DEFAULT_SEED), 0.2)
 

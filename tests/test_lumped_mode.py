@@ -24,11 +24,11 @@ from msinoise.lumped_mode import (
     reduction_errors,
     strip_propagation_phases,
 )
-from msinoise.radiation_pressure import force_transfer, noise_spectra, rigidity
+from msinoise.radiation_pressure import force_transfer, noise_spectra, rigidity, rigidity_matrices
 from msinoise.scattering import (
     InterferometerParams, IntracavityField, PortVector, classical_fields, sideband_blocks,
 )
-from msinoise.verify import _CONV_THETA, _random_params
+from msinoise.verify import _CONV_THETA, _conv_params, _random_params
 
 THETA = 0.15 * math.pi
 K_P = 2 * math.pi / 1.064e-6
@@ -215,6 +215,19 @@ class TestApproxRigidity:
         m_pos = approx_rigidity_matrix(lp, 2e6)
         gen_sum = approx_rigidity_matrix(lp, -2e6)
         np.testing.assert_allclose(m_pos, gen_sum.conj().T, atol=1e-30)
+
+    def test_every_entry_converges_to_the_exact_k1_as_p_squared(self):
+        # the next order of each entry is lambda^2 beyond the leading one, so
+        # each entry's worst relative error falls x0.25 per halving of p
+        worst = []
+        for p in (0.02, 0.01, 0.005):
+            params = _conv_params(p)
+            lp = from_exact(params)
+            errors = [np.abs(approx_rigidity_matrix(lp, w) / rigidity_matrices(params, w)[0] - 1)
+                      for w in np.linspace(-5 * lp.gamma, 5 * lp.gamma, 41)]
+            worst.append(np.max(errors, axis=0))
+        ratios = np.array([worst[1] / worst[0], worst[2] / worst[1]])
+        assert np.all((ratios >= 0.125) & (ratios <= 0.375)), (worst, ratios)
 
 
 class TestReductionErrors:

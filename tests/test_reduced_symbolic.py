@@ -11,9 +11,11 @@ of order lambda^2.  The lambda^2 coefficient of det D_e must be
 2 tau_s ell(Omega), and the leading coefficient of each entry of
 adj(D_e) diag(1, t_s), the stripped D_e^-1 T_tilde times det D_e, must be
 2 tau_s ell(Omega) W.  The exact force matrix is that response times
-2 R_m [[0, m*], [m, 0]], which ties W to the force noise.  At e_minus = 0
-the force row and the leading K_g[0, 0] give the canonical Lorentzian and
-spring, which are thereby derived, not typed.
+2 R_m [[0, m*], [m, 0]], which ties W to the force noise.  The leading
+order of each entry of K_g, closed over +/-Omega, is the reduced spring.  At
+e_minus = 0 the force row and the leading K_g[0, 0] give the canonical
+Lorentzian and spring, and the spring's low-frequency Taylor coefficients,
+which are thereby derived, not typed.
 """
 import functools
 import math
@@ -26,11 +28,11 @@ import msinoise
 from msinoise.algebra import cc_close
 from msinoise.lumped_mode import (
     LumpedParams, _approx_force_entries, _approx_mode_entries, _approx_spring_entries,
-    asymmetry_polar, from_exact, lorentzians,
+    approx_rigidity, asymmetry_polar, from_exact, lorentzians,
 )
 from msinoise.radiation_pressure import _force_entries, _spring_entries
-from msinoise.scattering import InterferometerParams, sideband_blocks
-from msinoise.verify import _conv_params, _random_params
+from msinoise.scattering import HBAR, InterferometerParams, IntracavityField, sideband_blocks
+from msinoise.verify import _CONV_FIELD, _conv_params, _random_params
 
 EPS, KAP, THETA = sp.symbols("epsilon kappa theta_m", real=True)
 RHO_W = sp.Symbol("rho_w")  # r_w e^{2 i omega tau_w}, the kernel's r_tilde[0]
@@ -93,6 +95,13 @@ def det_orders():
     """The lambda^0 to lambda^2 coefficients of det D_e."""
     scaled = DET.subs(SCALING)
     return tuple(order(scaled, k) for k in range(3))
+
+
+@functools.cache
+def spring_numerator_orders():
+    """N of `spring_numerator` at r_w = 0, scaled, and its lambda^(i + j) coefficients."""
+    scaled = spring_numerator(EPS, KAP, THETA, 0, RHO_S).subs(SCALING)
+    return scaled, sp.Matrix(2, 2, lambda i, j: order(scaled[i, j], i + j))
 
 
 def random_record(rng):
@@ -205,25 +214,26 @@ def test_spring_transcription_is_the_kernel_generator():
     assert (np.abs(closed - exact).max(axis=(0, 1)) / np.abs(exact).max(axis=(0, 1))).max() <= 1e-12
 
 
-def test_spring_leading_order_is_the_reduced_spring_on_the_symmetric_mode():
+def test_spring_leading_order_is_the_reduced_spring_in_every_entry():
     # K_g = -4i R_m^2 N / d at r_w = 0, and d starts at lambda^2: entry (i, j)
-    # of N starts at lambda^(i + j), so K_g at lambda^(i + j - 2).  Only the
-    # leading [0, 0] entry is `_approx_spring_entries`': its other three
-    # entries are not the leading order of K_g
-    scaled = spring_numerator(EPS, KAP, THETA, 0, RHO_S).subs(SCALING)
+    # of N starts at lambda^(i + j), so K_g at lambda^(i + j - 2).  Each entry's
+    # leading order, closed over +/-Omega, is `_approx_spring_entries`'
+    scaled, leading_n = spring_numerator_orders()
     for i, j in np.ndindex(2, 2):
         assert [sp.simplify(order(scaled[i, j], k)) for k in range(i + j)] == [0] * (i + j)
-    assert sp.simplify(order(scaled[0, 0], 0)) == 1
-    leading = sp.lambdify((EPS, KAP, THETA, T_S, X), -4 * sp.I * R_M**2 / det_orders()[2], "numpy")
+    assert sp.simplify(leading_n[0, 0]) == 1
+    generator = -4 * sp.I * R_M**2 * leading_n / det_orders()[2]
+    leading = sp.lambdify((EPS, KAP, THETA, T_S, X), generator, "numpy")
 
     rng = np.random.default_rng(35)
     worst = 0.0
     for _ in range(24):
         (eps, kap, theta, t_s, x), lp, big_omega = random_record(rng)
         x_neg = (lp.delta_s - big_omega) * lp.tau_s
-        closed = leading(eps, kap, theta, t_s, x) + np.conj(leading(eps, kap, theta, t_s, x_neg))
-        reduced = _approx_spring_entries(lp, np.array([[big_omega], [-big_omega]]))[0, 0, 0]
-        worst = max(worst, abs(closed - reduced) / abs(reduced))
+        closed = cc_close(np.array(leading(eps, kap, theta, t_s, x)),
+                          np.array(leading(eps, kap, theta, t_s, x_neg)))
+        reduced = _approx_spring_entries(lp, np.array([[big_omega], [-big_omega]]))[:, :, 0]
+        worst = max(worst, (np.abs(closed - reduced) / np.abs(reduced)).max())
     assert worst <= 1e-12
 
 
@@ -252,6 +262,57 @@ def test_symmetric_mode_gives_the_canonical_lorentzian_and_spring():
         worst = max(worst, abs(np.sum(np.abs(force) ** 2) - lorentzian) / lorentzian,
                     abs(k - canonical_k) / abs(canonical_k))
     assert worst <= 1e-12
+
+
+def test_low_frequency_spring_series():
+    # the closed leading generator is g(Omega) + g(-Omega)^dagger with
+    # g = -4i R_m^2 n / (2 tau_s ell), n the leading N above, so for any field
+    # e^dagger K e / (hbar k_p^2) = c(Omega) a + conj(c(-Omega) a) with
+    # c = -2i R_m^2 / (tau_s ell) and a = e^dagger n e.  Its Taylor series at
+    # Omega = 0 is K_0 - i Omega H_0 - m_opt Omega^2
+    gam, tau = sp.symbols("gamma tau_s", positive=True)
+    dlt, om, a_re, a_im, power = sp.symbols("delta Omega a_re a_im E2", real=True)
+
+    def c(w):
+        return -2 * sp.I * R_M**2 / (tau * (gam - sp.I * (dlt + w)))
+
+    a = a_re + sp.I * a_im
+    spring = c(om) * a + sp.conjugate(c(-om) * a)
+    taylor = [sp.diff(spring, om, n).subs(om, 0) / math.factorial(n) for n in range(3)]
+    series = (taylor[0], sp.I * taylor[1], -taylor[2])  # K_0, H_0, m_opt
+
+    # at e_minus = 0, a = |E+|^2 n[0, 0] = |E+|^2; K_a = 4 R_m^2 |E+|^2 delta / tau_s
+    k_a = 4 * R_M**2 * power * dlt / tau
+    pole = gam**2 + dlt**2
+    inertia = (3 * gam**2 - dlt**2) / pole**3  # m_opt / K_a
+    expected = (k_a / pole, -2 * gam * k_a / pole**2, k_a * inertia)
+    for term, form in zip(series, expected):
+        assert sp.simplify(term.subs({a_re: power, a_im: 0}) - form) == 0
+    # so the optical inertia changes sign at |delta| = sqrt(3) gamma
+    assert inertia.subs(dlt, sp.sqrt(3) * gam) == 0
+    assert [inertia.subs({gam: 1, dlt: d}) > 0 for d in (-1.74, -1.73, 1.73, 1.74)] == [
+        False, True, True, False]
+
+    # on the reduced model at Omega = 1e-3 gamma: K_0 is K(0), H_0 is -Im K / Omega
+    # and m_opt is -(Re K - K_0) / Omega^2, the last two up to O(Omega^2 / (gamma^2
+    # + delta^2)), measured 7.1e-7 and 3.4e-7 relative for both fields
+    numerator = sp.lambdify((EPS, KAP, THETA), spring_numerator_orders()[1], "numpy")
+    coefficients = sp.lambdify((gam, dlt, tau, THETA, a_re, a_im), series, "numpy")
+    params = _conv_params(0.02)
+    lp = from_exact(params)
+    n = np.array(numerator(params.epsilon, params.kappa, params.theta_m))
+    big_omega = 1e-3 * lp.gamma
+    for field in (IntracavityField(3e8, 0.0), _CONV_FIELD):
+        e = field.as_array()
+        amp = e.conj() @ n @ e
+        scale = HBAR * lp.k_p**2
+        k_0, h_0, m_opt = (scale * coefficient for coefficient in coefficients(
+            lp.gamma, lp.delta, lp.tau_s, lp.theta_m, amp.real, amp.imag))
+        static = approx_rigidity(lp, 0.0, field)
+        k = approx_rigidity(lp, big_omega, field)
+        assert abs(static - k_0) <= 1e-14 * abs(k_0)
+        assert abs(-k.imag / big_omega - h_0) <= 1e-6 * abs(h_0)
+        assert abs(-(k.real - static.real) / big_omega**2 - m_opt) <= 1e-6 * abs(m_opt)
 
 
 def test_kernel_determinant_approaches_twice_tau_s_ell():

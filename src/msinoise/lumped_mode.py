@@ -6,9 +6,12 @@ collapses to an effective single mode with bandwidth gamma and detuning
 delta.  The asymmetry contributes its own bandwidth gamma_m (dissipative
 coupling) and detuning shift delta_m (dispersive coupling).  One mode
 response W = D_e^-1 T_tilde, at leading order, gives the force matrix and the
-carrier of a pump through either port; K comes from the spring generator K_g,
-not from W, and is leading-order right for any field.  `approx_spectra` reads
-the force noise and K from both; at e_minus = 0 they are the canonical ones.
+carrier of a pump through either port (`approx_fields`); K comes from the spring
+generator K_g, not from W, and is leading-order right for any field.
+`approx_spectra` reads the force noise and K from both; at e_minus = 0 they are
+the canonical ones.  W is in the phase-stripped port gauge, the one-way port
+phases e^{i omega tau_j} absorbed into the port amplitudes; only this module
+meets the exact gauge (`approx_fields` strips a pump, `reduction_errors` F).
 
 Validity of the reduction is reported, never enforced: probing its
 breakdown deliberately is a supported use.
@@ -45,9 +48,9 @@ __all__ = [
     "approx_rigidity_matrix",
     "approx_rigidity",
     "reduction_errors",
+    "approx_fields",
     "approx_spectra",
     "fano_spectrum",
-    "strip_propagation_phases",
 ]
 
 #: smallness threshold for the validity flags
@@ -112,11 +115,12 @@ class LumpedParams:
 
 @dataclass(frozen=True)
 class CouplingConstants:
-    """Dispersive coupling and the dissipative combination g_diss/sqrt(2 gamma_m).
+    """Dispersive coupling g_disp = -k_p d(delta_m)/d(kappa) and the dissipative
+    combination g_diss / sqrt(gamma_m), g_diss = -k_p d(gamma_m)/d(kappa).
 
-    The dissipative combination (not bare g_diss) is what enters the
-    coupling Hamiltonian; its magnitude 2 k_p R_m / sqrt(tau_s) is
-    independent of the asymmetry magnitude.
+    The combination (not bare g_diss) enters the coupling Hamiltonian; its
+    magnitude 2 k_p R_m / sqrt(tau_s) is independent of the asymmetry
+    magnitude.  Its overall sign against the exact optical pole is open.
     """
 
     g_disp: float
@@ -236,13 +240,13 @@ def coupling_constants(lp: LumpedParams) -> CouplingConstants:
 
     g_disp = 2 k_p R_m p cos(theta_m - alpha) / tau_s vanishes for a
     purely dissipative configuration (theta_m - alpha = pi/2).  The
-    dissipative combination has magnitude 2 k_p R_m / sqrt(tau_s) whatever
-    theta_m - alpha, so it jumps sign at theta_m = alpha, where the sign is
-    taken as 0; only the bare g_diss, proportional to p sin(theta_m - alpha),
-    passes through zero continuously there.
+    dissipative combination has magnitude 2 k_p R_m / sqrt(tau_s) and the
+    sign of sin(theta_m - alpha): it jumps at theta_m = alpha (sign 0 there)
+    and at theta_m - alpha = pi; only the bare g_diss, proportional to
+    p sin(theta_m - alpha), passes through zero continuously.
     """
     g_disp = 2.0 * lp.k_p * lp.r_m * lp.p * math.cos(lp.theta_m - lp.alpha) / lp.tau_s
-    sign = float(np.sign(lp.theta_m - lp.alpha))
+    sign = float(np.sign(math.sin(lp.theta_m - lp.alpha)))
     g_diss_combo = 2.0 * lp.k_p * lp.r_m * sign / math.sqrt(lp.tau_s)
     return CouplingConstants(g_disp=g_disp, g_diss_combo=g_diss_combo)
 
@@ -297,8 +301,8 @@ def approx_force_transfer(lp: LumpedParams, big_omega: float) -> np.ndarray:
     """Leading-order force transfer matrix of the reduced interferometer at one Omega.
 
     Written in the phase-stripped port gauge: the single-pass propagation
-    phases of the two ports are absorbed into the field references (see
-    `strip_propagation_phases`).  Top row O(1/p), bottom row O(1); grids: `_approx_force_entries`.
+    phases of the two ports are absorbed into the field references (see the
+    module docstring).  Top row O(1/p), bottom row O(1); grids: `_approx_force_entries`.
     """
     return _approx_force_entries(lp, _one_point("approx_force_transfer", big_omega, lp))[:, :, 0]
 
@@ -357,6 +361,15 @@ def reduction_errors(
     return err_f, err_k, err_s
 
 
+def approx_fields(params: InterferometerParams, pump: PortVector) -> IntracavityField:
+    """The reduced twin of `classical_fields`: E = W(0) A of `from_exact(params)`, for
+    the pump A stripped once of its carrier port phases e^{i omega_p tau_j}."""
+    _one_set("approx_fields", params, pump)
+    stripped = sideband_blocks(params, np.zeros(1)).phases[:, 0] * pump.as_array()
+    w = _approx_mode_entries(from_exact(params), np.zeros(1))[:, :, 0]
+    return IntracavityField(*(w * stripped).sum(axis=1).tolist())
+
+
 def approx_spectra(lp: LumpedParams, field: IntracavityField, grid) -> ForceNoiseSpectrum:
     """Reduced-model force noise and rigidity over a sideband grid, as `noise_spectra`.
 
@@ -376,33 +389,14 @@ def approx_spectra(lp: LumpedParams, field: IntracavityField, grid) -> ForceNois
     return ForceNoiseSpectrum(grid=grid, s_tilde_pos=s_pos, s_tilde_neg=s_neg, k=k)
 
 
-def fano_spectrum(lp: LumpedParams, pump: PortVector, grid) -> np.ndarray:
-    """Force noise of the reduced model for a pump through both ports, N^2 s.
+def fano_spectrum(lp: LumpedParams, field: IntracavityField, grid) -> np.ndarray:
+    """One-sided force noise S_tilde(+Omega) of the reduced model over ``grid``, N^2 s.
 
-    ``pump`` is in the phase-stripped gauge, A_j e^{i omega_p tau_j}, and
-    drives the carrier E = W(0) A (`_approx_mode_entries`).  Its resonant
-    differential part interferes with the symmetric one into a Fano dip,
-    which vanishes with gamma_m; with the south port dark it lies at
-    Omega = -2 delta_s + p^2 sin(2 alpha) / tau_s, and a south pump moves it.
+    The ``s_tilde_pos`` of `approx_spectra`, bit for bit, without its -Omega half
+    or K; Omega = 0 allowed.  On the carrier `approx_fields` of a pump through
+    both ports, the resonant differential part interferes with the symmetric one
+    into a Fano dip that vanishes with gamma_m; with the south port dark it lies
+    at Omega = -2 delta_s + p^2 sin(2 alpha) / tau_s, and a south pump moves it.
     """
-    _one_set("fano_spectrum", lp, pump)
-    e = (_approx_mode_entries(lp, np.zeros(1))[:, :, 0] * pump.as_array()).sum(axis=1)
-    return _noise_form(lp.k_p, e, _approx_force_entries(lp, _real_grid(grid)))
-
-
-def strip_propagation_phases(
-    params: InterferometerParams,
-    matrix: np.ndarray,
-    big_omega,
-) -> np.ndarray:
-    """Remove the single-pass port phases from an exact transfer matrix.
-
-    The reduced-model matrices reference the input fields at the
-    recycling mirrors without their one-way propagation phase; exact
-    matrices carry that phase on each column.  Scaling each column by the
-    conjugated phase puts both in the same gauge, which is what entrywise
-    exact-vs-reduced comparisons require.  Quadratic observables (spectra,
-    rigidity) are blind to this gauge.  Takes a 2x2 matrix at one Omega or
-    a (2, 2, N) stack at N values of Omega.
-    """
-    return matrix * sideband_blocks(params, big_omega).phases.conj().reshape(matrix.shape[1:])
+    _one_set("fano_spectrum", lp, field)
+    return _noise_form(lp.k_p, field.as_array(), _approx_force_entries(lp, _real_grid(grid)))

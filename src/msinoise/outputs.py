@@ -16,14 +16,14 @@ from .config import RunConfig, config_digest
 from .cooling import occupancy, optimize_pump
 from .errors import ConfigError, OpticalSingularity, SingularSweep
 from .lumped_mode import (
-    approx_spectra,
+    approx_fields,
     coupling_constants,
     fano_spectrum,
     from_exact,
     reduction_errors,
 )
 from .radiation_pressure import _CHUNK, noise_spectra
-from .scattering import IntracavityField, PortVector, classical_fields, sideband_blocks
+from .scattering import IntracavityField, classical_fields
 
 SPECTRUM_HEADER = "Omega,S_tilde_pos,S_tilde_neg,S_sym,Re_K,Im_K,H_opt"
 COMPARE_HEADER = "Omega,err_F,err_K,err_S_tilde,err_S_canonical,err_S_fano"
@@ -160,8 +160,8 @@ def run_compare(cfg: RunConfig, out_dir: Path) -> dict:
 
     Relative-error columns: force transfer matrix (entrywise, in the
     phase-stripped gauge), scalar rigidity, force noise via the reduced
-    matrix, `approx_spectra` of the symmetric field alone (e_minus = 0) and
-    the Fano line shape of the configured pump, in the stripped gauge.
+    matrix, then `fano_spectrum` of the symmetric field alone (e_minus = 0)
+    and of the pump's reduced carrier `approx_fields` (the Fano line shape).
     The last two are filled in `_CHUNK`-point parts, like the kernel passes.
 
     Raises ConfigError if the spectrum or any error is not finite (e.g.
@@ -170,9 +170,8 @@ def run_compare(cfg: RunConfig, out_dir: Path) -> dict:
     """
     params = cfg.params
     field = classical_fields(params, cfg.pump)
+    symmetric, carrier = IntracavityField(field.e_plus, 0.0), approx_fields(params, cfg.pump)
     lp = from_exact(params)
-    phases = sideband_blocks(params, np.zeros(1)).phases[:, 0]  # e^{i omega_p tau_j}
-    pump = PortVector(*(phases * cfg.pump.as_array()))  # in the stripped gauge
     spec = noise_spectra(params, field, cfg.grid)
     _refuse_non_finite("spectrum", spec.grid, (spec.s_tilde_pos, spec.s_tilde_neg, spec.k))
 
@@ -182,9 +181,8 @@ def run_compare(cfg: RunConfig, out_dir: Path) -> dict:
     for lo in range(0, grid.size, _CHUNK):
         rows = slice(lo, lo + _CHUNK)
         s_exact = spec.s_tilde_pos[rows]
-        s_can = approx_spectra(lp, IntracavityField(field.e_plus, 0.0), grid[rows]).s_tilde_pos
-        err_can[rows] = np.abs(s_exact - s_can) / s_exact
-        err_fano[rows] = np.abs(s_exact - fano_spectrum(lp, pump, grid[rows])) / s_exact
+        err_can[rows] = np.abs(s_exact - fano_spectrum(lp, symmetric, grid[rows])) / s_exact
+        err_fano[rows] = np.abs(s_exact - fano_spectrum(lp, carrier, grid[rows])) / s_exact
     columns = (grid, err_f, err_k, err_s, err_can, err_fano)
     _refuse_non_finite("comparison", grid, columns)
     couplings = coupling_constants(lp)

@@ -23,6 +23,9 @@ or ``params``, inputs that `LumpedParams` already carries or is built from.
 A seventh keeps one intake of a scalar view's Omega in the five modules
 above: no call of ``GRID_TAKERS`` gets a list or tuple literal, so no view
 builds its one-point grid by hand past `scattering._one_point`.
+An eighth keeps one owner of the phase-stripped port gauge: only `scattering`,
+which forms `SidebandBlocks.phases`, and `lumped_mode`, which strips pumps and
+exact matrices with them, read ``.phases``.
 """
 import ast
 import re
@@ -306,3 +309,35 @@ def test_sideband_modules_build_no_grid_by_hand(module):
     found = literal_grids(path.read_text())
     assert not found, f"{module}.py: " + ", ".join(
         f"line {n}: {name} of a literal grid; use scattering._one_point" for n, name in found)
+
+
+#: the modules that may read the one-way port phases
+PHASE_READERS = {"scattering.py", "lumped_mode.py"}
+
+
+def phase_reads(source: str) -> list[int]:
+    """Lines of every ``.phases`` read, or ``getattr`` of "phases", in ``source``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if (isinstance(node, ast.Attribute) and node.attr == "phases")
+                  or (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+                      and any(isinstance(arg, ast.Constant) and arg.value == "phases"
+                              for arg in node.args)))
+
+
+def test_phase_read_linter_flags_each_form():
+    source = (
+        "b.phases\n"
+        "sideband_blocks(params, np.zeros(1)).phases[:, 0]\n"
+        "getattr(b, 'phases')\n"
+        "phases = np.exp(1j * omega)\n"
+        "SidebandBlocks(omega, phases)\n"
+        "b.r_tilde\n"
+    )
+    assert phase_reads(source) == [1, 2, 3]
+
+
+def test_only_the_reduced_model_meets_the_port_gauge():
+    package = Path(msinoise.__file__).parent
+    uses = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+            if path.name not in PHASE_READERS for line in phase_reads(path.read_text())]
+    assert not uses, "port phases read outside scattering and lumped_mode: " + ", ".join(uses)

@@ -22,7 +22,7 @@ from msinoise.lumped_mode import from_exact, params_for_targets
 from msinoise.outputs import _ROWS, run_cooling
 from msinoise.radiation_pressure import noise_spectra
 from msinoise.scattering import (
-    InterferometerParams, IntracavityField, PortVector, classical_fields, sideband_blocks,
+    InterferometerParams, IntracavityField, classical_fields, sideband_blocks,
 )
 
 P1_CONFIG = {
@@ -53,13 +53,6 @@ def write_config(tmp_path, cfg, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
-
-
-def stripped_pump(cfg):
-    """The configured pump in the phase-stripped gauge, A_j e^{i omega_p tau_j}."""
-    prm = cfg.params
-    phases = np.exp(1j * (np.array([prm.tau_w, prm.tau_s]) * prm.omega_p))
-    return PortVector(*(phases * cfg.pump.as_array()))
 
 
 def config_for_params(params, sweep, pump=None, **extra):
@@ -508,7 +501,7 @@ class TestCompareCommand:
 
     def test_model_columns_in_parts_equal_one_whole_grid_call(self, tmp_path):
         from msinoise import outputs
-        from msinoise.lumped_mode import approx_spectra, fano_spectrum
+        from msinoise.lumped_mode import approx_fields, approx_spectra, fano_spectrum
         from msinoise.radiation_pressure import noise_spectra
         from msinoise.scattering import classical_fields
 
@@ -524,15 +517,15 @@ class TestCompareCommand:
         spec = noise_spectra(params, field, cfg.grid)
         s = spec.s_tilde_pos
         s_can = approx_spectra(lp, IntracavityField(field.e_plus, 0.0), spec.grid).s_tilde_pos
-        s_fano = fano_spectrum(lp, stripped_pump(cfg), spec.grid)
+        s_fano = fano_spectrum(lp, approx_fields(params, cfg.pump), spec.grid)
         for column, model in (("err_S_canonical", s_can), ("err_S_fano", s_fano)):
             written = np.array([float(row[column]) for row in rows])
             assert written.tobytes() == (np.abs(s - model) / s).tobytes(), column
 
     def test_pumped_south_port_fills_the_fano_column(self, tmp_path):
-        # the reduced line shape takes a pump through both ports, so the
-        # column holds the error of the stripped configured pump's shape
-        from msinoise.lumped_mode import fano_spectrum
+        # the reduced carrier takes a pump through both ports, so the column
+        # holds the error of the line shape of the configured pump's carrier
+        from msinoise.lumped_mode import approx_fields, fano_spectrum
 
         raw = json.loads(json.dumps(P1_CONFIG))
         raw["pump"]["south"] = {"amplitude": [1e6, 0.0]}
@@ -543,7 +536,8 @@ class TestCompareCommand:
         cfg = load_config(path)
         spec = noise_spectra(cfg.params, classical_fields(cfg.params, cfg.pump), cfg.grid)
         s = spec.s_tilde_pos
-        s_fano = fano_spectrum(from_exact(cfg.params), stripped_pump(cfg), spec.grid)
+        s_fano = fano_spectrum(from_exact(cfg.params), approx_fields(cfg.params, cfg.pump),
+                               spec.grid)
         written = np.array([float(row["err_S_fano"]) for row in rows])
         assert np.isfinite(written).all()
         assert written.tobytes() == (np.abs(s - s_fano) / s).tobytes()

@@ -335,11 +335,12 @@ class TestOneSidedForceNoise:
     def test_equals_the_noise_spectra_column_on_p1(self):
         cfg = _p1_config()
         field = classical_fields(cfg.params, cfg.pump)
-        # P1's grid and the sizes of verify's two search grids; a grid of
-        # 16 384 points or more reaches numpy's 256 KiB temporary elision in
-        # its one kernel call, so a check on one is measured here first
+        # P1's grid, the sizes of verify's two search grids and of the Fano
+        # steering test's (none holds Omega = 0, which noise_spectra drops); a
+        # grid of 16 384 points or more reaches numpy's 256 KiB temporary
+        # elision in its one kernel call, so a check on one is measured here first
         for grid in (cfg.grid, *(np.linspace(cfg.grid[0], cfg.grid[-1], n)
-                                 for n in (4_001, 3_001))):
+                                 for n in (4_001, 3_001, 6_001))):
             np.testing.assert_array_equal(
                 _s_tilde_pos(cfg.params, field, grid),
                 noise_spectra(cfg.params, field, grid).s_tilde_pos,

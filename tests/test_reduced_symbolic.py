@@ -28,7 +28,7 @@ import msinoise
 from msinoise.algebra import cc_close
 from msinoise.lumped_mode import (
     LumpedParams, _approx_force_entries, _approx_mode_entries, _approx_spring_entries,
-    approx_rigidity, asymmetry_polar, from_exact, lorentzians,
+    approx_rigidity, asymmetry_polar, coupling_constants, from_exact, lorentzians,
 )
 from msinoise.radiation_pressure import _force_entries, _spring_entries
 from msinoise.scattering import HBAR, InterferometerParams, IntracavityField, sideband_blocks
@@ -196,6 +196,38 @@ def test_record_rates_are_the_symbolic_rates():
         tau_gamma, tau_delta_m = rates(eps, kap, theta, t_s)
         assert abs(tau_gamma - lp.tau_s * lp.gamma) <= 1e-12 * lp.tau_s * lp.gamma
         assert abs(tau_delta_m - lp.tau_s * lp.delta_m) <= 1e-12 * lp.tau_s * lp.gamma
+
+
+def test_couplings_are_kappa_derivatives_of_the_rates():
+    # g_disp = -k_p d(delta_m)/d(kappa) and g_diss = -k_p d(gamma_m)/d(kappa) =
+    # 2 k_p R_m p sin(theta_m - alpha) / tau_s, symbolically in the polar form
+    radius, angle = sp.symbols("p alpha", real=True)
+    polar = {EPS: radius * sp.cos(angle), KAP: radius * sp.sin(angle)}
+    d_delta, d_gamma = TAU_DELTA_M.diff(KAP), TAU_GAMMA.diff(KAP)
+    for derivative, form in ((d_delta, sp.cos), (d_gamma, sp.sin)):
+        residual = -derivative.subs(polar) - 2 * R_M * radius * form(THETA - angle)
+        assert sp.simplify(sp.expand_trig(residual)) == 0
+    # `coupling_constants` is g_disp and g_diss / sqrt(gamma_m), also where
+    # alpha < theta_m - pi, so that theta_m - alpha > pi
+    rates = sp.lambdify((EPS, KAP, THETA), (-d_delta, -d_gamma, TAU_GAMMA.subs(T_S, 0)), "numpy")
+    rng = np.random.default_rng(37)
+    worst, wrapped = 0.0, 0
+    for i in range(48):
+        theta, tau_s, k_p = rng.uniform(0.05, 1.5), rng.uniform(1e-10, 1e-8), rng.uniform(5e6, 1e7)
+        low, high = (-math.pi, theta - math.pi) if i % 2 else (theta - math.pi, math.pi)
+        size, drawn = rng.uniform(1e-3, 0.3), rng.uniform(low, high)
+        eps, kap = size * math.cos(drawn), size * math.sin(drawn)
+        p, alpha = asymmetry_polar(eps, kap)
+        wrapped += theta - alpha > math.pi
+        couplings = coupling_constants(LumpedParams(
+            gamma_s=1e6, delta_s=0.0, tau_s=tau_s, p=p, alpha=alpha, theta_m=theta, k_p=k_p))
+        tau_d_delta, tau_d_gamma, tau_gamma_m = rates(eps, kap, theta)
+        g_disp = k_p * tau_d_delta / tau_s
+        combo = k_p * (tau_d_gamma / tau_s) / math.sqrt(tau_gamma_m / tau_s)
+        worst = max(worst, abs(couplings.g_disp - g_disp) / abs(g_disp),
+                    abs(couplings.g_diss_combo - combo) / abs(combo))
+    assert wrapped == 24
+    assert worst <= 1e-12
 
 
 def test_spring_transcription_is_the_kernel_generator():

@@ -11,6 +11,7 @@ from msinoise.errors import OpticalSingularity
 from msinoise.lumped_mode import (
     _approx_force_entries,
     _approx_spring_entries,
+    approx_fields,
     approx_force_transfer,
     approx_rigidity,
     approx_rigidity_matrix,
@@ -71,7 +72,7 @@ OMEGA_ENTRIES = {
     "noise_spectra": lambda prm, lp, e, w: noise_spectra(prm, e, [1e8, w]),
     "reduction_errors": lambda prm, lp, e, w: reduction_errors(prm, e, [1e8, w]),
     "approx_spectra": lambda prm, lp, e, w: approx_spectra(lp, e, [1e8, w]),
-    "fano_spectrum": lambda prm, lp, e, w: fano_spectrum(lp, PortVector(1e8, 2e6j), [1e8, w]),
+    "fano_spectrum": lambda prm, lp, e, w: fano_spectrum(lp, e, [1e8, w]),
 }
 
 #: the entry points that take a grid, as (params, lp, field, grid) -> a call
@@ -80,7 +81,7 @@ GRID_ENTRIES = {
     "noise_spectra": lambda prm, lp, e, g: noise_spectra(prm, e, g),
     "reduction_errors": lambda prm, lp, e, g: reduction_errors(prm, e, g),
     "approx_spectra": lambda prm, lp, e, g: approx_spectra(lp, e, g),
-    "fano_spectrum": lambda prm, lp, e, g: fano_spectrum(lp, PortVector(1e8, 2e6j), g),
+    "fano_spectrum": lambda prm, lp, e, g: fano_spectrum(lp, e, g),
 }
 
 #: the scalar views: one Omega of one set, through `scattering._one_point`
@@ -517,8 +518,9 @@ class TestBatchedParams:
         assert ("sideband_blocks" in str(err.value)) == exact_sets
 
     @pytest.mark.parametrize("entry, batched", [
-        ("from_exact", "params"), ("approx_spectra", "field"),
-        ("approx_spectra", "record"), ("fano_spectrum", "pump"), ("fano_spectrum", "record"),
+        ("from_exact", "params"), ("approx_fields", "params"), ("approx_fields", "pump"),
+        ("approx_spectra", "field"), ("approx_spectra", "record"), ("fano_spectrum", "field"),
+        ("fano_spectrum", "record"),
     ])
     def test_reduced_intakes_refuse_batched_inputs(self, p1, entry, batched):
         # from_exact raised numpy's TypeError of a float() cast, and the
@@ -528,10 +530,12 @@ class TestBatchedParams:
             lp = dataclasses.replace(lp, gamma_s=np.array([lp.gamma_s, 2 * lp.gamma_s]))
         elif batched != "params":
             amp = np.array([1e8, 2e8])
+        sets = _random_params(np.random.default_rng(23), 2) if batched == "params" else p1
         call = {
-            "from_exact": lambda: from_exact(_random_params(np.random.default_rng(23), 2)),
+            "from_exact": lambda: from_exact(sets),
+            "approx_fields": lambda: approx_fields(sets, PortVector(amp, 1e6)),
             "approx_spectra": lambda: approx_spectra(lp, IntracavityField(amp, 0.0), grid),
-            "fano_spectrum": lambda: fano_spectrum(lp, PortVector(amp, 1e6), grid),
+            "fano_spectrum": lambda: fano_spectrum(lp, IntracavityField(amp, 0.0), grid),
         }[entry]
         with pytest.raises(ValueError, match=f"^{entry} takes one parameter set at a time"):
             call()

@@ -94,8 +94,9 @@ def test_run_all_evaluates_each_ensemble_once(kernel_calls):
 @pytest.mark.parametrize("check, points", [
     # 40 nonzero points at +/-Omega, then the one-sided 4 001-point peak grid
     (verify.check_canonical, [80, 4001]),
-    # the carrier of the classical field, then the one-sided 3 001-point grid
-    (verify.check_fano, [1, 3001]),
+    # the carrier of the classical field, the one-sided 3 001-point grid, then
+    # the port phases of the reduced carrier
+    (verify.check_fano, [1, 3001, 1]),
 ], ids=["check_canonical", "check_fano"])
 def test_search_grids_evaluate_only_the_sidebands_they_read(kernel_grids, check, points):
     assert check(verify.DEFAULT_SEED).passed

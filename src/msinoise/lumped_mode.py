@@ -130,10 +130,12 @@ class CouplingConstants:
 def asymmetry_polar(epsilon: float, kappa: float) -> tuple[float, float]:
     """Polar form of the asymmetry: epsilon = p cos(alpha), kappa = p sin(alpha).
 
-    alpha is set to 0 at p = 0, where it is undefined; every consumer
-    multiplies it by p (or enters through gamma_m = delta_m = 0), so the
-    choice is inert.  Raises OverflowError if p^2, which the reduced model
-    is built on, exceeds the double range.
+    alpha is set to 0 at p = 0, where it is undefined.  Every consumer but
+    one multiplies it by p (or enters through gamma_m = delta_m = 0); the
+    sign of `coupling_constants`' g_diss / sqrt(gamma_m), a 0/0 there, is
+    that of its limit p -> 0+ along alpha = 0, sign(sin theta_m), not an
+    inert choice.  Raises OverflowError if p^2, which the reduced model is
+    built on, exceeds the double range.
     """
     p = math.hypot(epsilon, kappa)
     if not math.isfinite(p * p):
@@ -243,7 +245,10 @@ def coupling_constants(lp: LumpedParams) -> CouplingConstants:
     dissipative combination has magnitude 2 k_p R_m / sqrt(tau_s) and the
     sign of sin(theta_m - alpha): it jumps at theta_m = alpha (sign 0 there)
     and at theta_m - alpha = pi; only the bare g_diss, proportional to
-    p sin(theta_m - alpha), passes through zero continuously.
+    p sin(theta_m - alpha), passes through zero continuously.  At p = 0 the
+    interferometer is purely dissipative (g_disp = 0) and the combination is
+    its limit p -> 0+ along the alpha = 0 of `asymmetry_polar`; approached
+    along another alpha it may take the other sign.
     """
     g_disp = 2.0 * lp.k_p * lp.r_m * lp.p * math.cos(lp.theta_m - lp.alpha) / lp.tau_s
     sign = float(np.sign(math.sin(lp.theta_m - lp.alpha)))
@@ -316,7 +321,8 @@ def approx_rigidity_matrix(lp: LumpedParams, big_omega: float) -> np.ndarray:
 def approx_rigidity(lp: LumpedParams, big_omega: float, field: IntracavityField) -> complex:
     """Scalar optical rigidity of the reduced model at one Omega of one record and field, N/m.
 
-    The K of `approx_spectra`, Omega = 0 allowed.  For a purely symmetric
+    The K of `approx_spectra`, K1 alone (a comparison with the exact K adds
+    `_static_spring`), Omega = 0 allowed.  For a purely symmetric
     field (e_minus = 0) it is the canonical spring
     4 hbar k_p^2 R_m^2 |E+|^2 delta / (tau_s ell(Omega) ell*(-Omega))
     (single power of hbar: the density |E|^2 is a photon flux).
@@ -327,22 +333,27 @@ def approx_rigidity(lp: LumpedParams, big_omega: float, field: IntracavityField)
 
 
 def reduction_errors(
-    params: InterferometerParams, field: IntracavityField, grid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Relative errors (err_F, err_K, err_S) of `from_exact(params)` at each Omega.
+    params: InterferometerParams, field: IntracavityField, grid, *reduced: IntracavityField
+) -> tuple[np.ndarray, ...]:
+    """Relative errors (err_F, err_K, err_S, *err_S_reduced) of `from_exact(params)`.
 
     err_F is the worst entry of F in the phase-stripped gauge (a matched
     exact zero counts as 0); err_K and err_S are those of the rigidity and
-    the force noise at +Omega for ``field``.  Omega = 0 is allowed.  Raises
-    OpticalSingularity if the exact optics is singular at any +/-Omega.
-    Evaluated in parts of `_CHUNK` grid points, as `noise_spectra`, into
-    three preallocated columns, so its temporaries stay the size of one part.
+    the force noise at +Omega for ``field``.  Both sides of err_K carry the
+    exact static spring K2, which the reduction does not approximate, so it
+    measures the reduced K1 alone.  Each ``reduced`` field r adds
+    |S_tilde(+Omega) - S_r| / S_tilde(+Omega): the exact noise of ``field``
+    against `fano_spectrum` of r, bit for bit.  Every error is normalised by
+    the exact value.  Omega = 0 is allowed.  Raises OpticalSingularity if the
+    exact optics is singular at any +/-Omega.  Evaluated in parts of `_CHUNK`
+    grid points, as `noise_spectra`, into preallocated columns, so its
+    temporaries stay the size of one part.
     """
-    _one_set("reduction_errors", params, field)
+    _one_set("reduction_errors", params, field, *reduced)
     grid = _real_grid(grid)
     lp = from_exact(params)
     e = field.as_array()
-    err_f, err_k, err_s = np.empty((3, grid.size))
+    errors = np.empty((3 + len(reduced), grid.size))
     for lo in range(0, grid.size, _CHUNK):
         part = grid[lo:lo + _CHUNK]
         both = np.stack([part, -part])
@@ -351,14 +362,16 @@ def reduction_errors(
         f_strip = f_exact * b.phases[np.newaxis, :, 0].conj()  # the +Omega phases
         f_ap = _approx_force_entries(lp, part)
         err = np.abs(f_strip - f_ap) / np.maximum(np.abs(f_strip), 1e-300)
-        err_f[lo:lo + _CHUNK] = err.max(axis=(0, 1))
-        k_exact = _spring_form(params.k_p, e, _spring_entries(b)) + _static_spring(params, e)
-        k_ap = _spring_form(params.k_p, e, _approx_spring_entries(lp, both))
+        k2 = _static_spring(params, e)
+        k_exact = _spring_form(params.k_p, e, _spring_entries(b)) + k2
+        k_ap = _spring_form(params.k_p, e, _approx_spring_entries(lp, both)) + k2
         s_exact = _noise_form(params.k_p, e, f_exact)
-        s_ap = _noise_form(params.k_p, e, f_ap)
-        err_k[lo:lo + _CHUNK] = np.abs(k_exact - k_ap) / np.abs(k_exact)
-        err_s[lo:lo + _CHUNK] = np.abs(s_exact - s_ap) / s_exact
-    return err_f, err_k, err_s
+        s_ap = [_noise_form(params.k_p, r.as_array(), f_ap) for r in (field, *reduced)]
+        errors[:, lo:lo + _CHUNK] = (
+            err.max(axis=(0, 1)), np.abs(k_exact - k_ap) / np.abs(k_exact),
+            *(np.abs(s_exact - s) / s_exact for s in s_ap),
+        )
+    return tuple(errors)
 
 
 def approx_fields(params: InterferometerParams, pump: PortVector) -> IntracavityField:
@@ -375,9 +388,11 @@ def approx_spectra(lp: LumpedParams, field: IntracavityField, grid) -> ForceNois
 
     S_tilde(+/-Omega) and K are the noise and spring forms of ``field`` on
     `_approx_force_entries` and `_approx_spring_entries` over (+grid, -grid).
-    K has no static part K2.  Raises DegenerateFrequency at Omega = 0.  At
-    e_minus = 0, S_tilde = 4 hbar^2 k_p^2 R_m^2 |E+|^2 gamma / (tau_s |ell|^2),
-    the canonical Lorentzian at -delta, 2 gamma wide.
+    K is K1 alone, with no static part K2: a comparison with the exact K adds
+    `_static_spring` to it, as `reduction_errors` does.  Raises
+    DegenerateFrequency at Omega = 0.  At e_minus = 0, S_tilde =
+    4 hbar^2 k_p^2 R_m^2 |E+|^2 gamma / (tau_s |ell|^2), the canonical
+    Lorentzian at -delta, 2 gamma wide.
     """
     _one_set("approx_spectra", lp, field)
     grid = _real_grid(grid)

@@ -18,7 +18,6 @@ from .errors import ConfigError, OpticalSingularity, SingularSweep
 from .lumped_mode import (
     approx_fields,
     coupling_constants,
-    fano_spectrum,
     from_exact,
     reduction_errors,
 )
@@ -158,11 +157,12 @@ def run_spectrum(cfg: RunConfig, out_dir: Path) -> dict:
 def run_compare(cfg: RunConfig, out_dir: Path) -> dict:
     """Exact vs reduced-model sweep -> compare.csv + compare.json.
 
-    Relative-error columns: force transfer matrix (entrywise, in the
-    phase-stripped gauge), scalar rigidity, force noise via the reduced
-    matrix, then `fano_spectrum` of the symmetric field alone (e_minus = 0)
-    and of the pump's reduced carrier `approx_fields` (the Fano line shape).
-    The last two are filled in `_CHUNK`-point parts, like the kernel passes.
+    Relative-error columns, all from one `reduction_errors` pass: force
+    transfer matrix (entrywise, in the phase-stripped gauge), scalar rigidity,
+    force noise via the reduced matrix, then the reduced noise of the
+    symmetric field alone (e_minus = 0) and of the pump's reduced carrier
+    `approx_fields` (the Fano line shape).  compare.json's ``lumped`` block
+    is the `from_exact` record's rates and angles and its `coupling_constants`.
 
     Raises ConfigError if the spectrum or any error is not finite (e.g.
     relative errors of an unpumped, all-zero spectrum) or no row is left,
@@ -171,36 +171,15 @@ def run_compare(cfg: RunConfig, out_dir: Path) -> dict:
     params = cfg.params
     field = classical_fields(params, cfg.pump)
     symmetric, carrier = IntracavityField(field.e_plus, 0.0), approx_fields(params, cfg.pump)
-    lp = from_exact(params)
     spec = noise_spectra(params, field, cfg.grid)
     _refuse_non_finite("spectrum", spec.grid, (spec.s_tilde_pos, spec.s_tilde_neg, spec.k))
-
-    grid = spec.grid
-    err_f, err_k, err_s = reduction_errors(params, field, grid)
-    err_can, err_fano = np.empty((2, grid.size))
-    for lo in range(0, grid.size, _CHUNK):
-        rows = slice(lo, lo + _CHUNK)
-        s_exact = spec.s_tilde_pos[rows]
-        err_can[rows] = np.abs(s_exact - fano_spectrum(lp, symmetric, grid[rows])) / s_exact
-        err_fano[rows] = np.abs(s_exact - fano_spectrum(lp, carrier, grid[rows])) / s_exact
-    columns = (grid, err_f, err_k, err_s, err_can, err_fano)
-    _refuse_non_finite("comparison", grid, columns)
-    couplings = coupling_constants(lp)
-    return _write_sweep(
-        cfg, out_dir, "compare", _csv_text(COMPARE_HEADER, columns), spec,
-        lumped={
-            "gamma_s": lp.gamma_s,
-            "delta_s": lp.delta_s,
-            "gamma_m": lp.gamma_m,
-            "delta_m": lp.delta_m,
-            "gamma": lp.gamma,
-            "delta": lp.delta,
-            "p": lp.p,
-            "alpha": lp.alpha,
-            "g_disp": couplings.g_disp,
-            "g_diss_combo": couplings.g_diss_combo,
-        },
-    )
+    columns = (spec.grid, *reduction_errors(params, field, spec.grid, symmetric, carrier))
+    _refuse_non_finite("comparison", spec.grid, columns)
+    lp = from_exact(params)
+    rates = ("gamma_s", "delta_s", "gamma_m", "delta_m", "gamma", "delta", "p", "alpha")
+    lumped = {name: getattr(lp, name) for name in rates}
+    return _write_sweep(cfg, out_dir, "compare", _csv_text(COMPARE_HEADER, columns), spec,
+                        lumped={**lumped, **asdict(coupling_constants(lp))})
 
 
 def run_cooling(cfg: RunConfig, out_dir: Path, optimize: bool = False) -> dict:

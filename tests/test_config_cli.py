@@ -18,7 +18,7 @@ from msinoise.cli import main
 from msinoise.config import load_config, parse_config
 from msinoise.cooling import CoolingResult, RegimeFlags, occupancy
 from msinoise.errors import ConfigError, OpticalSingularity
-from msinoise.lumped_mode import from_exact, params_for_targets
+from msinoise.lumped_mode import coupling_constants, from_exact, params_for_targets
 from msinoise.outputs import _ROWS, run_cooling
 from msinoise.radiation_pressure import noise_spectra
 from msinoise.scattering import (
@@ -465,7 +465,13 @@ class TestCompareCommand:
             errs = [float(row["err_S_canonical"]) for row in csv.DictReader(fh)]
         assert max(errs) <= 2.0 * lp.gamma * lp.tau_s
         sidecar = json.loads((tmp_path / "compare.json").read_text())
-        assert sidecar["lumped"]["gamma_s"] == pytest.approx(2.5e6, rel=1e-6)
+        lumped = sidecar["lumped"]
+        assert sorted(lumped) == ["alpha", "delta", "delta_m", "delta_s", "g_disp",
+                                  "g_diss_combo", "gamma", "gamma_m", "gamma_s", "p"]
+        assert lumped["gamma_s"] == pytest.approx(2.5e6, rel=1e-6)
+        # the symmetric interferometer is purely dissipative
+        assert (lumped["p"], lumped["g_disp"]) == (0.0, 0.0)
+        assert lumped["g_diss_combo"] == coupling_constants(lp).g_diss_combo > 0.0
         assert sidecar["validity_warnings"] == []
 
     @pytest.mark.parametrize("command, change", [

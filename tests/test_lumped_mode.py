@@ -26,7 +26,9 @@ from msinoise.lumped_mode import (
     reduction_errors,
 )
 from msinoise.cooling import pump_for_intracavity
-from msinoise.radiation_pressure import force_transfer, noise_spectra, rigidity, rigidity_matrices
+from msinoise.radiation_pressure import (
+    _CHUNK, force_transfer, noise_spectra, rigidity, rigidity_matrices,
+)
 from msinoise.scattering import IntracavityField, PortVector, classical_fields
 from msinoise.verify import _CONV_THETA, _conv_params, _s_tilde_pos
 
@@ -171,6 +173,23 @@ class TestCouplingConstants:
             assert abs(coupling_constants(lumped(p=p)).g_disp) > 0
         assert max(mags) - min(mags) <= 1e-12 * max(mags)
 
+    def test_symmetric_interferometer_is_the_limit_along_alpha_zero(self):
+        # at p = 0 the mode is purely dissipative: g_disp = 0 and the combination
+        # keeps its magnitude; asymmetry_polar puts alpha = 0 there, so its sign is
+        # that of p -> 0+ along alpha = 0, and another direction gives the other sign
+        lp = from_exact(params_for_targets(2.5e6, -2.0e6, THETA, p=0.0, alpha=0.5))
+        assert (lp.p, lp.alpha) == (0.0, 0.0)
+        at_zero = coupling_constants(lp)
+        assert at_zero.g_disp == 0.0
+        magnitude = 2 * lp.k_p * lp.r_m / math.sqrt(lp.tau_s)
+        assert at_zero.g_diss_combo == pytest.approx(magnitude, rel=1e-15)
+        for p in (1e-6, 1e-9, 1e-12):
+            near = coupling_constants(dataclasses.replace(lp, p=p))
+            assert near.g_diss_combo == at_zero.g_diss_combo
+            assert 0.0 < near.g_disp <= 2 * lp.k_p * p / lp.tau_s
+        across = coupling_constants(dataclasses.replace(lp, p=1e-12, alpha=THETA + math.pi / 2))
+        assert across.g_diss_combo == -at_zero.g_diss_combo
+
 
 class TestLorentzians:
     def test_on_resonance(self):
@@ -270,20 +289,40 @@ class TestReductionErrors:
             f_ap = approx_force_transfer(lp, big_omega)
             ref_f = np.max(np.abs(f_strip - f_ap) / np.abs(f_strip))
             assert err_f[i] == pytest.approx(ref_f, rel=1e-10)
-            k = rigidity(prm, field, big_omega).k
+            k = rigidity(prm, field, big_omega)
             k_mat = approx_rigidity_matrix(lp, big_omega)
-            k_ap = hbar * prm.k_p**2 * (e.conj() @ k_mat @ e)
-            assert err_k[i] == pytest.approx(abs(k - k_ap) / abs(k), rel=1e-10)
+            # the reduced K is K1 alone; the exact static K2 is not reduced
+            k_ap = hbar * prm.k_p**2 * (e.conj() @ k_mat @ e) + k.k2
+            assert err_k[i] == pytest.approx(abs(k.k - k_ap) / abs(k.k), rel=1e-10)
             s_exact = np.sum(np.abs(e.conj() @ f) ** 2)
             s_ap = np.sum(np.abs(e.conj() @ f_ap) ** 2)
             assert err_s[i] == pytest.approx(abs(s_exact - s_ap) / s_exact, rel=1e-10)
 
     def test_batch_equals_single_points(self):
         prm, lp, field, grid = self.case()
-        batch = reduction_errors(prm, field, grid)
+        batch = reduction_errors(prm, field, grid, IntracavityField(3e8, 0.0))
+        assert len(batch) == 4
         for i, big_omega in enumerate(grid):
-            one = reduction_errors(prm, field, [big_omega])
+            one = reduction_errors(prm, field, [big_omega], IntracavityField(3e8, 0.0))
             assert [err[0] for err in one] == [err[i] for err in batch]
+
+    @pytest.mark.parametrize("points", [201, 2 * _CHUNK + 5])
+    def test_reduced_columns_are_the_fano_spectrum_errors(self, p1, points):
+        # one column per reduced field, |s - fano_spectrum| / s bit for bit, over
+        # one part and over three parts of the kernel's part size
+        pump = PortVector(1e8, 3e7 * np.exp(0.7j))
+        field = classical_fields(p1, pump)
+        reduced = (IntracavityField(field.e_plus, 0.0), approx_fields(p1, pump))
+        grid = np.linspace(1e8, 2e9, points)
+        lp = from_exact(p1)
+        s = noise_spectra(p1, field, grid).s_tilde_pos
+        errors = reduction_errors(p1, field, grid, *reduced)
+        assert len(errors) == 5
+        for column, plain in zip(errors, reduction_errors(p1, field, grid)):
+            assert column.tobytes() == plain.tobytes()
+        for r, column in zip(reduced, errors[3:]):
+            expected = np.abs(s - fano_spectrum(lp, r, grid)) / s
+            assert column.tobytes() == expected.tobytes()
 
 
 class TestApproxFields:

@@ -520,7 +520,7 @@ class TestBatchedParams:
     @pytest.mark.parametrize("entry, batched", [
         ("from_exact", "params"), ("approx_fields", "params"), ("approx_fields", "pump"),
         ("approx_spectra", "field"), ("approx_spectra", "record"), ("fano_spectrum", "field"),
-        ("fano_spectrum", "record"),
+        ("fano_spectrum", "record"), ("reduction_errors", "reduced"),
     ])
     def test_reduced_intakes_refuse_batched_inputs(self, p1, entry, batched):
         # from_exact raised numpy's TypeError of a float() cast, and the
@@ -536,6 +536,8 @@ class TestBatchedParams:
             "approx_fields": lambda: approx_fields(sets, PortVector(amp, 1e6)),
             "approx_spectra": lambda: approx_spectra(lp, IntracavityField(amp, 0.0), grid),
             "fano_spectrum": lambda: fano_spectrum(lp, IntracavityField(amp, 0.0), grid),
+            "reduction_errors": lambda: reduction_errors(
+                p1, IntracavityField(1e8, 0.0), grid, IntracavityField(amp, 0.0)),
         }[entry]
         with pytest.raises(ValueError, match=f"^{entry} takes one parameter set at a time"):
             call()

@@ -6,12 +6,12 @@ collapses to an effective single mode with bandwidth gamma and detuning
 delta.  The asymmetry contributes its own bandwidth gamma_m (dissipative
 coupling) and detuning shift delta_m (dispersive coupling).  One mode
 response W = D_e^-1 T_tilde, at leading order, gives the force matrix and the
-carrier of a pump through either port (`approx_fields`); K comes from the spring
-generator K_g, not from W, and is leading-order right for any field.
-`approx_spectra` reads the force noise and K from both; at e_minus = 0 they are
-the canonical ones.  W is in the phase-stripped port gauge, the one-way port
-phases e^{i omega tau_j} absorbed into the port amplitudes; only this module
-meets the exact gauge (`approx_fields` strips a pump, `reduction_errors` F).
+carrier of a pump through either port (`approx_fields`); K1 comes from the spring
+generator K_g, not from W, and is leading-order right for any field, and the static
+K2 is kept exact.  `approx_spectra` reads the force noise and K from both; at
+e_minus = 0 they are the canonical ones.  W is in the phase-stripped port gauge,
+the one-way port phases e^{i omega tau_j} absorbed into the port amplitudes; only
+this module meets the exact gauge (`approx_fields` strips a pump, `reduction_errors` F).
 
 Validity of the reduction is reported, never enforced: probing its
 breakdown deliberately is a supported use.
@@ -112,6 +112,10 @@ class LumpedParams:
     def r_m(self) -> float:
         return math.cos(self.theta_m)
 
+    @property
+    def t_m(self) -> float:
+        return math.sin(self.theta_m)
+
 
 @dataclass(frozen=True)
 class CouplingConstants:
@@ -120,7 +124,7 @@ class CouplingConstants:
 
     The combination (not bare g_diss) enters the coupling Hamiltonian; its
     magnitude 2 k_p R_m / sqrt(tau_s) is independent of the asymmetry
-    magnitude.  Its overall sign against the exact optical pole is open.
+    magnitude.  The exact r_w = 0 pole's -k_p d(gamma)/d(kappa) has its sign.
     """
 
     g_disp: float
@@ -313,23 +317,24 @@ def approx_force_transfer(lp: LumpedParams, big_omega: float) -> np.ndarray:
 
 
 def approx_rigidity_matrix(lp: LumpedParams, big_omega: float) -> np.ndarray:
-    """Leading-order K at one Omega, closed over +/-Omega; grids: `_approx_spring_entries`."""
+    """Leading-order K1 at one Omega, closed over +/-Omega; grids: `_approx_spring_entries`."""
     grid = _one_point("approx_rigidity_matrix", big_omega, lp)
     return _approx_spring_entries(lp, np.stack([grid, -grid]))[:, :, 0]
 
 
-def approx_rigidity(lp: LumpedParams, big_omega: float, field: IntracavityField) -> complex:
-    """Scalar optical rigidity of the reduced model at one Omega of one record and field, N/m.
+def approx_rigidity(lp: LumpedParams, field: IntracavityField,
+                    big_omega: float) -> tuple[complex, float]:
+    """Scalar optical rigidity (K1, K2) of the reduced model at one Omega of one record
+    and field, N/m: the ``k1`` entry and ``k2`` of `approx_spectra`, Omega = 0 allowed.
 
-    The K of `approx_spectra`, K1 alone (a comparison with the exact K adds
-    `_static_spring`), Omega = 0 allowed.  For a purely symmetric
-    field (e_minus = 0) it is the canonical spring
+    For a purely symmetric field (e_minus = 0) K1 is the canonical spring
     4 hbar k_p^2 R_m^2 |E+|^2 delta / (tau_s ell(Omega) ell*(-Omega))
     (single power of hbar: the density |E|^2 is a photon flux).
     """
     _one_point("approx_rigidity", big_omega, lp, field)
     k_mat = approx_rigidity_matrix(lp, big_omega)[:, :, np.newaxis]
-    return complex(_spring_form(lp.k_p, field.as_array(), k_mat)[0])
+    e = field.as_array()
+    return complex(_spring_form(lp.k_p, e, k_mat)[0]), float(_static_spring(lp, e))
 
 
 def reduction_errors(
@@ -353,6 +358,7 @@ def reduction_errors(
     grid = _real_grid(grid)
     lp = from_exact(params)
     e = field.as_array()
+    k2 = _static_spring(params, e)
     errors = np.empty((3 + len(reduced), grid.size))
     for lo in range(0, grid.size, _CHUNK):
         part = grid[lo:lo + _CHUNK]
@@ -362,7 +368,6 @@ def reduction_errors(
         f_strip = f_exact * b.phases[np.newaxis, :, 0].conj()  # the +Omega phases
         f_ap = _approx_force_entries(lp, part)
         err = np.abs(f_strip - f_ap) / np.maximum(np.abs(f_strip), 1e-300)
-        k2 = _static_spring(params, e)
         k_exact = _spring_form(params.k_p, e, _spring_entries(b)) + k2
         k_ap = _spring_form(params.k_p, e, _approx_spring_entries(lp, both)) + k2
         s_exact = _noise_form(params.k_p, e, f_exact)
@@ -386,11 +391,11 @@ def approx_fields(params: InterferometerParams, pump: PortVector) -> Intracavity
 def approx_spectra(lp: LumpedParams, field: IntracavityField, grid) -> ForceNoiseSpectrum:
     """Reduced-model force noise and rigidity over a sideband grid, as `noise_spectra`.
 
-    S_tilde(+/-Omega) and K are the noise and spring forms of ``field`` on
-    `_approx_force_entries` and `_approx_spring_entries` over (+grid, -grid).
-    K is K1 alone, with no static part K2: a comparison with the exact K adds
-    `_static_spring` to it, as `reduction_errors` does.  Raises
-    DegenerateFrequency at Omega = 0.  At e_minus = 0, S_tilde =
+    S_tilde(+/-Omega) and K1 are the noise and spring forms of ``field`` on
+    `_approx_force_entries` and `_approx_spring_entries` over (+grid, -grid);
+    K2 is the exact static spring of the record, so ``k`` compares with the
+    exact ``k`` as it stands.  Raises DegenerateFrequency at Omega = 0.  At
+    e_minus = 0, S_tilde =
     4 hbar^2 k_p^2 R_m^2 |E+|^2 gamma / (tau_s |ell|^2), the canonical
     Lorentzian at -delta, 2 gamma wide.
     """
@@ -400,8 +405,8 @@ def approx_spectra(lp: LumpedParams, field: IntracavityField, grid) -> ForceNois
         raise DegenerateFrequency("grid must not contain Omega = 0")
     both, e = np.stack([grid, -grid]), field.as_array()
     s_pos, s_neg = _noise_form(lp.k_p, e, _approx_force_entries(lp, both))
-    k = _spring_form(lp.k_p, e, _approx_spring_entries(lp, both))
-    return ForceNoiseSpectrum(grid=grid, s_tilde_pos=s_pos, s_tilde_neg=s_neg, k=k)
+    k1 = _spring_form(lp.k_p, e, _approx_spring_entries(lp, both))
+    return ForceNoiseSpectrum(grid, s_pos, s_neg, k1, _static_spring(lp, e))
 
 
 def fano_spectrum(lp: LumpedParams, field: IntracavityField, grid) -> np.ndarray:

@@ -3,12 +3,13 @@
 The fluctuating radiation-pressure force on the membrane is
 F_fl = hbar k_p E^dagger F(Omega) a + (reflected-frequency conjugate),
 and the displacement-proportional part defines the complex optical
-rigidity K(Omega) = hbar k_p^2 E^dagger K_mat(Omega) E.  Re K acts as an
-optical spring, -Im K / Omega as viscous optical damping.
+rigidity K(Omega) = hbar k_p^2 E^dagger (K1(Omega) + K2) E.  Re K acts as an
+optical spring, -Im K / Omega as viscous optical damping.  Every K result of
+either model is (K1, K2) or a record's ``k1`` and ``k2``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from .scattering import (
 )
 
 __all__ = [
-    "RigidityBreakdown",
     "ForceNoiseSpectrum",
     "force_transfer",
     "rigidity_matrices",
@@ -41,25 +41,6 @@ _CHUNK = 2**10
 
 
 @dataclass(frozen=True)
-class RigidityBreakdown:
-    """Optical rigidity split into its two physical parts, N/m.
-
-    ``k1`` is the optical spring proper (cavity-field modulation by the
-    moving membrane, frequency dependent and complex), ``k2`` the static
-    attraction of the membrane into the standing-wave antinode (real,
-    frequency independent, vanishing for a perfect mirror or a fully
-    transparent membrane).
-    """
-
-    k1: complex
-    k2: float
-
-    @property
-    def k(self) -> complex:
-        return self.k1 + self.k2
-
-
-@dataclass(frozen=True)
 class ForceNoiseSpectrum:
     """Force-noise and back-action summary over a sideband grid.
 
@@ -69,14 +50,21 @@ class ForceNoiseSpectrum:
     are derived from it, never resampled or stored.  Grid points where the
     optics is exactly singular, and Omega = 0, are dropped and listed in
     ``skipped`` as (Omega, exception) pairs: the OpticalSingularity that
-    `SidebandBlocks.checked` raises there, or a DegenerateFrequency.
+    `SidebandBlocks.checked` raises there, or a DegenerateFrequency.  K is
+    stored as K1 per point and the static K2 once, and their sum derived.
     """
 
     grid: np.ndarray            # rad/s
     s_tilde_pos: np.ndarray     # N^2 s at +Omega
     s_tilde_neg: np.ndarray     # N^2 s at -Omega
-    k: np.ndarray               # complex N/m
-    skipped: tuple = field(default_factory=tuple)
+    k1: np.ndarray              # complex N/m, the optical spring K1
+    k2: float                   # N/m, the static spring K2
+    skipped: tuple = ()
+
+    @property
+    def k(self) -> np.ndarray:
+        """Total rigidity K1 + K2, complex N/m."""
+        return self.k1 + self.k2
 
     @property
     def s_sym(self) -> np.ndarray:
@@ -132,10 +120,11 @@ def _spring_form(k_p: float, e: np.ndarray, k: np.ndarray) -> np.ndarray:
     return HBAR * k_p**2 * q
 
 
-def _static_spring(params: InterferometerParams, e: np.ndarray) -> float:
-    """hbar k_p^2 e^dagger K2 e for the static part K2 = -4 R_m T_m Z, N/m."""
+def _static_spring(record, e: np.ndarray) -> float:
+    """hbar k_p^2 e^dagger K2 e for the static part K2 = -4 R_m T_m Z, N/m, of an exact
+    `InterferometerParams` or a reduced `LumpedParams`: the reduction keeps K2 exact."""
     power = e.real**2 + e.imag**2
-    return HBAR * params.k_p**2 * (-4.0 * params.r_m * params.t_m * (power[0] - power[1]))
+    return HBAR * record.k_p**2 * (-4.0 * record.r_m * record.t_m * (power[0] - power[1]))
 
 
 def _noise_form(k_p: float, e: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -160,37 +149,36 @@ def rigidity_matrices(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rigidity matrices (K1, K2) at one sideband frequency Omega of one set.
 
-    K1 needs the optics at both omega_p + Omega and omega_p - Omega (the
-    conjugate closure); K2 = -4 R_m T_m Z is frequency independent.  Grids
-    and batches: `_spring_entries` on `sideband_blocks` over +/-grid.
+    K1 is the optical spring proper, the cavity field modulated by the moving
+    membrane: complex and frequency dependent, it needs the optics at both
+    omega_p + Omega and omega_p - Omega (the conjugate closure).
+    K2 = -4 R_m T_m Z is the static attraction of the membrane into the
+    standing-wave antinode: real, frequency independent, and zero for a
+    perfect mirror or a fully transparent membrane.  Grids and batches:
+    `_spring_entries` on `sideband_blocks` over +/-grid.
     """
     grid = _one_point("rigidity_matrices", big_omega, params)
     b = sideband_blocks(params, np.stack([grid, -grid])).checked()
     return _spring_entries(b)[:, :, 0], -4.0 * params.r_m * params.t_m * _Z
 
 
-def rigidity(
-    params: InterferometerParams,
-    field_: IntracavityField,
-    big_omega: float,
-) -> RigidityBreakdown:
-    """Scalar optical rigidity at one Omega of one set and field, N/m; grids: `noise_spectra`."""
-    _one_point("rigidity", big_omega, params, field_)
+def rigidity(params: InterferometerParams, field: IntracavityField,
+             big_omega: float) -> tuple[complex, float]:
+    """Scalar optical rigidity (K1, K2) at one Omega of one set and field, N/m, the
+    `rigidity_matrices` pair as forms of ``field``; grids: `noise_spectra`."""
+    _one_point("rigidity", big_omega, params, field)
     k1_mat, _ = rigidity_matrices(params, big_omega)
-    e = field_.as_array()
+    e = field.as_array()
     k1 = _spring_form(params.k_p, e, k1_mat[:, :, np.newaxis])
-    return RigidityBreakdown(k1=complex(k1[0]), k2=float(_static_spring(params, e)))
+    return complex(k1[0]), float(_static_spring(params, e))
 
 
-def noise_spectra(
-    params: InterferometerParams,
-    field_: IntracavityField,
-    grid,
-) -> ForceNoiseSpectrum:
+def noise_spectra(params: InterferometerParams, field: IntracavityField,
+                  grid) -> ForceNoiseSpectrum:
     """Radiation-pressure force noise over a sideband grid (vacuum inputs).
 
     For each Omega in ``grid`` evaluates the non-symmetrised densities at
-    +/-Omega and the complex rigidity, with one `sideband_blocks` call over
+    +/-Omega and the rigidity (K1, K2), with one `sideband_blocks` call over
     the (2, m) pair grid (+part, -part) per part of at most `_CHUNK` grid
     points, so its temporaries stay the size of one part whatever the
     grid's; every value is the same as from one call over all of it.
@@ -200,14 +188,14 @@ def noise_spectra(
     NaN without a warning, since skipping a singular point divides by ~0 on
     the way; callers refuse them.
     """
-    _one_set("noise_spectra", params, field_)
+    _one_set("noise_spectra", params, field)
     grid = _real_grid(grid)
     n = grid.size
     s_pos, s_neg, k1 = np.empty(n), np.empty(n), np.empty(n, dtype=complex)
     keep = grid != 0.0
     skipped = []
     with np.errstate(all="ignore"):
-        e = field_.as_array()
+        e = field.as_array()
         for lo in range(0, n, _CHUNK):
             hi = lo + _CHUNK
             part = grid[lo:hi]
@@ -226,6 +214,6 @@ def noise_spectra(
             grid=grid[keep],
             s_tilde_pos=s_pos[keep],
             s_tilde_neg=s_neg[keep],
-            k=k1[keep] + _static_spring(params, e),
+            k1=k1[keep], k2=_static_spring(params, e),
             skipped=tuple(skipped),
         )

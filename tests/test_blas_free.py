@@ -26,6 +26,10 @@ builds its one-point grid by hand past `scattering._one_point`.
 An eighth keeps one owner of the phase-stripped port gauge: only `scattering`,
 which forms `SidebandBlocks.phases`, and `lumped_mode`, which strips pumps and
 exact matrices with them, read ``.phases``.
+A ninth keeps one rigidity convention: only `radiation_pressure`, which defines
+`_static_spring`, and `lumped_mode`, whose records and views carry it, read the
+exact static spring K2, so no caller adds it to a K by hand; every K result of
+either model holds K1 and K2 apart.
 """
 import ast
 import re
@@ -341,3 +345,42 @@ def test_only_the_reduced_model_meets_the_port_gauge():
     uses = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
             if path.name not in PHASE_READERS for line in phase_reads(path.read_text())]
     assert not uses, "port phases read outside scattering and lumped_mode: " + ", ".join(uses)
+
+
+#: the modules that may read the exact static spring K2
+STATIC_SPRING_READERS = {"radiation_pressure.py", "lumped_mode.py"}
+
+
+def static_spring_reads(source: str) -> list[int]:
+    """Lines of every ``_static_spring`` name, attribute, import or ``getattr`` in ``source``."""
+    name = "_static_spring"
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if (isinstance(node, ast.Name) and node.id == name)
+                  or (isinstance(node, ast.Attribute) and node.attr == name)
+                  or (isinstance(node, ast.ImportFrom)
+                      and any(alias.name == name for alias in node.names))
+                  or (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+                      and any(isinstance(arg, ast.Constant) and arg.value == name
+                              for arg in node.args)))
+
+
+def test_static_spring_linter_flags_each_form():
+    source = (
+        "from .radiation_pressure import _CHUNK, _static_spring\n"
+        "k = k1 + _static_spring(params, e)\n"
+        "radiation_pressure._static_spring(lp, e)\n"
+        "getattr(radiation_pressure, '_static_spring')\n"
+        "def _static_spring(record, e): ...\n"
+        "k = spec.k1 + spec.k2\n"
+        "k1, k2 = rigidity(params, field, w)\n"
+    )
+    assert static_spring_reads(source) == [1, 2, 3, 4]
+
+
+def test_only_the_two_models_read_the_static_spring():
+    package = Path(msinoise.__file__).parent
+    uses = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+            if path.name not in STATIC_SPRING_READERS
+            for line in static_spring_reads(path.read_text())]
+    assert not uses, "static spring read outside radiation_pressure and lumped_mode: " + (
+        ", ".join(uses))

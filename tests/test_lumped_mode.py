@@ -29,8 +29,8 @@ from msinoise.cooling import pump_for_intracavity
 from msinoise.radiation_pressure import (
     _CHUNK, force_transfer, noise_spectra, rigidity, rigidity_matrices,
 )
-from msinoise.scattering import IntracavityField, PortVector, classical_fields
-from msinoise.verify import _CONV_THETA, _conv_params, _s_tilde_pos
+from msinoise.scattering import IntracavityField, PortVector, classical_fields, sideband_blocks
+from msinoise.verify import _CONV_FIELD, _CONV_THETA, _conv_params, _s_tilde_pos
 
 THETA = 0.15 * math.pi
 K_P = 2 * math.pi / 1.064e-6
@@ -191,6 +191,63 @@ class TestCouplingConstants:
         assert across.g_diss_combo == -at_zero.g_diss_combo
 
 
+class TestExactPole:
+    """The exact pole nearest the carrier at r_w = 0, against the record.
+
+    At r_w = 0 (every `params_for_targets` set), det D_e = 1 - rho_s N_s with
+    N_s = C*^2 m* + S*^2 m, so the pole solves r_s N_s e^{2 i omega tau_s} = 1.
+    The south round trip 2 omega_p tau_s is 2 tau_s delta_s + theta_m (mod 2 pi)
+    as `from_exact` wraps it, so Omega* = i log(r_s N_s m) / (2 tau_s) - delta_s
+    and the exact (delta, gamma) = (-Re Omega*, -Im Omega*): the rounding of
+    omega_p tau_s is common to both sides and cancels.
+    """
+
+    @staticmethod
+    def exact_pole(params, lp):
+        """The exact (delta, gamma) of ``params``, delta_s read from its record ``lp``."""
+        c, s, m, c_bar, s_bar, m_bar = sideband_blocks(params, np.zeros(1)).factors
+        z = params.r_s * (c_bar**2 * m_bar + s_bar**2 * m) * m  # r_s N_s e^{i theta_m}
+        return lp.delta_s + np.angle(z) / (2 * lp.tau_s), -np.log(np.abs(z)) / (2 * lp.tau_s)
+
+    @pytest.mark.parametrize("p", [0.02, 0.01, 0.005])
+    def test_determinant_is_one_minus_rho_s_n_s(self, p):
+        params = _conv_params(p)
+        lp = from_exact(params)
+        b = sideband_blocks(params, np.linspace(-5 * lp.gamma, 5 * lp.gamma, 101))
+        c, s, m, c_bar, s_bar, m_bar = b.factors
+        closed = 1.0 - b.r_tilde[1] * (c_bar**2 * m_bar + s_bar**2 * m)
+        # every term is O(1), so the rounding is absolute: measured <= 2.4e-16
+        assert np.abs(b.d - closed).max() <= 4 * np.finfo(float).eps
+
+    def test_pole_and_couplings_converge_to_the_record_as_p_squared(self):
+        # relative errors of gamma, of delta (in units of gamma), of g_disp =
+        # -k_p d(delta)/d(kappa) and of the dissipative combination -k_p
+        # d(gamma)/d(kappa) / sqrt(gamma_m), the derivatives by central
+        # differences at h = 1e-5 p (at h <= 1e-7 p rounding dominates them)
+        at_p_002 = np.array([4.50e-3, 3.98e-5, 1.07e-3, 1.60e-4])  # measured
+        errors = []
+        for p in (0.02, 0.01, 0.005):
+            params = _conv_params(p)
+            lp, h = from_exact(params), 1e-5 * p
+            delta, gamma = self.exact_pole(params, lp)
+            (d_hi, g_hi), (d_lo, g_lo) = (
+                self.exact_pole(dataclasses.replace(params, kappa=params.kappa + step), lp)
+                for step in (h, -h))
+            g_disp = -lp.k_p * (d_hi - d_lo) / (2 * h)
+            combo = -lp.k_p * (g_hi - g_lo) / (2 * h) / math.sqrt(lp.gamma_m)
+            reduced = coupling_constants(lp)
+            # under g_diss = -k_p d(gamma_m)/d(kappa) the exact pole has the sign
+            # of g_diss_combo
+            assert np.sign(combo) == np.sign(reduced.g_diss_combo) != 0.0
+            errors.append([abs(gamma / lp.gamma - 1), abs(delta - lp.delta) / lp.gamma,
+                           abs(g_disp / reduced.g_disp - 1),
+                           abs(combo / reduced.g_diss_combo - 1)])
+        errors = np.array(errors)  # (p, quantity)
+        ratios = errors[1:] / errors[:-1]
+        assert np.all(errors[0] <= 2 * at_p_002), errors[0]
+        assert np.all((ratios >= 0.125) & (ratios <= 0.375)), (errors, ratios)
+
+
 class TestLorentzians:
     def test_on_resonance(self):
         lp = lumped()
@@ -232,7 +289,7 @@ class TestApproxRigidity:
         lp = lumped(p=0.01)
         field = IntracavityField(3e8, 0.0)
         for big_omega in (0.3 * lp.gamma, -1.7 * lp.gamma):
-            k = approx_rigidity(lp, big_omega, field)
+            k, _ = approx_rigidity(lp, field, big_omega)
             ell_pos, _ = lorentzians(lp, big_omega)
             ell_neg, _ = lorentzians(lp, -big_omega)
             canonical = (4 * hbar * K_P**2 * lp.r_m**2 * abs(field.e_plus) ** 2
@@ -241,7 +298,7 @@ class TestApproxRigidity:
 
     def test_no_spring_on_resonance(self):
         lp = lumped(delta_s=0.0, p=0.0, alpha=0.0)
-        k = approx_rigidity(lp, 0.0, IntracavityField(3e8, 0.0))
+        k, _ = approx_rigidity(lp, IntracavityField(3e8, 0.0), 0.0)
         assert k.real == pytest.approx(0.0, abs=1e-30)
 
     def test_matrix_is_conjugate_closed(self):
@@ -289,14 +346,30 @@ class TestReductionErrors:
             f_ap = approx_force_transfer(lp, big_omega)
             ref_f = np.max(np.abs(f_strip - f_ap) / np.abs(f_strip))
             assert err_f[i] == pytest.approx(ref_f, rel=1e-10)
-            k = rigidity(prm, field, big_omega)
+            k1, k2 = rigidity(prm, field, big_omega)
             k_mat = approx_rigidity_matrix(lp, big_omega)
-            # the reduced K is K1 alone; the exact static K2 is not reduced
-            k_ap = hbar * prm.k_p**2 * (e.conj() @ k_mat @ e) + k.k2
-            assert err_k[i] == pytest.approx(abs(k.k - k_ap) / abs(k.k), rel=1e-10)
+            # the reduced K1 matrix beside the exact static K2, which is not reduced
+            k_ap = hbar * prm.k_p**2 * (e.conj() @ k_mat @ e) + k2
+            assert err_k[i] == pytest.approx(abs(k1 + k2 - k_ap) / abs(k1 + k2), rel=1e-10)
             s_exact = np.sum(np.abs(e.conj() @ f) ** 2)
             s_ap = np.sum(np.abs(e.conj() @ f_ap) ** 2)
             assert err_s[i] == pytest.approx(abs(s_exact - s_ap) / s_exact, rel=1e-10)
+
+    @pytest.mark.parametrize("p", [0.02, 0.01, 0.005])
+    def test_records_compare_as_they_stand(self, p):
+        # the reduction keeps the exact K2, so both records carry the same one
+        # and err_K is |exact.k - approx.k| / |exact.k|, bit for bit
+        params = _conv_params(p)
+        lp = from_exact(params)
+        grid = np.linspace(-5 * lp.gamma, 5 * lp.gamma, 41)
+        grid = grid[grid != 0.0]
+        fields = (_CONV_FIELD, IntracavityField(3e8, 0.0),
+                  IntracavityField(1e8 * np.exp(-0.5j), 2.5e8 * np.exp(0.9j)))
+        for field in fields:
+            exact, approx = noise_spectra(params, field, grid), approx_spectra(lp, field, grid)
+            assert np.float64(exact.k2).tobytes() == np.float64(approx.k2).tobytes()
+            expected = np.abs(exact.k - approx.k) / np.abs(exact.k)
+            assert reduction_errors(params, field, grid)[1].tobytes() == expected.tobytes()
 
     def test_batch_equals_single_points(self):
         prm, lp, field, grid = self.case()
@@ -532,8 +605,8 @@ class TestRecordWavenumber:
     def test_approx_rigidity_scales_by_four(self):
         lp, doubled = self.pair()
         field = IntracavityField(3e8 * np.exp(0.3j), 2.2e8 * np.exp(-1.1j))
-        assert approx_rigidity(doubled, 0.7 * lp.gamma, field) == 4 * approx_rigidity(
-            lp, 0.7 * lp.gamma, field)
+        k1, k2 = approx_rigidity(lp, field, 0.7 * lp.gamma)
+        assert approx_rigidity(doubled, field, 0.7 * lp.gamma) == (4 * k1, 4 * k2)
 
     def test_coupling_constants_scale_by_two(self):
         lp, doubled = self.pair()

@@ -26,9 +26,13 @@ from msinoise.scattering import (
     IntracavityField,
     PortVector,
     classical_fields,
+    oracle_solve,
     sideband_blocks,
 )
-from msinoise.verify import _p1_config, _random_params, _s_tilde_pos
+from msinoise.verify import (
+    DEFAULT_SEED, _ORACLE_CASES, _p1_config, _random_params, _s_tilde_pos,
+    _well_conditioned_cases,
+)
 
 Z = np.diag([1.0, -1.0])
 COLUMNS = ("grid", "s_tilde_pos", "s_tilde_neg", "s_sym", "k", "h_opt")
@@ -87,17 +91,17 @@ class TestRigidityMatrices:
 
 class TestRigidity:
     def test_zero_field_gives_zero(self):
-        bd = rigidity(make_params(), IntracavityField(0, 0), 3e6)
-        assert bd.k == 0.0 and bd.k1 == 0.0 and bd.k2 == 0.0
+        k1, k2 = rigidity(make_params(), IntracavityField(0, 0), 3e6)
+        assert k1 + k2 == 0.0 and k1 == 0.0 and k2 == 0.0
 
     def test_scales_with_field_energy(self):
         prm = make_params()
         f1 = IntracavityField(2e8 * np.exp(0.7j), 1e8 * np.exp(-0.2j))
         lam = 1.7 * np.exp(0.4j)
         f2 = IntracavityField(lam * f1.e_plus, lam * f1.e_minus)
-        k1 = rigidity(prm, f1, 3e6).k
-        k2 = rigidity(prm, f2, 3e6).k
-        assert abs(k2 - abs(lam) ** 2 * k1) <= 1e-14 * abs(k2)
+        k_f1 = sum(rigidity(prm, f1, 3e6))
+        k_f2 = sum(rigidity(prm, f2, 3e6))
+        assert abs(k_f2 - abs(lam) ** 2 * k_f1) <= 1e-14 * abs(k_f2)
 
     def test_canonical_spring_in_symmetric_regime(self):
         p = 0.01
@@ -109,13 +113,86 @@ class TestRigidity:
         for big_omega in np.linspace(-4 * lp.gamma, 4 * lp.gamma, 9):
             if big_omega == 0.0:
                 continue
-            k = rigidity(prm, field, big_omega).k
+            k = sum(rigidity(prm, field, big_omega))
             ell_pos = lp.gamma - 1j * (lp.delta + big_omega)
             ell_neg = lp.gamma - 1j * (lp.delta - big_omega)
             canonical = (4 * hbar * prm.k_p**2 * prm.r_m**2
                          * abs(field.e_plus) ** 2 * lp.delta
                          / (lp.tau_s * ell_pos * np.conj(ell_neg)))
             assert abs(k - canonical) <= 10 * p * abs(canonical)
+
+
+class TestRigidityOracle:
+    """Both halves of K traced to the dense solve of the raw field equations.
+
+    The membrane feels hbar k_p E^dagger N e over the field e towards it, with
+    N = 2 R_m [[0, m*], [m, 0]], m = e^{i theta_m}, the factor of the kernel's
+    identity F = N adj(D_e) T_tilde / d.  A displacement x at +/-Omega moves e
+    by e(+/-Omega), so K1(Omega) = -hbar k_p [E^dagger N e(+Omega) +
+    (E^dagger N e(-Omega))*] / x.  At a fixed port drive, the static force
+    F_dc = hbar k_p E^dagger N E moved through kappa = k_p X gives
+    K1(0) + K2 = -k_p dF_dc/dkappa.  E is the dense carrier throughout.
+    """
+
+    CASES = 50  # of oracle_equivalence's well-conditioned draw, r_w > 0 included
+
+    @classmethod
+    def cases(cls):
+        """The (N, 1) sets and Omegas of the draw, and a random port drive of each."""
+        rng = np.random.default_rng(DEFAULT_SEED)
+        sets, omegas, _ = _well_conditioned_cases(rng, _ORACLE_CASES, 1)
+        sets = InterferometerParams(**{name: v[:cls.CASES] for name, v in vars(sets).items()})
+        pair = (2, cls.CASES, 1)
+        drive = PortVector(*(rng.normal(size=pair) + 1j * rng.normal(size=pair)) * 1e8)
+        return sets, omegas[:cls.CASES], drive
+
+    @staticmethod
+    def carrier(sets, drive):
+        """The dense carrier E of each set under ``drive``, (2, N, 1)."""
+        return oracle_solve(sets, sets.omega_p, drive, 0.0, IntracavityField(0.0, 0.0)).e
+
+    @staticmethod
+    def membrane_force(sets, e_bar, e):
+        """E^dagger N e of each set, over the trailing axes of ``e``."""
+        m = np.exp(1j * sets.theta_m)
+        return 2 * sets.r_m * (e_bar[0].conj() * m.conj() * e[1] + e_bar[1].conj() * m * e[0])
+
+    @staticmethod
+    def rigidities(sets, carrier, omegas):
+        """`rigidity` of set i on its dense carrier at omegas[i], one call per set."""
+        for i in range(sets.theta_m.size):
+            params = InterferometerParams(**{name: float(v.flat[i])
+                                             for name, v in vars(sets).items()})
+            field = IntracavityField(*(complex(e.flat[i]) for e in carrier))
+            yield rigidity(params, field, omegas.flat[i])
+
+    def test_k1_is_the_dense_displacement_drive(self):
+        sets, omegas, drive = self.cases()
+        e_dc, x = self.carrier(sets, drive), 1e-15
+        both = np.stack([sets.omega_p + omegas, sets.omega_p - omegas])  # +/- leading
+        e = oracle_solve(sets, both, PortVector(0.0, 0.0), x, IntracavityField(*e_dc)).e
+        force = self.membrane_force(sets, e_dc, e)
+        dense = (-hbar * sets.k_p * (force[0] + force[1].conj()) / x).ravel()
+        k1 = np.array([k1 for k1, _ in self.rigidities(sets, e_dc, omegas)])
+        worst = np.max(np.abs(dense - k1) / np.abs(k1))
+        assert worst <= 1e-10, worst  # oracle_equivalence's tolerance; measured 1.0e-14
+
+    def test_static_k_is_the_kappa_derivative_of_the_dense_force(self):
+        sets, _, drive = self.cases()
+        h = 1e-6
+
+        def dc_force(kappa):
+            e = self.carrier(dataclasses.replace(sets, kappa=kappa), drive)
+            return hbar * sets.k_p * self.membrane_force(sets, e, e).real
+
+        dense = (-sets.k_p * (dc_force(sets.kappa + h) - dc_force(sets.kappa - h))
+                 / (2 * h)).ravel()
+        static = np.array([k1 + k2 for k1, k2 in self.rigidities(
+            sets, self.carrier(sets, drive), np.zeros(self.CASES))])
+        worst = np.max(np.abs(dense - static) / np.abs(static))
+        # the central difference's rounding, eps |F_dc| / h, sets the error:
+        # measured worst 9.5e-9 (median 1.3e-10), gated with a margin of ~10x
+        assert worst <= 1e-7, worst
 
 
 class TestNoiseSpectra:
@@ -166,14 +243,14 @@ class TestOpticalDamping:
     def test_symmetric_spectrum_no_damping(self):
         spec = ForceNoiseSpectrum(
             grid=np.array([1e6]), s_tilde_pos=np.array([3.0]),
-            s_tilde_neg=np.array([3.0]), k=np.array([0.0j]),
+            s_tilde_neg=np.array([3.0]), k1=np.array([0.0j]), k2=0.0,
         )
         assert spec.h_opt[0] == 0.0
 
     def test_zero_frequency_rejected(self):
         spec = ForceNoiseSpectrum(
             grid=np.array([0.0]), s_tilde_pos=np.array([1.0]),
-            s_tilde_neg=np.array([0.5]), k=np.array([0.0j]),
+            s_tilde_neg=np.array([0.5]), k1=np.array([0.0j]), k2=0.0,
         )
         with pytest.raises(DegenerateFrequency):
             spec.h_opt
@@ -235,7 +312,8 @@ class TestBatchEqualsScalar:
                 np.testing.assert_array_equal(
                     force_transfer(prm, big_omega), f_batch[:, :, i]
                 )
-                assert rigidity(prm, field, big_omega).k == batch.k[i]
+                k1, k2 = rigidity(prm, field, big_omega)
+                assert k1 + k2 == batch.k[i]
 
 
 class TestPairAxis:

@@ -340,8 +340,8 @@ def test_low_frequency_spring_series():
         scale = HBAR * lp.k_p**2
         k_0, h_0, m_opt = (scale * coefficient for coefficient in coefficients(
             lp.gamma, lp.delta, lp.tau_s, lp.theta_m, amp.real, amp.imag))
-        static = approx_rigidity(lp, 0.0, field)
-        k = approx_rigidity(lp, big_omega, field)
+        static, _ = approx_rigidity(lp, field, 0.0)
+        k, _ = approx_rigidity(lp, field, big_omega)
         assert abs(static - k_0) <= 1e-14 * abs(k_0)
         assert abs(-k.imag / big_omega - h_0) <= 1e-6 * abs(h_0)
         assert abs(-(k.real - static.real) / big_omega**2 - m_opt) <= 1e-6 * abs(m_opt)

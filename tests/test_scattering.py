@@ -68,7 +68,7 @@ OMEGA_ENTRIES = {
     "rigidity": lambda prm, lp, e, w: rigidity(prm, e, w),
     "approx_force_transfer": lambda prm, lp, e, w: approx_force_transfer(lp, w),
     "approx_rigidity_matrix": lambda prm, lp, e, w: approx_rigidity_matrix(lp, w),
-    "approx_rigidity": lambda prm, lp, e, w: approx_rigidity(lp, w, e),
+    "approx_rigidity": lambda prm, lp, e, w: approx_rigidity(lp, e, w),
     "noise_spectra": lambda prm, lp, e, w: noise_spectra(prm, e, [1e8, w]),
     "reduction_errors": lambda prm, lp, e, w: reduction_errors(prm, e, [1e8, w]),
     "approx_spectra": lambda prm, lp, e, w: approx_spectra(lp, e, [1e8, w]),
@@ -552,7 +552,8 @@ class TestBatchedParams:
                              ids=["zero", "float", "float64", "0-d"])
     def test_scalar_views_are_their_grid_entries(self, p1, omega):
         # each view equals the entry at its Omega of a grid call, bit for bit;
-        # 0-d arrays and Omega = 0 are one point
+        # 0-d arrays and Omega = 0 are one point.  The two rigidities are also
+        # their records' (k1[i], k2) where the records keep the point, Omega != 0
         lp, e = from_exact(p1), IntracavityField(P1_E_PLUS, P1_E_MINUS)
         grid = np.array([1e5, float(omega), 3e7])
         b, pair = sideband_blocks(p1, grid), sideband_blocks(p1, np.stack([grid, -grid]))
@@ -564,12 +565,18 @@ class TestBatchedParams:
             (displacement_transfer(p1, omega), _displacement_entries(b)[:, :, 1]),
             (force_transfer(p1, omega), _force_entries(b)[:, :, 1]),
             (np.array(rigidity_matrices(p1, omega)), np.array([k1[:, :, 1], k2])),
-            (np.array(list(vars(rigidity(p1, e, omega)).values())),
+            (np.array(rigidity(p1, e, omega)),
              np.array([_spring_form(p1.k_p, arr, k1)[1], _static_spring(p1, arr)])),
             (approx_force_transfer(lp, omega), _approx_force_entries(lp, grid)[:, :, 1]),
             (approx_rigidity_matrix(lp, omega), approx_k[:, :, 1]),
-            (np.array(approx_rigidity(lp, omega, e)), _spring_form(lp.k_p, arr, approx_k)[1]),
+            (np.array(approx_rigidity(lp, e, omega)),
+             np.array([_spring_form(lp.k_p, arr, approx_k)[1], _static_spring(lp, arr)])),
         ]
+        if omega != 0.0:
+            exact, approx = noise_spectra(p1, e, grid), approx_spectra(lp, e, grid)
+            pairs += [(np.array(rigidity(p1, e, omega)), np.array([exact.k1[1], exact.k2])),
+                      (np.array(approx_rigidity(lp, e, omega)),
+                       np.array([approx.k1[1], approx.k2]))]
         for view, entry in pairs:
             assert view.shape == entry.shape and view.tobytes() == entry.tobytes()
 

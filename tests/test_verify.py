@@ -120,9 +120,9 @@ def test_one_sided_search_grid_equals_noise_spectra(monkeypatch, check, size):
                                   noise_spectra(params, field, grid).s_tilde_pos)
 
 
-#: the stored spectrum.csv columns, as fields (and parts) of the spectrum; S_sym
-#: and H_opt are derived from them, so they cannot change on their own
-SPECTRUM_COLUMNS = ("grid", "s_tilde_pos", "s_tilde_neg", "k.real", "k.imag")
+#: the stored spectrum.csv columns, as fields (and parts) of the spectrum; S_sym,
+#: H_opt and K = K1 + K2 are derived from them, so they cannot change on their own
+SPECTRUM_COLUMNS = ("grid", "s_tilde_pos", "s_tilde_neg", "k1.real", "k1.imag")
 
 
 def one_ulp_up(spec, column):

@@ -74,7 +74,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_cool)
     p_cool.set_defaults(handler=_cmd_cooling)
     p_cool.add_argument("--optimize", action="store_true",
-                        help="also optimise the pump split at fixed energy")
+                        help="also optimise the pump split at fixed energy; writes "
+                             "landscape.csv (n_bar over the split) and the force "
+                             "pencils as force_pencil in cooling.json")
 
     p_ver = sub.add_parser("verify", help="run the invariant suite")
     p_ver.set_defaults(handler=_cmd_verify)

@@ -231,8 +231,10 @@ class PumpOptimum:
     chi_grid: np.ndarray
     phi_grid: np.ndarray
     n_bar_grid: np.ndarray      # inf where anti-damped
-    s_f_pos_grid: np.ndarray
-    s_f_neg_grid: np.ndarray
+    s_f_pos_grid: np.ndarray    # N^2 s, E v^dag P+ v on the mesh
+    s_f_neg_grid: np.ndarray    # N^2 s, E v^dag P- v on the mesh
+    p_pos: tuple[float, float, complex]     # P+ as (p00, p11, p01), N^2 s per unit E
+    p_neg: tuple[float, float, complex]     # P- as (p00, p11, p01), N^2 s per unit E
 
 
 def _min_ratio(a, b) -> tuple[float, complex, complex]:
@@ -290,18 +292,24 @@ def optimize_pump(
     call on the two unit port drives.  The force spectra at +/-omega_m are
     `_noise_form`, hbar^2 k_p^2 |e^dag F|^2, on the +/-omega_m blocks of
     `noise_spectra`: every optimum's ``result`` is bit for bit `occupancy`
-    of its field.  As E v^dag P+- v, P = hbar^2 k_p^2 W^dag F F^dag W (built
-    only for this pencil), they give n = v^dag A v / v^dag B v with
-    A = P- + (s_t- / E) 1 and B = P+ - P- + ((s_t+ - s_t-) / E) 1.  1/n is a
-    generalised Rayleigh quotient of B against A: the minimum n is
-    1/lambda_max of det(B - lambda A) = 0, the optimal split its
-    eigenvector, both in closed form from the 2x2 entries.  The landscape
-    reads W^dag F too, so the two constraints share one path, but their
-    optima differ.
+    of its field.  As E v^dag P+- v, P = hbar^2 k_p^2 W^dag F F^dag W, they
+    give n = v^dag A v / v^dag B v with A = P- + (s_t- / E) 1 and
+    B = P+ - P- + ((s_t+ - s_t-) / E) 1.  1/n is a generalised Rayleigh
+    quotient of B against A: the minimum n is 1/lambda_max of
+    det(B - lambda A) = 0, the optimal split its eigenvector, both in
+    closed form from the 2x2 entries.  The landscape reads W^dag F too, so
+    the two constraints share one path, but their optima differ.
+
+    The result keeps the pencils as ``p_pos``/``p_neg``, (p00, p11, p01)
+    per unit E in the constraint's variables.  They give the force spectra
+    at any split in closed form,
+    s_f+-(chi, phi) = E [p00 cos^2 chi + p11 sin^2 chi
+                         + 2 cos chi sin chi Re(p01 e^{i phi})],
+    which matches the mesh spectra to rounding of order eps E (p00 + p11).
 
     ``grid_size`` only sets the resolution of the returned landscape (n,
     inf where anti-damped, and the force spectra on a grid_size^2 mesh of
-    (chi, phi)) for plotting; the optimum does not use it.
+    (chi, phi)) for plotting; neither the optimum nor the pencils use it.
 
     Raises
     ------
@@ -360,6 +368,8 @@ def optimize_pump(
         n_bar_grid=n_grid,
         s_f_pos_grid=s_f_pos_grid,
         s_f_neg_grid=s_f_neg_grid,
+        p_pos=p_pos,
+        p_neg=p_neg,
     )
 
 

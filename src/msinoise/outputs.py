@@ -26,7 +26,7 @@ from .scattering import IntracavityField, classical_fields
 
 SPECTRUM_HEADER = "Omega,S_tilde_pos,S_tilde_neg,S_sym,Re_K,Im_K,H_opt"
 COMPARE_HEADER = "Omega,err_F,err_K,err_S_tilde,err_S_canonical,err_S_fano"
-LANDSCAPE_HEADER = "chi,phi,n_bar,s_f_pos,s_f_neg"
+LANDSCAPE_HEADER = "chi,phi,n_bar"
 
 
 #: rows per text part of a CSV.  A part's cell strings and joined text take
@@ -186,7 +186,13 @@ def run_cooling(cfg: RunConfig, out_dir: Path, optimize: bool = False) -> dict:
     """Occupancy report -> cooling.json (+ landscape.csv with optimisation).
 
     The report, also returned, is the `CoolingResult` at omega_m with its flags (and
-    ``ok``) as ``regime_flags``, n_thermal, H, the rigidity and any optimum.
+    ``ok``) as ``regime_flags``, n_thermal, H, the rigidity and any optimum; its
+    leaves are Python bools, floats and strings.  With ``optimize``, landscape.csv
+    holds n on the (chi, phi) mesh of `optimize_pump`, and cooling.json gains,
+    next to the report, ``force_pencil``: P+- of the optimiser, per unit energy
+    budget E, as {"pos": [p00, p11, re p01, im p01], "neg": [...]}.  The mesh's
+    force spectra are s_f+-(chi, phi) = E [p00 cos^2 chi + p11 sin^2 chi
+    + 2 cos chi sin chi Re(p01 e^{i phi})].
 
     Raises UnstableSystem for anti-damped configurations, OpticalSingularity
     at a singular +/-omega_m sideband (the CLI maps each to its exit code)
@@ -209,10 +215,11 @@ def run_cooling(cfg: RunConfig, out_dir: Path, optimize: bool = False) -> dict:
         **asdict(result),
         "n_thermal": mode.n_t,
         "h_friction": mode.h_friction,
-        "rigidity": {"re": spec.k[0].real, "im": spec.k[0].imag},
+        "rigidity": {"re": float(spec.k[0].real), "im": float(spec.k[0].imag)},
     }
     report["regime_flags"] = {**report.pop("flags"), "ok": result.flags.ok}
 
+    extra = {}
     if optimize:
         budget = cfg.energy_budget
         if budget is None:  # the configured pump's own, in the constraint's variables
@@ -221,28 +228,29 @@ def run_cooling(cfg: RunConfig, out_dir: Path, optimize: bool = False) -> dict:
             if not budget > 0.0:
                 raise ConfigError("optimize.energy_budget", "the pump carries no energy")
         opt = optimize_pump(cfg.params, mode, budget, constraint=cfg.optimize_constraint)
-        e_opt = opt.field.as_array()
         report["optimum"] = {
             "chi": opt.chi,
             "phi": opt.phi,
             "n_bar": opt.result.n_bar,
             "energy_budget": budget,
             "constraint": cfg.optimize_constraint,
-            "e_plus": [e_opt[0].real, e_opt[0].imag],
-            "e_minus": [e_opt[1].real, e_opt[1].imag],
+            "e_plus": [opt.field.e_plus.real, opt.field.e_plus.imag],
+            "e_minus": [opt.field.e_minus.real, opt.field.e_minus.imag],
         }
+        extra["force_pencil"] = {
+            name: [p00, p11, p01.real, p01.imag]
+            for name, (p00, p11, p01) in (("pos", opt.p_pos), ("neg", opt.p_neg))}
 
     try:  # strict JSON has no NaN or Infinity; only the regime margins may be infinite
-        json.dumps({**report, "regime_flags": None}, allow_nan=False)
+        json.dumps({**report, "regime_flags": None, **extra}, allow_nan=False)
     except ValueError as exc:
         raise ConfigError("<root>", "the cooling report is not finite") from exc
     files = {}
     if optimize:
         phi_text = _fmt(opt.phi_grid)
         chi_text = [text for text in _fmt(opt.chi_grid) for _ in phi_text]  # the mesh in C order
-        grids = (opt.n_bar_grid, opt.s_f_pos_grid, opt.s_f_neg_grid)
         files["landscape.csv"] = _csv_text(
-            LANDSCAPE_HEADER, [chi_text, phi_text * opt.chi_grid.size, *map(np.ravel, grids)])
-    files["cooling.json"] = _json_lines(_sidecar(cfg, "cooling", report=report))
+            LANDSCAPE_HEADER, [chi_text, phi_text * opt.chi_grid.size, opt.n_bar_grid.ravel()])
+    files["cooling.json"] = _json_lines(_sidecar(cfg, "cooling", report=report, **extra))
     _write(out_dir, files)
     return report

@@ -642,9 +642,9 @@ class TestCoolingCommand:
         a = cfg.pump.as_array()
         assert report["optimum"]["energy_budget"] == float(np.abs(a[0]) ** 2 + np.abs(a[1]) ** 2)
 
-    def test_landscape_is_chi_major_and_exact(self, tmp_path):
+    def optimized_runs(self, tmp_path):
+        """(cfg, output directory, report, `optimize_pump` result) per constraint."""
         from msinoise.cooling import optimize_pump
-        from msinoise.outputs import LANDSCAPE_HEADER, run_cooling
 
         path = self.cooling_config(tmp_path, delta_s=-2.5e7, h_friction=1e-14)
         for constraint in ("intracavity", "injected"):
@@ -654,16 +654,50 @@ class TestCoolingCommand:
             report = run_cooling(cfg, tmp_path / constraint, optimize=True)
             opt = optimize_pump(cfg.params, cfg.mechanical,
                                 report["optimum"]["energy_budget"], constraint=constraint)
+            yield cfg, tmp_path / constraint, report, opt
+
+    def test_landscape_is_chi_major_and_exact(self, tmp_path):
+        from msinoise.outputs import LANDSCAPE_HEADER
+
+        assert LANDSCAPE_HEADER == "chi,phi,n_bar"
+        for cfg, out, _, opt in self.optimized_runs(tmp_path):
             # the f-string per row that the part writer replaced
             expected = LANDSCAPE_HEADER + "\n" + "".join(
-                f"{chi!r},{phi!r},{n!r},{s_pos!r},{s_neg!r}\n"
-                for chi, n_row, s_pos_row, s_neg_row in zip(
-                    opt.chi_grid.tolist(), opt.n_bar_grid.tolist(),
-                    opt.s_f_pos_grid.tolist(), opt.s_f_neg_grid.tolist())
-                for phi, n, s_pos, s_neg in zip(opt.phi_grid.tolist(),
-                                                n_row, s_pos_row, s_neg_row)
+                f"{chi!r},{phi!r},{n!r}\n"
+                for chi, n_row in zip(opt.chi_grid.tolist(), opt.n_bar_grid.tolist())
+                for phi, n in zip(opt.phi_grid.tolist(), n_row)
             )
-            assert (tmp_path / constraint / "landscape.csv").read_text() == expected, constraint
+            assert (out / "landscape.csv").read_text() == expected, cfg.optimize_constraint
+
+    def test_force_pencil_gives_the_mesh_spectra(self, tmp_path):
+        """cooling.json's force_pencil is P+- of the optimiser per unit budget E:
+        E [p00 cos^2 chi + p11 sin^2 chi + 2 cos chi sin chi Re(p01 e^{i phi})] is
+        the mesh's s_f+-.  The error is scaled by E (p00 + p11), not by s_f, because
+        the form cancels near the Fano zero."""
+        for cfg, out, report, opt in self.optimized_runs(tmp_path):
+            pencil = json.loads((out / "cooling.json").read_text())["force_pencil"]
+            budget = report["optimum"]["energy_budget"]
+            c, s = np.cos(opt.chi_grid)[:, np.newaxis], np.sin(opt.chi_grid)[:, np.newaxis]
+            for name, kept, mesh in (("pos", opt.p_pos, opt.s_f_pos_grid),
+                                     ("neg", opt.p_neg, opt.s_f_neg_grid)):
+                p00, p11, re01, im01 = pencil[name]
+                assert pencil[name] == [kept[0], kept[1], kept[2].real, kept[2].imag]
+                form = budget * (p00 * c**2 + p11 * s**2 + 2.0 * c * s * (
+                    re01 * np.cos(opt.phi_grid) - im01 * np.sin(opt.phi_grid)))
+                error = np.abs(form - mesh).max() / (budget * (p00 + p11))
+                assert error <= 1e-12, (cfg.optimize_constraint, name, error)
+
+    def test_report_is_python_scalars_and_the_sidecar_report(self, tmp_path):
+        def leaves(node):
+            if isinstance(node, dict):
+                node = list(node.values())
+            if isinstance(node, list):
+                return [leaf for child in node for leaf in leaves(child)]
+            return [node]
+
+        for _, out, report, _ in self.optimized_runs(tmp_path):
+            assert {type(leaf) for leaf in leaves(report)} <= {bool, int, float, str}
+            assert report == json.loads((out / "cooling.json").read_text())["report"]
 
     def test_overflowing_sidecar_exits_2_and_writes_nothing(self, tmp_path, capsys):
         raw = json.loads(json.dumps(P1_CONFIG))

@@ -122,9 +122,9 @@ class CouplingConstants:
     """Dispersive coupling g_disp = -k_p d(delta_m)/d(kappa) and the dissipative
     combination g_diss / sqrt(gamma_m), g_diss = -k_p d(gamma_m)/d(kappa).
 
-    The combination (not bare g_diss) enters the coupling Hamiltonian; its
-    magnitude 2 k_p R_m / sqrt(tau_s) is independent of the asymmetry
-    magnitude.  The exact r_w = 0 pole's -k_p d(gamma)/d(kappa) has its sign.
+    The combination (not bare g_diss) enters the coupling Hamiltonian; its magnitude
+    2 k_p R_m / sqrt(tau_s) is independent of the asymmetry magnitude.  Their exact check
+    is `verify`'s ``exact_modes``: the same derivatives of the exact r_w = 0 pole.
     """
 
     g_disp: float
@@ -244,15 +244,15 @@ def params_for_targets(
 def coupling_constants(lp: LumpedParams) -> CouplingConstants:
     """Dispersive/dissipative coupling constants of the reduced mode.
 
-    g_disp = 2 k_p R_m p cos(theta_m - alpha) / tau_s vanishes for a
-    purely dissipative configuration (theta_m - alpha = pi/2).  The
-    dissipative combination has magnitude 2 k_p R_m / sqrt(tau_s) and the
-    sign of sin(theta_m - alpha): it jumps at theta_m = alpha (sign 0 there)
-    and at theta_m - alpha = pi; only the bare g_diss, proportional to
-    p sin(theta_m - alpha), passes through zero continuously.  At p = 0 the
-    interferometer is purely dissipative (g_disp = 0) and the combination is
-    its limit p -> 0+ along the alpha = 0 of `asymmetry_polar`; approached
-    along another alpha it may take the other sign.
+    g_disp = 2 k_p R_m p cos(theta_m - alpha) / tau_s vanishes for a purely dissipative
+    configuration (theta_m - alpha = pi/2).  The dissipative combination has magnitude
+    2 k_p R_m / sqrt(tau_s) and the sign of sin(theta_m - alpha): it jumps at theta_m =
+    alpha (sign 0 there) and at theta_m - alpha = pi; only the bare g_diss, proportional
+    to p sin(theta_m - alpha), passes through zero continuously.  At p = 0 the
+    interferometer is purely dissipative (g_disp = 0) and the combination is its limit
+    p -> 0+ along the alpha = 0 of `asymmetry_polar`; approached along another alpha it
+    may take the other sign.  `verify`'s ``exact_modes`` checks both, and both zeros, on
+    the exact optics: the kappa-derivative of the r_w = 0 pole agrees to O(p^2).
     """
     g_disp = 2.0 * lp.k_p * lp.r_m * lp.p * math.cos(lp.theta_m - lp.alpha) / lp.tau_s
     sign = float(np.sign(math.sin(lp.theta_m - lp.alpha)))

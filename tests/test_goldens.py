@@ -1,18 +1,25 @@
-"""Frozen outputs of `msinoise cooling --optimize`, compared byte for byte.
+"""Frozen outputs of the packaged commands, compared byte for byte.
 
 Each case under ``tests/data/goldens/`` is a directory holding the run's
-``config.json`` and what the run must write from it: ``cooling.json`` as
-its bytes, and ``landscape.csv`` as ``landscape.summary.json``, the file's
-sha256 with each column's (min, max, sum) and sha256.  A mismatch names the
-file, the column (a key path inside cooling.json) and the largest relative
-change, or the column whose digest changed where no (min, max, sum) moved.
+``config.json`` and every file the run must write from it: a ``.json``
+sidecar as its bytes, and a ``.csv`` as ``<stem>.summary.json``, the file's
+sha256 with each column's (min, max, sum) and sha256.  The sidecar's name
+is the command (``compare.json`` runs ``compare``, ``cooling.json`` runs
+``cooling``), and a frozen ``landscape.summary.json`` adds ``--optimize``;
+a new case is a ``config.json`` beside an empty sidecar, filled in by the
+rewrite below.  A mismatch names the file, the column (a key path inside a
+sidecar) and the largest relative change, or the column whose digest
+changed where no (min, max, sum) moved.
 
-The case is P1 with a mechanical block (omega_m 2.5e7 rad/s, H 1e-12 kg/s,
-n_T 1e4) and ``optimize.constraint "injected"``.  It was frozen under
-numpy's default SIMD dispatch on an x86-64 host with AVX-512.  numpy's
-AVX-512 loops multiply complex numbers with FMA, so a restricted dispatch
-(``NPY_DISABLE_CPU_FEATURES``) can move the last bits until the kernel's
-complex arithmetic is made dispatch-stable (ROADMAP item 1c).
+``p1_mechanical_injected`` is P1 with a mechanical block (omega_m 2.5e7
+rad/s, H 1e-12 kg/s, n_T 1e4) and ``optimize.constraint "injected"``, run
+through ``cooling --optimize``; ``p1_compare`` is the packaged P1 through
+``compare``, whose ``lumped`` block holds the coupling constants.  Both
+were frozen under numpy's default SIMD dispatch on an x86-64 host with
+AVX-512.  numpy's AVX-512 loops multiply complex numbers with FMA, so a
+restricted dispatch (``NPY_DISABLE_CPU_FEATURES``) can move the last bits
+until the kernel's complex arithmetic is made dispatch-stable (ROADMAP
+item 1c).
 
 ``PYTHONPATH=src python tests/test_goldens.py`` rewrites every golden and
 prints each column's largest relative change against the one it replaces.
@@ -33,12 +40,19 @@ GOLDENS = Path(__file__).parent / "data" / "goldens"
 CASES = sorted(path.name for path in GOLDENS.iterdir() if path.is_dir())
 
 
+def _argv(case: Path) -> list[str]:
+    """The command that writes the case's golden files, read off their names."""
+    names = {path.name for path in case.iterdir()}
+    [command] = {"spectrum", "compare", "cooling"} & {name.removesuffix(".json") for name in names}
+    return [command, *(["--optimize"] if "landscape.summary.json" in names else [])]
+
+
 def _run(case: Path, out: Path) -> dict:
     """The frozen form of every file the case's run writes, by golden file name."""
-    assert main(["cooling", "--config", str(case / "config.json"), "--out", str(out),
-                 "--optimize"]) == 0
-    return {"cooling.json": (out / "cooling.json").read_text(),
-            "landscape.summary.json": _summary((out / "landscape.csv").read_text())}
+    assert main([*_argv(case), "--config", str(case / "config.json"), "--out", str(out)]) == 0
+    return {path.name if path.suffix == ".json" else f"{path.stem}.summary.json":
+            path.read_text() if path.suffix == ".json" else _summary(path.read_text())
+            for path in sorted(out.iterdir())}
 
 
 def _sha256(text: str) -> str:
@@ -78,15 +92,15 @@ def _changes(frozen: dict, fresh: dict) -> list[str]:
     """One line per golden file that differs: the column that moved most, and by how much."""
     lines = []
     for name, text in fresh.items():
-        if name not in frozen:
+        if not frozen.get(name):  # absent, or the empty sidecar of a new case
             lines.append(f"{name}: no golden")
             continue
         if text == frozen[name]:
             continue
         old, new = json.loads(frozen[name]), json.loads(text)
         digests = []  # the landscape columns whose text changed
-        if name == "landscape.summary.json":
-            name, old, new = "landscape.csv", old["columns"], new["columns"]
+        if name.endswith(".summary.json"):
+            name, old, new = name.replace(".summary.json", ".csv"), old["columns"], new["columns"]
             digests = [column for column in old.keys() & new.keys()
                        if old[column]["sha256"] != new[column]["sha256"]]
         old, new = _numbers(old), _numbers(new)
@@ -109,7 +123,7 @@ def _frozen(case: Path) -> dict:
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_cooling_output_matches_its_golden(tmp_path, case):
+def test_output_matches_its_golden(tmp_path, case):
     changes = _changes(_frozen(GOLDENS / case), _run(GOLDENS / case, tmp_path))
     assert not changes, f"{case}: " + "; ".join(changes)
 

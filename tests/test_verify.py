@@ -1,6 +1,7 @@
 """The verify ensembles: masked resampling, batched evaluation, result types."""
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -81,11 +82,12 @@ def test_run_all_evaluates_each_ensemble_once(kernel_calls):
     seed = 5
     first = verify.run_all(seed)
     # one draw (sidebands, carriers) shared by symmetry_g_f and unitarity, one
-    # for oracle_equivalence, and one call per one-sided S_tilde(+Omega) grid of
-    # canonical_limit, fano_minimum and cooling_optimum
-    assert len(kernel_calls) == 2 + 2 + 3
+    # for oracle_equivalence, one call per one-sided S_tilde(+Omega) grid of
+    # canonical_limit, fano_minimum and cooling_optimum, and exact_modes' grid at
+    # each of its three asymmetries and its one call for both coupling zeros
+    assert len(kernel_calls) == 2 + 2 + 3 + 4
     again = verify.run_all(seed)
-    assert len(kernel_calls) == 2 * 7  # nothing drawn is kept between runs
+    assert len(kernel_calls) == 2 * 11  # nothing drawn is kept between runs
     standalone = [check(seed).measured for check in verify.CHECK_NAMES.values()]
     for results in (first, again):
         assert [repr(r.measured) for r in results] == [repr(m) for m in standalone]
@@ -173,6 +175,17 @@ def test_oracle_check_factorizes_each_system_once(monkeypatch):
     # the carrier systems for the port drive, each for the screen's (N, 1) sets as drawn
     assert shapes == [((cases, 1, 10, 10), (cases, 1, 10, 2)),
                       ((cases, 1, 10, 10), (cases, 1, 10, 1))]
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda lp, c: dataclasses.replace(c, g_diss_combo=-c.g_diss_combo),
+    lambda lp, c: dataclasses.replace(
+        c, g_disp=2 * lp.k_p * lp.r_m * lp.p * math.sin(lp.theta_m - lp.alpha) / lp.tau_s),
+], ids=["dissipative-sign-flipped", "dispersive-sin-for-cos"])
+def test_exact_modes_fails_a_wrong_coupling_formula(monkeypatch, wrong):
+    coupling_constants = verify.coupling_constants
+    monkeypatch.setattr(verify, "coupling_constants", lambda lp: wrong(lp, coupling_constants(lp)))
+    assert not verify.check_exact_modes(verify.DEFAULT_SEED).passed
 
 
 def test_p1_is_read_once_and_shared_read_only(monkeypatch):

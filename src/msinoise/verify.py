@@ -462,7 +462,7 @@ def check_exact_modes(seed: int) -> InvariantResult:
     shares = [np.abs(g[0].real), np.abs(g[1].imag)] / np.abs(g)
     curves = np.concatenate([np.array(errors).T, shares])  # (quantity, p)
     ratios = curves[:, 1:] / curves[:, :-1]
-    bounds = (tol, 8.0e-5, 2.14e-3, 3.2e-4, 2.6e-4, 3.9e-4)
+    bounds = 2 * np.array([4.50e-3, 3.98e-5, 1.07e-3, 1.60e-4, 1.30e-4, 1.93e-4])  # 2x frozen
     passed = (np.all(curves[:, 0] <= bounds) and np.all((ratios >= 0.125) & (ratios <= 0.375))
               and signs_ok and det_dev <= 4 * np.finfo(float).eps)
     at_002 = ", ".join(f"{e:.2e}" for e in curves[:, 0])

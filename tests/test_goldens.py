@@ -8,8 +8,9 @@ is the command (``compare.json`` runs ``compare``, ``cooling.json`` runs
 ``cooling``), and a frozen ``landscape.summary.json`` adds ``--optimize``;
 a new case is a ``config.json`` beside an empty sidecar, filled in by the
 rewrite below.  A mismatch names the file, the column (a key path inside a
-sidecar) and the largest relative change, or the column whose digest
-changed where no (min, max, sum) moved.
+sidecar) and the largest relative change, the column whose digest
+changed where no (min, max, sum) moved, or a golden file the run no longer
+writes.
 
 ``p1_mechanical_injected`` is P1 with a mechanical block (omega_m 2.5e7
 rad/s, H 1e-12 kg/s, n_T 1e4) and ``optimize.constraint "injected"``, run
@@ -91,7 +92,11 @@ def _numbers(node, path: str = "") -> dict:
 def _changes(frozen: dict, fresh: dict) -> list[str]:
     """One line per golden file that differs: the column that moved most, and by how much."""
     lines = []
-    for name, text in fresh.items():
+    for name in sorted(frozen.keys() | fresh.keys()):
+        if name not in fresh:
+            lines.append(f"{name}: not written by the run")
+            continue
+        text = fresh[name]
         if not frozen.get(name):  # absent, or the empty sidecar of a new case
             lines.append(f"{name}: no golden")
             continue
@@ -126,6 +131,14 @@ def _frozen(case: Path) -> dict:
 def test_output_matches_its_golden(tmp_path, case):
     changes = _changes(_frozen(GOLDENS / case), _run(GOLDENS / case, tmp_path))
     assert not changes, f"{case}: " + "; ".join(changes)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_a_golden_file_the_run_does_not_write_fails(case):
+    frozen = _frozen(GOLDENS / case)
+    for name in frozen:
+        fresh = {other: text for other, text in frozen.items() if other != name}
+        assert _changes(frozen, fresh) == [f"{name}: not written by the run"]
 
 
 def freeze() -> None:

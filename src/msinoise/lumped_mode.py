@@ -51,6 +51,8 @@ __all__ = [
     "approx_fields",
     "approx_spectra",
     "fano_spectrum",
+    "fano_dip",
+    "fano_steering",
 ]
 
 #: smallness threshold for the validity flags
@@ -415,8 +417,35 @@ def fano_spectrum(lp: LumpedParams, field: IntracavityField, grid) -> np.ndarray
     The ``s_tilde_pos`` of `approx_spectra`, bit for bit, without its -Omega half
     or K; Omega = 0 allowed.  On the carrier `approx_fields` of a pump through
     both ports, the resonant differential part interferes with the symmetric one
-    into a Fano dip that vanishes with gamma_m; with the south port dark it lies
-    at Omega = -2 delta_s + p^2 sin(2 alpha) / tau_s, and a south pump moves it.
+    into a Fano dip that vanishes with gamma_m, at `fano_dip`; a south pump moves it.
     """
     _one_set("fano_spectrum", lp, field)
     return _noise_form(lp.k_p, field.as_array(), _approx_force_entries(lp, _real_grid(grid)))
+
+
+def _west_zero(lp: LumpedParams) -> tuple[complex, complex]:
+    """(a, c): tau_s ell e_bar . F_ap[:, 0], affine in Omega, vanishes at a + c e_bar+ / e_bar-."""
+    a = -lp.delta_s - 1j * lp.gamma_s + lp.p**2 * math.sin(2 * lp.alpha) / (2 * lp.tau_s)
+    return a, lp.p * math.sin(lp.alpha - lp.theta_m) * np.exp(-1j * lp.theta_m) / lp.tau_s
+
+
+def fano_dip(lp: LumpedParams, field: IntracavityField) -> complex:
+    """Where ``field``'s west-column force e_bar . F_ap[:, 0] vanishes, the Fano dip of
+    `fano_spectrum`: -delta_s - i gamma_s + p^2 sin(2 alpha) / (2 tau_s) + (e_bar+ / e_bar-)
+    p sin(alpha - theta_m) e^{-i theta_m} / tau_s, real on a dark-south `approx_fields`
+    carrier.  Raises ValueError at e_minus = 0, where the column has no zero."""
+    _one_set("fano_dip", lp, field)
+    if field.e_minus == 0:
+        raise ValueError("fano_dip needs e_minus != 0: the west column has no zero")
+    a, c = _west_zero(lp)
+    return complex(a + np.conj(field.e_plus / field.e_minus) * c)
+
+
+def fano_steering(lp: LumpedParams, omega0):
+    """The e_minus / e_plus whose `fano_dip` is ``omega0``, conj(c / (omega0 - a)) of
+    `_west_zero`, broadcast over ``omega0``.  Raises ValueError at p sin(alpha - theta_m) = 0."""
+    _one_set("fano_steering", lp)
+    if lp.p * math.sin(lp.alpha - lp.theta_m) == 0.0:
+        raise ValueError("fano_steering needs p sin(alpha - theta_m) != 0: no dip to steer")
+    a, c = _west_zero(lp)
+    return np.conj(c / (omega0 - a))

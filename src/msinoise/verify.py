@@ -7,15 +7,15 @@ argument or input overrides.  Each random ensemble draws its N sets as (N, 1) fi
 against an (N, K) sideband grid, so one kernel call broadcasts each set over its K
 sidebands, and is evaluated once, by its conditioning screen; `run_all` shares one
 between ``symmetry_g_f`` and ``unitarity``, then drops it.  Each check evaluates only
-what it compares: the search grids of ``canonical_limit`` and ``fano_minimum`` take the
-one-sided force noise from one kernel call each; ``exact_modes`` reads the exact r_w = 0
-pole and its kappa-derivative in closed form from the factors of one kernel call per
-asymmetry and one for both coupling zeros, with no finite-difference step; and
-``golden_determinism`` makes the CSV text of the reference sweep once, in memory, for
-the frozen golden, and compares its rerun bit for bit, writing no file.
-``oracle_equivalence`` solves its screen's (N, 1) sets as drawn, factorizing each
-sideband system once for both its drives, and the packaged P1 configuration is parsed
-once per process.
+what it compares: each search grid takes the one-sided force noise from one kernel call,
+``fano_minimum``'s five steered carriers as (5, 1) fields on one (5, K) grid;
+``exact_modes`` reads the exact r_w = 0 pole and its kappa-derivative in closed form
+from the factors of one kernel call per asymmetry and one for both coupling zeros, with
+no finite-difference step; and ``golden_determinism`` makes the CSV text of the
+reference sweep once, in memory, for the frozen golden, and compares its rerun bit for
+bit, writing no file.  ``oracle_equivalence`` solves its screen's (N, 1) sets as drawn,
+factorizing each sideband system once for both its drives, and the packaged P1
+configuration is parsed once per process.
 """
 from __future__ import annotations
 
@@ -30,19 +30,11 @@ import numpy as np
 from .algebra import dagger
 from .config import RunConfig, load_config
 from .cooling import (
-    MechanicalMode,
-    occupancy_simplified,
-    optimize_pump,
-    thermal_spectra,
+    MechanicalMode, occupancy_simplified, optimize_pump, pump_for_intracavity, thermal_spectra,
 )
 from .lumped_mode import (
-    TARGET_TAU_S,
-    approx_fields,
-    coupling_constants,
-    fano_spectrum,
-    from_exact,
-    params_for_targets,
-    reduction_errors,
+    TARGET_TAU_S, approx_fields, coupling_constants, fano_dip, fano_spectrum, fano_steering,
+    from_exact, params_for_targets, reduction_errors,
 )
 from .outputs import _spectrum_columns, _spectrum_lines
 from .radiation_pressure import _force_entries, _noise_form, noise_spectra
@@ -317,37 +309,41 @@ def check_canonical(seed: int) -> InvariantResult:
 
 
 def check_fano(seed: int) -> InvariantResult:
-    """Bright-port-only pumping dips at Omega = -2 delta_s + 2 eps kap / tau_s."""
-    tol = 0.05
-    p = 0.02
+    """The exact Fano dip lies at `fano_dip`, and a two-port carrier steers it.
+
+    Bright-port-only pumping dips within 0.05 gamma of `fano_dip` of its reduced carrier
+    (3 001 points over +/-1.5 gamma), where the reduced line shape is within 10 p.  The
+    `fano_steering` carriers of the targets dip, dip - 0.7 gamma, dip + 0.5 gamma, 0 and
+    gamma dip within 0.05 gamma of theirs (601 points each over +/-1.5 gamma), and the
+    pump of the one aimed at the dip has |A_s/A_w| <= 1e-4."""
+    tol, p = 0.05, 0.02
     gamma_s = p**2 / 50.0 / TARGET_TAU_S  # deep dip: gamma_m / gamma_s = 50
-    theta = _CONV_THETA
-    alpha = theta - math.pi / 2.0       # purely dissipative asymmetry
-    gamma_total = gamma_s + p**2 / TARGET_TAU_S
-    params = params_for_targets(
-        gamma_s=gamma_s,
-        delta_s=0.15 * gamma_total,
-        theta_m=theta,
-        p=p,
-        alpha=alpha,
-    )
+    params = params_for_targets(  # purely dissipative asymmetry, theta_m - alpha = pi / 2
+        gamma_s=gamma_s, delta_s=0.15 * (gamma_s + p**2 / TARGET_TAU_S), theta_m=_CONV_THETA,
+        p=p, alpha=_CONV_THETA - math.pi / 2.0)
     lp = from_exact(params)
     pump = PortVector(west=math.sqrt(1e16), south=0.0)
-    field = classical_fields(params, pump)
+    field, reduced = classical_fields(params, pump), approx_fields(params, pump)
 
-    predicted = -2.0 * lp.delta_s + 2.0 * params.epsilon * params.kappa / params.tau_s
-    grid = np.linspace(predicted - 1.5 * lp.gamma, predicted + 1.5 * lp.gamma, 3001)
+    dip = fano_dip(lp, reduced).real
+    grid = np.linspace(dip - 1.5 * lp.gamma, dip + 1.5 * lp.gamma, 3001)
     s_exact = _s_tilde_pos(params, field, grid)
-    found = float(grid[np.argmin(s_exact)])
-    dev = abs(found - predicted) / lp.gamma
-
     # the reduced line shape of the reduced carrier tracks it too
-    shape = fano_spectrum(lp, approx_fields(params, pump), grid)
-    err_shape = float(np.max(np.abs(s_exact - shape) / s_exact))
-
-    passed = dev <= tol and err_shape <= 10.0 * p
-    detail = f"argmin dev {dev:.3e} gamma, line-shape err {err_shape:.3e}"
-    return InvariantResult("fano_minimum", passed, dev, tol, detail)
+    err_shape = float(np.max(np.abs(s_exact - fano_spectrum(lp, reduced, grid)) / s_exact))
+    # the dark-south target, then the steered ones as (5, 1) fields, a grid row each
+    targets = np.array([dip, dip, dip - 0.7 * lp.gamma, dip + 0.5 * lp.gamma, 0.0, lp.gamma])
+    steered = IntracavityField(1e8, 1e8 * fano_steering(lp, targets[1:, np.newaxis]))
+    rows = targets[1:, np.newaxis] + np.linspace(-1.5 * lp.gamma, 1.5 * lp.gamma, 601)
+    s_rows = _s_tilde_pos(params, steered, rows)
+    found = [grid[s_exact.argmin()], *rows[range(5), s_rows.argmin(axis=1)]]
+    devs = (found - targets) / lp.gamma
+    aimed = pump_for_intracavity(params, IntracavityField(1e8, steered.e_minus[0, 0]))
+    ratio = abs(aimed.south / aimed.west)
+    worst = float(np.abs(devs).max())
+    passed = worst <= tol and err_shape <= 10.0 * p and ratio <= 1e-4
+    detail = (f"argmin devs (dark, 5 steered) {', '.join(f'{d:+.1e}' for d in devs)} gamma, "
+              f"line-shape err {err_shape:.3e}, steered |A_s/A_w| {ratio:.1e}")
+    return InvariantResult("fano_minimum", passed, worst, tol, detail)
 
 
 def check_fdt_kubo(seed: int) -> InvariantResult:

@@ -67,8 +67,10 @@ def test_criterion_05_canonical_limit():
 
 
 def test_criterion_06_fano_minimum():
-    """Dark south port: the exact spectrum dips within 0.05 gamma of
-    -2 delta_s + 2 eps kappa / tau_s."""
+    """Dark south port: the exact spectrum dips within 0.05 gamma of `fano_dip`,
+    the reduced line shape within 10 p; a two-port `fano_steering` carrier moves
+    the exact dip within 0.05 gamma of each of five targets, and the one aimed
+    at the dark-south dip needs |A_s/A_w| <= 1e-4."""
     _assert(check_fano(DEFAULT_SEED), 0.05)
 
 

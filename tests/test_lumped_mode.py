@@ -19,13 +19,14 @@ from msinoise.lumped_mode import (
     asymmetry_polar,
     asymmetry_rates,
     coupling_constants,
+    fano_dip,
     fano_spectrum,
+    fano_steering,
     from_exact,
     lorentzians,
     params_for_targets,
     reduction_errors,
 )
-from msinoise.cooling import pump_for_intracavity
 from msinoise.radiation_pressure import (
     _CHUNK, force_transfer, noise_spectra, rigidity, rigidity_matrices,
 )
@@ -441,9 +442,7 @@ class TestFanoSpectrum:
     def test_dip_term_minimum_location(self):
         lp = lumped(alpha=THETA - math.pi / 2, p=0.02, gamma_s=8e3,
                     delta_s=6e4)
-        eps = lp.p * math.cos(lp.alpha)
-        kap = lp.p * math.sin(lp.alpha)
-        predicted = -2 * lp.delta_s + 2 * eps * kap / lp.tau_s
+        predicted = fano_dip(lp, carrier(lp, DARK_SOUTH)).real
         grid = np.linspace(predicted - lp.gamma, predicted + lp.gamma, 2001)
         # times |ell|^2 the spectrum is the dip term plus an Omega-independent floor
         vals = fano_spectrum(lp, carrier(lp, DARK_SOUTH), grid)
@@ -495,15 +494,14 @@ class TestFanoSpectrum:
 
     @staticmethod
     def fano_case():
-        """`verify.check_fano`'s configuration, its record and its search grid."""
+        """`verify.check_fano`'s configuration, its record and its dark-south dip."""
         p = 0.02
         gamma_s = p**2 / 50.0 / TARGET_TAU_S
         gamma_total = gamma_s + p**2 / TARGET_TAU_S
         prm = params_for_targets(gamma_s=gamma_s, delta_s=0.15 * gamma_total,
                                  theta_m=_CONV_THETA, p=p, alpha=_CONV_THETA - math.pi / 2)
         lp = from_exact(prm)
-        predicted = -2.0 * lp.delta_s + 2.0 * prm.epsilon * prm.kappa / prm.tau_s
-        return prm, lp, np.linspace(predicted - 1.5 * lp.gamma, predicted + 1.5 * lp.gamma, 3001)
+        return prm, lp, fano_dip(lp, approx_fields(prm, DARK_SOUTH)).real
 
     @pytest.mark.parametrize("ratio, phase", [
         (0.0, 0.0), (0.5, 1.0), (0.5, -2.0), (2.0, 1.0), (2.0, -2.0), (8.0, 1.0), (8.0, -2.0),
@@ -511,7 +509,8 @@ class TestFanoSpectrum:
     def test_two_port_line_shape_tracks_the_exact_spectrum(self, ratio, phase):
         # a south pump moves the dip (to -2.32 gamma at ratio 8 and phase 1,
         # from -1.10 gamma dark); the reduced shape follows it
-        prm, lp, grid = self.fano_case()
+        prm, lp, dip = self.fano_case()
+        grid = np.linspace(dip - 1.5 * lp.gamma, dip + 1.5 * lp.gamma, 3001)
         pump = PortVector(1e8, ratio * 1e8 * np.exp(1j * phase))
         exact = noise_spectra(prm, classical_fields(prm, pump), grid)
         shape = fano_spectrum(lp, approx_fields(prm, pump), exact.grid)
@@ -521,34 +520,79 @@ class TestFanoSpectrum:
         assert 0 < found < s.size - 1, "the exact dip lies inside the grid"
         assert abs(found - ours) <= 2
 
-    @staticmethod
-    def steered(lp, omega0):
-        """The field e_plus = 1e8 whose e_bar . F_ap[:, 0], the west column, is zero
-        at omega0: e_minus / e_plus = conj(-F_ap[0, 0] / F_ap[1, 0])."""
-        f = _approx_force_entries(lp, np.array([omega0]))[:, 0, 0]
-        return IntracavityField(1e8, 1e8 * np.conj(-f[0] / f[1]))
-
     @pytest.mark.parametrize("at_dip, offset", [
         (True, 0.0), (True, -0.7), (True, 0.5), (False, 0.0), (False, 1.0),
     ], ids=["dip", "dip-0.7gamma", "dip+0.5gamma", "zero", "gamma"])
     def test_a_two_port_carrier_steers_the_exact_dip(self, at_dip, offset):
-        # the exact argmin lies within 0.05 gamma of the target (measured -2.5e-2
-        # to +3.1e-2 gamma), and the reduced shape's within two grid steps of it
-        prm, lp, _ = self.fano_case()
-        dip = -2.0 * lp.delta_s + 2.0 * prm.epsilon * prm.kappa / prm.tau_s
+        # `verify`'s fano_minimum puts the exact argmin within 0.05 gamma of each target;
+        # here the reduced shape's argmin lies within two grid steps of the exact one
+        prm, lp, dip = self.fano_case()
         omega0 = (dip if at_dip else 0.0) + offset * lp.gamma
-        field = self.steered(lp, omega0)
+        field = IntracavityField(1e8, 1e8 * fano_steering(lp, omega0))
         grid = np.linspace(omega0 - 3 * lp.gamma, omega0 + 3 * lp.gamma, 6001)
         found = int(np.argmin(_s_tilde_pos(prm, field, grid)))
-        assert abs(grid[found] - omega0) <= 0.05 * lp.gamma
         assert abs(found - int(np.argmin(fano_spectrum(lp, field, grid)))) <= 2
 
-    def test_steering_at_the_dark_south_dip_needs_no_south_pump(self):
-        # the single-port dip as a special case: measured |A_s / A_w| = 2.6e-5
-        prm, lp, _ = self.fano_case()
-        dip = -2.0 * lp.delta_s + 2.0 * prm.epsilon * prm.kappa / prm.tau_s
-        pump = pump_for_intracavity(prm, self.steered(lp, dip))
-        assert abs(pump.south / pump.west) <= 1e-4
+
+class TestFanoDip:
+    """`fano_dip` and its inverse `fano_steering`, the closed-form zero of the west
+    column of `_approx_force_entries`."""
+
+    @staticmethod
+    def records(seed, n=100):
+        rng = np.random.default_rng(seed)
+        for _ in range(n):
+            lp = lumped(gamma_s=rng.uniform(1e4, 1e7), delta_s=rng.uniform(-1e7, 1e7),
+                        p=rng.uniform(0.001, 0.1), alpha=rng.uniform(-math.pi, math.pi),
+                        theta_m=rng.uniform(0.0, math.pi / 2), tau_s=rng.uniform(5e-10, 2e-9))
+            yield lp, rng.uniform(-3, 3) * lp.gamma - lp.delta
+
+    def test_steering_is_the_numerical_west_column_zero(self):
+        # the ratio e_minus / e_plus with e_bar . F_ap[:, 0](omega0) = 0, from the entries
+        worst = 0.0
+        for lp, omega0 in self.records(41):
+            f = _approx_force_entries(lp, np.array([omega0]))[:, 0, 0]
+            numerical = np.conj(-f[0] / f[1])
+            worst = max(worst, abs(fano_steering(lp, omega0) / numerical - 1))
+        assert worst <= 1e-12
+
+    def test_dip_inverts_steering(self):
+        worst = 0.0
+        for lp, omega0 in self.records(43):
+            dip = fano_dip(lp, IntracavityField(1.0, fano_steering(lp, omega0)))
+            worst = max(worst, abs(dip - omega0) / lp.gamma)
+        assert worst <= 1e-12
+
+    def test_steering_broadcasts_over_omega0(self):
+        lp = lumped(alpha=THETA - math.pi / 2, p=0.02, gamma_s=8e3, delta_s=6e4)
+        omega0 = np.linspace(-3, 3, 12).reshape(3, 4) * lp.gamma
+        ratios = fano_steering(lp, omega0)
+        assert ratios.shape == (3, 4)
+        assert ratios[1, 2] == fano_steering(lp, omega0[1, 2])
+
+    def test_dark_south_dip_is_the_reference_formula(self):
+        # the one place -2 delta_s + p^2 sin(2 alpha) / tau_s is written out
+        rng = np.random.default_rng(47)
+        for _ in range(100):
+            prm = params_for_targets(
+                gamma_s=rng.uniform(1e5, 1e7), delta_s=rng.uniform(-1e7, 1e7),
+                theta_m=rng.uniform(0.0, math.pi / 2), p=rng.uniform(0.001, 0.1),
+                alpha=rng.uniform(-math.pi, math.pi))
+            lp = from_exact(prm)
+            pump = PortVector(rng.uniform(1e6, 1e9) * np.exp(1j * rng.uniform(-3, 3)), 0.0)
+            dip = fano_dip(lp, approx_fields(prm, pump))
+            reference = -2 * lp.delta_s + lp.p**2 * math.sin(2 * lp.alpha) / lp.tau_s
+            assert abs(dip.real - reference) <= 1e-12 * lp.gamma
+            assert abs(dip.imag) <= 1e-12 * lp.gamma
+
+    def test_refusals(self):
+        lp = lumped()
+        with pytest.raises(ValueError, match="^fano_dip needs e_minus != 0"):
+            fano_dip(lp, IntracavityField(1e8, 0.0))
+        with pytest.raises(ValueError, match="^fano_steering needs p sin"):
+            fano_steering(lumped(alpha=THETA), 0.0)  # theta_m = alpha: gamma_m = 0
+        with pytest.raises(ValueError, match="^fano_steering needs p sin"):
+            fano_steering(lumped(p=0.0, alpha=0.0), 0.0)
 
 
 class TestRecordWavenumber:
@@ -609,7 +653,7 @@ def test_p1_dark_south_minimum_is_regime_limited(p1, p1_drive):
 
     lp = from_exact(p1)
     field = classical_fields(p1, p1_drive)
-    predicted = -2 * lp.delta_s + 2 * p1.epsilon * p1.kappa / p1.tau_s
+    predicted = fano_dip(lp, approx_fields(p1, p1_drive)).real
     grid = np.linspace(1e8, 4e9, 2001)
     spec = noise_spectra(p1, field, grid)
     found = spec.grid[np.argmin(spec.s_tilde_pos)]

@@ -11,7 +11,8 @@ from msinoise.algebra import solve_dense
 from msinoise.config import load_config
 from msinoise.radiation_pressure import _force_entries, noise_spectra
 from msinoise.scattering import (
-    InterferometerParams, _displacement_entries, _scattering_entries, sideband_blocks,
+    InterferometerParams, IntracavityField, _displacement_entries, _scattering_entries,
+    sideband_blocks,
 )
 
 
@@ -83,11 +84,12 @@ def test_run_all_evaluates_each_ensemble_once(kernel_calls):
     first = verify.run_all(seed)
     # one draw (sidebands, carriers) shared by symmetry_g_f and unitarity, one
     # for oracle_equivalence, one call per one-sided S_tilde(+Omega) grid of
-    # canonical_limit, fano_minimum and cooling_optimum, and exact_modes' grid at
-    # each of its three asymmetries and its one call for both coupling zeros
-    assert len(kernel_calls) == 2 + 2 + 3 + 4
+    # canonical_limit, fano_minimum (its dark-south grid and its steered rows) and
+    # cooling_optimum, and exact_modes' grid at each of its three asymmetries and its
+    # one call for both coupling zeros
+    assert len(kernel_calls) == 2 + 2 + 4 + 4
     again = verify.run_all(seed)
-    assert len(kernel_calls) == 2 * 11  # nothing drawn is kept between runs
+    assert len(kernel_calls) == 2 * 12  # nothing drawn is kept between runs
     standalone = [check(seed).measured for check in verify.CHECK_NAMES.values()]
     for results in (first, again):
         assert [repr(r.measured) for r in results] == [repr(m) for m in standalone]
@@ -96,18 +98,19 @@ def test_run_all_evaluates_each_ensemble_once(kernel_calls):
 @pytest.mark.parametrize("check, points", [
     # 40 nonzero points at +/-Omega, then the one-sided 4 001-point peak grid
     (verify.check_canonical, [80, 4001]),
-    # the carrier of the classical field, the one-sided 3 001-point grid, then
-    # the port phases of the reduced carrier
-    (verify.check_fano, [1, 3001, 1]),
+    # the carriers of the classical field and the port phases of the reduced one, the
+    # one-sided 3 001-point grid, the five steered rows of 601 points, then the carrier
+    # of the pump of the steered field aimed at the dip
+    (verify.check_fano, [1, 1, 3001, 5 * 601, 1]),
 ], ids=["check_canonical", "check_fano"])
 def test_search_grids_evaluate_only_the_sidebands_they_read(kernel_grids, check, points):
     assert check(verify.DEFAULT_SEED).passed
     assert [grid.size for grid in kernel_grids] == points  # one call per search grid
 
 
-@pytest.mark.parametrize("check, size", [(verify.check_canonical, 4001),
-                                         (verify.check_fano, 3001)])
-def test_one_sided_search_grid_equals_noise_spectra(monkeypatch, check, size):
+@pytest.mark.parametrize("check, sizes", [(verify.check_canonical, [4001]),
+                                          (verify.check_fano, [3001, 5 * 601])])
+def test_one_sided_search_grid_equals_noise_spectra(monkeypatch, check, sizes):
     calls, s_tilde_pos = [], verify._s_tilde_pos
 
     def recording(params, field, grid):
@@ -116,10 +119,16 @@ def test_one_sided_search_grid_equals_noise_spectra(monkeypatch, check, size):
 
     monkeypatch.setattr(verify, "_s_tilde_pos", recording)
     assert check(verify.DEFAULT_SEED).passed
-    [(params, field, grid)] = calls
-    assert len(grid) == size
-    np.testing.assert_array_equal(s_tilde_pos(params, field, grid),
-                                  noise_spectra(params, field, grid).s_tilde_pos)
+    assert [grid.size for _, _, grid in calls] == sizes
+    for params, field, grid in calls:
+        # a row of the grid per field: fano_minimum's steered (5, 1) fields; the row
+        # steered to Omega = 0 holds it, which noise_spectra skips
+        rows, fields = np.atleast_2d(grid), field.as_array().reshape(2, -1).T
+        values = s_tilde_pos(params, field, grid).reshape(rows.shape)
+        for row, value, e in zip(rows, values, fields):
+            kept = row != 0.0
+            np.testing.assert_array_equal(
+                value[kept], noise_spectra(params, IntracavityField(*e), row[kept]).s_tilde_pos)
 
 
 #: the stored spectrum.csv columns, as fields (and parts) of the spectrum; S_sym,
@@ -186,6 +195,16 @@ def test_exact_modes_fails_a_wrong_coupling_formula(monkeypatch, wrong):
     coupling_constants = verify.coupling_constants
     monkeypatch.setattr(verify, "coupling_constants", lambda lp: wrong(lp, coupling_constants(lp)))
     assert not verify.check_exact_modes(verify.DEFAULT_SEED).passed
+
+
+@pytest.mark.parametrize("wrong", [
+    np.conj,  # conj[...] dropped
+    lambda ratio: -ratio,  # the sign of its p sin(alpha - theta_m) flipped
+], ids=["conj-dropped", "coupling-sign-flipped"])
+def test_fano_minimum_fails_a_wrong_steering_formula(monkeypatch, wrong):
+    steering = verify.fano_steering
+    monkeypatch.setattr(verify, "fano_steering", lambda lp, omega0: wrong(steering(lp, omega0)))
+    assert not verify.check_fano(verify.DEFAULT_SEED).passed
 
 
 def test_p1_is_read_once_and_shared_read_only(monkeypatch):

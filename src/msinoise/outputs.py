@@ -6,6 +6,7 @@ no timestamps, so identical configurations produce bit-identical files.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict
 from pathlib import Path
 
@@ -63,17 +64,31 @@ def _json_lines(payload: dict) -> tuple[str]:
     return (json.dumps(payload, sort_keys=True, indent=2) + "\n",)
 
 
-def _write(out_dir: Path, files: dict) -> None:
-    """Make ``out_dir`` and write the {name: strings} files in order; a write
-    that fails part-way removes every file it opened, then re-raises."""
+def _write(out_dir: Path, files: dict, remove: tuple = ()) -> None:
+    """Make ``out_dir``, write the {name: strings} files in order, then remove
+    any file named in ``remove`` that an earlier run left there; a write or
+    removal that fails part-way removes every file it opened, then re-raises.
+
+    Each file is overwritten in place and then trimmed to what was written,
+    not truncated on open.  ext4 and XFS take a truncating open of a file
+    with data as a replace: they flush the file when it is closed, and the
+    next truncation of it waits for that flush to reach the disk, so every
+    rerun into the same directory would block once per file.  A run killed
+    mid-write therefore leaves the new head over the old tail of a file,
+    beside the previous run's sidecar, where a truncating open left a
+    truncated file.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     opened = []
     try:
         for name, text in files.items():
             path = out_dir / name
-            with path.open("w") as fh:
+            with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
                 opened.append(path)
                 fh.writelines(text)
+                fh.truncate()
+        for name in remove:
+            (out_dir / name).unlink(missing_ok=True)
     except OSError:
         for path in opened:
             path.unlink(missing_ok=True)
@@ -192,7 +207,9 @@ def run_cooling(cfg: RunConfig, out_dir: Path, optimize: bool = False) -> dict:
     next to the report, ``force_pencil``: P+- of the optimiser, per unit energy
     budget E, as {"pos": [p00, p11, re p01, im p01], "neg": [...]}.  The mesh's
     force spectra are s_f+-(chi, phi) = E [p00 cos^2 chi + p11 sin^2 chi
-    + 2 cos chi sin chi Re(p01 e^{i phi})].
+    + 2 cos chi sin chi Re(p01 e^{i phi})].  Without ``optimize``, any
+    landscape.csv an earlier run left in ``out_dir`` is removed once
+    cooling.json is written, so no landscape sits beside a report it is not of.
 
     Raises UnstableSystem for anti-damped configurations, OpticalSingularity
     at a singular +/-omega_m sideband (the CLI maps each to its exit code)
@@ -252,5 +269,5 @@ def run_cooling(cfg: RunConfig, out_dir: Path, optimize: bool = False) -> dict:
         files["landscape.csv"] = _csv_text(
             LANDSCAPE_HEADER, [chi_text, phi_text * opt.chi_grid.size, opt.n_bar_grid.ravel()])
     files["cooling.json"] = _json_lines(_sidecar(cfg, "cooling", report=report, **extra))
-    _write(out_dir, files)
+    _write(out_dir, files, remove=() if optimize else ("landscape.csv",))
     return report

@@ -139,14 +139,17 @@ def test_only_config_parses_json():
     assert not uses, "JSON parsed outside config.py: " + ", ".join(uses)
 
 
-#: methods (of a Path, or functions of os) that create, write, move or remove
-#: a file or directory
-WRITES = {"mkdir", "write_text", "write_bytes", "writelines",
+#: methods (of a Path, a file or functions of os) that create, write, trim, move
+#: or remove a file or directory
+WRITES = {"mkdir", "write_text", "write_bytes", "writelines", "truncate", "ftruncate",
           "unlink", "rename", "replace", "rmdir", "touch"}
+#: the `os.open` flags that let a descriptor create or change a file
+WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_TRUNC", "O_APPEND"}
 
 
 def file_writes(source: str) -> list[int]:
-    """Lines of every ``WRITES`` call or ``open`` in a write mode in ``source``."""
+    """Lines of every ``WRITES`` call, ``open`` in a write mode, or ``open`` given
+    a ``WRITE_FLAGS`` name in ``source``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
@@ -157,7 +160,11 @@ def file_writes(source: str) -> list[int]:
         modes = [arg.value for arg in [*node.args[:2], *(k.value for k in node.keywords)]
                  if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
                  and re.fullmatch(r"[rwxabt+]+", arg.value)]
-        if name in WRITES or (name == "open" and any(set(m) & set("wxa+") for m in modes)):
+        flags = {getattr(part, "attr", getattr(part, "id", None))
+                 for arg in [*node.args, *(k.value for k in node.keywords)]
+                 for part in ast.walk(arg)}
+        if name in WRITES or (name == "open" and (any(set(m) & set("wxa+") for m in modes)
+                                                  or flags & WRITE_FLAGS)):
             found.append(node.lineno)
     return found
 
@@ -176,13 +183,20 @@ def test_write_linter_flags_each_form():
         "path.replace(target)\n"
         "path.rmdir()\n"
         "path.touch()\n"
+        "os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)\n"
+        "os.open(path, flags=O_RDWR)\n"
+        "os.open(path, os.O_APPEND | os.O_CLOEXEC)\n"
+        "os.open(path, os.O_TRUNC)\n"
+        "fh.truncate()\n"
+        "os.ftruncate(fd, 0)\n"
         "path.open()\n"
         "open('data.csv')\n"
+        "os.open(path, os.O_RDONLY)\n"
         "path.read_text()\n"
         "fh.write(s)\n"
         "replace(result, runtime_s=0.0)\n"
     )
-    assert file_writes(source) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]
+    assert file_writes(source) == list(range(1, 19))
 
 
 def test_only_outputs_writes_files():

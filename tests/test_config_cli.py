@@ -831,6 +831,27 @@ class TestCoolingCommand:
             run_cooling(parse_config(P1_CONFIG), out, optimize=True)
         assert not out.exists()
 
+    def test_plain_rerun_removes_the_landscape_of_an_optimised_run(self, tmp_path):
+        cfg_path = self.cooling_config(tmp_path, delta_s=-2.5e7, h_friction=1e-14)
+        out = tmp_path / "out"
+        assert main(["cooling", "--config", str(cfg_path), "--out", str(out), "--optimize"]) == 0
+        assert (out / "landscape.csv").exists()
+        raw = json.loads(cfg_path.read_text())
+        raw["mechanical"]["n_thermal"] = 5e3
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["cooling", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert [path.name for path in out.iterdir()] == ["cooling.json"]
+        report = json.loads((out / "cooling.json").read_text())["report"]
+        assert report["n_thermal"] == 5e3 and "optimum" not in report
+
+    def test_landscape_that_cannot_be_removed_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "landscape.csv").mkdir(parents=True)
+        cfg_path = self.cooling_config(tmp_path, delta_s=-2.5e7, h_friction=1e-14)
+        assert main(["cooling", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "landscape.csv" in capsys.readouterr().err
+        assert [path.name for path in out.iterdir()] == ["landscape.csv"]
+
 
 def test_import_leaves_scipy_linalg_unloaded():
     """Importing scipy.linalg costs ~7 MB of resident memory; no path needs it."""
@@ -973,3 +994,50 @@ def test_write_that_fails_part_way_leaves_no_file(tmp_path, capsys, command, wri
     assert line.startswith("error: ") and blocked in line
     assert not (out / written).exists()
     assert [path.name for path in out.iterdir()] == [blocked]
+
+
+def command_args(tmp_path, command):
+    """The arguments of ``command`` on P1 (with a mechanical block for cooling)."""
+    if command == "cooling":
+        cfg = TestCoolingCommand.cooling_config(tmp_path, delta_s=-2.5e7, h_friction=1e-14)
+        return ["cooling", "--config", str(cfg), "--optimize"]
+    return [command, "--config", str(write_config(tmp_path, P1_CONFIG))]
+
+
+def written(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("prefill", ["longer junk", "the same run"])
+@pytest.mark.parametrize("command", ["spectrum", "compare", "cooling"])
+def test_rewrite_writes_the_bytes_of_a_fresh_run(tmp_path, command, prefill):
+    args = command_args(tmp_path, command)
+    assert main([*args, "--out", str(tmp_path / "fresh")]) == 0
+    fresh = written(tmp_path / "fresh")
+    out = tmp_path / "out"
+    if prefill == "the same run":
+        assert main([*args, "--out", str(out)]) == 0
+    else:
+        out.mkdir()
+        for name, data in fresh.items():
+            (out / name).write_bytes(b"junk,\n" * len(data))  # six times the run's length
+    assert main([*args, "--out", str(out)]) == 0
+    assert written(out) == fresh
+
+
+@pytest.mark.parametrize("command", ["spectrum", "compare", "cooling"])
+def test_rewrites_open_no_file_with_o_trunc(tmp_path, monkeypatch, command):
+    # a truncating open of a file with data makes ext4 and XFS flush it on close,
+    # and the next truncation of it waits for that flush
+    args = command_args(tmp_path, command)
+    flags, os_open = [], os.open
+
+    def recording_open(path, flag, *rest, **kwargs):
+        flags.append(flag)
+        return os_open(path, flag, *rest, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    for _ in range(2):
+        assert main([*args, "--out", str(tmp_path / "out")]) == 0
+    assert flags
+    assert not [flag for flag in flags if flag & os.O_TRUNC]

@@ -15,8 +15,14 @@ writes.
 ``p1_mechanical_injected`` is P1 with a mechanical block (omega_m 2.5e7
 rad/s, H 1e-12 kg/s, n_T 1e4) and ``optimize.constraint "injected"``, run
 through ``cooling --optimize``; ``p1_compare`` is the packaged P1 through
-``compare``, whose ``lumped`` block holds the coupling constants.  Both
-were frozen under numpy's default SIMD dispatch on an x86-64 host with
+``compare``, whose ``lumped`` block holds the coupling constants.
+``p1_south_amplitude`` is P1 with the south port also pumped, by
+``amplitude [3e7, 1e7]``, and ``p1_wide_south_pump`` is P1 with ``south
+{power_w 1e-3, phase_rad 0.7}`` on a 3 001-point linear grid from -2e9 to
+2e9 rad/s, so its spectrum covers negative Omega and its sidecar records
+the skipped Omega = 0.  Both run through ``spectrum``, and the ``field``
+block of their sidecars holds a two-port carrier (e_minus nonzero).  All
+four were frozen under numpy's default SIMD dispatch on an x86-64 host with
 AVX-512.  numpy's AVX-512 loops multiply complex numbers with FMA, so a
 restricted dispatch (``NPY_DISABLE_CPU_FEATURES``) can move the last bits
 until the kernel's complex arithmetic is made dispatch-stable (ROADMAP

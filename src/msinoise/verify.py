@@ -13,9 +13,11 @@ what it compares: each search grid takes the one-sided force noise from one kern
 from the factors of one kernel call per asymmetry and one for both coupling zeros, with
 no finite-difference step; and ``golden_determinism`` makes the CSV text of the
 reference sweep once, in memory, for the frozen golden, and compares its rerun bit for
-bit, writing no file.  ``oracle_equivalence`` solves its screen's (N, 1) sets as drawn,
-factorizing each sideband system once for both its drives, and the packaged P1
-configuration is parsed once per process.
+bit, writing no file.  ``oracle_equivalence`` solves its screen's (N, 1) sets as drawn
+at omega_p +/- Omega and omega_p in one call, factorizing each system once for both
+its drives, and takes every closed form it compares, the spring K1 included, from one
+kernel call over the +/-Omega pair; the packaged P1 configuration is parsed once per
+process.
 """
 from __future__ import annotations
 
@@ -37,7 +39,9 @@ from .lumped_mode import (
     from_exact, params_for_targets, reduction_errors,
 )
 from .outputs import _spectrum_columns, _spectrum_lines
-from .radiation_pressure import _force_entries, _noise_form, noise_spectra
+from .radiation_pressure import (
+    _force_entries, _noise_form, _spring_entries, _spring_form, noise_spectra,
+)
 from .scattering import (
     HBAR,
     InterferometerParams,
@@ -183,36 +187,46 @@ def _rel_dev(value: np.ndarray, ref: np.ndarray) -> float:
 def check_oracle(seed: int) -> InvariantResult:
     """Closed forms agree with the dense solve of the raw field equations.
 
-    The port drive and the displacement drive share their sideband systems,
-    so they are solved as two right-hand sides of one factorization each;
-    the carrier solve at omega_p has systems of its own.
+    Each within 1e-10: R_ifo a and R (i k_p G E x) at +/-Omega, the carrier fields,
+    and the optical spring K1.  The membrane feels the force hbar k_p E^dagger N e of the field e
+    towards it, N = 2 R_m [[0, m*], [m, 0]], so a displacement x moving e by
+    e(+/-Omega) gives K1 = -hbar k_p [E^dagger N e(+Omega) + (E^dagger N e(-Omega))*] / x
+    with E = e_cl.  The (3, N, 1) cases omega_p +/- Omega and omega_p are factorized
+    once, in one call, for both drives: the port drive a and the displacement x.
     """
     tol = 1e-10
     rng = np.random.default_rng(seed)
-    params, _, b = _well_conditioned_cases(rng, _ORACLE_CASES, 1)
+    params, omegas, _ = _well_conditioned_cases(rng, _ORACLE_CASES, 1)
     pair = (2, _ORACLE_CASES, 1)
     a = PortVector(*(rng.normal(size=pair) + 1j * rng.normal(size=pair)))
     e_cl = IntracavityField(*((rng.normal(size=pair) + 1j * rng.normal(size=pair)) * 1e8))
-    x = 1e-15
+    x, e = 1e-15, e_cl.as_array()
+    b = sideband_blocks(params, np.stack([omegas, -omegas])).checked()
     r = _scattering_entries(params, b)
 
     apply = "ij...,j...->i..."  # each (2, 2) matrix of a stack times its column
 
     # drive 0: the port inputs a alone; drive 1: the displacement x alone
-    inputs = PortVector(*(np.stack([v, np.zeros_like(v)]) for v in a.as_array()))
-    sol = oracle_solve(params, b.omega, inputs, np.array([0.0, x]).reshape(2, 1, 1), e_cl)
-    port, moved = sol.b[:, 0], sol.b[:, 1]
-    worst = _rel_dev(port, np.einsum(apply, r, a.as_array()))
+    inputs = PortVector(*(np.stack([v, np.zeros_like(v)])[:, np.newaxis] for v in a.as_array()))
+    cases = np.concatenate([b.omega, params.omega_p[np.newaxis]])
+    sol = oracle_solve(params, cases, inputs, np.array([0.0, x]).reshape(2, 1, 1, 1), e_cl)
+    port, moved, to_membrane = sol.b[:, 0, :2], sol.b[:, 1, :2], sol.e[:, 1, :2]
+    g_e = np.einsum(apply, 1j * params.k_p * _displacement_entries(b), e)
 
-    g = 1j * params.k_p * _displacement_entries(b)
-    g_e = np.einsum(apply, g, e_cl.as_array())
-    worst = max(worst, _rel_dev(moved, np.einsum(apply, r, g_e * x)))
-
-    sol = oracle_solve(params, params.omega_p, a, 0.0, IntracavityField(0, 0))
-    worst = max(worst, _rel_dev(sol.e, classical_fields(params, a).as_array()))
+    m = np.exp(1j * params.theta_m)
+    force = 2 * params.r_m * (e[0].conj() * m.conj() * to_membrane[1]
+                              + e[1].conj() * m * to_membrane[0])
+    dense_k1 = -HBAR * params.k_p * (force[0] + force[1].conj()) / x
+    k1 = _spring_form(params.k_p, e, _spring_entries(b))
+    parts = {"R_ifo": _rel_dev(port, np.einsum(apply, r, a.as_array())),
+             "G.E": _rel_dev(moved, np.einsum(apply, r, g_e * x)),
+             "carrier": _rel_dev(sol.e[:, 0, 2], classical_fields(params, a).as_array()),
+             "K1": float((np.abs(dense_k1 - k1) / np.abs(k1)).max())}
+    worst = max(parts.values())
     return InvariantResult(
         "oracle_equivalence", worst <= tol, worst, tol,
-        f"{_ORACLE_CASES} random cases incl. power recycling",
+        f"{_ORACLE_CASES} random cases incl. power recycling, +/-Omega: "
+        + ", ".join(f"{name}={dev:.1e}" for name, dev in parts.items()),
     )
 
 

@@ -50,7 +50,8 @@ def test_criterion_02_losslessness():
 
 
 def test_criterion_03_oracle_equivalence():
-    """Closed forms match the dense solve <= 1e-10 on 200 cases incl. r_w > 0."""
+    """Closed forms match the dense solve <= 1e-10 on 200 cases incl. r_w > 0: R_ifo,
+    R G E and the spring K1 at +/-Omega, and the carrier fields."""
     _assert(check_oracle(DEFAULT_SEED), 1e-10)
 
 

@@ -28,12 +28,22 @@ restricted dispatch (``NPY_DISABLE_CPU_FEATURES``) can move the last bits
 until the kernel's complex arithmetic is made dispatch-stable (ROADMAP
 item 1c).
 
+``verify.json`` freezes ``verify --json`` at the default seed, each check's
+result without its wall time ``runtime_s``; a mismatch names the check and
+the field.  ``oracle_equivalence`` rests on a LAPACK solve, so this golden
+was frozen under numpy's default SIMD dispatch and the default OpenBLAS
+kernel (SkylakeX on that AVX-512 host); another ``OPENBLAS_CORETYPE`` may
+move the last bits of its ``measured`` and ``detail``.
+
 ``PYTHONPATH=src python tests/test_goldens.py`` rewrites every golden and
-prints each column's largest relative change against the one it replaces.
+prints each column's largest relative change against the one it replaces,
+and each changed field of ``verify.json``, ``measured`` among them.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import tempfile
@@ -45,6 +55,7 @@ from msinoise.cli import main
 
 GOLDENS = Path(__file__).parent / "data" / "goldens"
 CASES = sorted(path.name for path in GOLDENS.iterdir() if path.is_dir())
+VERIFY = GOLDENS / "verify.json"
 
 
 def _argv(case: Path) -> list[str]:
@@ -147,8 +158,52 @@ def test_a_golden_file_the_run_does_not_write_fails(case):
         assert _changes(frozen, fresh) == [f"{name}: not written by the run"]
 
 
+def _verify() -> list[dict]:
+    """``verify --json`` at the default seed, each result without ``runtime_s``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", "--json"]) == 0
+    return [{field: value for field, value in result.items() if field != "runtime_s"}
+            for result in json.loads(out.getvalue())]
+
+
+def _verify_changes(frozen: list[dict], fresh: list[dict]) -> list[str]:
+    """One line per field that differs, named by its check and field, and one per
+    check on one side only."""
+    old, new = ({result["name"]: result for result in results} for results in (frozen, fresh))
+    lines = []
+    for name in dict.fromkeys([*old, *new]):
+        if name not in old or name not in new:
+            lines.append(f"{name}: {'not run' if name in old else 'no golden'}")
+            continue
+        for field in sorted(old[name].keys() | new[name].keys()):
+            was, now = old[name].get(field), new[name].get(field)
+            if was != now:
+                rel = f" (relative change {_rel(was, now):.3e})" if field == "measured" else ""
+                lines.append(f"{name}.{field}: {was!r} -> {now!r}{rel}")
+    return lines
+
+
+def test_verify_matches_its_golden():
+    changes = _verify_changes(json.loads(VERIFY.read_text()), _verify())
+    assert not changes, "verify.json: " + "; ".join(changes)
+
+
+def test_a_changed_verify_field_is_named():
+    frozen = json.loads(VERIFY.read_text())
+    fresh = json.loads(VERIFY.read_text())
+    fresh[2]["measured"] *= 2.0
+    fresh[2]["passed"] = False
+    name, was = frozen[2]["name"], frozen[2]["measured"]
+    assert _verify_changes(frozen, fresh) == [
+        f"{name}.measured: {was!r} -> {2.0 * was!r} (relative change 1.000e+00)",
+        f"{name}.passed: True -> False"]
+    assert _verify_changes(frozen, frozen[1:]) == [f"{frozen[0]['name']}: not run"]
+
+
 def freeze() -> None:
-    """Rewrite every case's golden files, printing each column's largest change."""
+    """Rewrite every golden, printing each column's largest change and each changed
+    field of ``verify.json``."""
     for case in CASES:
         with tempfile.TemporaryDirectory() as out:
             fresh = _run(GOLDENS / case, Path(out))
@@ -156,6 +211,10 @@ def freeze() -> None:
                              or "unchanged"))
         for name, text in fresh.items():
             (GOLDENS / case / name).write_text(text)
+    fresh = _verify()
+    frozen = json.loads(VERIFY.read_text()) if VERIFY.is_file() else []
+    print("verify.json: " + ("; ".join(_verify_changes(frozen, fresh)) or "unchanged"))
+    VERIFY.write_text(json.dumps(fresh, indent=2) + "\n")
 
 
 if __name__ == "__main__":

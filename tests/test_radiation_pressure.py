@@ -123,28 +123,27 @@ class TestRigidity:
 
 
 class TestRigidityOracle:
-    """Both halves of K traced to the dense solve of the raw field equations.
+    """The static K traced to the dense solve of the raw field equations.
 
     The membrane feels hbar k_p E^dagger N e over the field e towards it, with
     N = 2 R_m [[0, m*], [m, 0]], m = e^{i theta_m}, the factor of the kernel's
-    identity F = N adj(D_e) T_tilde / d.  A displacement x at +/-Omega moves e
-    by e(+/-Omega), so K1(Omega) = -hbar k_p [E^dagger N e(+Omega) +
-    (E^dagger N e(-Omega))*] / x.  At a fixed port drive, the static force
+    identity F = N adj(D_e) T_tilde / d.  At a fixed port drive, the static force
     F_dc = hbar k_p E^dagger N E moved through kappa = k_p X gives
-    K1(0) + K2 = -k_p dF_dc/dkappa.  E is the dense carrier throughout.
+    K1(0) + K2 = -k_p dF_dc/dkappa, E the dense carrier.  K1 at +/-Omega is
+    `oracle_equivalence`'s.
     """
 
     CASES = 50  # of oracle_equivalence's well-conditioned draw, r_w > 0 included
 
     @classmethod
     def cases(cls):
-        """The (N, 1) sets and Omegas of the draw, and a random port drive of each."""
+        """The (N, 1) sets of the draw, and a random port drive of each."""
         rng = np.random.default_rng(DEFAULT_SEED)
-        sets, omegas, _ = _well_conditioned_cases(rng, _ORACLE_CASES, 1)
+        sets, _, _ = _well_conditioned_cases(rng, _ORACLE_CASES, 1)
         sets = InterferometerParams(**{name: v[:cls.CASES] for name, v in vars(sets).items()})
         pair = (2, cls.CASES, 1)
         drive = PortVector(*(rng.normal(size=pair) + 1j * rng.normal(size=pair)) * 1e8)
-        return sets, omegas[:cls.CASES], drive
+        return sets, drive
 
     @staticmethod
     def carrier(sets, drive):
@@ -166,19 +165,8 @@ class TestRigidityOracle:
             field = IntracavityField(*(complex(e.flat[i]) for e in carrier))
             yield rigidity(params, field, omegas.flat[i])
 
-    def test_k1_is_the_dense_displacement_drive(self):
-        sets, omegas, drive = self.cases()
-        e_dc, x = self.carrier(sets, drive), 1e-15
-        both = np.stack([sets.omega_p + omegas, sets.omega_p - omegas])  # +/- leading
-        e = oracle_solve(sets, both, PortVector(0.0, 0.0), x, IntracavityField(*e_dc)).e
-        force = self.membrane_force(sets, e_dc, e)
-        dense = (-hbar * sets.k_p * (force[0] + force[1].conj()) / x).ravel()
-        k1 = np.array([k1 for k1, _ in self.rigidities(sets, e_dc, omegas)])
-        worst = np.max(np.abs(dense - k1) / np.abs(k1))
-        assert worst <= 1e-10, worst  # oracle_equivalence's tolerance; measured 1.0e-14
-
     def test_static_k_is_the_kappa_derivative_of_the_dense_force(self):
-        sets, _, drive = self.cases()
+        sets, drive = self.cases()
         h = 1e-6
 
         def dc_force(kappa):

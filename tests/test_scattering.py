@@ -388,21 +388,6 @@ class TestOracle:
         )
         np.testing.assert_allclose(sol.b, expected, rtol=1e-10)
 
-    def test_random_ensemble_with_power_recycling(self):
-        rng = np.random.default_rng(13)
-        checked = 0
-        while checked < 60:
-            prm = _random_params(rng)
-            big_omega = rng.uniform(-1e9, 1e9)
-            if not clear_of_resonance(prm, big_omega):
-                continue
-            omega = prm.omega_p + big_omega
-            a = PortVector(*(rng.normal(size=2) + 1j * rng.normal(size=2)))
-            sol = oracle_solve(prm, omega, a, 0.0, IntracavityField(0, 0))
-            expected = scattering_matrix(prm, big_omega) @ a.as_array()
-            assert np.abs(sol.b - expected).max() <= 1e-10 * np.abs(expected).max()
-            checked += 1
-
 
 def one_set(params, i):
     """Set i of (N,) array params, as the float params of a point-wise caller."""

@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from msinoise import scattering, verify
+from msinoise import radiation_pressure, scattering, verify
 from msinoise.algebra import solve_dense
 from msinoise.config import load_config
-from msinoise.radiation_pressure import _force_entries, noise_spectra
+from msinoise.radiation_pressure import _force_entries, _spring_entries, noise_spectra
 from msinoise.scattering import (
     InterferometerParams, IntracavityField, _displacement_entries, _scattering_entries,
     sideband_blocks,
@@ -72,24 +72,28 @@ def test_broadcast_ensemble_equals_per_point_evaluation():
         assert broadcast.reshape(per_point.shape).tobytes() == per_point.tobytes()
 
 
-@pytest.mark.parametrize(
-    "check", [verify.check_symmetry, verify.check_unitarity, verify.check_oracle])
-def test_ensemble_check_evaluates_all_sets_in_few_kernel_calls(kernel_calls, check):
+@pytest.mark.parametrize("check, calls", [
+    # the resampler's sidebands and carriers
+    (verify.check_symmetry, 2), (verify.check_unitarity, 2),
+    # and oracle_equivalence's one call over the +/-Omega pair
+    (verify.check_oracle, 3),
+], ids=["check_symmetry", "check_unitarity", "check_oracle"])
+def test_ensemble_check_evaluates_all_sets_in_few_kernel_calls(kernel_calls, check, calls):
     assert check(verify.DEFAULT_SEED).passed
-    assert len(kernel_calls) == 2  # the resampler's sidebands and carriers
+    assert len(kernel_calls) == calls
 
 
 def test_run_all_evaluates_each_ensemble_once(kernel_calls):
     seed = 5
     first = verify.run_all(seed)
     # one draw (sidebands, carriers) shared by symmetry_g_f and unitarity, one
-    # for oracle_equivalence, one call per one-sided S_tilde(+Omega) grid of
-    # canonical_limit, fano_minimum (its dark-south grid and its steered rows) and
-    # cooling_optimum, and exact_modes' grid at each of its three asymmetries and its
-    # one call for both coupling zeros
-    assert len(kernel_calls) == 2 + 2 + 4 + 4
+    # for oracle_equivalence and its one call over the +/-Omega pair, one call per
+    # one-sided S_tilde(+Omega) grid of canonical_limit, fano_minimum (its dark-south
+    # grid and its steered rows) and cooling_optimum, and exact_modes' grid at each of
+    # its three asymmetries and its one call for both coupling zeros
+    assert len(kernel_calls) == 2 + 3 + 4 + 4
     again = verify.run_all(seed)
-    assert len(kernel_calls) == 2 * 12  # nothing drawn is kept between runs
+    assert len(kernel_calls) == 2 * 13  # nothing drawn is kept between runs
     standalone = [check(seed).measured for check in verify.CHECK_NAMES.values()]
     for results in (first, again):
         assert [repr(r.measured) for r in results] == [repr(m) for m in standalone]
@@ -180,10 +184,28 @@ def test_oracle_check_factorizes_each_system_once(monkeypatch):
     monkeypatch.setattr(scattering, "solve_dense", counting)
     assert verify.check_oracle(verify.DEFAULT_SEED).passed
     cases = verify._ORACLE_CASES
-    # the sideband systems for the port and the displacement drive, then
-    # the carrier systems for the port drive, each for the screen's (N, 1) sets as drawn
-    assert shapes == [((cases, 1, 10, 10), (cases, 1, 10, 2)),
-                      ((cases, 1, 10, 10), (cases, 1, 10, 1))]
+    # the systems at omega_p + Omega, omega_p - Omega and omega_p of the screen's (N, 1)
+    # sets as drawn, in one call for the port and the displacement drive
+    assert shapes == [((3, cases, 1, 10, 10), (3, cases, 1, 10, 2))]
+
+
+def conjugate_closed_spring(b):
+    """`_spring_entries` with the +/-Omega closure's dagger replaced by a plain conjugate."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(radiation_pressure, "cc_close", lambda pos, neg: pos + neg.conj())
+        return _spring_entries(b)
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda b: _spring_entries(b).swapaxes(0, 1),
+    conjugate_closed_spring,
+], ids=["transposed", "conjugate-closure"])
+def test_oracle_equivalence_fails_a_wrong_spring_formula(monkeypatch, wrong):
+    monkeypatch.setattr(verify, "_spring_entries", wrong)
+    result = verify.check_oracle(verify.DEFAULT_SEED)
+    parts = dict(part.split("=") for part in result.detail.split(": ")[1].split(", "))
+    assert not result.passed and parts.keys() == {"R_ifo", "G.E", "carrier", "K1"}
+    assert [name for name, dev in parts.items() if float(dev) > 1e-10] == ["K1"], result.detail
 
 
 @pytest.mark.parametrize("wrong", [
